@@ -166,11 +166,10 @@ fn print_a1() {
 }
 
 fn print_a2() {
-    println!("== A2: grammar hygiene — subsumed-rule removal and rule dedupe (lcc corpus) ==");
-    let [(r1, g1, c1), (r2, g2, c2), (r3, g3, c3)] = a2();
-    println!("removal on:           {r1:>5} live rules, grammar {g1:>7} B, compressed {c1:>8} B");
-    println!("removal off:          {r2:>5} live rules, grammar {g2:>7} B, compressed {c2:>8} B");
-    println!("removal on + dedupe:  {r3:>5} live rules, grammar {g3:>7} B, compressed {c3:>8} B\n");
+    println!("== A2: grammar hygiene — subsumed-rule removal (lcc corpus) ==");
+    let [(r1, g1, c1), (r2, g2, c2)] = a2();
+    println!("removal on:   {r1:>5} live rules, grammar {g1:>7} B, compressed {c1:>8} B");
+    println!("removal off:  {r2:>5} live rules, grammar {g2:>7} B, compressed {c2:>8} B\n");
 }
 
 fn print_a3() {

@@ -209,31 +209,27 @@ pub fn a1(caps: &[usize]) -> Vec<(usize, usize, usize)> {
         .collect()
 }
 
-/// A2 — grammar-hygiene settings: subsumed-rule removal on/off, plus
-/// removal combined with rule deduplication. Returns `(live rules,
-/// grammar bytes, compressed bytes)` per setting, in that order.
-pub fn a2() -> [(usize, usize, usize); 3] {
+/// A2 — grammar hygiene: subsumed-rule removal on, then off. Returns
+/// `(live rules, grammar bytes, compressed bytes)` per setting, in that
+/// order.
+pub fn a2() -> [(usize, usize, usize); 2] {
     let c = corpus(CorpusName::Lcc);
-    let settings = [(true, false), (false, false), (true, true)];
-    let mut out = [(0, 0, 0); 3];
-    for (slot, (remove, dedupe)) in settings.into_iter().enumerate() {
+    [true, false].map(|remove_subsumed| {
         let config = TrainConfig {
             expander: ExpanderConfig {
-                remove_subsumed: remove,
-                dedupe_rules: dedupe,
+                remove_subsumed,
                 ..ExpanderConfig::default()
             },
             ..TrainConfig::default()
         };
         let trained = train(&c.refs(), &config).expect("valid corpus");
         let (_, compressed) = compress_corpus(&trained, &c);
-        out[slot] = (
+        (
             trained.expanded().live_rule_count(),
             trained.grammar_size(),
             compressed,
-        );
-    }
-    out
+        )
+    })
 }
 
 /// One baseline shoot-out row.

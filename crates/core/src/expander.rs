@@ -12,13 +12,23 @@
 //! An *edge* here is `(parent rule, slot, child rule)` where `slot` is the
 //! index of the contracted child among the parent's children — the
 //! specific non-terminal occurrence `B` in `A → α B β`. Counts are
-//! maintained incrementally (Re-Pair style) with a lazy max-heap, because
-//! every contraction relabels the parent and therefore changes the keys of
-//! all edges incident to it.
+//! maintained incrementally (Re-Pair style), because every contraction
+//! relabels the parent and therefore changes the keys of all edges
+//! incident to it. Every child node realizes exactly one edge, its
+//! incoming one, so occurrences are per-node links in flat arrays, and
+//! the max-heap holds one entry per edge (see [`expand`] for why that
+//! suffices).
 
+use pgr_grammar::grammar::MAX_RHS_LEN;
 use pgr_grammar::{Forest, Grammar, NodeId, Nt, RuleId, RuleOrigin};
 use pgr_telemetry::{names, Metrics, Recorder};
-use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Minimum edge frequency worth a new rule. The paper inlines while
+/// profitable; an edge used once saves one derivation step but costs a
+/// grammar rule.
+const MIN_COUNT: u32 = 2;
 
 /// Tuning knobs for the expander.
 #[derive(Debug, Clone)]
@@ -27,25 +37,9 @@ pub struct ExpanderConfig {
     /// derivation step encodes as one byte. Values above 256 break the
     /// one-byte encoding and are rejected by the pipeline.
     pub max_rules_per_nt: usize,
-    /// Minimum edge frequency worth a new rule. The paper inlines while
-    /// profitable; an edge used once saves one derivation step but costs
-    /// a grammar rule, so 2 is the sensible default.
-    pub min_count: u64,
-    /// Cap on right-hand-side length of created rules (the grammar
-    /// serialization stores one length byte).
-    pub max_rhs_len: usize,
     /// Remove inlined rules that fall out of use ("in our current
     /// implementation, we remove unused inlined rules", §4.1).
     pub remove_subsumed: bool,
-    /// Reuse an existing live rule when an inline would create an
-    /// identical (left-hand side, right-hand side) pair, instead of
-    /// burning a fresh slot in the 256-rule budget. The paper always
-    /// creates a new rule; deduplication is a refinement measured by the
-    /// A2 ablation. Off by default for paper fidelity.
-    pub dedupe_rules: bool,
-    /// Optional hard cap on the number of created rules (ablation and
-    /// test use; `None` in normal operation).
-    pub max_new_rules: Option<usize>,
     /// Reserve the last one-byte rule index of this non-terminal for the
     /// verbatim-escape marker (`pgr_bytecode::escape::VERBATIM_MARKER`):
     /// the non-terminal saturates at 255 rules instead of 256, so index
@@ -59,11 +53,7 @@ impl Default for ExpanderConfig {
     fn default() -> ExpanderConfig {
         ExpanderConfig {
             max_rules_per_nt: 256,
-            min_count: 2,
-            max_rhs_len: 255,
             remove_subsumed: true,
-            dedupe_rules: false,
-            max_new_rules: None,
             escape_reserve: None,
         }
     }
@@ -74,9 +64,6 @@ impl Default for ExpanderConfig {
 pub struct ExpansionStats {
     /// Rules created by inlining.
     pub rules_added: usize,
-    /// Inlines that reused an existing identical rule instead of adding
-    /// one (only with [`ExpanderConfig::dedupe_rules`]).
-    pub rules_reused: usize,
     /// Inlined rules later removed as subsumed.
     pub rules_removed: usize,
     /// Total edge contractions (= derivation steps saved on the training
@@ -86,70 +73,201 @@ pub struct ExpansionStats {
     pub derivation_before: usize,
     /// Forest derivation length after expansion.
     pub derivation_after: usize,
-    /// Greedy-loop iterations: heap pops examined, including stale
-    /// entries and skipped candidates.
+    /// Greedy-loop iterations: heap pops, one per queue entry examined.
+    /// The heap holds one entry per edge, so this counts chosen edges,
+    /// skipped candidates, and entries re-queued because the edge's
+    /// count changed since it was queued.
     pub inline_iterations: u64,
-    /// Profitable edges skipped because their non-terminal already held
-    /// [`ExpanderConfig::max_rules_per_nt`] rules (§4.1 saturation).
+    /// Candidate edges skipped because their non-terminal already held
+    /// [`ExpanderConfig::max_rules_per_nt`] rules (§4.1 saturation). A
+    /// skipped edge is counted again only once its count has fallen.
     pub saturated_skips: u64,
     /// Largest rules-per-non-terminal count after expansion (256 means
     /// some non-terminal used its whole one-byte index space).
     pub rules_per_nt_peak: usize,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct Edge {
-    parent: RuleId,
-    slot: u32,
-    child: RuleId,
+/// Rule-id bits per endpoint in an [`EdgeKey`]; the slot gets the 8 bits
+/// between them (a right-hand side holds at most 255 symbols).
+const RULE_BITS: u32 = 28;
+
+/// An edge `(parent rule, slot, child rule)` packed into one `u64`, parent
+/// highest, so key order is the triple's lexicographic order — the
+/// heap's deterministic tie-break between equally frequent edges.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct EdgeKey(u64);
+
+impl EdgeKey {
+    fn new(parent: RuleId, slot: usize, child: RuleId) -> EdgeKey {
+        debug_assert!(slot < 1 << 8);
+        EdgeKey(
+            u64::from(parent.0) << (RULE_BITS + 8)
+                | (slot as u64) << RULE_BITS
+                | u64::from(child.0),
+        )
+    }
+
+    fn parent(self) -> RuleId {
+        RuleId((self.0 >> (RULE_BITS + 8)) as u32)
+    }
+
+    fn slot(self) -> u32 {
+        (self.0 >> RULE_BITS) as u32 & 0xFF
+    }
+
+    fn child(self) -> RuleId {
+        RuleId(self.0 as u32 & ((1 << RULE_BITS) - 1))
+    }
 }
 
-/// Incremental (count, occurrence-set) bookkeeping for forest edges.
+/// Folded-multiply hasher for [`EdgeKey`]s: the keys are internal, so
+/// SipHash's flood resistance buys nothing, and folding the 128-bit
+/// product mixes the parent bits into the low bits the table indexes by.
+#[derive(Default)]
+struct EdgeKeyHasher(u64);
+
+impl Hasher for EdgeKeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("edge keys hash through write_u64");
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let product = u128::from(n) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = product as u64 ^ (product >> 64) as u64;
+    }
+}
+
+/// `NodeId` / edge-id sentinel in the flat arrays.
+const NONE: u32 = u32::MAX;
+
+/// Incremental edge bookkeeping in flat arrays. Edges get dense ids in
+/// creation order and are never forgotten, so the edges one contraction
+/// loop creates are exactly the ids it appends. A node's occurrence
+/// links thread it into its incoming edge's list.
 struct EdgeIndex {
-    /// Edge → set of child nodes realizing it. Ordered so contraction
-    /// order (and therefore training output) is deterministic.
-    occ: HashMap<Edge, BTreeSet<NodeId>>,
-    /// Lazy max-heap of (count-at-push, edge).
-    heap: BinaryHeap<(u64, RuleId, u32, RuleId)>,
+    /// Packed key → edge id.
+    ids: HashMap<u64, u32, BuildHasherDefault<EdgeKeyHasher>>,
+    /// Per edge: its key, its live occurrence count, and the first node
+    /// of its occurrence list.
+    key: Vec<EdgeKey>,
+    count: Vec<u32>,
+    head: Vec<u32>,
+    /// Per node: the edge it realizes (`NONE` for roots and contracted
+    /// nodes) and its neighbours in that edge's occurrence list.
+    edge_of: Vec<u32>,
+    next: Vec<u32>,
+    prev: Vec<u32>,
 }
 
 impl EdgeIndex {
-    fn new() -> EdgeIndex {
+    fn new(nodes: usize) -> EdgeIndex {
         EdgeIndex {
-            occ: HashMap::new(),
-            heap: BinaryHeap::new(),
+            ids: HashMap::default(),
+            key: Vec::new(),
+            count: Vec::new(),
+            head: Vec::new(),
+            edge_of: vec![NONE; nodes],
+            next: vec![NONE; nodes],
+            prev: vec![NONE; nodes],
         }
     }
 
-    fn inc(&mut self, edge: Edge, child_node: NodeId) {
-        let set = self.occ.entry(edge).or_default();
-        if set.insert(child_node) {
-            self.heap
-                .push((set.len() as u64, edge.parent, edge.slot, edge.child));
+    /// Number of edges ever created.
+    fn len(&self) -> usize {
+        self.key.len()
+    }
+
+    /// Record `node` as an occurrence of the edge `key`.
+    fn inc(&mut self, node: NodeId, key: EdgeKey) {
+        let fresh = self.key.len() as u32;
+        let e = *self.ids.entry(key.0).or_insert(fresh);
+        if e == fresh {
+            self.key.push(key);
+            self.count.push(0);
+            self.head.push(NONE);
+        }
+        let (n, e) = (node.index(), e as usize);
+        debug_assert_eq!(self.edge_of[n], NONE, "node already realizes an edge");
+        self.count[e] += 1;
+        let first = self.head[e];
+        if first != NONE {
+            self.prev[first as usize] = node.0;
+        }
+        self.next[n] = first;
+        self.prev[n] = NONE;
+        self.head[e] = node.0;
+        self.edge_of[n] = e as u32;
+    }
+
+    /// Remove `node` from the occurrences of the edge it realizes.
+    fn dec(&mut self, node: NodeId) {
+        let n = node.index();
+        let e = self.edge_of[n] as usize;
+        self.count[e] -= 1;
+        let (prev, next) = (self.prev[n], self.next[n]);
+        if prev == NONE {
+            self.head[e] = next;
+        } else {
+            self.next[prev as usize] = next;
+        }
+        if next != NONE {
+            self.prev[next as usize] = prev;
+        }
+        self.edge_of[n] = NONE;
+    }
+
+    /// The live occurrences of edge `e`, ascending by node id, into `out`.
+    fn occurrences(&self, e: u32, out: &mut Vec<NodeId>) {
+        out.clear();
+        let mut n = self.head[e as usize];
+        while n != NONE {
+            out.push(NodeId(n));
+            n = self.next[n as usize];
+        }
+        out.sort_unstable();
+    }
+
+    /// Queue every edge created since id `from` at its count.
+    fn queue_from(&self, from: usize, heap: &mut Queue) {
+        for e in from..self.len() {
+            queue(heap, self.count[e], self.key[e], e as u32);
         }
     }
+}
 
-    fn dec(&mut self, edge: Edge, child_node: NodeId) {
-        if let Some(set) = self.occ.get_mut(&edge) {
-            set.remove(&child_node);
-            if set.is_empty() {
-                self.occ.remove(&edge);
-            }
-        }
-    }
+/// The greedy loop's max-heap of `(count, key, edge id)`, at most one
+/// entry per edge.
+type Queue = BinaryHeap<(u32, EdgeKey, u32)>;
 
-    fn count(&self, edge: &Edge) -> u64 {
-        self.occ.get(edge).map_or(0, |s| s.len() as u64)
-    }
-
-    fn any_occurrence(&self, edge: &Edge) -> Option<NodeId> {
-        self.occ.get(edge).and_then(|s| s.first().copied())
+/// Queue edge `e` at `count`, unless that is too rare to be worth a rule.
+fn queue(heap: &mut Queue, count: u32, key: EdgeKey, e: u32) {
+    if count >= MIN_COUNT {
+        heap.push((count, key, e));
     }
 }
 
 /// Run the greedy expansion loop, mutating `grammar` (adding inlined
 /// rules, removing subsumed ones) and `forest` (contracting edges) in
 /// lockstep.
+///
+/// Each round takes the most frequent edge (ties broken by the larger
+/// `(parent, slot, child)`), inlines it as a fresh rule, and contracts
+/// its occurrences in ascending node order. Because every inlined rule
+/// is fresh, an edge gains occurrences only in the round that creates
+/// the newer of its two rules (or in the initial scan); afterwards its
+/// count only falls. So the heap needs one entry per edge, queued when
+/// that round ends: an entry above the edge's current count is re-queued
+/// at the count (lazy decrease-key). A skip for saturation re-queues the
+/// edge one below its count, since a later subsumed-rule removal can free
+/// the non-terminal's budget. That entry then walks down one step per pop
+/// until the count falls to meet it, which is when the reference loop
+/// (one entry per count increment, `tests/expander_reference.rs`) would
+/// next find the edge a candidate. An edge whose inlined right-hand side
+/// is too long is dropped.
 ///
 /// # Panics
 ///
@@ -169,21 +287,11 @@ pub fn expand(
         ..ExpansionStats::default()
     };
 
-    // Live (lhs, rhs) -> rule map for optional deduplication.
-    let mut by_shape: HashMap<(pgr_grammar::Nt, Vec<pgr_grammar::Symbol>), RuleId> = HashMap::new();
-    if config.dedupe_rules {
-        for nt in 0..grammar.nt_count() {
-            let nt = pgr_grammar::Nt(nt as u16);
-            for &id in grammar.rules_of(nt) {
-                by_shape.insert((nt, grammar.rule(id).rhs.clone()), id);
-            }
-        }
-    }
-
     // Initial scan: edge occurrences and per-rule use counts.
-    let mut edges = EdgeIndex::new();
+    assert!(grammar.rule_slots() <= 1 << RULE_BITS, "too many rules");
+    let mut edges = EdgeIndex::new(forest.node_slots());
     let mut rule_use: Vec<u64> = vec![0; grammar.rule_slots()];
-    for root in forest.roots().to_vec() {
+    for &root in forest.roots() {
         // Iterative preorder walk.
         let mut stack = vec![root];
         while let Some(id) = stack.pop() {
@@ -191,36 +299,27 @@ pub fn expand(
             rule_use[node.rule.index()] += 1;
             for (slot, &child) in node.children.iter().enumerate() {
                 edges.inc(
-                    Edge {
-                        parent: node.rule,
-                        slot: slot as u32,
-                        child: forest.node(child).rule,
-                    },
                     child,
+                    EdgeKey::new(node.rule, slot, forest.node(child).rule),
                 );
                 stack.push(child);
             }
         }
     }
+    let mut heap = BinaryHeap::new();
+    edges.queue_from(0, &mut heap);
 
-    while let Some((pushed_count, parent, slot, child)) = edges.heap.pop() {
+    let mut occurrences = Vec::new();
+    while let Some((queued, key, e)) = heap.pop() {
         stats.inline_iterations += 1;
-        if pushed_count < config.min_count {
-            break; // max-heap: nothing better remains
+        let count = edges.count[e as usize];
+        if count != queued {
+            // Above the count: it fell since queuing (lazy decrease-key).
+            // Below it: a saturation skip's entry walking down.
+            queue(&mut heap, count.min(queued - 1), key, e);
+            continue;
         }
-        if let Some(cap) = config.max_new_rules {
-            if stats.rules_added >= cap {
-                break;
-            }
-        }
-        let edge = Edge {
-            parent,
-            slot,
-            child,
-        };
-        if edges.count(&edge) != pushed_count {
-            continue; // stale heap entry
-        }
+        let (parent, slot, child) = (key.parent(), key.slot(), key.child());
         let lhs = grammar.rule(parent).lhs;
         // The escape-reserved non-terminal gives up its last one-byte
         // rule index so the verbatim marker stays unambiguous.
@@ -230,73 +329,47 @@ pub fn expand(
             config.max_rules_per_nt
         };
         if grammar.rules_of(lhs).len() >= nt_budget {
-            stats.saturated_skips += 1;
-            continue; // this non-terminal is saturated (§4.1)
-        }
-        let new_rhs = grammar.inlined_rhs(parent, slot as usize, child);
-        if new_rhs.len() > config.max_rhs_len {
+            stats.saturated_skips += 1; // this non-terminal is saturated (§4.1)
+            queue(&mut heap, count - 1, key, e);
             continue;
         }
-        let reused = if config.dedupe_rules {
-            by_shape.get(&(lhs, new_rhs.clone())).copied()
-        } else {
-            None
-        };
-        let new_rule = match reused {
-            Some(existing) => {
-                stats.rules_reused += 1;
-                existing
-            }
-            None => {
-                let id = grammar.add_rule(
-                    lhs,
-                    new_rhs.clone(),
-                    RuleOrigin::Inlined {
-                        parent,
-                        slot,
-                        child,
-                    },
-                );
-                if config.dedupe_rules {
-                    by_shape.insert((lhs, new_rhs), id);
-                }
-                stats.rules_added += 1;
-                id
-            }
-        };
-        if rule_use.len() < grammar.rule_slots() {
-            rule_use.resize(grammar.rule_slots(), 0);
+        let new_rhs = grammar.inlined_rhs(parent, slot as usize, child);
+        if new_rhs.len() > MAX_RHS_LEN {
+            continue;
         }
+        let new_rule = grammar.add_rule(
+            lhs,
+            new_rhs,
+            RuleOrigin::Inlined {
+                parent,
+                slot,
+                child,
+            },
+        );
+        assert!(new_rule.0 < 1 << RULE_BITS, "too many rules");
+        stats.rules_added += 1;
+        rule_use.push(0);
 
-        // Contract every occurrence. Contractions can invalidate other
-        // occurrences of the same edge (when parent == child rule), so we
-        // take them one at a time from the live set.
-        let mut touched_rules: HashSet<RuleId> = HashSet::new();
-        while let Some(child_node) = edges.any_occurrence(&edge) {
-            contract_one(
-                forest,
-                grammar,
-                &mut edges,
-                &mut rule_use,
-                child_node,
-                new_rule,
-            );
-            stats.contractions += 1;
+        // Contract every occurrence, in ascending node order. A
+        // contraction can retire later occurrences (when the parent and
+        // child rules coincide) but never adds one: new occurrences all
+        // involve `new_rule`.
+        let first_new_edge = edges.len();
+        edges.occurrences(e, &mut occurrences);
+        for &child_node in &occurrences {
+            if edges.edge_of[child_node.index()] == e {
+                contract_one(forest, &mut edges, &mut rule_use, child_node, new_rule);
+                stats.contractions += 1;
+            }
         }
-        touched_rules.insert(parent);
-        touched_rules.insert(child);
+        edges.queue_from(first_new_edge, &mut heap);
 
         if config.remove_subsumed {
-            for r in touched_rules {
+            for r in [parent, child] {
                 if rule_use[r.index()] == 0
                     && grammar.rule(r).alive
                     && !matches!(grammar.rule(r).origin, RuleOrigin::Original)
-                    && r != new_rule
                 {
-                    if config.dedupe_rules {
-                        let rule = grammar.rule(r);
-                        by_shape.remove(&(rule.lhs, rule.rhs.clone()));
-                    }
                     grammar.remove_rule(r);
                     stats.rules_removed += 1;
                 }
@@ -326,7 +399,6 @@ pub fn expand_with(
         batch.add(names::TRAIN_INLINE_ITERATIONS, stats.inline_iterations);
         batch.add(names::TRAIN_CONTRACTIONS, stats.contractions as u64);
         batch.add(names::TRAIN_RULES_ADDED, stats.rules_added as u64);
-        batch.add(names::TRAIN_RULES_REUSED, stats.rules_reused as u64);
         batch.add(names::TRAIN_RULES_REMOVED, stats.rules_removed as u64);
         batch.add(names::TRAIN_SATURATED_SKIPS, stats.saturated_skips);
         batch.gauge_max(
@@ -339,10 +411,9 @@ pub fn expand_with(
 }
 
 /// Contract one edge occurrence: the parent of `child_node` absorbs it and
-/// is relabeled `new_rule`, with all incident edge counts updated.
+/// is relabeled `new_rule`, with all incident edges updated.
 fn contract_one(
     forest: &mut Forest,
-    _grammar: &Grammar,
     edges: &mut EdgeIndex,
     rule_use: &mut [u64],
     child_node: NodeId,
@@ -355,41 +426,18 @@ fn contract_one(
     let parent_rule = forest.node(parent).rule;
     let child_rule = forest.node(child_node).rule;
 
-    // Remove edges incident to the parent (its label is about to change) …
-    for (slot, &ch) in forest.node(parent).children.iter().enumerate() {
-        edges.dec(
-            Edge {
-                parent: parent_rule,
-                slot: slot as u32,
-                child: forest.node(ch).rule,
-            },
-            ch,
-        );
+    // Retire the edges incident to the parent (its label is about to
+    // change): to its children, `child_node` included, and from the
+    // grandparent; and the edges from `child_node` to its children.
+    for &ch in &forest.node(parent).children {
+        edges.dec(ch);
     }
-    // … the edge from the grandparent to the parent …
     let gp = forest.node(parent).parent();
-    if let Some(gp) = gp {
-        let gp_rule = forest.node(gp).rule;
-        let gslot = forest.slot_of(parent) as u32;
-        edges.dec(
-            Edge {
-                parent: gp_rule,
-                slot: gslot,
-                child: parent_rule,
-            },
-            parent,
-        );
+    if gp.is_some() {
+        edges.dec(parent);
     }
-    // … and the edges from the child to its children.
-    for (slot, &gc) in forest.node(child_node).children.iter().enumerate() {
-        edges.dec(
-            Edge {
-                parent: child_rule,
-                slot: slot as u32,
-                child: forest.node(gc).rule,
-            },
-            gc,
-        );
+    for &gc in &forest.node(child_node).children {
+        edges.dec(gc);
     }
 
     forest.contract(child_node);
@@ -400,25 +448,13 @@ fn contract_one(
 
     // Re-add edges with the parent's new label.
     for (slot, &ch) in forest.node(parent).children.iter().enumerate() {
-        edges.inc(
-            Edge {
-                parent: new_rule,
-                slot: slot as u32,
-                child: forest.node(ch).rule,
-            },
-            ch,
-        );
+        edges.inc(ch, EdgeKey::new(new_rule, slot, forest.node(ch).rule));
     }
     if let Some(gp) = gp {
         let gp_rule = forest.node(gp).rule;
-        let gslot = forest.slot_of(parent) as u32;
         edges.inc(
-            Edge {
-                parent: gp_rule,
-                slot: gslot,
-                child: new_rule,
-            },
             parent,
+            EdgeKey::new(gp_rule, forest.slot_of(parent), new_rule),
         );
     }
 }
@@ -577,23 +613,6 @@ mod tests {
     }
 
     #[test]
-    fn max_new_rules_caps_the_run() {
-        let ig = InitialGrammar::build();
-        let mut g = ig.grammar.clone();
-        let seg = hot_segment(64);
-        let mut forest = forest_of(&ig, &[&seg]);
-        let stats = expand(
-            &mut g,
-            &mut forest,
-            &ExpanderConfig {
-                max_new_rules: Some(3),
-                ..ExpanderConfig::default()
-            },
-        );
-        assert!(stats.rules_added <= 3);
-    }
-
-    #[test]
     fn subsumed_rules_are_removed() {
         let ig = InitialGrammar::build();
         let mut g = ig.grammar.clone();
@@ -619,39 +638,6 @@ mod tests {
         assert_eq!(with_removal.derivation_after, without.derivation_after);
         // Removal keeps the live grammar no larger.
         assert!(g.live_rule_count() <= g2.live_rule_count());
-    }
-
-    #[test]
-    fn dedupe_reuses_identical_rules() {
-        // Two segment shapes that converge on the same inlined rule via
-        // different inline orders: with dedupe on, the duplicates fold.
-        let ig = InitialGrammar::build();
-        let seg_a = hot_segment(8);
-        let mut seg_b = hot_segment(8);
-        seg_b.extend_from_slice(&[Opcode::RETV as u8]);
-        let run = |dedupe: bool| {
-            let ig = InitialGrammar::build();
-            let mut g = ig.grammar.clone();
-            let mut forest = forest_of(&ig, &[&seg_a, &seg_b]);
-            let stats = expand(
-                &mut g,
-                &mut forest,
-                &ExpanderConfig {
-                    dedupe_rules: dedupe,
-                    remove_subsumed: false,
-                    ..ExpanderConfig::default()
-                },
-            );
-            (g.live_rule_count(), stats)
-        };
-        let (live_plain, stats_plain) = run(false);
-        let (live_dedupe, stats_dedupe) = run(true);
-        assert_eq!(stats_plain.rules_reused, 0);
-        // Dedupe must never *hurt*: at most as many live rules, and the
-        // forest shrinks at least as far.
-        assert!(live_dedupe <= live_plain);
-        assert!(stats_dedupe.derivation_after <= stats_plain.derivation_after);
-        let _ = ig;
     }
 
     #[test]

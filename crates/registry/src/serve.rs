@@ -1048,8 +1048,11 @@ pub(crate) fn handle_batch(state: &State, batch: Batch) -> Vec<Done> {
         }
     }
 
-    // One engine dispatch for everything Ready.
-    let _op_span = state.recorder.trace_span("serve.compress");
+    // One engine dispatch for everything Ready. Its span must end before
+    // the batch trace is retired below, or the end event would outlive
+    // the drain: an unpaired begin in the slow-log dump and an orphan
+    // event left in the shared trace buffer.
+    let op_span = state.recorder.trace_span("serve.compress");
     let ready: Vec<usize> = (0..preps.len())
         .filter(|&i| matches!(preps[i], Prep::Ready { .. }))
         .collect();
@@ -1126,6 +1129,8 @@ pub(crate) fn handle_batch(state: &State, batch: Batch) -> Vec<Done> {
             }
         }
     }
+
+    drop(op_span);
 
     // Fan back out: one response per member, with per-request trace id,
     // latency, and window/metric accounting.
@@ -1464,6 +1469,76 @@ mod tests {
             weak_a.upgrade().is_none(),
             "evicted engine must drop, grammar and compressor included"
         );
+    }
+
+    #[test]
+    fn batch_trace_events_are_drained_when_the_batch_retires() {
+        // Slow tracing at threshold 0: every batch dumps its trace. Each
+        // dump must pair every begin with an end, and nothing may stay
+        // behind in the shared buffer once the batches have retired.
+        let dir = std::env::temp_dir().join(format!("pgr-batch-trace-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let registry = Registry::open(dir.join("reg")).unwrap();
+        let id_hex = registry
+            .store(&sample_file(), "batch trace")
+            .unwrap()
+            .id
+            .to_hex();
+        let recorder = Recorder::new();
+        let slow_log = dir.join("slow.ndjson");
+        let server = Server::bind(
+            dir.join("pgr.sock"),
+            ServeConfig {
+                registry_root: dir.join("reg"),
+                recorder: recorder.clone(),
+                threads: 1,
+                slow_ms: Some(0),
+                slow_trace: Some(slow_log.clone()),
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+        let program =
+            pgr_bytecode::asm::assemble("proc main frame=0 args=0\n\tRETV\nendproc\nentry main\n")
+                .unwrap();
+        let image = base64_encode(&pgr_bytecode::write_program(
+            &program,
+            ImageKind::Uncompressed,
+        ));
+        let line = format!(r#"{{"op":"compress","grammar":"{id_hex}","image":"{image}"}}"#);
+        for seq in 0..4 {
+            let batch = Batch {
+                grammar: id_hex.clone(),
+                requests: vec![PendingRequest {
+                    conn: 0,
+                    seq,
+                    line: line.clone(),
+                    received: Instant::now(),
+                    trace: TraceId::mint(),
+                    cancel: CancelToken::never(),
+                }],
+            };
+            let done = handle_batch(&server.state, batch);
+            assert!(
+                done[0].response.contains(r#""ok":true"#),
+                "{}",
+                done[0].response
+            );
+        }
+
+        let left = recorder.take_trace().events;
+        assert!(left.is_empty(), "events outlived their batch: {left:?}");
+        let log = std::fs::read_to_string(&slow_log).unwrap();
+        let count = |needle: &str| log.matches(needle).count();
+        assert_eq!(count(r#""op":"compress.batch""#), 4, "one dump per batch");
+        assert_eq!(
+            count(r#""ph":"B""#),
+            count(r#""ph":"E""#),
+            "unpaired span in the slow log:\n{log}"
+        );
+        drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

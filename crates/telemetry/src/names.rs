@@ -16,14 +16,12 @@ pub const TRAIN_PROGRAMS: &str = "train.programs";
 pub const TRAIN_SEGMENTS: &str = "train.segments";
 /// Trainer: tokens across all training segments.
 pub const TRAIN_TOKENS: &str = "train.tokens";
-/// Expander: greedy-loop iterations (heap pops examined).
+/// Expander: greedy-loop iterations (heap pops, one entry per edge).
 pub const TRAIN_INLINE_ITERATIONS: &str = "train.inline_iterations";
 /// Expander: edge contractions performed.
 pub const TRAIN_CONTRACTIONS: &str = "train.contractions";
 /// Expander: rules created by inlining.
 pub const TRAIN_RULES_ADDED: &str = "train.rules_added";
-/// Expander: inlines that reused an identical live rule.
-pub const TRAIN_RULES_REUSED: &str = "train.rules_reused";
 /// Expander: subsumed rules removed.
 pub const TRAIN_RULES_REMOVED: &str = "train.rules_removed";
 /// Expander: profitable edges skipped because their non-terminal hit the
