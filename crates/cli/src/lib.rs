@@ -94,7 +94,7 @@ fn usage() -> String {
      \x20 registry <add <g.pgrg> [--label TEXT] | list | rm <id> | gc [<keep-id>...]>\n\
      \x20 serve --socket <path> [--max-budget ITEMS[,COLUMNS]] [--threads N]\n\
      \x20     [--workers N] [--batch-window-us N] [--max-connections N]\n\
-     \x20     [--max-queue N] [--max-engines N] [--thread-per-conn]\n\
+     \x20     [--max-queue N] [--max-engines N]\n\
      \x20     [--request-timeout-ms N] [--idle-timeout-ms N] [--max-line-bytes N]\n\
      \x20     [--slow-ms N [--slow-trace <out.ndjson>] [--slow-trace-max-bytes N]]\n\
      \x20 call --socket <path> [<request-json>] [--timeout-ms N] [--retries N]\n\
@@ -108,6 +108,7 @@ fn usage() -> String {
      the registry; compressed images name their grammar in the header, so commands\n\
      reading them can omit -g when a registry is configured.\n\
      registry/serve take --registry <dir> (default: $PGR_REGISTRY)\n\
+     serve supports Linux on x86_64 or aarch64 only (its transport is epoll)\n\
      train/compress/decompress/run also take:\n\
      \x20 --metrics <human|json>   emit pipeline telemetry (stderr by default)\n\
      \x20 --metrics-out <path>     write telemetry to a file (implies json)\n\
@@ -1004,7 +1005,6 @@ fn cmd_serve(args: &[String]) -> Result<i32, String> {
     };
     let request_timeout_ms = opt_uint("--request-timeout-ms")?;
     let idle_timeout_ms = opt_uint("--idle-timeout-ms")?;
-    let thread_per_conn = flag(args, "--thread-per-conn");
     let slow_trace: Option<std::path::PathBuf> = opt_value(args, "--slow-trace").map(Into::into);
     if slow_trace.is_some() && slow_ms.is_none() {
         return Err("--slow-trace needs --slow-ms <threshold>".into());
@@ -1033,7 +1033,6 @@ fn cmd_serve(args: &[String]) -> Result<i32, String> {
             max_connections,
             max_queue,
             max_engines,
-            thread_per_conn,
             request_timeout_ms,
             idle_timeout_ms,
             max_line_bytes,

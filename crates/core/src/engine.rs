@@ -41,6 +41,7 @@ use pgr_grammar::initial::tokenize_segment;
 use pgr_grammar::{Grammar, Nt, Terminal};
 use pgr_telemetry::faults::{self, FaultPoint};
 use pgr_telemetry::{names, trace, CancelToken, Metrics, Recorder, Stopwatch};
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -389,11 +390,13 @@ struct EncodedSegment {
 ///
 /// See the [module docs](self) for the design; see
 /// [`Trained::compressor`](crate::pipeline::Trained::compressor) for the
-/// usual way to obtain one.
+/// usual way to obtain one. The engine either borrows its grammar or,
+/// built with [`Compressor::owning`], owns it outright — the form a
+/// long-lived engine that outlives its loader needs.
 pub struct Compressor<'g> {
-    grammar: &'g Grammar,
+    grammar: Cow<'g, Grammar>,
     start: Nt,
-    parser: ShortestParser<'g>,
+    parser: ShortestParser,
     index_map: Vec<usize>,
     threads: usize,
     batch_bytes: usize,
@@ -434,6 +437,27 @@ impl<'g> Compressor<'g> {
         config: CompressorConfig,
         recorder: Recorder,
     ) -> Compressor<'g> {
+        Compressor::build(Cow::Borrowed(grammar), start, config, recorder)
+    }
+
+    /// Like [`Compressor::with_recorder`], but the engine takes ownership
+    /// of `grammar`, so it borrows from nothing and lives as long as its
+    /// owner keeps it. Output is byte-identical to a borrowing engine's.
+    pub fn owning(
+        grammar: Grammar,
+        start: Nt,
+        config: CompressorConfig,
+        recorder: Recorder,
+    ) -> Compressor<'g> {
+        Compressor::build(Cow::Owned(grammar), start, config, recorder)
+    }
+
+    fn build(
+        grammar: Cow<'g, Grammar>,
+        start: Nt,
+        config: CompressorConfig,
+        recorder: Recorder,
+    ) -> Compressor<'g> {
         let threads = match config.threads {
             0 => std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
@@ -441,9 +465,8 @@ impl<'g> Compressor<'g> {
             n => n,
         };
         Compressor {
-            grammar,
             start,
-            parser: ShortestParser::with_recorder(grammar, recorder.clone()),
+            parser: ShortestParser::with_recorder(&grammar, recorder.clone()),
             index_map: grammar.rule_index_map(),
             threads,
             batch_bytes: config.batch_bytes,
@@ -451,6 +474,7 @@ impl<'g> Compressor<'g> {
             earley_budget: config.earley_budget,
             fallback: config.fallback,
             verbatim_ok: grammar.rules_of(start).len() <= usize::from(escape::VERBATIM_MARKER),
+            grammar,
             recorder,
             cache: (config.segment_cache_capacity > 0)
                 .then(|| Mutex::new(SegmentCache::new(config.segment_cache_capacity))),
@@ -495,8 +519,8 @@ impl<'g> Compressor<'g> {
     }
 
     /// The grammar this engine encodes against.
-    pub fn grammar(&self) -> &'g Grammar {
-        self.grammar
+    pub fn grammar(&self) -> &Grammar {
+        &self.grammar
     }
 
     /// The start non-terminal.
@@ -864,7 +888,7 @@ impl<'g> Compressor<'g> {
         &self,
         compressed: &CompressedProgram,
     ) -> Result<Program, crate::compress::DecompressError> {
-        decompress_program(self.grammar, self.start, compressed)
+        decompress_program(&self.grammar, self.start, compressed)
     }
 
     /// Run all jobs, preserving job-index order in the result.

@@ -128,7 +128,7 @@ impl std::error::Error for NoParse {}
 ///
 /// The default budget is unlimited; limited budgets cost one integer
 /// compare per worklist pop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EarleyBudget {
     /// Maximum chart items (states across all columns) a parse may
     /// create.
@@ -370,23 +370,22 @@ struct ParseCounts {
 ///
 /// Construction snapshots the grammar into flat tables (dense right-hand
 /// sides plus the FIRST-filtered prediction index), so build it once and
-/// reuse it across many segments. The parser borrows the grammar;
-/// rebuild it after the grammar changes.
-pub struct ShortestParser<'g> {
-    grammar: &'g Grammar,
+/// reuse it across many segments. The parser keeps no reference to the
+/// grammar, only its own tables; rebuild it after the grammar changes.
+pub struct ShortestParser {
     tables: RuleTable,
     predict: PredictTable,
     recorder: Recorder,
 }
 
-impl<'g> ShortestParser<'g> {
+impl ShortestParser {
     /// Build a parser (and its flattened tables) for `grammar`.
     ///
     /// # Panics
     ///
     /// Panics if the grammar has more rule slots than the packed chart
     /// keys can address ([`MAX_RULE_SLOTS`]).
-    pub fn new(grammar: &'g Grammar) -> ShortestParser<'g> {
+    pub fn new(grammar: &Grammar) -> ShortestParser {
         ShortestParser::with_recorder(grammar, Recorder::disabled())
     }
 
@@ -397,10 +396,9 @@ impl<'g> ShortestParser<'g> {
     /// # Panics
     ///
     /// See [`ShortestParser::new`].
-    pub fn with_recorder(grammar: &'g Grammar, recorder: Recorder) -> ShortestParser<'g> {
+    pub fn with_recorder(grammar: &Grammar, recorder: Recorder) -> ShortestParser {
         assert_key_capacity(grammar.rule_slots());
         let parser = ShortestParser {
-            grammar,
             tables: RuleTable::build(grammar),
             predict: PredictTable::build(grammar),
             recorder,
@@ -411,11 +409,6 @@ impl<'g> ShortestParser<'g> {
                 .gauge_max(names::EARLEY_TABLE_BYTES, parser.table_bytes() as u64);
         }
         parser
-    }
-
-    /// The underlying grammar.
-    pub fn grammar(&self) -> &'g Grammar {
-        self.grammar
     }
 
     /// Resident size of the precomputed tables (dense rules plus the
@@ -520,7 +513,7 @@ impl<'g> ShortestParser<'g> {
 
         let reused = arena.warm;
         arena.warm = true;
-        arena.prepare(n + 1, self.grammar.nt_count());
+        arena.prepare(n + 1, self.tables.nt_count());
 
         let mut counts = ParseCounts::default();
         let (outcome, chart_peak) = {

@@ -1,6 +1,7 @@
 //! Same-grammar request batching for the serve reactor.
 //!
-//! Compress requests naming the same grammar that arrive within the
+//! Every compress request goes through here — a lone one is a batch of
+//! one. Compress requests naming the same grammar that arrive within the
 //! batch window are coalesced into one engine dispatch: their segments
 //! share a single parallel stride over the compressor's worker pool and
 //! one derivation-cache epoch, amortizing per-call dispatch overhead the
@@ -11,12 +12,14 @@
 //! workers sit idle, at the window deadline otherwise) and the serve
 //! layer turns a flushed [`Batch`] into engine work.
 //!
-//! Batches are keyed by the request's raw `"grammar"` field, so two
-//! spellings of the same grammar (full id vs. prefix) conservatively
-//! land in different batches rather than paying a registry resolution on
-//! the reactor thread. Mixed-grammar requests therefore never share a
-//! batch by construction.
+//! Batches are keyed by the request's parsed `"grammar"` field (absent
+//! is a key of its own, whose batch fails resolution), so two spellings
+//! of the same grammar (full id vs. prefix) conservatively land in
+//! different batches rather than paying a registry resolution on the
+//! reactor thread. Mixed-grammar requests therefore never share a batch
+//! by construction.
 
+use crate::proto::Request;
 use pgr_telemetry::{CancelToken, TraceId};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -29,8 +32,9 @@ pub(crate) struct PendingRequest {
     /// Position in the connection's request order; responses are written
     /// back in `seq` order regardless of completion order.
     pub seq: u64,
-    /// The raw NDJSON request line.
-    pub line: String,
+    /// The request line as parsed at intake, or the in-band error for a
+    /// line that is not JSON.
+    pub request: Result<Request, String>,
     /// When the reactor finished framing the line — the zero point for
     /// end-to-end latency and batch wait.
     pub received: Instant,
@@ -58,8 +62,8 @@ pub(crate) struct Done {
 /// A flushed group of same-grammar compress requests, ready for one
 /// engine dispatch.
 pub(crate) struct Batch {
-    /// The raw `"grammar"` field shared by every member.
-    pub grammar: String,
+    /// The `"grammar"` field shared by every member.
+    pub grammar: Option<String>,
     /// The members, in arrival order. Never empty.
     pub requests: Vec<PendingRequest>,
 }
@@ -75,7 +79,7 @@ struct Pending {
 pub(crate) struct Batcher {
     window: Duration,
     max_pending: usize,
-    pending: HashMap<String, Pending>,
+    pending: HashMap<Option<String>, Pending>,
 }
 
 impl Batcher {
@@ -89,29 +93,19 @@ impl Batcher {
         }
     }
 
-    /// Add a request to its grammar's pending batch. Fails (returning
-    /// the request for an in-band `overloaded` response) when the batch
-    /// is already at the admission bound.
-    pub fn push(&mut self, grammar: &str, request: PendingRequest) -> Result<(), PendingRequest> {
-        match self.pending.get_mut(grammar) {
-            Some(p) => {
-                if p.requests.len() >= self.max_pending {
-                    return Err(request);
-                }
-                p.requests.push(request);
-            }
-            None => {
-                let opened = request.received;
-                self.pending.insert(
-                    grammar.to_string(),
-                    Pending {
-                        requests: vec![request],
-                        opened,
-                    },
-                );
-            }
+    /// Add a request to its grammar's pending batch. Returns `false`,
+    /// dropping the request for the caller to answer `overloaded`
+    /// in-band, when the batch is already at the admission bound.
+    pub fn push(&mut self, grammar: Option<String>, request: PendingRequest) -> bool {
+        let pending = self.pending.entry(grammar).or_insert_with(|| Pending {
+            requests: Vec::new(),
+            opened: request.received,
+        });
+        if pending.requests.len() >= self.max_pending {
+            return false;
         }
-        Ok(())
+        pending.requests.push(request);
+        true
     }
 
     /// Requests currently held across all grammars.
@@ -127,7 +121,7 @@ impl Batcher {
 
     /// Flush one grammar's batch immediately (the adaptive path: workers
     /// are idle, so waiting out the window would only add latency).
-    pub fn take(&mut self, grammar: &str) -> Option<Batch> {
+    pub fn take(&mut self, grammar: &Option<String>) -> Option<Batch> {
         self.pending
             .remove_entry(grammar)
             .map(|(grammar, p)| Batch {
@@ -140,7 +134,7 @@ impl Batcher {
     /// batch regardless of age when `force` is set (shutdown drain).
     pub fn take_due(&mut self, now: Instant, force: bool) -> Vec<Batch> {
         let window = self.window;
-        let due: Vec<String> = self
+        let due: Vec<Option<String>> = self
             .pending
             .iter()
             .filter(|(_, p)| force || now.duration_since(p.opened) >= window)
@@ -154,11 +148,15 @@ impl Batcher {
 mod tests {
     use super::*;
 
+    fn key(grammar: &str) -> Option<String> {
+        Some(grammar.to_string())
+    }
+
     fn req(seq: u64, received: Instant) -> PendingRequest {
         PendingRequest {
             conn: 1,
             seq,
-            line: format!("{{\"op\":\"compress\",\"seq\":{seq}}}"),
+            request: Request::parse(r#"{"op":"compress"}"#),
             received,
             trace: TraceId::mint(),
             cancel: CancelToken::new(),
@@ -169,15 +167,15 @@ mod tests {
     fn same_grammar_coalesces_and_mixed_grammars_never_share() {
         let mut b = Batcher::new(Duration::from_micros(200), 8);
         let t0 = Instant::now();
-        b.push("aaaa", req(0, t0)).unwrap();
-        b.push("aaaa", req(1, t0)).unwrap();
-        b.push("bbbb", req(2, t0)).unwrap();
+        assert!(b.push(key("aaaa"), req(0, t0)));
+        assert!(b.push(key("aaaa"), req(1, t0)));
+        assert!(b.push(key("bbbb"), req(2, t0)));
         assert_eq!(b.held(), 3);
 
         let mut flushed = b.take_due(t0 + Duration::from_millis(1), false);
         flushed.sort_by(|x, y| x.grammar.cmp(&y.grammar));
         assert_eq!(flushed.len(), 2, "one batch per grammar");
-        assert_eq!(flushed[0].grammar, "aaaa");
+        assert_eq!(flushed[0].grammar, key("aaaa"));
         assert_eq!(flushed[0].requests.len(), 2);
         assert_eq!(
             flushed[0]
@@ -188,7 +186,7 @@ mod tests {
             vec![0, 1],
             "arrival order preserved"
         );
-        assert_eq!(flushed[1].grammar, "bbbb");
+        assert_eq!(flushed[1].grammar, key("bbbb"));
         assert_eq!(flushed[1].requests.len(), 1);
         assert_eq!(b.held(), 0);
     }
@@ -197,7 +195,7 @@ mod tests {
     fn window_gates_flush_until_deadline_or_force() {
         let mut b = Batcher::new(Duration::from_millis(10), 8);
         let t0 = Instant::now();
-        b.push("aaaa", req(0, t0)).unwrap();
+        assert!(b.push(key("aaaa"), req(0, t0)));
         assert_eq!(b.next_deadline(), Some(t0 + Duration::from_millis(10)));
 
         assert!(
@@ -215,25 +213,24 @@ mod tests {
     fn per_grammar_bound_rejects_overflow_without_dropping_others() {
         let mut b = Batcher::new(Duration::from_micros(200), 2);
         let t0 = Instant::now();
-        b.push("aaaa", req(0, t0)).unwrap();
-        b.push("aaaa", req(1, t0)).unwrap();
-        let bounced = b.push("aaaa", req(2, t0)).expect_err("bound hit");
-        assert_eq!(bounced.seq, 2, "the rejected request comes back");
+        assert!(b.push(key("aaaa"), req(0, t0)));
+        assert!(b.push(key("aaaa"), req(1, t0)));
+        assert!(!b.push(key("aaaa"), req(2, t0)), "bound hit");
         // A different grammar still has room.
-        b.push("bbbb", req(3, t0)).unwrap();
+        assert!(b.push(key("bbbb"), req(3, t0)));
         assert_eq!(b.held(), 3);
         // Flushing frees the bounded grammar again.
-        assert!(b.take("aaaa").is_some());
-        b.push("aaaa", req(4, t0)).unwrap();
+        assert!(b.take(&key("aaaa")).is_some());
+        assert!(b.push(key("aaaa"), req(4, t0)));
     }
 
     #[test]
     fn immediate_take_preserves_singleton_latency() {
         let mut b = Batcher::new(Duration::from_millis(10), 8);
         let t0 = Instant::now();
-        b.push("aaaa", req(0, t0)).unwrap();
-        let batch = b.take("aaaa").expect("present");
+        assert!(b.push(key("aaaa"), req(0, t0)));
+        let batch = b.take(&key("aaaa")).expect("present");
         assert_eq!(batch.requests.len(), 1);
-        assert!(b.take("aaaa").is_none());
+        assert!(b.take(&key("aaaa")).is_none());
     }
 }

@@ -21,28 +21,33 @@
 //!   per-request [`EarleyBudget`](pgr_core::EarleyBudget) admission
 //!   control and panic isolation.
 //!
+//! The server's one transport is an epoll reactor over raw syscalls, so
+//! the crate supports Linux on x86_64 or aarch64 and nothing else. The
+//! syscall bindings (`sys`) are the only module the `unsafe_code` lint
+//! admits.
+//!
 //! Compressed images produced here carry their grammar's id in the v2
 //! image meta section (see `pgr_bytecode::write_program_tagged`), so a
 //! stored image round-trips through any registry that holds its grammar
 //! — no paths, no "I think it was trained last Tuesday".
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
+
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+compile_error!("pgr-registry supports Linux on x86_64 or aarch64 only: `pgr serve` runs on epoll");
 
 pub(crate) mod batch;
 pub mod chaos;
 pub mod id;
 pub mod proto;
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
 pub(crate) mod reactor;
 pub mod serve;
 pub mod store;
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
+#[allow(unsafe_code)]
 pub(crate) mod sys;
 pub mod window;
 

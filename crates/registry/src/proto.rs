@@ -16,6 +16,14 @@
 //! the connection; only transport failures do. The base64 codec is
 //! implemented here (RFC 4648, standard alphabet with padding) because
 //! the build environment vendors no external crates.
+//!
+//! The reactor parses each request line exactly once, into a typed
+//! `Request`; routing, admission, deadlines, batching, and the
+//! handlers all read that one value.
+
+use pgr_core::EarleyBudget;
+use pgr_telemetry::json::{self, Value};
+use std::borrow::Cow;
 
 /// Standard base64 alphabet (RFC 4648 §4).
 const B64: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
@@ -94,6 +102,110 @@ pub(crate) fn json_escape(s: &str) -> String {
 /// Render a string as a complete JSON string literal.
 pub(crate) fn json_string(s: &str) -> String {
     format!("\"{}\"", json_escape(s))
+}
+
+/// What a request asks the server to do.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) enum Op {
+    Compress,
+    Decompress,
+    Run,
+    Stats,
+    Shutdown,
+    /// Anything else: the `op` text as sent, or empty when the field is
+    /// missing or not a string.
+    Unknown(String),
+}
+
+impl Op {
+    /// The op as spelled on the wire.
+    pub(crate) fn name(&self) -> &str {
+        match self {
+            Op::Compress => "compress",
+            Op::Decompress => "decompress",
+            Op::Run => "run",
+            Op::Stats => "stats",
+            Op::Shutdown => "shutdown",
+            Op::Unknown(text) => text,
+        }
+    }
+}
+
+/// One request line, parsed once at intake. Only the fields the server
+/// reads are kept; a field of the wrong JSON type reads as absent.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct Request {
+    pub op: Op,
+    /// Registry grammar id or unique prefix.
+    pub grammar: Option<String>,
+    /// Base64 bytecode image.
+    pub image: Option<String>,
+    /// Base64 VM input.
+    pub input: Option<String>,
+    /// The declared Earley budget, present whenever the `budget` key
+    /// is; a member that is missing or not an exact integer reads as
+    /// unlimited.
+    pub budget: Option<EarleyBudget>,
+    /// The request's own deadline, when an exact non-negative integer
+    /// (`1.5e3` is 1500).
+    pub timeout_ms: Option<u64>,
+}
+
+impl Request {
+    /// Parse one request line; the error is the in-band message for a
+    /// line that is not JSON. A document that is not an object parses
+    /// to a request with no fields (an unknown op).
+    pub(crate) fn parse(line: &str) -> Result<Request, String> {
+        let mut doc = match json::parse(line) {
+            Ok(Value::Obj(fields)) => fields,
+            Ok(_) => Default::default(),
+            Err(e) => return Err(format!("bad request JSON: {e}")),
+        };
+        let mut text = |key: &str| match doc.remove(key) {
+            Some(Value::Str(s)) => Some(s),
+            _ => None,
+        };
+        let op = match text("op").unwrap_or_default().as_str() {
+            "compress" => Op::Compress,
+            "decompress" => Op::Decompress,
+            "run" => Op::Run,
+            "stats" => Op::Stats,
+            "shutdown" => Op::Shutdown,
+            other => Op::Unknown(other.to_string()),
+        };
+        let (grammar, image, input) = (text("grammar"), text("image"), text("input"));
+        let budget = doc.get("budget").map(|declared| {
+            let member = |key: &str| {
+                declared
+                    .get(key)
+                    .and_then(Value::as_u64)
+                    .map_or(usize::MAX, |v| usize::try_from(v).unwrap_or(usize::MAX))
+            };
+            EarleyBudget {
+                max_items: member("max_items"),
+                max_columns: member("max_columns"),
+            }
+        });
+        Ok(Request {
+            op,
+            grammar,
+            image,
+            input,
+            budget,
+            timeout_ms: doc.get("timeout_ms").and_then(Value::as_u64),
+        })
+    }
+}
+
+/// The text of one framed request line (newline stripped), for
+/// [`Request::parse`]: UTF-8 is trimmed; anything else is decoded
+/// lossily and left untrimmed, so it still gets a JSON verdict. `None`
+/// for a blank line, which is skipped without a response.
+pub(crate) fn line_text(line: &[u8]) -> Option<Cow<'_, str>> {
+    match std::str::from_utf8(line) {
+        Ok(text) => Some(Cow::Borrowed(text.trim())).filter(|t| !t.is_empty()),
+        Err(_) => Some(String::from_utf8_lossy(line)),
+    }
 }
 
 /// Incrementally build one response line. Purely syntactic — the field
@@ -217,6 +329,157 @@ mod tests {
         assert_eq!(base64_decode("not base64!"), None);
         assert_eq!(base64_decode("Zg"), Some(b"f".to_vec())); // unpadded ok
         assert_eq!(base64_decode("Z"), None); // impossible length
+    }
+
+    fn parsed(line: &str) -> Request {
+        Request::parse(line).unwrap_or_else(|e| panic!("{line}: {e}"))
+    }
+
+    #[test]
+    fn requests_name_each_op() {
+        for (wire, op) in [
+            ("compress", Op::Compress),
+            ("decompress", Op::Decompress),
+            ("run", Op::Run),
+            ("stats", Op::Stats),
+            ("shutdown", Op::Shutdown),
+        ] {
+            let request = parsed(&format!(r#"{{"op":"{wire}"}}"#));
+            assert_eq!(request.op, op);
+            assert_eq!(request.op.name(), wire);
+        }
+    }
+
+    #[test]
+    fn missing_unknown_and_non_string_ops_are_unknown() {
+        let unknown = |line: &str| parsed(line).op;
+        assert_eq!(unknown("{}"), Op::Unknown(String::new()));
+        assert_eq!(
+            unknown(r#"{"op":"frobnicate"}"#),
+            Op::Unknown("frobnicate".into())
+        );
+        assert_eq!(unknown(r#"{"op":"Stats"}"#), Op::Unknown("Stats".into()));
+        assert_eq!(unknown(r#"{"op":5}"#), Op::Unknown(String::new()));
+        assert_eq!(
+            unknown(r#"{"op":{"op":"stats"}}"#),
+            Op::Unknown(String::new())
+        );
+        // A nested object's `op` is not the request's.
+        assert_eq!(
+            unknown(r#"{"image":"AA==","x":{"op":"stats"},"op":"run"}"#),
+            Op::Run
+        );
+        // Duplicate keys: the last one wins, as in the JSON parser.
+        assert_eq!(unknown(r#"{"op":"stats","op":"run"}"#), Op::Run);
+    }
+
+    #[test]
+    fn non_object_documents_carry_no_fields() {
+        for line in ["[1,2]", r#""stats""#, "5", "null"] {
+            let request = parsed(line);
+            assert_eq!(request.op, Op::Unknown(String::new()), "{line}");
+            assert_eq!(request.image, None);
+            assert_eq!(request.budget, None);
+            assert_eq!(request.timeout_ms, None);
+        }
+    }
+
+    #[test]
+    fn string_fields_of_the_wrong_type_read_as_absent() {
+        let request = parsed(r#"{"op":"compress","grammar":7,"image":"AA==","input":null}"#);
+        assert_eq!(request.grammar, None);
+        assert_eq!(request.image.as_deref(), Some("AA=="));
+        assert_eq!(request.input, None);
+        let request = parsed(r#"{"op":"run","grammar":"9c0f","input":"Zm9v"}"#);
+        assert_eq!(request.grammar.as_deref(), Some("9c0f"));
+        assert_eq!(request.input.as_deref(), Some("Zm9v"));
+    }
+
+    #[test]
+    fn budgets_read_each_member_and_default_to_unlimited() {
+        let budget = |line: &str| parsed(line).budget;
+        assert_eq!(budget(r#"{"op":"compress"}"#), None);
+        assert_eq!(
+            budget(r#"{"budget":{"max_items":500,"max_columns":20}}"#),
+            Some(EarleyBudget {
+                max_items: 500,
+                max_columns: 20
+            })
+        );
+        assert_eq!(
+            budget(r#"{"budget":{"max_items":500,"max_columns":-1}}"#),
+            Some(EarleyBudget {
+                max_items: 500,
+                max_columns: usize::MAX
+            })
+        );
+        // A present but unusable budget is declared-unlimited, which the
+        // server clamps; an absent one is not declared at all.
+        assert_eq!(budget(r#"{"budget":null}"#), Some(EarleyBudget::UNLIMITED));
+        assert_eq!(budget(r#"{"budget":[1]}"#), Some(EarleyBudget::UNLIMITED));
+    }
+
+    #[test]
+    fn timeouts_are_exact_non_negative_integers() {
+        let timeout = |line: &str| parsed(line).timeout_ms;
+        assert_eq!(timeout(r#"{"op":"run"}"#), None);
+        assert_eq!(timeout(r#"{"timeout_ms":200}"#), Some(200));
+        assert_eq!(timeout(r#"{"timeout_ms":1.5e3}"#), Some(1500));
+        assert_eq!(timeout(r#"{"timeout_ms":1.5}"#), None);
+        assert_eq!(timeout(r#"{"timeout_ms":-5}"#), None);
+        assert_eq!(timeout(r#"{"timeout_ms":"200"}"#), None);
+        assert_eq!(timeout(r#"{"x":{"timeout_ms":1}}"#), None);
+    }
+
+    #[test]
+    fn escaped_strings_are_decoded() {
+        let request = parsed(r#"{"op":"stats","grammar":"a\"b\\c","image":"\/AA=="}"#);
+        assert_eq!(request.op, Op::Stats);
+        assert_eq!(request.grammar.as_deref(), Some(r#"a"b\c"#));
+        assert_eq!(request.image.as_deref(), Some("/AA=="));
+        assert_eq!(parsed(r#"{"op":"st\u0061ts"}"#).op, Op::Stats);
+        assert_eq!(parsed(r#"{"op":"\u0073hutdown"}"#).op, Op::Shutdown);
+    }
+
+    #[test]
+    fn lines_that_are_not_json_get_the_parse_error_in_band() {
+        assert_eq!(
+            Request::parse("this is not json"),
+            Err("bad request JSON: JSON error at byte 0: invalid literal".into())
+        );
+        assert_eq!(
+            Request::parse(r#"{"op":"stats"} x"#),
+            Err(
+                "bad request JSON: JSON error at byte 15: trailing characters after the document"
+                    .into()
+            )
+        );
+        assert_eq!(
+            Request::parse(r#"{"op":"stats""#),
+            Err("bad request JSON: JSON error at byte 13: expected ',' or '}' in object".into())
+        );
+    }
+
+    #[test]
+    fn framed_lines_are_trimmed_utf8_or_lossy_bytes() {
+        assert_eq!(
+            line_text(b"  {\"op\":\"stats\"}\r").as_deref(),
+            Some(r#"{"op":"stats"}"#)
+        );
+        assert_eq!(line_text(b" \t\r"), None);
+        assert_eq!(line_text(b""), None);
+        // Invalid UTF-8 decodes lossily, untrimmed: a stray byte inside a
+        // string still leaves a valid request...
+        let text = line_text(b"{\"op\":\"stats\",\"pad\":\"\xff\"} ").unwrap();
+        assert_eq!(text, "{\"op\":\"stats\",\"pad\":\"\u{FFFD}\"} ");
+        assert_eq!(parsed(&text).op, Op::Stats);
+        // ...and one outside a string is a JSON error at its offset.
+        let text = line_text(b" \xfe{}").unwrap();
+        assert_eq!(text, " \u{FFFD}{}");
+        assert_eq!(
+            Request::parse(&text),
+            Err("bad request JSON: JSON error at byte 1: expected a value".into())
+        );
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //!
 //! The event thread owns every socket. It accepts on the (nonblocking)
 //! listener, reads whatever bytes are ready, frames complete request
-//! lines, and *routes* them — `compress` lines naming a grammar go to
-//! the [`Batcher`], everything else is queued to the worker pool
-//! directly. Workers never touch a socket: they hand finished
+//! lines, parses each exactly once into a typed [`Request`], and
+//! *routes* it — every `compress` goes to the [`Batcher`], everything
+//! else is queued to the worker pool directly. Routing, the deadline
+//! watchdog, the admission bounds, the batcher, and the workers all
+//! read that one parse. Workers never touch a socket: they hand finished
 //! [`Done`] responses back through a completion list and wake the
 //! event thread over an eventfd ([`WakeFd`]), which writes each
 //! response on its connection in request (`seq`) order — a protocol
@@ -20,9 +22,9 @@
 //! beyond [`ReactorConfig::max_connections`] a new connection gets one
 //! `overloaded` line and is closed; beyond [`ReactorConfig::max_queue`]
 //! pending same-grammar requests (or four times that across the whole
-//! queue for singles), a request is answered
-//! `{"ok":false,"error":"overloaded","retry_after_ms":N}` without
-//! touching an engine. A client that keeps pipelining past its own
+//! queue for singles, `stats` and `shutdown` exempt), a request is
+//! answered `{"ok":false,"error":"overloaded","retry_after_ms":N}`
+//! without touching an engine. A client that keeps pipelining past its own
 //! unanswered requests has its reads paused until responses drain, so
 //! per-connection buffers stay bounded as well.
 //!
@@ -33,6 +35,7 @@
 //! then joins the pool and returns.
 
 use crate::batch::{Batcher, Done, PendingRequest};
+use crate::proto::{line_text, Op, Request, ResponseLine};
 use crate::serve::{handle_batch, handle_single, State};
 use crate::sys::{
     EpollEvent, Interest, Poller, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
@@ -212,73 +215,6 @@ impl Conn {
     }
 }
 
-/// Extract the string value of a top-level `"key":"value"` pair by
-/// lexical scan — no allocation, no parse. Only trustworthy on lines
-/// with **no backslash** (checked by the caller): without escapes, a
-/// JSON string cannot contain `"`, so quote-delimited tokens are exact.
-/// Returns `None` on anything surprising; the caller then falls back to
-/// the single-request path, which does a full parse.
-fn scan_str_field<'l>(line: &'l str, key: &str) -> Option<&'l str> {
-    let bytes = line.as_bytes();
-    let needle = format!("\"{key}\"");
-    let mut from = 0;
-    while let Some(at) = line[from..].find(&needle) {
-        let mut i = from + at + needle.len();
-        while i < bytes.len() && (bytes[i] as char).is_ascii_whitespace() {
-            i += 1;
-        }
-        if i < bytes.len() && bytes[i] == b':' {
-            i += 1;
-            while i < bytes.len() && (bytes[i] as char).is_ascii_whitespace() {
-                i += 1;
-            }
-            if i < bytes.len() && bytes[i] == b'"' {
-                let start = i + 1;
-                let end = line[start..].find('"')? + start;
-                return Some(&line[start..end]);
-            }
-            // A key match with a non-string value: not what we want.
-            return None;
-        }
-        // Matched a string *value* spelled like the key; keep looking.
-        from = from + at + needle.len();
-    }
-    None
-}
-
-/// Extract the unsigned-integer value of a top-level `"key":123` pair by
-/// lexical scan, under the same no-backslash contract as
-/// [`scan_str_field`]. Returns `None` on anything surprising; the full
-/// parse in the worker then arms the deadline instead.
-fn scan_num_field(line: &str, key: &str) -> Option<u64> {
-    let bytes = line.as_bytes();
-    let needle = format!("\"{key}\"");
-    let mut from = 0;
-    while let Some(at) = line[from..].find(&needle) {
-        let mut i = from + at + needle.len();
-        while i < bytes.len() && (bytes[i] as char).is_ascii_whitespace() {
-            i += 1;
-        }
-        if i < bytes.len() && bytes[i] == b':' {
-            i += 1;
-            while i < bytes.len() && (bytes[i] as char).is_ascii_whitespace() {
-                i += 1;
-            }
-            let start = i;
-            while i < bytes.len() && bytes[i].is_ascii_digit() {
-                i += 1;
-            }
-            if i == start {
-                return None; // key present but not a plain integer
-            }
-            return line[start..i].parse().ok();
-        }
-        // Matched a string *value* spelled like the key; keep looking.
-        from = from + at + needle.len();
-    }
-    None
-}
-
 /// One in-flight request the watchdog is timing: where its synthesized
 /// answer would go, when to give up on the worker, and the token to
 /// fire when doing so.
@@ -351,29 +287,6 @@ impl Watchdog {
         due.into_iter()
             .filter_map(|k| self.entries.remove(&k).map(|w| (k, w)))
             .collect()
-    }
-}
-
-/// Where a framed request line should go.
-enum Route<'l> {
-    /// A compress naming this grammar: batchable.
-    Batch(&'l str),
-    /// Everything else — including anything the scan cannot vouch for.
-    Single,
-}
-
-/// Classify a line with [`scan_str_field`]. Conservative by design:
-/// misrouting *into* a batch is caught by `handle_batch`'s full parse
-/// (it diverts mismatches back to the single path), and misrouting out
-/// of one only forgoes coalescing.
-fn route(line: &str) -> Route<'_> {
-    if line.contains('\\') {
-        // Escapes defeat the lexical scan; let the real parser decide.
-        return Route::Single;
-    }
-    match (scan_str_field(line, "op"), scan_str_field(line, "grammar")) {
-        (Some("compress"), Some(grammar)) => Route::Batch(grammar),
-        _ => Route::Single,
     }
 }
 
@@ -564,7 +477,7 @@ pub(crate) fn run(state: Arc<State>, listener: UnixListener, cfg: ReactorConfig)
             let elapsed_ms = now.duration_since(w.received).as_millis() as u64;
             conn.ready.insert(
                 seq,
-                crate::proto::ResponseLine::deadline_exceeded(elapsed_ms, &w.trace_hex),
+                ResponseLine::deadline_exceeded(elapsed_ms, &w.trace_hex),
             );
             conn.expired.insert(seq);
             state.recorder.add(names::SERVE_DEADLINE_FORCE_EXPIRED, 1);
@@ -693,8 +606,7 @@ fn accept_ready(
 fn reject_connection(state: &State, stream: UnixStream) {
     let mut stream = stream;
     record_rejection(state);
-    let line =
-        crate::proto::ResponseLine::overloaded(CONN_RETRY_AFTER_MS, &TraceId::mint().to_hex());
+    let line = ResponseLine::overloaded(CONN_RETRY_AFTER_MS, &TraceId::mint().to_hex());
     let _ = stream.set_nonblocking(true);
     let _ = stream.write_all(line.as_bytes());
     let _ = stream.write_all(b"\n");
@@ -740,11 +652,15 @@ fn read_ready(conn: &mut Conn) {
     }
 }
 
-/// Frame complete lines out of the read buffer and route each, up to
-/// the connection's pipeline bound. Every admitted request gets a
-/// [`CancelToken`] armed with its effective deadline (the request's own
-/// `timeout_ms`, clamped to the server ceiling) and, when a deadline
-/// exists, a watchdog entry for reactor-side force expiry.
+/// Frame complete lines out of the read buffer, parse each once, and
+/// admit it, up to the connection's pipeline bound. Every admitted
+/// request gets a [`CancelToken`] armed with its effective deadline (the
+/// request's own `timeout_ms`, clamped to the server ceiling) and, when
+/// a deadline exists, a watchdog entry for reactor-side force expiry.
+/// A `compress` joins its grammar's pending batch, under the batcher's
+/// per-grammar bound; anything else is queued to the pool under the
+/// global singles bound, from which `stats` and `shutdown` are exempt:
+/// operators must be able to observe and stop an overloaded server.
 #[allow(clippy::too_many_arguments)]
 fn ingest(
     state: &Arc<State>,
@@ -781,109 +697,60 @@ fn ingest(
         let Some(nl) = nl else {
             return;
         };
-        let line_bytes: Vec<u8> = conn.read_buf.drain(..=nl).collect();
-        let Ok(text) = std::str::from_utf8(&line_bytes[..nl]) else {
-            // Not UTF-8, so not JSON either; let the normal handler
-            // produce the parse-error response (lossily decoded).
-            let text = String::from_utf8_lossy(&line_bytes[..nl]).into_owned();
-            let seq = conn.next_seq;
-            conn.next_seq += 1;
-            dispatch_single(
-                state,
-                pool,
-                conn,
-                PendingRequest {
-                    conn: conn.token,
-                    seq,
-                    line: text,
-                    received: Instant::now(),
-                    trace: TraceId::mint(),
-                    cancel: CancelToken::new(),
-                },
-                singles_bound,
-                queue_retry_ms,
-            );
+        let line: Vec<u8> = conn.read_buf.drain(..=nl).collect();
+        let Some(text) = line_text(&line[..nl]) else {
             continue;
         };
-        let line = text.trim();
-        if line.is_empty() {
-            continue;
-        }
         let received = Instant::now();
+        let request = Request::parse(&text);
         let trace = TraceId::mint();
         let cancel = CancelToken::new();
-        // Effective deadline: the scanned `timeout_ms` clamped to the
-        // server ceiling. Escaped lines defeat the lexical scan; they
-        // get the ceiling here and their own `timeout_ms` when the
-        // worker's full parse tightens the token (no watchdog entry for
-        // that tightening — cooperative cancellation still holds).
-        let requested = if line.contains('\\') {
-            None
-        } else {
-            scan_num_field(line, "timeout_ms")
-        };
+        let requested = request.as_ref().ok().and_then(|r| r.timeout_ms);
         let deadline = state
             .effective_timeout_ms(requested)
             .map(Duration::from_millis);
         if let Some(d) = deadline {
             cancel.set_deadline(d);
         }
-        match route(line) {
-            Route::Batch(grammar) => {
-                let seq = conn.next_seq;
-                conn.next_seq += 1;
-                let request = PendingRequest {
-                    conn: conn.token,
-                    seq,
-                    line: line.to_string(),
-                    received,
-                    trace,
-                    cancel: cancel.clone(),
-                };
-                let grammar = grammar.to_string();
-                match batcher.push(&grammar, request) {
-                    Ok(()) => {
-                        bump_queue_depth(state);
-                        if let Some(d) = deadline {
-                            watchdog.register(conn.token, seq, received, d, cancel, trace.to_hex());
-                        }
-                    }
-                    Err(bounced) => {
-                        record_rejection(state);
-                        conn.ready.insert(
-                            bounced.seq,
-                            crate::proto::ResponseLine::overloaded(
-                                queue_retry_ms,
-                                &bounced.trace.to_hex(),
-                            ),
-                        );
-                    }
+        let (batch_grammar, exempt) = match &request {
+            Ok(r) if r.op == Op::Compress => (Some(r.grammar.clone()), false),
+            Ok(r) => (None, matches!(r.op, Op::Stats | Op::Shutdown)),
+            Err(_) => (None, false),
+        };
+        let seq = conn.next_seq;
+        conn.next_seq += 1;
+        let req = PendingRequest {
+            conn: conn.token,
+            seq,
+            request,
+            received,
+            trace,
+            cancel: cancel.clone(),
+        };
+        let admitted = match batch_grammar {
+            Some(grammar) => {
+                let held = batcher.push(grammar, req);
+                if held {
+                    bump_queue_depth(state);
                 }
+                held
             }
-            Route::Single => {
-                let seq = conn.next_seq;
-                conn.next_seq += 1;
-                let queued = dispatch_single(
-                    state,
-                    pool,
-                    conn,
-                    PendingRequest {
-                        conn: conn.token,
-                        seq,
-                        line: line.to_string(),
-                        received,
-                        trace,
-                        cancel: cancel.clone(),
-                    },
-                    singles_bound,
-                    queue_retry_ms,
-                );
-                if queued {
-                    if let Some(d) = deadline {
-                        watchdog.register(conn.token, seq, received, d, cancel, trace.to_hex());
-                    }
-                }
+            None if exempt || state.queue_depth.load(Ordering::Relaxed) < singles_bound => {
+                // Counted in before a worker can count it out.
+                bump_queue_depth(state);
+                pool.push(Work::Single(req));
+                true
             }
+            None => false,
+        };
+        if !admitted {
+            record_rejection(state);
+            conn.ready.insert(
+                seq,
+                ResponseLine::overloaded(queue_retry_ms, &trace.to_hex()),
+            );
+        } else if let Some(d) = deadline {
+            watchdog.register(conn.token, seq, received, d, cancel, trace.to_hex());
         }
         promote_ready(conn);
     }
@@ -904,7 +771,7 @@ fn line_overflow(state: &Arc<State>, conn: &mut Conn, max_line_bytes: usize) {
         .record_line_overflow(state.start.elapsed().as_secs());
     conn.ready.insert(
         seq,
-        crate::proto::ResponseLine::err_traced(
+        ResponseLine::err_traced(
             &format!("request line exceeds the {max_line_bytes}-byte bound"),
             &TraceId::mint().to_hex(),
             0,
@@ -914,42 +781,6 @@ fn line_overflow(state: &Arc<State>, conn: &mut Conn, max_line_bytes: usize) {
     conn.read_buf.shrink_to_fit();
     conn.read_closed = true;
     promote_ready(conn);
-}
-
-/// Queue one request for individual handling, applying the global
-/// singles bound (stats and shutdown are exempt: operators must be able
-/// to observe and stop an overloaded server). Returns whether the
-/// request reached the pool (`false` = rejected in-band).
-fn dispatch_single(
-    state: &Arc<State>,
-    pool: &Pool,
-    conn: &mut Conn,
-    req: PendingRequest,
-    singles_bound: u64,
-    queue_retry_ms: u64,
-) -> bool {
-    // Match the actual `op` field, not a whole-line substring — a
-    // payload merely *containing* "stats" must not bypass the bound.
-    // Escapes defeat the lexical scan (see `route`), but no plain
-    // stats/shutdown request needs them; an unscannable line simply
-    // gets no exemption.
-    let op = if req.line.contains('\\') {
-        None
-    } else {
-        scan_str_field(&req.line, "op")
-    };
-    let exempt = matches!(op, Some("stats" | "shutdown"));
-    if !exempt && state.queue_depth.load(Ordering::Relaxed) >= singles_bound {
-        record_rejection(state);
-        conn.ready.insert(
-            req.seq,
-            crate::proto::ResponseLine::overloaded(queue_retry_ms, &req.trace.to_hex()),
-        );
-        return false;
-    }
-    bump_queue_depth(state);
-    pool.push(Work::Single(req));
-    true
 }
 
 /// Count a request into the queue-depth gauge.

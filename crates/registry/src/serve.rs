@@ -2,18 +2,19 @@
 //! grammar registry.
 //!
 //! One [`Server`] owns one [`Registry`] and a sharded map of *engines* —
-//! a loaded grammar plus a [`Compressor`] whose derivation cache is
-//! shared by every request that names that grammar. The default
-//! transport is an epoll reactor (see [`crate::reactor`]): one event
-//! thread owns every socket in nonblocking mode, frames NDJSON
-//! incrementally, and hands complete requests to a fixed worker pool;
-//! responses are written back in per-connection request order however
-//! the pool completes them. Same-grammar `compress` requests arriving
-//! within [`ServeConfig::batch_window_us`] coalesce into one engine
-//! dispatch (see [`crate::batch`]); `decompress`/`run`/`stats` stay
-//! per-request. [`ServeConfig::thread_per_conn`] selects the legacy
-//! thread-per-connection transport (also the non-Linux fallback and the
-//! benchmark baseline).
+//! a [`Compressor`] that owns one loaded grammar, whose derivation cache
+//! is shared by every request that names that grammar. The one
+//! transport is an epoll reactor (the `reactor` module), which is why
+//! the crate supports Linux on x86_64 or aarch64 only: one event thread
+//! owns every socket in nonblocking mode, frames NDJSON incrementally,
+//! parses each line once into a typed request, and hands it to a fixed
+//! worker pool; responses are written back in per-connection request
+//! order however the pool completes them. Every `compress` is batched
+//! (the `batch` module): same-grammar requests arriving within
+//! [`ServeConfig::batch_window_us`] coalesce into one engine dispatch,
+//! and a lone one is a batch of one. `decompress`/`run`/`stats`/
+//! `shutdown` are handled one at a time. Both paths answer through the
+//! same response-and-accounting tail.
 //!
 //! Admission control is layered: per request, a declared
 //! [`EarleyBudget`] is clamped to the server's ceiling before the
@@ -27,9 +28,9 @@
 //! panic surfaces as that request's error response, not a dead server.
 //!
 //! Engines are evicted least-recently-used once
-//! [`ServeConfig::max_engines`] are resident, and drop cleanly — the
-//! grammar is a heap allocation the engine owns (no `Box::leak`), so a
-//! many-tenant server's memory stays bounded.
+//! [`ServeConfig::max_engines`] are resident, and drop cleanly — each
+//! engine's compressor owns its grammar, so a many-tenant server's
+//! memory stays bounded.
 //!
 //! Every request is minted a [`TraceId`] and handled under its trace
 //! scope, so spans recorded anywhere below — engine workers, the Earley
@@ -48,13 +49,12 @@
 
 use crate::batch::{Batch, Done, PendingRequest};
 use crate::id::GrammarId;
-use crate::proto::{base64_decode, base64_encode, json_string, ResponseLine};
+use crate::proto::{base64_decode, base64_encode, json_string, Op, Request, ResponseLine};
 use crate::store::{Registry, RegistryError};
 use crate::window::{SlidingWindow, DEFAULT_WINDOW_SECS};
 use pgr_bytecode::{read_program_tagged, write_program_tagged, ImageKind, Program};
 use pgr_core::{Compressor, CompressorConfig, EarleyBudget};
-use pgr_grammar::{Grammar, Nt};
-use pgr_telemetry::json::{self, Value};
+use pgr_grammar::Nt;
 use pgr_telemetry::{
     names, trace, CancelToken, Metrics, Recorder, Stopwatch, TraceId, DEFAULT_TRACE_CAPACITY,
 };
@@ -62,8 +62,8 @@ use pgr_vm::{Vm, VmConfig, VmError};
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, Write};
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::io::{self, Write};
+use std::os::unix::net::UnixListener;
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -111,11 +111,6 @@ pub struct ServeConfig {
     /// Resident-engine bound: loading a grammar beyond it evicts the
     /// least-recently-used engine (which reloads on next use).
     pub max_engines: usize,
-    /// Use the legacy thread-per-connection transport instead of the
-    /// reactor. Batching, queue bounds, and `max_connections` only apply
-    /// to the reactor; this mode is the benchmark baseline and the
-    /// fallback on platforms without epoll.
-    pub thread_per_conn: bool,
     /// Server-wide request deadline ceiling in milliseconds. A request's
     /// own `timeout_ms` field is clamped down to this; requests that
     /// declare none inherit it. `None` means no server-imposed deadline
@@ -124,11 +119,10 @@ pub struct ServeConfig {
     pub request_timeout_ms: Option<u64>,
     /// Close connections that have been silent (no readable bytes, no
     /// requests in flight) this long, in milliseconds. `None` keeps
-    /// idle connections forever. Reactor transport only.
+    /// idle connections forever.
     pub idle_timeout_ms: Option<u64>,
     /// Per-connection bound on one request line's length in bytes; a
-    /// peer that exceeds it is answered in-band and closed. Reactor
-    /// transport only.
+    /// peer that exceeds it is answered in-band and closed.
     pub max_line_bytes: usize,
     /// Size cap on the slow-trace NDJSON log. At the cap the log
     /// rotates once to `<path>.old` (replacing any previous rotation),
@@ -158,7 +152,6 @@ impl Default for ServeConfig {
             max_connections: 1024,
             max_queue: 64,
             max_engines: 64,
-            thread_per_conn: false,
             request_timeout_ms: None,
             idle_timeout_ms: None,
             max_line_bytes: DEFAULT_MAX_LINE_BYTES,
@@ -229,53 +222,13 @@ impl From<RegistryError> for ServeError {
     }
 }
 
-/// One loaded grammar: the grammar allocation itself, its interpreter
-/// handles, and a compressor whose derivation cache all requests for
-/// this grammar share.
-///
-/// The struct is self-referential — `compressor` borrows the grammar
-/// allocation — which is what lets an evicted engine *drop* instead of
-/// leaking the way the old `Box::leak` map did. Soundness rests on
-/// three invariants, all local to this type: the allocation is held as
-/// a raw `Box::into_raw` pointer (a `Box` field would be *moved* into
-/// the struct while borrowed, which invalidates derived references
-/// under Stacked Borrows; a raw pointer is inert under moves); the
-/// grammar is never mutated, replaced, or freed before drop; and
-/// `compressor` is declared first, so it drops before [`GrammarBox`]
-/// frees the allocation it borrows.
+/// One loaded grammar: its interpreter handles and a compressor — which
+/// owns the grammar — whose derivation cache all requests for this
+/// grammar share. Dropping an evicted engine frees its grammar.
 pub(crate) struct Engine {
     pub(crate) id: GrammarId,
-    pub(crate) start: Nt,
     pub(crate) byte_nt: Nt,
     pub(crate) compressor: Compressor<'static>,
-    grammar: GrammarBox,
-}
-
-/// Owner of an [`Engine`]'s grammar allocation, as a raw pointer so the
-/// borrowed allocation's `Box` is never moved. Must be declared after
-/// `compressor`: fields drop in declaration order, and the borrower has
-/// to go first.
-struct GrammarBox(*mut Grammar);
-
-impl Drop for GrammarBox {
-    fn drop(&mut self) {
-        // SAFETY: the pointer came from `Box::into_raw` and is freed
-        // exactly once, here — after `compressor` (declared earlier in
-        // `Engine`, so already dropped) released its borrow.
-        drop(unsafe { Box::from_raw(self.0) });
-    }
-}
-
-// SAFETY: GrammarBox owns its allocation exactly like the Box<Grammar>
-// it was made from (which is Send — see the witness below); the raw
-// pointer is only a device to avoid moving a borrowed box.
-unsafe impl Send for GrammarBox {}
-// SAFETY: as above; shared access to the grammar is read-only.
-unsafe impl Sync for GrammarBox {}
-
-/// Compile-time witness backing the `unsafe impl`s above.
-fn _grammar_box_is_send_sync(b: Box<Grammar>) -> impl Send + Sync {
-    b
 }
 
 impl Engine {
@@ -285,28 +238,11 @@ impl Engine {
         config: CompressorConfig,
         recorder: Recorder,
     ) -> Arc<Engine> {
-        let grammar = Box::into_raw(Box::new(file.grammar));
-        // SAFETY: the allocation was just leaked out of its box, is
-        // never mutated, and lives until `GrammarBox::drop` — where
-        // `compressor` (the only borrower, and the field declared
-        // first) is dropped before it. The 'static lifetime never
-        // escapes the Engine: every public access borrows through
-        // `&self`.
-        let grammar_ref: &'static Grammar = unsafe { &*grammar };
-        let compressor = Compressor::with_recorder(grammar_ref, file.start, config, recorder);
         Arc::new(Engine {
             id,
-            start: file.start,
             byte_nt: file.byte_nt,
-            compressor,
-            grammar: GrammarBox(grammar),
+            compressor: Compressor::owning(file.grammar, file.start, config, recorder),
         })
-    }
-
-    /// The engine's grammar, reborrowed at `&self`'s lifetime.
-    pub(crate) fn grammar(&self) -> &Grammar {
-        // SAFETY: points at the live allocation `self.grammar` owns.
-        unsafe { &*self.grammar.0 }
     }
 }
 
@@ -493,8 +429,8 @@ impl SlowLog {
 }
 
 /// What one request handler produced: the response under construction
-/// (the dispatcher appends the trace id and closes it) and the grammar
-/// the request resolved to, for per-grammar window accounting.
+/// ([`respond`] appends the trace id and closes it) and the grammar the
+/// request resolved to, for per-grammar window accounting.
 type Handled = (ResponseLine, Option<GrammarId>);
 
 /// Render an error with its full `source()` chain, outermost first.
@@ -534,10 +470,10 @@ impl State {
     /// id is used.
     fn engine_of_request(
         &self,
-        doc: &Value,
+        grammar: Option<&str>,
         header_id: Option<GrammarId>,
     ) -> Result<Arc<Engine>, String> {
-        let id = match doc.get("grammar").and_then(Value::as_str) {
+        let id = match grammar {
             Some(spec) => self.registry.resolve(spec).map_err(|e| error_chain(&e))?,
             None => header_id.ok_or(
                 "no \"grammar\" field and the image carries no grammar id; \
@@ -547,33 +483,13 @@ impl State {
         self.engine_for(id).map_err(|e| error_chain(&e))
     }
 
-    /// Clamp a request's declared budget to the server ceiling, counting
-    /// the clamp. Returns the admitted budget and whether clamping
-    /// happened.
-    fn admit_budget(&self, doc: &Value) -> (EarleyBudget, bool) {
-        let (admitted, clamped) = self.admit_budget_quiet(doc);
-        if clamped {
-            self.recorder.add(names::SERVE_BUDGET_CLAMPED, 1);
-        }
-        (admitted, clamped)
-    }
-
-    /// [`State::admit_budget`] without the counter — the batch path
-    /// admits once per *distinct* request line but counts once per
-    /// request, so it does its own accounting.
-    fn admit_budget_quiet(&self, doc: &Value) -> (EarleyBudget, bool) {
-        let Some(declared) = doc.get("budget") else {
+    /// Clamp a request's declared budget to the server ceiling. Returns
+    /// the admitted budget and whether clamping happened; the caller
+    /// counts the clamp once per answered request, since one admission
+    /// serves every duplicate of a batched request.
+    fn admit_budget(&self, declared: Option<EarleyBudget>) -> (EarleyBudget, bool) {
+        let Some(requested) = declared else {
             return (self.max_budget, false);
-        };
-        let field = |key: &str| {
-            declared
-                .get(key)
-                .and_then(Value::as_u64)
-                .map_or(usize::MAX, |v| usize::try_from(v).unwrap_or(usize::MAX))
-        };
-        let requested = EarleyBudget {
-            max_items: field("max_items"),
-            max_columns: field("max_columns"),
         };
         let admitted = EarleyBudget {
             max_items: requested.max_items.min(self.max_budget.max_items),
@@ -647,10 +563,10 @@ fn vm_error_message(e: &VmError) -> String {
 }
 
 /// Pull and decode the request's base64 `"image"` field.
-fn image_of(doc: &Value) -> Result<(Program, ImageKind, Option<GrammarId>), String> {
-    let text = doc
-        .get("image")
-        .and_then(Value::as_str)
+fn image_of(request: &Request) -> Result<(Program, ImageKind, Option<GrammarId>), String> {
+    let text = request
+        .image
+        .as_deref()
         .ok_or("request needs a base64 \"image\" field")?;
     let bytes = base64_decode(text).ok_or("\"image\" is not valid base64")?;
     let (program, kind, raw_id) =
@@ -658,42 +574,15 @@ fn image_of(doc: &Value) -> Result<(Program, ImageKind, Option<GrammarId>), Stri
     Ok((program, kind, raw_id.map(GrammarId::from_raw)))
 }
 
-fn handle_compress(state: &State, doc: &Value, cancel: &CancelToken) -> Result<Handled, String> {
-    let (program, kind, _) = image_of(doc)?;
-    if kind == ImageKind::Compressed {
-        return Err("image is already compressed".into());
-    }
-    let engine = state.engine_of_request(doc, None)?;
-    let (budget, clamped) = state.admit_budget(doc);
-    let (cp, stats) = engine
-        .compressor
-        .compress_cancellable(&program, budget, cancel.clone())
-        .map_err(|e| compress_error_message(&e))?;
-    let image = write_program_tagged(
-        &cp.program,
-        ImageKind::Compressed,
-        Some(engine.id.as_bytes()),
-    );
-    Ok((
-        ResponseLine::ok()
-            .str_field("grammar", &engine.id.to_hex())
-            .str_field("image", &base64_encode(&image))
-            .num_field("original_bytes", stats.original_code as u64)
-            .num_field("compressed_bytes", stats.compressed_code as u64)
-            .num_field("fallback_segments", stats.fallback_segments as u64)
-            .bool_field("clamped", clamped),
-        Some(engine.id),
-    ))
-}
-
-fn handle_decompress(state: &State, doc: &Value) -> Result<Handled, String> {
-    let (program, kind, header_id) = image_of(doc)?;
+fn handle_decompress(state: &State, request: &Request) -> Result<Handled, String> {
+    let (program, kind, header_id) = image_of(request)?;
     if kind == ImageKind::Uncompressed {
         return Err("image is not compressed".into());
     }
-    let engine = state.engine_of_request(doc, header_id)?;
-    let cp = pgr_core::CompressedProgram { program };
-    let back = pgr_core::compress::decompress_program(engine.grammar(), engine.start, &cp)
+    let engine = state.engine_of_request(request.grammar.as_deref(), header_id)?;
+    let back = engine
+        .compressor
+        .decompress(&pgr_core::CompressedProgram { program })
         .map_err(|e| error_chain(&e))?;
     let image = write_program_tagged(&back, ImageKind::Uncompressed, None);
     Ok((
@@ -705,9 +594,9 @@ fn handle_decompress(state: &State, doc: &Value) -> Result<Handled, String> {
     ))
 }
 
-fn handle_run(state: &State, doc: &Value, cancel: &CancelToken) -> Result<Handled, String> {
-    let (program, kind, header_id) = image_of(doc)?;
-    let input = match doc.get("input").and_then(Value::as_str) {
+fn handle_run(state: &State, request: &Request, cancel: &CancelToken) -> Result<Handled, String> {
+    let (program, kind, header_id) = image_of(request)?;
+    let input = match request.input.as_deref() {
         Some(text) => base64_decode(text).ok_or("\"input\" is not valid base64")?,
         None => Vec::new(),
     };
@@ -724,11 +613,11 @@ fn handle_run(state: &State, doc: &Value, cancel: &CancelToken) -> Result<Handle
             (result, None, vm.tier2_stats())
         }
         ImageKind::Compressed => {
-            let engine = state.engine_of_request(doc, header_id)?;
+            let engine = state.engine_of_request(request.grammar.as_deref(), header_id)?;
             let mut vm = Vm::new_compressed(
                 &program,
-                engine.grammar(),
-                engine.start,
+                engine.compressor.grammar(),
+                engine.compressor.start(),
                 engine.byte_nt,
                 config,
             )
@@ -782,146 +671,95 @@ fn handle_stats(state: &State, received: Instant) -> Result<Handled, String> {
     ))
 }
 
-/// Handle one request line, minting its trace id and timing from now —
-/// the legacy transport's entry point, where a request is handled the
-/// moment it is read.
-fn handle_line(state: &State, line: &str) -> String {
-    handle_line_at(
-        state,
-        line,
-        TraceId::mint(),
-        Instant::now(),
-        &CancelToken::new(),
-    )
-}
+/// The in-band error for a handler that panicked.
+const INTERNAL_PANIC: &str = "internal panic while handling request";
 
-/// Handle one reactor-queued request end to end: the response's latency
-/// runs from `req.received`, so queue wait is part of what the
-/// histograms see.
+/// Handle one queued request that is not a `compress` (the reactor
+/// batches every one of those; see [`handle_batch`]). Latency runs from
+/// `req.received`, so queue wait is part of what the histograms see.
 pub(crate) fn handle_single(state: &State, req: PendingRequest) -> Done {
-    let response = handle_line_at(state, &req.line, req.trace, req.received, &req.cancel);
-    Done {
-        conn: req.conn,
-        seq: req.seq,
-        response,
-    }
-}
-
-/// Handle one request line under a caller-supplied trace id, arrival
-/// time, and cancellation token, returning the response line.
-fn handle_line_at(
-    state: &State,
-    line: &str,
-    id: TraceId,
-    received: Instant,
-    cancel: &CancelToken,
-) -> String {
     // The trace id is installed as this thread's trace scope: every span
-    // below — engine workers and the VM thread included, via explicit
-    // propagation — attributes to this request.
-    let _attribution = trace::scope(id);
+    // below — the VM thread included, via explicit propagation —
+    // attributes to this request.
+    let _attribution = trace::scope(req.trace);
     state.recorder.add(names::SERVE_REQUESTS, 1);
-    let parsed = json::parse(line);
-    let op: String = parsed
-        .as_ref()
-        .ok()
-        .and_then(|doc| doc.get("op").and_then(Value::as_str))
-        .unwrap_or("")
-        .to_string();
-    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<Handled, String> {
-        let doc = parsed.map_err(|e| format!("bad request JSON: {e}"))?;
-        // Arm (or tighten) the deadline from the parsed request. The
-        // reactor usually armed the token at intake already; deadlines
-        // only tighten, so re-arming with the same value is a no-op,
-        // and this is where escaped lines the reactor's lexical scan
-        // could not vouch for get their deadline at all.
-        let requested = doc.get("timeout_ms").and_then(Value::as_u64);
-        if let Some(ms) = state.effective_timeout_ms(requested) {
-            cancel.set_deadline(Duration::from_millis(ms));
-        }
-        let span_name = format!(
-            "serve.{}",
-            if op.is_empty() {
-                "request"
-            } else {
-                op.as_str()
-            }
-        );
-        let _op_span = state.recorder.trace_span(&span_name);
+    let request = match &req.request {
+        Ok(request) => request,
+        Err(message) => return respond(state, &req, "", Err(message.clone()), None),
+    };
+    let op = request.op.name();
+    let handled = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        let span = format!("serve.{}", if op.is_empty() { "request" } else { op });
+        let _op_span = state.recorder.trace_span(&span);
         // A request whose deadline passed while it sat queued fails
         // cheaply here, before any engine or VM work starts. stats and
         // shutdown stay exempt: operators must be able to observe and
         // stop a wedged server.
-        if cancel.is_cancelled() && matches!(op.as_str(), "compress" | "decompress" | "run") {
+        if req.cancel.is_cancelled() && matches!(request.op, Op::Decompress | Op::Run) {
             return Err(DEADLINE_EXCEEDED.to_string());
         }
-        match op.as_str() {
-            "compress" => handle_compress(state, &doc, cancel),
-            "decompress" => handle_decompress(state, &doc),
-            "run" => handle_run(state, &doc, cancel),
-            "stats" => handle_stats(state, received),
-            "shutdown" => {
+        match &request.op {
+            Op::Decompress => handle_decompress(state, request),
+            Op::Run => handle_run(state, request, &req.cancel),
+            Op::Stats => handle_stats(state, req.received),
+            Op::Shutdown => {
                 state.running.store(false, Ordering::SeqCst);
                 Ok((ResponseLine::ok().bool_field("shutdown", true), None))
             }
-            other => Err(format!(
+            Op::Compress => unreachable!("the reactor batches every compress request"),
+            Op::Unknown(other) => Err(format!(
                 "unknown op {other:?} (expected compress/decompress/run/stats/shutdown)"
             )),
         }
-    }));
-    let micros = received.elapsed().as_micros() as u64;
-    let known_op = SERVE_OPS.contains(&op.as_str());
+    }))
+    // A panic is this request's failure, not the server's: the guard
+    // keeps a handler bug from tearing the connection down.
+    .unwrap_or_else(|_| Err(INTERNAL_PANIC.to_string()));
+    match handled {
+        Ok((line, grammar)) => respond(state, &req, op, Ok(line), grammar),
+        Err(message) => respond(state, &req, op, Err(message), None),
+    }
+}
+
+/// The tail every request shares, batched or not: latency and error
+/// counters, the sliding window (attributing the request to `grammar`),
+/// the slow-trace log, and the response line addressed to the request's
+/// connection slot.
+fn respond(
+    state: &State,
+    req: &PendingRequest,
+    op: &str,
+    outcome: Result<ResponseLine, String>,
+    grammar: Option<GrammarId>,
+) -> Done {
+    let micros = req.received.elapsed().as_micros() as u64;
+    let known_op = SERVE_OPS.contains(&op);
     // stats records itself before snapshotting; the other ops land here.
     if known_op && op != "stats" {
         state
             .recorder
-            .observe(&names::serve_request_micros(&op), micros);
+            .observe(&names::serve_request_micros(op), micros);
     }
-    let record_error = || {
-        state.recorder.add(names::SERVE_ERRORS, 1);
-        if known_op {
-            state.recorder.add(&names::serve_request_errors(&op), 1);
-        }
-    };
-    let mut deadline_hit = false;
-    let (response, grammar, ok) = match outcome {
-        Ok(Ok((line, grammar))) => (
-            line.str_field("trace", &id.to_hex()).finish(),
-            grammar,
-            true,
-        ),
-        Ok(Err(message)) => {
-            record_error();
-            if message == DEADLINE_EXCEEDED {
-                deadline_hit = true;
+    let trace_hex = req.trace.to_hex();
+    let ok = outcome.is_ok();
+    let deadline_hit = outcome.as_ref().is_err_and(|m| m == DEADLINE_EXCEEDED);
+    let response = match outcome {
+        Ok(line) => line.str_field("trace", &trace_hex).finish(),
+        Err(message) => {
+            state.recorder.add(names::SERVE_ERRORS, 1);
+            if known_op {
+                state.recorder.add(&names::serve_request_errors(op), 1);
+            }
+            if deadline_hit {
                 state.recorder.add(names::SERVE_DEADLINE_EXCEEDED, 1);
             }
-            (
-                ResponseLine::err_traced(&message, &id.to_hex(), micros),
-                None,
-                false,
-            )
-        }
-        // A panic is this request's failure, not the server's: the
-        // compressor already isolates worker panics, and this outer
-        // guard keeps a handler bug from tearing the connection down.
-        Err(_) => {
-            record_error();
-            (
-                ResponseLine::err_traced(
-                    "internal panic while handling request",
-                    &id.to_hex(),
-                    micros,
-                ),
-                None,
-                false,
-            )
+            ResponseLine::err_traced(&message, &trace_hex, micros)
         }
     };
     // Window accounting: known ops keep their name; everything else
     // (unknown ops, shutdown, unparseable lines) pools under "other" so
     // client typos can't grow the op map without bound.
-    let window_op = if known_op { op.as_str() } else { "other" };
+    let window_op = if known_op { op } else { "other" };
     let grammar_hex = grammar.map(|g| g.to_hex());
     {
         let now_sec = state.start.elapsed().as_secs();
@@ -931,34 +769,44 @@ fn handle_line_at(
             window.record_deadline(now_sec, false);
         }
     }
-    state.retire_trace(id, window_op, micros);
-    response
+    state.retire_trace(req.trace, window_op, micros);
+    Done {
+        conn: req.conn,
+        seq: req.seq,
+        response,
+    }
 }
 
-/// One distinct request line's preparation outcome within a batch.
-enum Prep {
-    /// Parsed, validated, budget admitted: ready for the engine.
-    Ready {
-        program: Program,
-        budget: EarleyBudget,
-        clamped: bool,
-    },
-    /// Failed before the engine (bad JSON, bad image, …); every request
-    /// sharing the line gets this message.
-    Failed(String),
-    /// The line is not actually a same-grammar compress request (the
-    /// reactor's cheap field scan can be fooled by adversarial nesting);
-    /// its requests take the full single-request path instead.
-    Divert,
+/// One distinct batched request, checked and ready for the engine.
+struct Prepared {
+    program: Program,
+    budget: EarleyBudget,
+    clamped: bool,
 }
 
-/// Handle one flushed same-grammar compress batch: one engine dispatch
-/// for every *distinct* request line, fanned back out to each member.
+/// Take one distinct batched request as far as the engine; every member
+/// that sent it shares the verdict.
+fn prepare(state: &State, request: &Result<Request, String>) -> Result<Prepared, String> {
+    let request = request.as_ref().map_err(String::clone)?;
+    let (program, kind, _) = image_of(request)?;
+    if kind == ImageKind::Compressed {
+        return Err("image is already compressed".into());
+    }
+    let (budget, clamped) = state.admit_budget(request.budget);
+    Ok(Prepared {
+        program,
+        budget,
+        clamped,
+    })
+}
+
+/// Handle one flushed compress batch: one engine dispatch for every
+/// *distinct* request, fanned back out to each member.
 ///
-/// Duplicate lines — the common case under closed-loop load, where many
-/// clients compress the same artifact — are prepared and compressed
-/// once; compression is deterministic, so their responses differ only
-/// in trace id. Distinct lines become entries of one
+/// Duplicate requests — the common case under closed-loop load, where
+/// many clients compress the same artifact — are prepared and
+/// compressed once; compression is deterministic, so their responses
+/// differ only in trace id. Distinct requests become entries of one
 /// [`Compressor::compress_batch`] call, sharing a single parallel
 /// stride and cache epoch. Byte-for-byte, every response is identical
 /// to what serial per-request dispatch would have produced.
@@ -973,6 +821,7 @@ pub(crate) fn handle_batch(state: &State, batch: Batch) -> Vec<Done> {
     // Dispatch-level telemetry: how many requests coalesced, and how
     // long the oldest member waited between arrival and dispatch.
     let size = batch.requests.len() as u64;
+    state.recorder.add(names::SERVE_REQUESTS, size);
     let wait_micros = batch
         .requests
         .first()
@@ -987,228 +836,91 @@ pub(crate) fn handle_batch(state: &State, batch: Batch) -> Vec<Done> {
         wait_micros,
     );
 
-    // Group identical lines.
-    let mut distinct: Vec<&str> = Vec::new();
+    // Group identical requests.
+    let mut distinct: Vec<&Result<Request, String>> = Vec::new();
     let mut group_of: Vec<usize> = Vec::with_capacity(batch.requests.len());
     {
-        let mut index: HashMap<&str, usize> = HashMap::new();
+        let mut index: HashMap<&Result<Request, String>, usize> = HashMap::new();
         for req in &batch.requests {
             let next = distinct.len();
-            let g = *index.entry(req.line.as_str()).or_insert(next);
+            let g = *index.entry(&req.request).or_insert(next);
             if g == next {
-                distinct.push(req.line.as_str());
+                distinct.push(&req.request);
             }
             group_of.push(g);
         }
     }
 
-    // Resolve the shared grammar once for the whole batch.
-    let engine = state
-        .registry
-        .resolve(&batch.grammar)
-        .map_err(|e| error_chain(&e))
-        .and_then(|id| state.engine_for(id).map_err(|e| error_chain(&e)));
-
-    // Prepare each distinct line.
-    let mut preps: Vec<Prep> = Vec::with_capacity(distinct.len());
-    for line in &distinct {
-        let prep = (|| -> Prep {
-            let doc = match json::parse(line) {
-                Ok(doc) => doc,
-                Err(e) => return Prep::Failed(format!("bad request JSON: {e}")),
-            };
-            if doc.get("op").and_then(Value::as_str) != Some("compress")
-                || doc.get("grammar").and_then(Value::as_str) != Some(batch.grammar.as_str())
-            {
-                return Prep::Divert;
-            }
-            let (program, kind, _) = match image_of(&doc) {
-                Ok(image) => image,
-                Err(message) => return Prep::Failed(message),
-            };
-            if kind == ImageKind::Compressed {
-                return Prep::Failed("image is already compressed".into());
-            }
-            let (budget, clamped) = state.admit_budget_quiet(&doc);
-            Prep::Ready {
-                program,
-                budget,
-                clamped,
-            }
-        })();
-        preps.push(prep);
-    }
-    if engine.is_err() {
-        // Unknown grammar: nothing to dispatch; every Ready line fails
-        // with the resolution error below.
-        for prep in &mut preps {
-            if let Prep::Ready { .. } = prep {
-                *prep = Prep::Failed(engine.as_ref().err().cloned().unwrap_or_default());
-            }
-        }
-    }
-
-    // One engine dispatch for everything Ready. Its span must end before
-    // the batch trace is retired below, or the end event would outlive
-    // the drain: an unpaired begin in the slow-log dump and an orphan
-    // event left in the shared trace buffer.
-    let op_span = state.recorder.trace_span("serve.compress");
-    let ready: Vec<usize> = (0..preps.len())
-        .filter(|&i| matches!(preps[i], Prep::Ready { .. }))
+    // Resolve the shared grammar once for the whole batch, then take each
+    // distinct request as far as the engine: without one, every request
+    // that got that far fails with the resolution error.
+    let engine = state.engine_of_request(batch.grammar.as_deref(), None);
+    let preps: Vec<Result<Prepared, String>> = distinct
+        .iter()
+        .map(|request| {
+            let prepared = prepare(state, request)?;
+            engine.as_ref().map_err(String::clone)?;
+            Ok(prepared)
+        })
         .collect();
-    let mut templates: Vec<Option<Result<ResponseLine, String>>> =
-        (0..preps.len()).map(|_| None).collect();
-    if let (Ok(engine), false) = (&engine, ready.is_empty()) {
-        // Each distinct line is compressed once and shared by every
-        // member that sent it, so the entry's cancellation token must
-        // not let one member's short deadline kill work a more patient
-        // member still wants: the group runs under the most generous
-        // member's token (an undeadlined member wins outright).
-        let group_cancel = |group: usize| -> CancelToken {
-            let mut best: Option<&CancelToken> = None;
-            for (req, &g) in batch.requests.iter().zip(&group_of) {
-                if g != group {
-                    continue;
-                }
-                match req.cancel.remaining() {
-                    None => return req.cancel.clone(),
-                    Some(left) => {
-                        if best.is_none_or(|b| b.remaining().is_some_and(|br| br < left)) {
-                            best = Some(&req.cancel);
-                        }
+
+    // Each distinct request is compressed once for every member that
+    // sent it, so one member's short deadline must not kill work a more
+    // patient member still wants: the group runs under the most
+    // generous member's token (an undeadlined member wins outright).
+    let group_cancel = |group: usize| -> CancelToken {
+        let mut best: Option<&CancelToken> = None;
+        for (req, &g) in batch.requests.iter().zip(&group_of) {
+            if g != group {
+                continue;
+            }
+            match req.cancel.remaining() {
+                None => return req.cancel.clone(),
+                Some(left) => {
+                    if best.is_none_or(|b| b.remaining().is_some_and(|br| br < left)) {
+                        best = Some(&req.cancel);
                     }
                 }
             }
-            best.cloned().unwrap_or_else(CancelToken::never)
-        };
-        let entries: Vec<pgr_core::BatchEntry<'_>> = ready
-            .iter()
-            .map(|&i| match &preps[i] {
-                Prep::Ready {
-                    program, budget, ..
-                } => pgr_core::BatchEntry {
-                    program,
-                    budget: *budget,
-                    cancel: group_cancel(i),
-                },
-                _ => unreachable!("filtered to Ready"),
-            })
-            .collect();
-        let results = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            engine.compressor.compress_batch_cancellable(&entries)
-        }));
-        match results {
-            Ok(results) => {
-                for (&i, result) in ready.iter().zip(results) {
-                    let &Prep::Ready { clamped, .. } = &preps[i] else {
-                        unreachable!("filtered to Ready");
-                    };
-                    templates[i] = Some(match result {
-                        Ok((cp, stats)) => {
-                            let image = write_program_tagged(
-                                &cp.program,
-                                ImageKind::Compressed,
-                                Some(engine.id.as_bytes()),
-                            );
-                            Ok(ResponseLine::ok()
-                                .str_field("grammar", &engine.id.to_hex())
-                                .str_field("image", &base64_encode(&image))
-                                .num_field("original_bytes", stats.original_code as u64)
-                                .num_field("compressed_bytes", stats.compressed_code as u64)
-                                .num_field("fallback_segments", stats.fallback_segments as u64)
-                                .bool_field("clamped", clamped))
-                        }
-                        Err(e) => Err(compress_error_message(&e)),
-                    });
-                }
-            }
-            Err(_) => {
-                for &i in &ready {
-                    templates[i] = Some(Err("internal panic while handling request".to_string()));
-                }
-            }
         }
-    }
+        best.cloned().unwrap_or_else(CancelToken::never)
+    };
 
+    // One engine dispatch for everything prepared. Its span must end
+    // before the batch trace is retired below, or the end event would
+    // outlive the drain: an unpaired begin in the slow-log dump and an
+    // orphan event left in the shared trace buffer.
+    let op_span = state.recorder.trace_span("serve.compress");
+    let mut answers = match &engine {
+        Ok(engine) => dispatch(engine, &preps, group_cancel),
+        Err(_) => Vec::new(),
+    }
+    .into_iter();
+    let outcomes: Vec<Result<ResponseLine, String>> = preps
+        .iter()
+        .map(|prep| {
+            prep.as_ref().map_err(String::clone)?;
+            answers
+                .next()
+                .unwrap_or_else(|| Err(INTERNAL_PANIC.to_string()))
+        })
+        .collect();
     drop(op_span);
 
-    // Fan back out: one response per member, with per-request trace id,
-    // latency, and window/metric accounting.
-    let grammar_hex = engine.as_ref().ok().map(|e| e.id.to_hex());
-    let now_sec = state.start.elapsed().as_secs();
-    let mut out = Vec::with_capacity(batch.requests.len());
-    for (req, &group) in batch.requests.iter().zip(&group_of) {
-        if matches!(preps[group], Prep::Divert) {
-            out.push(handle_single(
-                state,
-                PendingRequest {
-                    conn: req.conn,
-                    seq: req.seq,
-                    line: req.line.clone(),
-                    received: req.received,
-                    trace: req.trace,
-                    cancel: req.cancel.clone(),
-                },
-            ));
-            continue;
-        }
-        state.recorder.add(names::SERVE_REQUESTS, 1);
-        let micros = req.received.elapsed().as_micros() as u64;
-        state
-            .recorder
-            .observe(names::SERVE_REQUEST_COMPRESS_MICROS, micros);
-        let mut deadline_hit = false;
-        let (response, ok) = match &templates[group] {
-            Some(Ok(template)) => {
-                if matches!(&preps[group], Prep::Ready { clamped: true, .. }) {
-                    state.recorder.add(names::SERVE_BUDGET_CLAMPED, 1);
-                }
-                (
-                    template
-                        .clone()
-                        .str_field("trace", &req.trace.to_hex())
-                        .finish(),
-                    true,
-                )
+    // Fan back out: one response per member, through the shared tail.
+    let grammar = engine.as_ref().ok().map(|e| e.id);
+    let out = batch
+        .requests
+        .iter()
+        .zip(&group_of)
+        .map(|(req, &group)| {
+            let outcome = outcomes[group].clone();
+            if outcome.is_ok() && preps[group].as_ref().is_ok_and(|p| p.clamped) {
+                state.recorder.add(names::SERVE_BUDGET_CLAMPED, 1);
             }
-            Some(Err(message)) => {
-                deadline_hit = message == DEADLINE_EXCEEDED;
-                (
-                    ResponseLine::err_traced(message, &req.trace.to_hex(), micros),
-                    false,
-                )
-            }
-            None => {
-                let Prep::Failed(message) = &preps[group] else {
-                    unreachable!("non-Ready groups carry a failure message");
-                };
-                (
-                    ResponseLine::err_traced(message, &req.trace.to_hex(), micros),
-                    false,
-                )
-            }
-        };
-        if !ok {
-            state.recorder.add(names::SERVE_ERRORS, 1);
-            state.recorder.add(names::SERVE_REQUEST_COMPRESS_ERRORS, 1);
-            if deadline_hit {
-                state.recorder.add(names::SERVE_DEADLINE_EXCEEDED, 1);
-            }
-        }
-        {
-            let mut window = state.window.lock().expect("window lock");
-            window.record(now_sec, "compress", grammar_hex.as_deref(), micros, ok);
-            if deadline_hit {
-                window.record_deadline(now_sec, false);
-            }
-        }
-        state.retire_trace(req.trace, "compress", micros);
-        out.push(Done {
-            conn: req.conn,
-            seq: req.seq,
-            response,
-        });
-    }
+            respond(state, req, "compress", outcome, grammar)
+        })
+        .collect();
     // Retire the batch-level trace (engine spans accumulated here); it
     // reports to the slow log under the whole dispatch's elapsed time.
     state.retire_trace(
@@ -1219,31 +931,53 @@ pub(crate) fn handle_batch(state: &State, batch: Batch) -> Vec<Done> {
     out
 }
 
-/// Serve one connection: read request lines, write response lines.
-fn connection(state: &State, stream: UnixStream) {
-    let Ok(reader) = stream.try_clone() else {
-        return;
-    };
-    let mut writer = stream;
-    for line in BufReader::new(reader).lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let shutting_down_before = !state.running.load(Ordering::SeqCst);
-        let response = handle_line(state, &line);
-        if writeln!(writer, "{response}").is_err() || writer.flush().is_err() {
-            break;
-        }
-        if !state.running.load(Ordering::SeqCst) {
-            // This request (or an earlier one) asked for shutdown: poke
-            // the acceptor awake so `run` can stop listening.
-            if !shutting_down_before {
-                let _ = UnixStream::connect(&state.socket);
-            }
-            break;
-        }
+/// Compress every prepared group of a batch in one engine dispatch,
+/// answering each in group order; `cancel_of` gives a group's token.
+fn dispatch(
+    engine: &Engine,
+    preps: &[Result<Prepared, String>],
+    cancel_of: impl Fn(usize) -> CancelToken,
+) -> Vec<Result<ResponseLine, String>> {
+    let ready: Vec<(usize, &Prepared)> = preps
+        .iter()
+        .enumerate()
+        .filter_map(|(group, prep)| Some((group, prep.as_ref().ok()?)))
+        .collect();
+    if ready.is_empty() {
+        return Vec::new();
     }
+    let entries: Vec<pgr_core::BatchEntry<'_>> = ready
+        .iter()
+        .map(|&(group, prepared)| pgr_core::BatchEntry {
+            program: &prepared.program,
+            budget: prepared.budget,
+            cancel: cancel_of(group),
+        })
+        .collect();
+    let Ok(results) = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        engine.compressor.compress_batch_cancellable(&entries)
+    })) else {
+        return vec![Err(INTERNAL_PANIC.to_string()); ready.len()];
+    };
+    ready
+        .iter()
+        .zip(results)
+        .map(|(&(_, prepared), result)| {
+            let (cp, stats) = result.map_err(|e| compress_error_message(&e))?;
+            let image = write_program_tagged(
+                &cp.program,
+                ImageKind::Compressed,
+                Some(engine.id.as_bytes()),
+            );
+            Ok(ResponseLine::ok()
+                .str_field("grammar", &engine.id.to_hex())
+                .str_field("image", &base64_encode(&image))
+                .num_field("original_bytes", stats.original_code as u64)
+                .num_field("compressed_bytes", stats.compressed_code as u64)
+                .num_field("fallback_segments", stats.fallback_segments as u64)
+                .bool_field("clamped", prepared.clamped))
+        })
+        .collect()
 }
 
 /// A bound, not-yet-running request server.
@@ -1253,7 +987,6 @@ pub struct Server {
     batch_window_us: u64,
     max_connections: usize,
     max_queue: usize,
-    thread_per_conn: bool,
     idle_timeout_ms: Option<u64>,
     max_line_bytes: usize,
     state: Arc<State>,
@@ -1334,7 +1067,6 @@ impl Server {
             batch_window_us: config.batch_window_us,
             max_connections: config.max_connections,
             max_queue: config.max_queue,
-            thread_per_conn: config.thread_per_conn,
             idle_timeout_ms: config.idle_timeout_ms,
             max_line_bytes: config.max_line_bytes,
             state: Arc::new(State {
@@ -1363,57 +1095,25 @@ impl Server {
     /// Serve until a `shutdown` request arrives, then drain in-flight
     /// work, remove the socket file, and return.
     ///
-    /// The default transport is the epoll reactor; with
-    /// [`ServeConfig::thread_per_conn`] set (or on platforms without
-    /// epoll) each connection gets a thread instead.
-    ///
     /// # Errors
     ///
     /// [`ServeError::Reactor`] when the event loop hits an
     /// unrecoverable I/O error (epoll or eventfd setup, listener
     /// registration).
     pub fn run(self) -> Result<(), ServeError> {
-        let use_reactor = !self.thread_per_conn;
-        #[cfg(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        ))]
-        if use_reactor {
-            let cfg = crate::reactor::ReactorConfig {
-                workers: self.workers,
-                batch_window: std::time::Duration::from_micros(self.batch_window_us.max(1)),
-                max_connections: self.max_connections,
-                max_queue: self.max_queue,
-                idle_timeout: self.idle_timeout_ms.map(Duration::from_millis),
-                max_line_bytes: self.max_line_bytes,
-            };
-            let state = Arc::clone(&self.state);
-            let result = crate::reactor::run(state, self.listener, cfg);
-            let _ = std::fs::remove_file(&self.state.socket);
-            return result.map_err(|e| ServeError::Reactor {
-                message: e.to_string(),
-            });
-        }
-        #[cfg(not(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        )))]
-        let _ = use_reactor; // no epoll here: always thread-per-connection
-        let mut workers = Vec::new();
-        for conn in self.listener.incoming() {
-            if !self.state.running.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = conn else { continue };
-            self.state.recorder.add(names::SERVE_CONNECTIONS, 1);
-            let state = Arc::clone(&self.state);
-            workers.push(std::thread::spawn(move || connection(&state, stream)));
-        }
-        for worker in workers {
-            let _ = worker.join();
-        }
+        let cfg = crate::reactor::ReactorConfig {
+            workers: self.workers,
+            batch_window: Duration::from_micros(self.batch_window_us.max(1)),
+            max_connections: self.max_connections,
+            max_queue: self.max_queue,
+            idle_timeout: self.idle_timeout_ms.map(Duration::from_millis),
+            max_line_bytes: self.max_line_bytes,
+        };
+        let result = crate::reactor::run(Arc::clone(&self.state), self.listener, cfg);
         let _ = std::fs::remove_file(&self.state.socket);
-        Ok(())
+        result.map_err(|e| ServeError::Reactor {
+            message: e.to_string(),
+        })
     }
 }
 
@@ -1509,11 +1209,11 @@ mod tests {
         let line = format!(r#"{{"op":"compress","grammar":"{id_hex}","image":"{image}"}}"#);
         for seq in 0..4 {
             let batch = Batch {
-                grammar: id_hex.clone(),
+                grammar: Some(id_hex.clone()),
                 requests: vec![PendingRequest {
                     conn: 0,
                     seq,
-                    line: line.clone(),
+                    request: Request::parse(&line),
                     received: Instant::now(),
                     trace: TraceId::mint(),
                     cancel: CancelToken::never(),

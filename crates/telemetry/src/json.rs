@@ -7,6 +7,10 @@
 //! keeps numbers as `f64` — metric values are u64 counters well inside
 //! the 2^53 exact-integer range, and the one report that could overflow
 //! (a 292-year span total) is not worth an arbitrary-precision tower.
+//!
+//! `pgr serve` also parses every request line with it, and a line may
+//! carry a multi-megabyte base64 image, so parsing is linear in the
+//! input: plain runs inside a string are copied in one step.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -234,6 +238,17 @@ impl<'a> Parser<'a> {
         self.eat(b'"', "expected '\"'")?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain characters up to the next quote,
+            // backslash, or control byte in one step. All three are
+            // ASCII, so the run ends on a character boundary.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            let text = std::str::from_utf8(&rest[..run]).map_err(|_| self.err("invalid UTF-8"))?;
+            out.push_str(text);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -269,18 +284,7 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("unknown escape")),
                     }
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.err("empty"))?;
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("unescaped control character"));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("unescaped control character")),
             }
         }
     }
@@ -346,5 +350,45 @@ mod tests {
     #[test]
     fn unicode_escapes() {
         assert_eq!(parse(r#""Aé""#).unwrap().as_str(), Some("Aé"));
+    }
+
+    #[test]
+    fn strings_mix_plain_runs_escapes_and_multibyte_text() {
+        let v = parse(r#""é\u0041b\"c\\d\ne""#).unwrap();
+        assert_eq!(v.as_str(), Some("éAb\"c\\d\ne"));
+        assert_eq!(
+            parse("\"ab\u{1}c\""),
+            Err(JsonError {
+                offset: 3,
+                message: "unescaped control character"
+            })
+        );
+        assert_eq!(
+            parse("\"abé"),
+            Err(JsonError {
+                offset: 5,
+                message: "unterminated string"
+            })
+        );
+    }
+
+    #[test]
+    fn multi_mib_strings_parse_in_linear_time() {
+        // A serve request line near the 16 MiB line bound is one base64
+        // image string; per-character work that rescans the rest of the
+        // input makes such a line take minutes instead of milliseconds.
+        let image = "QUJD".repeat(1 << 20);
+        let line = format!(r#"{{"op":"compress","image":"{image}"}}"#);
+        let started = std::time::Instant::now();
+        let doc = parse(&line).unwrap();
+        let took = started.elapsed();
+        assert_eq!(
+            doc.get("image").and_then(Value::as_str),
+            Some(image.as_str())
+        );
+        assert!(
+            took < std::time::Duration::from_secs(5),
+            "a 4 MiB string took {took:?}"
+        );
     }
 }
