@@ -1,13 +1,14 @@
-//! The Earley hot path itself: fresh per-parse scratch vs one reused
-//! [`ChartArena`], over every straight-line segment of the gzip corpus
-//! under an expanded grammar. This isolates the allocation/clearing cost
-//! the arena removes from the per-segment path — no tokenizing, caching,
-//! or emit work in the loop — and is the before/after evidence for the
-//! README "Performance" table.
+//! The shortest-derivation hot path itself, over every straight-line
+//! segment of the gzip corpus under an expanded grammar: the compressor's
+//! tiler against the reference Earley parser (fresh per-parse scratch,
+//! and one reused [`ChartArena`]). No tokenizing, caching, or emit work
+//! is in the loop, so the legs compare the two encoders alone; each
+//! derivation is checked once to be equally short before timing starts.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pgr_bytecode::{instrs, Opcode};
-use pgr_core::{canonicalize_program, train, TrainConfig};
+use pgr_core::tile::{TileScratch, Tiler};
+use pgr_core::{canonicalize_program, train, EarleyBudget, TrainConfig};
 use pgr_corpus::{corpus, CorpusName};
 use pgr_earley::{ChartArena, ShortestParser};
 use pgr_grammar::initial::tokenize_segment;
@@ -47,13 +48,21 @@ fn bench_earley_hot(c: &mut Criterion) {
     let (trained, segments) = corpus_segments();
     let parser = ShortestParser::new(trained.expanded());
     let start = trained.initial().nt_start;
+    let tiler = Tiler::new(trained.expanded(), start);
+    let budget = EarleyBudget::UNLIMITED;
     let tokens: u64 = segments.iter().map(|s| s.len() as u64).sum();
     println!(
-        "earley_hot: {} segments, {} tokens, {} table bytes",
+        "earley_hot: {} segments, {} tokens, {} Earley table bytes, {} tiler table bytes",
         segments.len(),
         tokens,
-        parser.table_bytes()
+        parser.table_bytes(),
+        tiler.table_bytes()
     );
+    let mut scratch = TileScratch::new();
+    for s in &segments {
+        let tiled = tiler.tile(&mut scratch, s, &budget, None).unwrap();
+        assert_eq!(tiled.len(), parser.parse(start, s).unwrap().len());
+    }
 
     let mut group = c.benchmark_group("earley_hot");
     group.sample_size(10);
@@ -70,6 +79,13 @@ fn bench_earley_hot(c: &mut Criterion) {
         b.iter(|| {
             for s in &segments {
                 std::hint::black_box(parser.parse_into(&mut arena, start, s).unwrap());
+            }
+        })
+    });
+    group.bench_function("tiler", |b| {
+        b.iter(|| {
+            for s in &segments {
+                std::hint::black_box(tiler.tile(&mut scratch, s, &budget, None).unwrap());
             }
         })
     });

@@ -207,7 +207,9 @@ fn print_a5() {
 }
 
 fn print_a4() {
-    println!("== A4: greedy (training forest) vs optimal (Earley) encoding, lcc self ==");
+    println!(
+        "== A4: greedy (training forest) vs optimal (shortest derivation) encoding, lcc self =="
+    );
     let (greedy, optimal) = a4();
     println!(
         "greedy {greedy} B, optimal {optimal} B (optimal saves {})\n",

@@ -113,7 +113,10 @@ fn usage() -> String {
      \x20 --metrics <human|json>   emit pipeline telemetry (stderr by default)\n\
      \x20 --metrics-out <path>     write telemetry to a file (implies json)\n\
      compress/run also take:\n\
-     \x20 --trace-out <path>       write a Chrome trace-event JSON span tree"
+     \x20 --trace-out <path>       write a Chrome trace-event JSON span tree\n\
+     per-segment budgets (--earley-budget, --max-budget): ITEMS caps the candidate\n\
+     patterns the encoder examines, COLUMNS caps segment tokens + 1; an over-budget\n\
+     segment is stored verbatim"
         .to_string()
 }
 
@@ -201,8 +204,8 @@ fn positionals(args: &[String]) -> Vec<&str> {
 }
 
 /// Parse `--earley-budget ITEMS[,COLUMNS]` into an [`EarleyBudget`]:
-/// a cap on chart items, optionally followed by a cap on chart columns
-/// (token count + 1).
+/// a cap on candidate patterns examined, optionally followed by a cap on
+/// columns (token count + 1).
 fn parse_budget(v: &str) -> Result<pgr_core::EarleyBudget, String> {
     let bad = || format!("bad --earley-budget {v:?} (expected ITEMS[,COLUMNS])");
     let mut parts = v.splitn(2, ',');

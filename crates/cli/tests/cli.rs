@@ -173,6 +173,23 @@ fn errors_are_reported_not_panicked() {
         &s.path("z.pgrc")
     ]))
     .is_err());
+    // A well-formed grammar file the compressor cannot use (`<x> ::= <v>`
+    // is no sentential form of `<x>`) is refused, naming the rule, by
+    // `compress -g` and by the registry.
+    let ig = pgr_grammar::InitialGrammar::build();
+    let mut grammar = ig.grammar.clone();
+    let rule = vec![pgr_grammar::Symbol::N(ig.nt_v)];
+    grammar.add_rule(ig.nt_x, rule, pgr_grammar::RuleOrigin::Original);
+    let bad = s.path("bad.pgrg");
+    let file = pgr_grammar::GrammarFile::new(grammar, ig.nt_start, ig.nt_byte);
+    std::fs::write(&bad, file.to_bytes()).unwrap();
+    let refused = "rule 3 of <x> is not a sentential form of <x>";
+    let out = s.path("bad.pgrc");
+    let err = run(&args(&["compress", &image, "-g", &bad, "-o", &out])).unwrap_err();
+    assert!(err.contains(refused), "{err}");
+    let reg = s.path("reg");
+    let err = run(&args(&["registry", "add", &bad, "--registry", &reg])).unwrap_err();
+    assert!(err.contains(refused), "{err}");
 }
 
 #[test]
@@ -281,7 +298,7 @@ fn metrics_json_emits_documented_keys() {
     let misses = counter(&doc, names::CACHE_MISSES).unwrap();
     assert_eq!(hits + misses, segments);
     assert_eq!(counter(&doc, names::EARLEY_SEGMENTS_PARSED), Some(misses));
-    assert!(counter(&doc, names::EARLEY_ITEMS_COMPLETED).unwrap() > 0);
+    assert!(counter(&doc, names::TILER_CANDIDATES).unwrap() > 0);
     for span in [
         names::SPAN_COMPRESS_CANONICALIZE,
         names::SPAN_COMPRESS_TOKENIZE,

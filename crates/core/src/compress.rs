@@ -47,7 +47,7 @@ pub struct CompressionStats {
     pub compressed_code: usize,
     /// Number of segments encoded.
     pub segments: usize,
-    /// Segments that had no derivation (or blew the Earley budget) and
+    /// Segments that had no derivation (or blew the work budget) and
     /// were emitted as verbatim escapes instead (see
     /// [`CompressorConfig::fallback`](crate::engine::CompressorConfig::fallback)).
     pub fallback_segments: usize,
@@ -465,8 +465,13 @@ entry check
         let raw = vec![pgr_bytecode::Opcode::ADDU as u8];
         let escaped = escape::encode_verbatim(&raw).unwrap();
         let retv = tokenize(&[pgr_bytecode::Opcode::RETV as u8]);
-        let derivation_bytes = pgr_earley::ShortestParser::new(&ig.grammar)
-            .parse(ig.nt_start, &retv)
+        let derivation_bytes = crate::tile::Tiler::new(&ig.grammar, ig.nt_start)
+            .tile(
+                &mut crate::tile::TileScratch::new(),
+                &retv,
+                &pgr_earley::EarleyBudget::UNLIMITED,
+                None,
+            )
             .unwrap()
             .to_bytes(&ig.grammar.rule_index_map());
         let mut code = escaped.clone();

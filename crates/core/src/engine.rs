@@ -1,16 +1,16 @@
 //! The reusable compression engine.
 //!
 //! [`Compressor`] owns everything that is expensive to build and cheap to
-//! share: the [`ShortestParser`] (whose FIRST-filtered prediction tables
-//! cost a grammar walk), the rule-index map used to serialize derivations,
-//! and a bounded memo cache mapping tokenized segments to their derivation
-//! bytes. Construct it once per trained grammar and reuse it across many
+//! share: the [`Tiler`] (whose pattern table costs a parse of every
+//! rule), the rule-index map used to serialize derivations, and a bounded
+//! memo cache mapping tokenized segments to their derivation bytes.
+//! Construct it once per trained grammar and reuse it across many
 //! programs — the paper's pipeline compresses whole corpora under one
 //! grammar, and identical straight-line segments (prologues, `x = x + 1`
 //! statements, epilogues) recur heavily across procedures.
 //!
-//! Within one [`Compressor::compress`] call the per-segment Earley parses
-//! are independent, so they fan out across a small worker pool
+//! Within one [`Compressor::compress`] call the per-segment tilings are
+//! independent, so they fan out across a small worker pool
 //! ([`CompressorConfig::threads`]); results are reassembled in segment
 //! order, which makes the output **byte-identical for every thread count**
 //! (the integration tests assert this). Statistics are computed per
@@ -19,15 +19,14 @@
 //! pipeline.
 //!
 //! Two hot-path mechanics keep the fan-out cheap. Each worker owns one
-//! [`ChartArena`] for its whole stint, so Earley scratch is allocated
-//! once per worker and merely cleared between segments
-//! ([`ShortestParser::parse_into`]). And segments are dispatched in
-//! contiguous *batches* of roughly [`CompressorConfig::batch_bytes`]
-//! input bytes: bytecode corpora are dominated by 3–15-byte statements,
-//! and batching amortizes the per-job bookkeeping over many of them
-//! while still spreading long procedures across the pool (batches are
-//! strided, results are keyed by job index, so the output bytes never
-//! depend on either knob).
+//! [`TileScratch`] for its whole stint, so tiling scratch is allocated
+//! once per worker and merely cleared between segments. And segments are
+//! dispatched in contiguous *batches* of roughly
+//! [`CompressorConfig::batch_bytes`] input bytes: bytecode corpora are
+//! dominated by 3–15-byte statements, and batching amortizes the per-job
+//! bookkeeping over many of them while still spreading long procedures
+//! across the pool (batches are strided, results are keyed by job index,
+//! so the output bytes never depend on either knob).
 //!
 //! The worker pool is scoped `std::thread` fan-out rather than a rayon
 //! dependency: the build environment vendors no external crates, and the
@@ -35,8 +34,9 @@
 
 use crate::canonical::canonicalize_program;
 use crate::compress::{decompress_program, CompressError, CompressedProgram, CompressionStats};
+use crate::tile::{TileScratch, Tiler};
 use pgr_bytecode::{escape, instrs, Opcode, Procedure, Program};
-use pgr_earley::{ChartArena, EarleyBudget, NoParse, ShortestParser};
+use pgr_earley::{EarleyBudget, NoParse};
 use pgr_grammar::initial::tokenize_segment;
 use pgr_grammar::{Grammar, Nt, Terminal};
 use pgr_telemetry::faults::{self, FaultPoint};
@@ -67,7 +67,7 @@ pub struct PhaseTimings {
     pub canonicalize: Duration,
     /// Byte-stream → terminal-token conversion, per segment.
     pub tokenize: Duration,
-    /// Shortest-derivation Earley parsing (the hot phase).
+    /// Shortest-derivation search, by tiling (the hot phase).
     pub parse: Duration,
     /// Stream assembly and label-table rewriting.
     pub emit: Duration,
@@ -111,10 +111,11 @@ pub struct CompressorConfig {
     /// Whether to measure per-phase wall-clock time into
     /// [`CompressionStats::timings`].
     pub collect_timings: bool,
-    /// Work budget for each per-segment Earley parse. Unlimited by
-    /// default; a limited budget turns a pathological chart into a clean
-    /// [`NoParse::BudgetExceeded`], which `fallback` then degrades
-    /// through.
+    /// Work budget for each segment's shortest-derivation search, in
+    /// candidate patterns examined and token columns (see
+    /// [`EarleyBudget`]). Unlimited by default; a limited budget turns an
+    /// over-budget segment into a clean [`NoParse::BudgetExceeded`],
+    /// which `fallback` then degrades through.
     pub earley_budget: EarleyBudget,
     /// Degrade gracefully on per-segment parse failures (no derivation,
     /// or budget exceeded) by emitting the segment as a verbatim escape
@@ -183,7 +184,7 @@ impl CompressorConfigBuilder {
         self
     }
 
-    /// Set the per-segment Earley work budget.
+    /// Set the per-segment work budget.
     pub fn earley_budget(mut self, budget: EarleyBudget) -> CompressorConfigBuilder {
         self.config.earley_budget = budget;
         self
@@ -231,7 +232,7 @@ impl CompressorConfig {
         self
     }
 
-    /// Set the per-segment Earley work budget.
+    /// Set the per-segment work budget.
     pub fn earley_budget(mut self, budget: EarleyBudget) -> CompressorConfig {
         self.earley_budget = budget;
         self
@@ -302,7 +303,7 @@ impl SegmentCache {
 pub struct BatchEntry<'p> {
     /// The program to compress.
     pub program: &'p Program,
-    /// This entry's Earley work quota.
+    /// This entry's per-segment work quota.
     pub budget: EarleyBudget,
     /// This entry's cancellation handle; [`CancelToken::never`] when the
     /// caller has no deadline.
@@ -396,7 +397,7 @@ struct EncodedSegment {
 pub struct Compressor<'g> {
     grammar: Cow<'g, Grammar>,
     start: Nt,
-    parser: ShortestParser,
+    tiler: Tiler,
     index_map: Vec<usize>,
     threads: usize,
     batch_bytes: usize,
@@ -429,8 +430,13 @@ impl<'g> Compressor<'g> {
     }
 
     /// Build an engine that reports `compress.*` counters and spans,
-    /// `cache.*` counters, and (via the embedded parser) `earley.*`
-    /// metrics into `recorder`.
+    /// `cache.*` counters, and (via the embedded tiler) the `earley.*`
+    /// encoder outcomes and `tiler.*` work into `recorder`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the rule, if `grammar` is not one the tiler can
+    /// use (see [`Tiler::new`]).
     pub fn with_recorder(
         grammar: &'g Grammar,
         start: Nt,
@@ -466,7 +472,7 @@ impl<'g> Compressor<'g> {
         };
         Compressor {
             start,
-            parser: ShortestParser::with_recorder(&grammar, recorder.clone()),
+            tiler: Tiler::with_recorder(&grammar, start, recorder.clone()),
             index_map: grammar.rule_index_map(),
             threads,
             batch_bytes: config.batch_bytes,
@@ -602,7 +608,7 @@ impl<'g> Compressor<'g> {
     /// Compress a program under a per-call budget *and* a cancellation
     /// token: the serving path's entry point, where a request deadline
     /// must be able to stop an in-flight compression at the next segment
-    /// or chart-column boundary.
+    /// boundary or within a segment's tiling.
     ///
     /// # Errors
     ///
@@ -657,8 +663,8 @@ impl<'g> Compressor<'g> {
     /// different deadlines, and one entry's cancellation never affects
     /// its neighbours (they share the dispatch, not the token).
     ///
-    /// Tokens are polled at segment boundaries and (inside the parser)
-    /// at chart-column boundaries; a fired token yields
+    /// Tokens are polled at segment boundaries and (inside the tiler)
+    /// every few dozen tree nodes; a fired token yields
     /// [`CompressError::Cancelled`] for that entry. Cancellation never
     /// degrades to verbatim fallback: the owner asked for the work to
     /// stop.
@@ -897,7 +903,7 @@ impl<'g> Compressor<'g> {
     /// [`CompressorConfig::batch_bytes`] input bytes; each worker claims
     /// batches in a stride (worker `w` takes batches `w`, `w + T`, …, so
     /// long procedures still spread across the pool) and reuses one
-    /// [`ChartArena`] for everything it encodes.
+    /// [`TileScratch`] for everything it encodes.
     fn run_jobs(
         &self,
         plans: &[Result<EntryPlan, CompressError>],
@@ -913,12 +919,12 @@ impl<'g> Compressor<'g> {
         };
         let threads = self.threads.min(jobs.len()).max(1);
         if threads == 1 {
-            let mut arena = ChartArena::new();
+            let mut scratch = TileScratch::new();
             return jobs
                 .iter()
                 .map(|job| {
                     self.encode_segment_isolated(
-                        &mut arena,
+                        &mut scratch,
                         proc_of(job),
                         job.range.clone(),
                         budgets[job.entry],
@@ -929,9 +935,11 @@ impl<'g> Compressor<'g> {
         }
         let batches = plan_batches(jobs, self.batch_bytes);
         // Thread-locals don't cross `thread::scope`: capture the calling
-        // thread's trace attribution and re-install it in each worker, so
-        // worker-lane events still carry the request's trace id.
+        // thread's trace attribution and fault plan and re-install them in
+        // each worker, so worker-lane events still carry the request's
+        // trace id and a test's injected faults reach its workers only.
         let trace_ctx = trace::current();
+        let fault_ctx = &faults::current();
         let mut slots: Vec<Option<Result<EncodedSegment, CompressError>>> =
             (0..jobs.len()).map(|_| None).collect();
         std::thread::scope(|scope| {
@@ -941,7 +949,8 @@ impl<'g> Compressor<'g> {
                 .map(|w| {
                     scope.spawn(move || {
                         let _trace = trace::scope_raw(trace_ctx);
-                        let mut arena = ChartArena::new();
+                        let _faults = faults::scope(fault_ctx.clone());
+                        let mut scratch = TileScratch::new();
                         let mut done = Vec::new();
                         let mut b = w;
                         while b < batches.len() {
@@ -950,7 +959,7 @@ impl<'g> Compressor<'g> {
                                 done.push((
                                     i,
                                     self.encode_segment_isolated(
-                                        &mut arena,
+                                        &mut scratch,
                                         proc_of(job),
                                         job.range.clone(),
                                         budgets[job.entry],
@@ -977,20 +986,20 @@ impl<'g> Compressor<'g> {
     }
 
     /// Isolate one segment's encoding behind `catch_unwind`: a panic
-    /// (a parser bug, or the injected cache-lock fault in the test
+    /// (a tiler bug, or the injected cache-lock fault in the test
     /// harness) surfaces as a structured [`CompressError::WorkerPanic`]
     /// for that segment while every other segment — including the rest
     /// of this worker's batch stride — still encodes normally.
     fn encode_segment_isolated(
         &self,
-        arena: &mut ChartArena,
+        scratch: &mut TileScratch,
         proc: &Procedure,
         range: Range<usize>,
         budget: EarleyBudget,
         cancel: &CancelToken,
     ) -> Result<EncodedSegment, CompressError> {
         let attempt = catch_unwind(AssertUnwindSafe(|| {
-            self.encode_segment(arena, proc, range.clone(), budget, cancel)
+            self.encode_segment(scratch, proc, range.clone(), budget, cancel)
         }));
         attempt.unwrap_or_else(|payload| {
             Err(CompressError::WorkerPanic {
@@ -1014,7 +1023,7 @@ impl<'g> Compressor<'g> {
     /// Tokenize and encode one segment, consulting the memo cache.
     fn encode_segment(
         &self,
-        arena: &mut ChartArena,
+        scratch: &mut TileScratch,
         proc: &Procedure,
         range: Range<usize>,
         budget: EarleyBudget,
@@ -1073,8 +1082,7 @@ impl<'g> Compressor<'g> {
         let parsed = if faults::fire(FaultPoint::Parse) {
             Err(NoParse::NoDerivation { furthest: 0 })
         } else {
-            self.parser
-                .parse_into_cancellable(arena, self.start, &tokens, &budget, Some(cancel))
+            self.tiler.tile(scratch, &tokens, &budget, Some(cancel))
         };
         let derivation = match parsed {
             Ok(derivation) => derivation,
@@ -1353,7 +1361,7 @@ entry f
         assert_eq!(
             m.counter(names::EARLEY_SEGMENTS_PARSED),
             m.counter(names::CACHE_MISSES),
-            "every cache miss is exactly one Earley parse"
+            "every cache miss is exactly one tiling"
         );
         // An enabled recorder implies phase timing, surfaced both as
         // spans and on the compatibility stats view.

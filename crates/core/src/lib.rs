@@ -13,7 +13,7 @@
 //! + samples  └────────────────────────────────────────────────────┘
 //!
 //!            ┌ compression ──────────────────────────────────────┐
-//! program  ──┤  Earley shortest-derivation parser → derivation    ├─ compressed
+//! program  ──┤  postfix parse → min-cost tiling → derivation      ├─ compressed
 //!            └────────────────────────────────────────────────────┘  bytecode
 //! ```
 //!
@@ -23,7 +23,10 @@
 //!   saturated at 256 rules or no edge recurs.
 //! * [`Trained::compress`] encodes a program as per-segment shortest
 //!   derivations (one byte per rule) and rewrites each procedure's label
-//!   table to compressed-stream offsets (§3, §4.1).
+//!   table to compressed-stream offsets (§3, §4.1). The paper finds
+//!   shortest derivations with Earley's parser; [`tile`] finds them as
+//!   minimum-cost tilings of each segment's unique postfix parse, with
+//!   the `pgr-earley` parser kept as the reference spec.
 //! * [`Trained::decompress`] expands derivations back to the original
 //!   bytecode; `decompress(compress(p))` equals the canonicalized `p`
 //!   exactly, which the test suite checks everywhere.
@@ -35,6 +38,7 @@ pub mod compress;
 pub mod engine;
 pub mod expander;
 pub mod pipeline;
+pub mod tile;
 
 pub use canonical::canonicalize_program;
 pub use compress::{CompressError, CompressedProgram, CompressionStats, DecompressError};

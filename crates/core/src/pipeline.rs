@@ -280,7 +280,7 @@ mod tests {
         let trained = train(&[&train_prog], &TrainConfig::default()).unwrap();
         let (_, stats) = trained.compress(&train_prog).unwrap();
         // The greedy forest shrink bounds the self-compression size from
-        // above: the Earley encoder finds an optimal derivation, which
+        // above: the encoder finds an optimal derivation, which
         // can only match or beat the contracted training forest.
         assert!(stats.compressed_code <= trained.stats.derivation_after);
         assert!(stats.ratio() < 0.5);

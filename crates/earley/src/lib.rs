@@ -10,6 +10,13 @@
 //! minimum length derivation", where length is the number of rules used
 //! (one output byte per rule).
 //!
+//! This parser is the reference spec, not the production encoder: the
+//! compressor (`pgr_core::tile`) finds derivations of the same length by
+//! tiling each segment's unique postfix parse, and
+//! `tests/tiler_reference.rs` checks the two against each other. It also
+//! serves grammars the tiler does not take, such as the typed grammar of
+//! the A5 ablation.
+//!
 //! The modification is a min-plus (tropical) cost semiring over classic
 //! Earley items: every rule application costs 1, completions keep the
 //! cheapest derivation per `(non-terminal, origin, end)` span, and cost
@@ -84,7 +91,8 @@ pub enum NoParse {
     /// before reaching a verdict. This is a resource decision, not a
     /// language one: the input may or may not be derivable.
     BudgetExceeded {
-        /// Chart items created when the budget tripped.
+        /// Work items counted when the budget tripped, in the unit of
+        /// [`EarleyBudget::max_items`] for the encoder that tripped it.
         items: usize,
         /// Chart columns the parse required (`tokens + 1`).
         columns: usize,
@@ -108,7 +116,7 @@ impl fmt::Display for NoParse {
             }
             NoParse::BudgetExceeded { items, columns } => write!(
                 f,
-                "parse abandoned: Earley budget exceeded ({items} chart items, {columns} columns)"
+                "parse abandoned: Earley budget exceeded ({items} work items, {columns} columns)"
             ),
             NoParse::Cancelled { elapsed_ms } => write!(
                 f,
@@ -120,18 +128,26 @@ impl fmt::Display for NoParse {
 
 impl std::error::Error for NoParse {}
 
-/// A work budget for one parse: caps on chart growth that turn a
-/// pathological segment into a clean [`NoParse::BudgetExceeded`] instead
-/// of an unbounded chart. The expanded grammar is deliberately ambiguous,
-/// so grammar-fitting has bad worst cases; a budget makes the compressor
-/// total over them (callers degrade to the verbatim-escape fallback).
+/// A work budget for one segment's shortest-derivation search: caps that
+/// turn an expensive segment into a clean [`NoParse::BudgetExceeded`]
+/// instead of unbounded work, which callers degrade to the
+/// verbatim-escape fallback. Admission control (`pgr serve
+/// --max-budget`) sets it per request.
+///
+/// The name predates the compressor's tiler and stays with the wire and
+/// CLI names. The compressor (`pgr_core::tile`) counts *candidate
+/// patterns examined* — the patterns indexed under each node's rule and
+/// operator, summed over the nodes of the segment's Appendix 2 tree —
+/// against `max_items`; this crate's reference parser counts chart items
+/// created.
 ///
 /// The default budget is unlimited; limited budgets cost one integer
-/// compare per worklist pop.
+/// compare per tree node (per worklist pop in the Earley parser).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EarleyBudget {
-    /// Maximum chart items (states across all columns) a parse may
-    /// create.
+    /// Maximum work items one segment may use: candidate patterns
+    /// examined by the compressor's tiler, chart items (states across
+    /// all columns) created by [`ShortestParser`].
     pub max_items: usize,
     /// Maximum chart columns (`segment tokens + 1`) a parse may use;
     /// checked up front, so over-long segments fail before any chart
@@ -158,7 +174,7 @@ impl EarleyBudget {
         *self == EarleyBudget::UNLIMITED
     }
 
-    /// Cap chart items (builder-style).
+    /// Cap work items (builder-style); see [`EarleyBudget::max_items`].
     pub fn max_items(mut self, items: usize) -> EarleyBudget {
         self.max_items = items;
         self

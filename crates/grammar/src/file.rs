@@ -23,6 +23,8 @@
 
 use crate::encode::{decode_grammar, encode_grammar, GrammarDecodeError};
 use crate::grammar::Grammar;
+use crate::initial::InitialGrammar;
+use crate::postfix::{admit, Inadmissible};
 use crate::symbol::Nt;
 use std::fmt;
 
@@ -54,6 +56,9 @@ pub enum GrammarFileError {
     },
     /// The grammar body is malformed.
     Grammar(GrammarDecodeError),
+    /// The grammar decodes but is not one the compressor can encode
+    /// against (see [`admit`]).
+    Inadmissible(Inadmissible),
 }
 
 impl fmt::Display for GrammarFileError {
@@ -72,6 +77,7 @@ impl fmt::Display for GrammarFileError {
                 "{handle} non-terminal {id} out of range (grammar declares {nt_count})"
             ),
             GrammarFileError::Grammar(_) => write!(f, "malformed grammar body"),
+            GrammarFileError::Inadmissible(_) => write!(f, "grammar not accepted"),
         }
     }
 }
@@ -80,6 +86,7 @@ impl std::error::Error for GrammarFileError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             GrammarFileError::Grammar(e) => Some(e),
+            GrammarFileError::Inadmissible(e) => Some(e),
             _ => None,
         }
     }
@@ -130,7 +137,8 @@ impl GrammarFile {
     /// # Errors
     ///
     /// See [`GrammarFileError`]: bad magic/version, an out-of-range
-    /// non-terminal handle, or a malformed grammar body.
+    /// non-terminal handle, a malformed grammar body, or a grammar the
+    /// compressor does not accept.
     pub fn from_bytes(bytes: &[u8]) -> Result<GrammarFile, GrammarFileError> {
         if bytes.len() < HEADER_LEN || &bytes[..4] != MAGIC {
             return Err(GrammarFileError::NotAGrammarFile);
@@ -150,6 +158,14 @@ impl GrammarFile {
                     nt_count,
                 });
             }
+        }
+        admit(&grammar, start).map_err(GrammarFileError::Inadmissible)?;
+        if byte_nt != InitialGrammar::build().nt_byte {
+            return Err(GrammarFileError::Inadmissible(Inadmissible::Layout {
+                nt_count,
+                handle: "byte",
+                id: byte_nt.0,
+            }));
         }
         Ok(GrammarFile {
             grammar,
@@ -213,6 +229,37 @@ mod tests {
                 handle: "start",
                 ..
             }
+        ));
+    }
+
+    #[test]
+    fn grammars_the_compressor_cannot_use_are_refused() {
+        use crate::symbol::Symbol;
+        let ig = InitialGrammar::build();
+        let mut bad = ig.grammar.clone();
+        // <x> ::= <v>: a value is not a statement.
+        bad.add_rule(
+            ig.nt_x,
+            vec![Symbol::N(ig.nt_v)],
+            crate::RuleOrigin::Original,
+        );
+        let bytes = GrammarFile::new(bad, ig.nt_start, ig.nt_byte).to_bytes();
+        let err = GrammarFile::from_bytes(&bytes).unwrap_err();
+        assert!(matches!(
+            err,
+            GrammarFileError::Inadmissible(Inadmissible::NotSentential { index: 3, .. })
+        ));
+        use std::error::Error as _;
+        assert_eq!(
+            err.source().unwrap().to_string(),
+            "rule 3 of <x> is not a sentential form of <x>"
+        );
+
+        let mut swapped = sample().to_bytes();
+        swapped[6] = 1; // byte handle names <v>
+        assert!(matches!(
+            GrammarFile::from_bytes(&swapped).unwrap_err(),
+            GrammarFileError::Inadmissible(Inadmissible::Layout { handle: "byte", .. })
         ));
     }
 

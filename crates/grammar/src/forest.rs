@@ -8,15 +8,16 @@
 //!
 //! Valid postfix bytecode parses *uniquely* under the initial grammar —
 //! every opcode belongs to exactly one of the v0/v1/v2/x0/x1/x2 groups —
-//! so the builder is a linear-time stack parser, not a general CFG parser.
+//! so the builder is the linear-time stack parser of [`postfix`], not a
+//! general CFG parser.
 //! The expander contracts edges of this forest (Fig. 2); the
 //! [`Forest::contract`] and [`Forest::relabel`] mutators support exactly
 //! that operation.
 
 use crate::grammar::RuleId;
 use crate::initial::InitialGrammar;
-use crate::symbol::{Symbol, Terminal};
-use pgr_bytecode::StackKind;
+use crate::postfix::{self, TreeBuilder};
+use crate::symbol::{Nt, Symbol, Terminal};
 use std::fmt;
 
 /// Index of a node in a [`Forest`].
@@ -77,6 +78,13 @@ pub enum ForestParseError {
         /// Leftover value count.
         depth: usize,
     },
+    /// The input is not derivable from the goal non-terminal in one or
+    /// more steps (only right-hand sides, parsed as fragments, meet
+    /// this; a token string's goal is always `<start>`).
+    WrongGoal {
+        /// The non-terminal the input was parsed as.
+        goal: Nt,
+    },
 }
 
 impl fmt::Display for ForestParseError {
@@ -90,6 +98,9 @@ impl fmt::Display for ForestParseError {
             }
             ForestParseError::DanglingValues { depth } => {
                 write!(f, "segment ends with {depth} values on the stack")
+            }
+            ForestParseError::WrongGoal { goal } => {
+                write!(f, "input does not derive from {goal}")
             }
         }
     }
@@ -113,6 +124,9 @@ impl Forest {
 
     /// Parse one segment's tokens and add its tree; returns the root.
     ///
+    /// A thin adapter over the shared [`postfix::parse`], which the
+    /// compressor's tiler runs on the same tokens.
+    ///
     /// # Errors
     ///
     /// See [`ForestParseError`].
@@ -121,80 +135,8 @@ impl Forest {
         ig: &InitialGrammar,
         tokens: &[Terminal],
     ) -> Result<NodeId, ForestParseError> {
-        let mut vstack: Vec<NodeId> = Vec::new();
-        let mut statements: Vec<NodeId> = Vec::new();
-        let mut i = 0usize;
-        while i < tokens.len() {
-            let Terminal::Op(op) = tokens[i] else {
-                return Err(ForestParseError::UnexpectedToken { position: i });
-            };
-            let Some(group_rule) = ig.opcode_rule[op as usize] else {
-                return Err(ForestParseError::UnexpectedToken { position: i });
-            };
-            let nbytes = op.operand_bytes();
-            let mut operand_children = Vec::with_capacity(nbytes);
-            for k in 1..=nbytes {
-                match tokens.get(i + k) {
-                    Some(Terminal::Byte(b)) => {
-                        operand_children.push(self.add_node(ig.byte_rules[*b as usize], vec![]));
-                    }
-                    _ => return Err(ForestParseError::UnexpectedToken { position: i + k }),
-                }
-            }
-            let group = self.add_node(group_rule, operand_children);
-            match op.kind() {
-                StackKind::V0 => {
-                    let n = self.add_node(ig.v_leaf, vec![group]);
-                    vstack.push(n);
-                }
-                StackKind::V1 => {
-                    let a = vstack
-                        .pop()
-                        .ok_or(ForestParseError::StackUnderflow { position: i })?;
-                    vstack.push(self.add_node(ig.v_unary, vec![a, group]));
-                }
-                StackKind::V2 => {
-                    let b = vstack
-                        .pop()
-                        .ok_or(ForestParseError::StackUnderflow { position: i })?;
-                    let a = vstack
-                        .pop()
-                        .ok_or(ForestParseError::StackUnderflow { position: i })?;
-                    vstack.push(self.add_node(ig.v_binary, vec![a, b, group]));
-                }
-                StackKind::X0 => {
-                    statements.push(self.add_node(ig.x_leaf, vec![group]));
-                }
-                StackKind::X1 => {
-                    let a = vstack
-                        .pop()
-                        .ok_or(ForestParseError::StackUnderflow { position: i })?;
-                    statements.push(self.add_node(ig.x_unary, vec![a, group]));
-                }
-                StackKind::X2 => {
-                    let b = vstack
-                        .pop()
-                        .ok_or(ForestParseError::StackUnderflow { position: i })?;
-                    let a = vstack
-                        .pop()
-                        .ok_or(ForestParseError::StackUnderflow { position: i })?;
-                    statements.push(self.add_node(ig.x_binary, vec![a, b, group]));
-                }
-                StackKind::Label => {
-                    return Err(ForestParseError::UnexpectedToken { position: i });
-                }
-            }
-            i += 1 + nbytes;
-        }
-        if !vstack.is_empty() {
-            return Err(ForestParseError::DanglingValues {
-                depth: vstack.len(),
-            });
-        }
-        let mut root = self.add_node(ig.start_empty, vec![]);
-        for x in statements {
-            root = self.add_node(ig.start_rec, vec![root, x]);
-        }
+        let symbols = tokens.iter().map(|&t| Symbol::T(t));
+        let root = postfix::parse(ig, ig.nt_start, symbols, &mut Segment(self))?;
         self.roots.push(root);
         Ok(root)
     }
@@ -333,6 +275,22 @@ impl Forest {
             }
         }
         out
+    }
+}
+
+/// Builds a token string's parse into a forest. Tokens carry no
+/// non-terminals, so the parser never asks for a hole.
+struct Segment<'f>(&'f mut Forest);
+
+impl TreeBuilder for Segment<'_> {
+    type Node = NodeId;
+
+    fn hole(&mut self, nt: Nt) -> NodeId {
+        unreachable!("a token string has no non-terminal {nt}")
+    }
+
+    fn node(&mut self, rule: RuleId, children: &[NodeId]) -> NodeId {
+        self.0.add_node(rule, children.to_vec())
     }
 }
 

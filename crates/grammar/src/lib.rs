@@ -14,8 +14,12 @@
 //!   is its compressed encoding byte),
 //! * [`initial::InitialGrammar`] — the paper's Appendix 2 grammar for the
 //!   initial bytecode, with opcode→rule lookup tables and a tokenizer,
-//! * [`forest`] — parse forests and the deterministic postfix parser that
-//!   builds them from training code (restarting at every `LABELV`, §4.1),
+//! * [`postfix`] — the one postfix stack parser over symbols: a segment's
+//!   tokens give its tree of Appendix 2 rules, a rule's right-hand side
+//!   gives the tree fragment (pattern) the rule stands for, and
+//!   [`postfix::admit`] decides which grammars the compressor accepts,
+//! * [`forest`] — parse forests built by that parser from training code
+//!   (restarting at every `LABELV`, §4.1),
 //! * [`derivation`] — leftmost derivations: extraction from parse trees,
 //!   expansion back to terminal strings, and byte encoding/decoding,
 //! * [`encode`] — the compact binary grammar serialization whose byte size
@@ -31,6 +35,7 @@ pub mod file;
 pub mod forest;
 pub mod grammar;
 pub mod initial;
+pub mod postfix;
 pub mod symbol;
 pub mod tables;
 pub mod typed;

@@ -142,9 +142,10 @@ pub(crate) struct Request {
     pub image: Option<String>,
     /// Base64 VM input.
     pub input: Option<String>,
-    /// The declared Earley budget, present whenever the `budget` key
-    /// is; a member that is missing or not an exact integer reads as
-    /// unlimited.
+    /// The declared per-segment budget (`{"max_items":N,"max_columns":M}`:
+    /// candidate patterns the encoder may examine, and one more than the
+    /// segment's tokens), present whenever the `budget` key is; a member
+    /// that is missing or not an exact integer reads as unlimited.
     pub budget: Option<EarleyBudget>,
     /// The request's own deadline, when an exact non-negative integer
     /// (`1.5e3` is 1500).

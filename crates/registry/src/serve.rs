@@ -33,8 +33,8 @@
 //! memory stays bounded.
 //!
 //! Every request is minted a [`TraceId`] and handled under its trace
-//! scope, so spans recorded anywhere below — engine workers, the Earley
-//! parser, the VM's interpreter thread — attribute back to the request.
+//! scope, so spans recorded anywhere below — engine workers, the tiler,
+//! the VM's interpreter thread — attribute back to the request.
 //! Responses (success and error alike) carry the id in a `"trace"`
 //! field; error responses also carry elapsed `"micros"`. With
 //! [`ServeConfig::slow_ms`] set, any request over the threshold has its
@@ -79,8 +79,10 @@ pub const SERVE_OPS: [&str; 4] = ["compress", "decompress", "run", "stats"];
 pub struct ServeConfig {
     /// Registry root directory (created if missing).
     pub registry_root: PathBuf,
-    /// Per-request Earley budget ceiling; declared budgets above this
-    /// are clamped down (and counted under `serve.budget.clamped`).
+    /// Per-request budget ceiling (`max_items` in candidate patterns the
+    /// encoder examines per segment, `max_columns` in one more than the
+    /// segment's tokens); declared budgets above this are clamped down
+    /// (and counted under `serve.budget.clamped`).
     pub max_budget: EarleyBudget,
     /// Compressor worker threads per engine (0 = one per CPU).
     pub threads: usize,

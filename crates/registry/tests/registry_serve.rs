@@ -3,8 +3,8 @@
 //! serve session with mixed per-request budgets.
 
 use pgr_bytecode::asm::assemble;
-use pgr_bytecode::{read_program_tagged, write_program, write_program_tagged, ImageKind};
-use pgr_grammar::{GrammarFile, InitialGrammar};
+use pgr_bytecode::{read_program_tagged, write_program, write_program_tagged, ImageKind, Opcode};
+use pgr_grammar::{GrammarFile, InitialGrammar, RuleOrigin};
 use pgr_registry::{
     base64_decode, base64_encode, GrammarId, Registry, RegistryError, ServeConfig, Server,
 };
@@ -39,6 +39,25 @@ impl Drop for Scratch {
 fn sample_grammar() -> GrammarFile {
     let ig = InitialGrammar::build();
     GrammarFile::new(ig.grammar, ig.nt_start, ig.nt_byte)
+}
+
+/// A distinct grammar the compressor accepts: the initial grammar plus
+/// `extra` copies of the inlined rule `<x> ::= RETV`, so each variant
+/// has its own bytes and id.
+fn variant_grammar(extra: usize) -> GrammarFile {
+    let ig = InitialGrammar::build();
+    let mut grammar = ig.grammar.clone();
+    let retv = ig.rule_for_opcode(Opcode::RETV);
+    for _ in 0..extra {
+        let rhs = grammar.inlined_rhs(ig.x_leaf, 0, retv);
+        let origin = RuleOrigin::Inlined {
+            parent: ig.x_leaf,
+            slot: 0,
+            child: retv,
+        };
+        grammar.add_rule(ig.nt_x, rhs, origin);
+    }
+    GrammarFile::new(grammar, ig.nt_start, ig.nt_byte)
 }
 
 const SAMPLE: &str = r#"
@@ -121,11 +140,7 @@ fn stale_objects_are_rejected_and_gc_prunes_them() {
     assert!(registry.load(&id).is_err());
 
     // gc removes the corrupt entry (and nothing else).
-    let good = {
-        let mut file = sample_grammar();
-        file.start = file.byte_nt; // any distinct-but-valid variant
-        registry.store(&file, "survivor").unwrap()
-    };
+    let good = registry.store(&variant_grammar(1), "survivor").unwrap();
     let report = registry.gc(&[]).unwrap();
     assert_eq!(report.pruned_corrupt, vec![id.to_hex()]);
     assert!(report.removed.is_empty());
@@ -427,6 +442,33 @@ fn serve_rejects_unknown_grammars_and_bad_payloads() {
         "error should name the missing id: {error}"
     );
 
+    // A grammar the compressor cannot tile (here `<x> ::= <v>`: a value
+    // is not a statement) is refused by the registry, and an object
+    // planted in the store anyway is reported in-band, not panicked on.
+    let ig = InitialGrammar::build();
+    let mut bad = ig.grammar.clone();
+    bad.add_rule(
+        ig.nt_x,
+        vec![pgr_grammar::Symbol::N(ig.nt_v)],
+        RuleOrigin::Original,
+    );
+    let bad = GrammarFile::new(bad, ig.nt_start, ig.nt_byte).to_bytes();
+    let registry = Registry::open(scratch.path("reg")).unwrap();
+    assert!(registry.store_bytes(&bad, "bad").is_err());
+    let bad_id = GrammarId::of_bytes(&bad).to_hex();
+    std::fs::write(scratch.path(&format!("reg/objects/{bad_id}.pgrg")), &bad).unwrap();
+    let plain = base64_encode(&write_program(&program, ImageKind::Uncompressed));
+    let resp = exchange(
+        &mut stream,
+        &format!(r#"{{"op":"compress","grammar":"{bad_id}","image":"{plain}"}}"#),
+    );
+    assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(false));
+    let error = resp.get("error").and_then(Value::as_str).unwrap();
+    assert!(
+        error.contains("not a sentential form"),
+        "error should name the rule: {error}"
+    );
+
     exchange(&mut stream, r#"{"op":"shutdown"}"#);
     server_thread.join().unwrap();
 }
@@ -703,11 +745,7 @@ fn mixed_grammar_requests_never_share_a_batch() {
     let scratch = Scratch::new("serve-mixed");
     let registry = Registry::open(scratch.path("reg")).unwrap();
     let first = registry.store(&sample_grammar(), "a").unwrap();
-    let second = {
-        let mut file = sample_grammar();
-        file.start = file.byte_nt; // distinct bytes, distinct id
-        registry.store(&file, "b").unwrap()
-    };
+    let second = registry.store(&variant_grammar(1), "b").unwrap();
     let socket = scratch.path("pgr.sock");
     let server = Server::bind(
         &socket,
@@ -737,9 +775,9 @@ fn mixed_grammar_requests_never_share_a_batch() {
     let responses = pipeline(&mut stream, &requests);
     for (i, resp) in responses.iter().enumerate() {
         let want = if i % 2 == 0 { &a_hex } else { &b_hex };
-        // Grammar B's start symbol is degenerate, so its compresses may
-        // degrade or fail — but never cross into A's batch: a response
-        // that names a grammar must name the right one.
+        // Grammar B has one rule more than A, so its images differ —
+        // but never cross into A's batch: a response that names a
+        // grammar must name the right one.
         if resp.get("ok").and_then(Value::as_bool) == Some(true) {
             assert_eq!(
                 resp.get("grammar").and_then(Value::as_str),
@@ -1046,13 +1084,8 @@ fn engine_eviction_bounds_resident_engines() {
     let registry = Registry::open(scratch.path("reg")).unwrap();
     let mut hexes = Vec::new();
     hexes.push(registry.store(&sample_grammar(), "g0").unwrap().id.to_hex());
-    for variant in 0..2 {
-        let mut file = sample_grammar();
-        if variant == 0 {
-            file.start = file.byte_nt;
-        } else {
-            file.byte_nt = file.start;
-        }
+    for extra in 1..=2 {
+        let file = variant_grammar(extra);
         hexes.push(registry.store(&file, "gx").unwrap().id.to_hex());
     }
     let socket = scratch.path("pgr.sock");

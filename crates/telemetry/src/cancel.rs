@@ -2,12 +2,13 @@
 //! long-running work checks at its natural batch boundaries.
 //!
 //! The serving path admits requests whose work is bounded only by the
-//! Earley budget and the VM fuel tank — both of which can be seconds of
-//! wall clock on an adversarial input. A [`CancelToken`] is the
-//! lightweight contract between the request's owner (the serve reactor,
-//! which knows the deadline) and the compute layers (Earley chart
-//! construction, segment encoding, VM fuel replay), which poll it at
-//! coarse boundaries: chart columns, segment starts, fuel-batch refills.
+//! per-segment work budget and the VM fuel tank — both of which can be
+//! seconds of wall clock on an adversarial input. A [`CancelToken`] is
+//! the lightweight contract between the request's owner (the serve
+//! reactor, which knows the deadline) and the compute layers (segment
+//! tiling and encoding, VM fuel replay), which poll it at coarse
+//! boundaries: every few dozen tree nodes, segment starts, fuel-batch
+//! refills.
 //!
 //! The design constraints mirror the rest of this crate:
 //!

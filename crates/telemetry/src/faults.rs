@@ -1,6 +1,6 @@
 //! Deterministic fault injection for the robustness test suite.
 //!
-//! The hardening work (Earley budgets, verbatim fallback, checksummed
+//! The hardening work (work budgets, verbatim fallback, checksummed
 //! images, panic-isolated workers) is only trustworthy if the degraded
 //! paths are *executed*, not just written. This module gives the tests a
 //! way to trip them on demand: the pipeline consults [`fire`] at a small
@@ -12,6 +12,13 @@
 //! [`fire`] is a single relaxed atomic load and nothing else — no lock,
 //! no counter traffic, no allocation. Only an enabled plan pays for
 //! occurrence counting and mode evaluation.
+//!
+//! A plan binds to the thread that installs it, so tests running in
+//! parallel never see each other's faults. Worker pools that act for
+//! that thread carry the plan along explicitly, the way they carry the
+//! trace id: the compressor's encoder workers and the VM's interpreter
+//! thread capture [`current`] before spawning and enter [`scope`] in
+//! each worker.
 //!
 //! Plans are deterministic by construction: [`FaultMode::Nth`] trips one
 //! exact occurrence, and [`FaultMode::Seeded`] derives each verdict from
@@ -35,15 +42,18 @@
 //! assert_eq!(faults::fired(FaultPoint::Parse), 1);
 //! ```
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::cell::RefCell;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// A named place in the pipeline that asks [`fire`] whether to fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultPoint {
     /// `binfmt::read_program`: reading a program image from bytes.
     ImageRead = 0,
-    /// The engine's per-segment Earley parse (fires as a `NoParse`).
+    /// The engine's per-segment shortest-derivation search (fires as a
+    /// `NoParse`).
     Parse = 1,
     /// The engine's derivation-cache insert (fires as a panic while the
     /// cache lock is held, driving worker isolation and poison recovery).
@@ -110,74 +120,104 @@ impl FaultPlan {
     }
 }
 
-/// The disabled fast-path flag; one relaxed load per [`fire`] call.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-/// The installed plan (meaningful only while `ENABLED`).
-static PLAN: Mutex<FaultPlan> = Mutex::new(FaultPlan {
-    modes: [FaultMode::Never; POINT_COUNT],
-});
-/// Occurrences seen per point since the plan was installed.
-static SEEN: [AtomicU64; POINT_COUNT] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
-/// Faults actually fired per point since the plan was installed.
-static FIRED: [AtomicU64; POINT_COUNT] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
-/// Serializes plan installations so concurrent tests cannot interleave
-/// (the injected points panic on purpose, so recover from poisoning).
-static INSTALL_GATE: Mutex<()> = Mutex::new(());
+/// Plans installed anywhere in the process. While it is zero, [`fire`]
+/// is this one relaxed load; it publishes nothing (a plan reaches other
+/// threads only through [`scope`], after they are spawned).
+static INSTALLED: AtomicUsize = AtomicUsize::new(0);
 
-/// Keeps an installed [`FaultPlan`] active; dropping it disables
-/// injection and releases the (process-wide) installation gate.
+/// An installed plan and its tallies, shared by the installing thread and
+/// the workers its plan is carried into.
+struct Active {
+    plan: FaultPlan,
+    /// Occurrences seen per point since the plan was installed.
+    seen: [AtomicU64; POINT_COUNT],
+    /// Faults actually fired per point since the plan was installed.
+    fired: [AtomicU64; POINT_COUNT],
+}
+
+thread_local! {
+    /// The plan in force on this thread, if any.
+    static CURRENT: RefCell<Option<Arc<Active>>> = const { RefCell::new(None) };
+}
+
+/// Keeps an installed [`FaultPlan`] active on the installing thread;
+/// dropping it restores whatever plan that thread had before. It cannot
+/// leave the thread.
 pub struct FaultGuard {
-    _gate: MutexGuard<'static, ()>,
+    _scope: FaultScope,
 }
 
 impl Drop for FaultGuard {
     fn drop(&mut self) {
-        ENABLED.store(false, Ordering::SeqCst);
-        *lock_plan() = FaultPlan::new();
+        INSTALLED.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
-fn lock_plan() -> MutexGuard<'static, FaultPlan> {
-    // The plan is only read/replaced under the install gate or in
-    // fire_slow; a panic between lock and unlock cannot leave it torn,
-    // so poisoning is recoverable by construction.
-    PLAN.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Install `plan` and enable injection until the returned guard drops.
+/// Install `plan` on the calling thread until the returned guard drops.
 ///
-/// Installation is serialized process-wide: a second `install` blocks
-/// until the first guard drops, so concurrent tests never observe each
-/// other's faults. Occurrence and fired counters reset on install.
+/// The plan binds to this thread only — other threads, such as tests
+/// running in parallel, never see it — and travels into worker threads
+/// only where a pool carries it explicitly ([`current`] / [`scope`]).
+/// Occurrence and fired counts start at zero.
 pub fn install(plan: FaultPlan) -> FaultGuard {
-    let gate = INSTALL_GATE.lock().unwrap_or_else(PoisonError::into_inner);
-    *lock_plan() = plan;
-    for i in 0..POINT_COUNT {
-        SEEN[i].store(0, Ordering::SeqCst);
-        FIRED[i].store(0, Ordering::SeqCst);
+    let active = Arc::new(Active {
+        plan,
+        seen: Default::default(),
+        fired: Default::default(),
+    });
+    INSTALLED.fetch_add(1, Ordering::SeqCst);
+    FaultGuard {
+        _scope: scope(FaultContext(Some(active))),
     }
-    ENABLED.store(true, Ordering::SeqCst);
-    FaultGuard { _gate: gate }
+}
+
+/// The plan in force on a thread, captured to carry into worker threads
+/// (thread-locals do not cross `thread::scope`): take it with [`current`]
+/// before spawning and install it in each worker with [`scope`], as the
+/// trace id is carried with `trace::current`/`trace::scope_raw`.
+#[derive(Clone, Default)]
+pub struct FaultContext(Option<Arc<Active>>);
+
+/// The plan in force on the calling thread (none, almost always).
+pub fn current() -> FaultContext {
+    if INSTALLED.load(Ordering::Relaxed) == 0 {
+        return FaultContext::default();
+    }
+    FaultContext(CURRENT.with(|c| c.borrow().clone()))
+}
+
+/// Put `context`'s plan in force on the calling thread until the returned
+/// guard drops. Occurrences on every thread sharing one plan count
+/// together, so `Nth(1)` still faults exactly once.
+pub fn scope(context: FaultContext) -> FaultScope {
+    FaultScope {
+        prev: CURRENT.with(|c| c.replace(context.0)),
+        _thread_bound: PhantomData,
+    }
+}
+
+/// RAII guard from [`scope`]; restores the thread's previous plan.
+#[must_use = "a scope carries the plan for the region it is bound to; binding to _ drops it immediately"]
+pub struct FaultScope {
+    prev: Option<Arc<Active>>,
+    _thread_bound: PhantomData<*const ()>,
+}
+
+impl Drop for FaultScope {
+    fn drop(&mut self) {
+        let prev = self.prev.take();
+        CURRENT.with(|c| *c.borrow_mut() = prev);
+    }
 }
 
 /// Ask whether this occurrence of `point` should fault.
 ///
-/// With no plan installed this is a single relaxed atomic load returning
-/// `false` — cheap enough for per-segment hot paths, in the spirit of
-/// [`Recorder::is_enabled`](crate::Recorder::is_enabled).
+/// With no plan installed anywhere this is a single relaxed atomic load
+/// returning `false` — cheap enough for per-segment hot paths, in the
+/// spirit of [`Recorder::is_enabled`](crate::Recorder::is_enabled).
 #[inline]
 pub fn fire(point: FaultPoint) -> bool {
-    if !ENABLED.load(Ordering::Relaxed) {
+    if INSTALLED.load(Ordering::Relaxed) == 0 {
         return false;
     }
     fire_slow(point)
@@ -185,35 +225,49 @@ pub fn fire(point: FaultPoint) -> bool {
 
 #[cold]
 fn fire_slow(point: FaultPoint) -> bool {
-    let i = point.index();
-    let n = SEEN[i].fetch_add(1, Ordering::SeqCst) + 1;
-    let mode = lock_plan().modes[i];
-    let hit = match mode {
-        FaultMode::Never => false,
-        FaultMode::Always => true,
-        FaultMode::Nth(k) => n == k,
-        FaultMode::Seeded {
-            seed,
-            rate_per_1024,
-        } => {
-            splitmix64(seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1)) ^ n) % 1024
-                < u64::from(rate_per_1024)
+    CURRENT.with(|c| {
+        let c = c.borrow();
+        let Some(active) = c.as_ref() else {
+            return false;
+        };
+        let i = point.index();
+        let n = active.seen[i].fetch_add(1, Ordering::SeqCst) + 1;
+        let hit = match active.plan.modes[i] {
+            FaultMode::Never => false,
+            FaultMode::Always => true,
+            FaultMode::Nth(k) => n == k,
+            FaultMode::Seeded {
+                seed,
+                rate_per_1024,
+            } => {
+                splitmix64(seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1)) ^ n) % 1024
+                    < u64::from(rate_per_1024)
+            }
+        };
+        if hit {
+            active.fired[i].fetch_add(1, Ordering::SeqCst);
         }
-    };
-    if hit {
-        FIRED[i].fetch_add(1, Ordering::SeqCst);
-    }
-    hit
+        hit
+    })
 }
 
-/// Occurrences of `point` seen since the current plan was installed.
+/// Occurrences of `point` seen under the calling thread's plan (0 with
+/// none).
 pub fn seen(point: FaultPoint) -> u64 {
-    SEEN[point.index()].load(Ordering::SeqCst)
+    tally(|a| &a.seen[point.index()])
 }
 
-/// Faults fired at `point` since the current plan was installed.
+/// Faults fired at `point` under the calling thread's plan (0 with none).
 pub fn fired(point: FaultPoint) -> u64 {
-    FIRED[point.index()].load(Ordering::SeqCst)
+    tally(|a| &a.fired[point.index()])
+}
+
+fn tally(counter: impl Fn(&Active) -> &AtomicU64) -> u64 {
+    CURRENT.with(|c| {
+        c.borrow()
+            .as_ref()
+            .map_or(0, |a| counter(a).load(Ordering::SeqCst))
+    })
 }
 
 /// The splitmix64 mixer (public-domain constants); a full-avalanche
@@ -263,5 +317,25 @@ mod tests {
         assert_eq!(a, run(7));
         assert_ne!(a, run(8), "different seeds should diverge");
         assert!(a.iter().any(|&b| b) && a.iter().any(|&b| !b));
+    }
+
+    #[test]
+    fn plans_stay_on_their_thread_unless_carried() {
+        let _g = install(FaultPlan::new().with(FaultPoint::CacheLock, FaultMode::Always));
+        std::thread::scope(|s| {
+            // A thread the plan was not carried into sees no plan.
+            let stranger = s.spawn(|| fire(FaultPoint::CacheLock));
+            assert!(!stranger.join().unwrap());
+            // A carried plan fires, and its tallies are shared.
+            let context = current();
+            let worker = s.spawn(move || {
+                let _scope = scope(context);
+                fire(FaultPoint::CacheLock)
+            });
+            assert!(worker.join().unwrap());
+        });
+        assert_eq!(fired(FaultPoint::CacheLock), 1);
+        assert!(fire(FaultPoint::CacheLock));
+        assert_eq!(seen(FaultPoint::CacheLock), 2);
     }
 }

@@ -9,7 +9,7 @@
 //! The paper's claims are quantitative — grammar size vs. corpus size
 //! (§4), shortest-derivation cost under the ambiguous expanded grammar
 //! (§5), interpreter overhead (§6) — so every hot layer of the pipeline
-//! (trainer, Earley compressor, bytecode passes, both interpreters)
+//! (trainer, compressor, bytecode passes, both interpreters)
 //! reports through this crate. The design constraints, in order:
 //!
 //! 1. **Zero overhead when disabled.** Everything defaults off.

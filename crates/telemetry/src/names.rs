@@ -30,37 +30,50 @@ pub const TRAIN_SATURATED_SKIPS: &str = "train.saturated_skips";
 /// Expander gauge: largest rules-per-non-terminal after expansion.
 pub const TRAIN_RULES_PER_NT_PEAK: &str = "train.rules_per_nt_peak";
 
-/// Earley: segments parsed (one per `parse` call).
+/// Encoder: segments handed to the shortest-derivation encoder (one per
+/// tiling, or per `parse` call of the reference Earley parser).
 pub const EARLEY_SEGMENTS_PARSED: &str = "earley.segments_parsed";
-/// Earley: input tokens across all parses.
+/// Encoder: input tokens across all encoded segments.
 pub const EARLEY_TOKENS: &str = "earley.tokens";
-/// Earley: items added by prediction.
+/// Earley (reference parser only): items added by prediction.
 pub const EARLEY_ITEMS_PREDICTED: &str = "earley.items_predicted";
-/// Earley: items advanced over a terminal.
+/// Earley (reference parser only): items advanced over a terminal.
 pub const EARLEY_ITEMS_SCANNED: &str = "earley.items_scanned";
-/// Earley: completion events processed (including cost improvements).
+/// Earley (reference parser only): completion events processed
+/// (including cost improvements).
 pub const EARLEY_ITEMS_COMPLETED: &str = "earley.items_completed";
-/// Earley: parses that failed with `NoParse`.
+/// Encoder: segments that failed with `NoParse`.
 pub const EARLEY_NO_PARSE: &str = "earley.no_parse";
-/// Earley: parses abandoned because they hit the configured work budget
-/// (`EarleyBudget`); a normal degraded outcome, not an input error.
+/// Encoder: segments abandoned because they hit the configured work
+/// budget (`EarleyBudget`); a normal degraded outcome, not an input
+/// error.
 pub const EARLEY_BUDGET_EXCEEDED: &str = "earley.budget.exceeded";
-/// Earley: parses abandoned because the request's `CancelToken` fired
+/// Encoder: segments abandoned because the request's `CancelToken` fired
 /// (deadline passed or the owner cancelled); a degraded outcome like a
 /// budget trip, not an input error.
 pub const EARLEY_CANCELLED: &str = "earley.cancelled";
-/// Earley gauge: chart size high-water mark (states in the fullest
-/// column of any parse).
+/// Earley gauge (reference parser only): chart size high-water mark
+/// (states in the fullest column of any parse).
 pub const EARLEY_CHART_STATES_PEAK: &str = "earley.chart_states_peak";
-/// Earley: parses served by an already-warm [`ChartArena`] (scratch
-/// reused instead of allocated).
+/// Earley (reference parser only): parses served by an already-warm
+/// `ChartArena` (scratch reused instead of allocated).
 pub const EARLEY_ARENA_REUSE: &str = "earley.arena.reuse";
-/// Earley gauge: resident bytes of the precomputed flattened tables
-/// (dense rules + prediction index), per parser.
+/// Earley gauge (reference parser only): resident bytes of the
+/// precomputed flattened tables (dense rules + prediction index), per
+/// parser.
 pub const EARLEY_TABLE_BYTES: &str = "earley.table.bytes";
-/// Earley gauge: chart-column high-water mark (longest segment + 1
-/// across arena lifetimes).
+/// Earley gauge (reference parser only): chart-column high-water mark
+/// (longest segment + 1 across arena lifetimes).
 pub const EARLEY_CHART_COLUMNS_PEAK: &str = "earley.chart.columns_peak";
+
+/// Tiler: Appendix 2 tree nodes tiled, one dynamic-programming step
+/// each.
+pub const TILER_NODES: &str = "tiler.nodes";
+/// Tiler: candidate patterns examined (the patterns indexed under each
+/// node's rule and operator), the unit `EarleyBudget::max_items` caps.
+pub const TILER_CANDIDATES: &str = "tiler.candidates";
+/// Tiler gauge: resident bytes of the pattern table and its index.
+pub const TILER_TABLE_BYTES: &str = "tiler.table.bytes";
 
 /// Engine: `Compressor::compress` calls.
 pub const COMPRESS_CALLS: &str = "compress.calls";

@@ -21,7 +21,7 @@ use crate::value::Slot;
 use pgr_bytecode::{escape, GlobalEntry, Opcode, Procedure, Program};
 use pgr_grammar::{Grammar, Nt, Symbol, Terminal};
 use pgr_native::fuse::Fused;
-use pgr_telemetry::{names, trace, CancelToken, Metrics, Recorder};
+use pgr_telemetry::{faults, names, trace, CancelToken, Metrics, Recorder};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -383,16 +383,18 @@ impl<'p> Vm<'p> {
         // Run on a dedicated thread with a generous stack: VM calls
         // recurse on the host stack, and debug-build frames are large.
         // The interpreter thread gets its own trace lane; the caller's
-        // trace attribution is carried across explicitly (thread-locals
-        // don't cross `thread::scope`).
+        // trace attribution and fault plan are carried across explicitly
+        // (thread-locals don't cross `thread::scope`).
         let stack = self.host_stack_bytes;
         let trace_ctx = trace::current();
+        let fault_ctx = faults::current();
         std::thread::scope(|scope| {
             std::thread::Builder::new()
                 .name("pgr-vm".into())
                 .stack_size(stack)
                 .spawn_scoped(scope, || {
                     let _trace = trace::scope_raw(trace_ctx);
+                    let _faults = faults::scope(fault_ctx);
                     self.run_on_this_thread()
                 })
                 .expect("spawn interpreter thread")

@@ -23,7 +23,7 @@
 //! them, so the walk loop in `machine.rs` touches two `u32` bounds
 //! arrays and one `u64` array instead of pattern-matching symbol enums.
 //! The snapshot is built from the same [`RuleTable`] packed-symbol
-//! tables the Earley parser uses.
+//! tables the reference Earley parser uses.
 //!
 //! This module also defines the decoded-**segment-cache** entry types
 //! ([`SegTrace`]/[`SegStep`]): the first walk of a label-delimited
