@@ -178,37 +178,56 @@ pub fn validate_procedure(proc: &Procedure, program: &Program) -> Result<(), Val
 /// stack-discipline scan visited (pass 2 stops at the first problem, so
 /// the count under-reports on the error path by design).
 fn check_procedure(proc: &Procedure, program: &Program) -> Result<u64, ValidateError> {
-    let name = || proc.name.clone();
+    check_label_targets(proc)?;
+    check_stack_and_tables(proc, program)
+}
 
-    // Pass 1 — label-target scan: every label-table entry must point at a
-    // LABELV marker. `for_each_instr` decodes zero-copy views, so this
-    // pass allocates nothing beyond the error path.
-    for (i, &target) in proc.labels.iter().enumerate() {
-        let ok = for_each_instr(&proc.code, |insn| {
-            if insn.offset >= target as usize {
-                // Reached (or walked past) the target: it is valid only
-                // if an instruction starts exactly there and is a marker.
-                ControlFlow::Break(insn.offset == target as usize && insn.opcode == Opcode::LABELV)
-            } else {
-                ControlFlow::Continue(())
-            }
-        })
-        .map_err(|error| ValidateError::Decode {
-            proc: name(),
-            error,
-        })?
-        .unwrap_or(false);
-        if !ok {
-            return Err(ValidateError::BadLabelTarget {
-                proc: name(),
-                label: i,
-                target,
-            });
-        }
+/// Pass 1 — label-target scan: every label-table entry must point at a
+/// `LABELV` marker. One walk records where each marker starts and how
+/// far decoding got; the entries are then checked in table order. An
+/// entry past the last decoded instruction reports the decode error that
+/// stopped the walk, if there was one.
+fn check_label_targets(proc: &Procedure) -> Result<(), ValidateError> {
+    if proc.labels.is_empty() {
+        return Ok(());
     }
+    let mut markers = Vec::new();
+    let mut last = None;
+    let stopped = for_each_instr(&proc.code, |insn| {
+        if insn.opcode == Opcode::LABELV {
+            markers.push(insn.offset);
+        }
+        last = Some(insn.offset);
+        ControlFlow::<()>::Continue(())
+    })
+    .err();
+    for (i, &target) in proc.labels.iter().enumerate() {
+        let at = target as usize;
+        if markers.binary_search(&at).is_ok() {
+            continue;
+        }
+        if let Some(error) = stopped {
+            if last.is_none_or(|last| at > last) {
+                return Err(ValidateError::Decode {
+                    proc: proc.name.clone(),
+                    error,
+                });
+            }
+        }
+        return Err(ValidateError::BadLabelTarget {
+            proc: proc.name.clone(),
+            label: i,
+            target,
+        });
+    }
+    Ok(())
+}
 
-    // Pass 2 — stack-effect and table-reference scan, streaming over
-    // borrowed views with an early exit on the first problem.
+/// Pass 2 — stack-effect and table-reference scan, streaming over
+/// borrowed views with an early exit on the first problem. Returns the
+/// number of instructions visited.
+fn check_stack_and_tables(proc: &Procedure, program: &Program) -> Result<u64, ValidateError> {
+    let name = || proc.name.clone();
     let mut depth = 0usize;
     let mut last_opcode: Option<Opcode> = None;
     let mut insns = 0u64;
@@ -342,6 +361,8 @@ pub fn validate_program_with(program: &Program, recorder: &Recorder) -> Result<(
 mod tests {
     use super::*;
     use crate::asm::assemble;
+    use crate::insn::Instruction;
+    use proptest::prelude::*;
 
     fn check(src: &str) -> Result<(), ValidateError> {
         let prog = assemble(src).unwrap();
@@ -440,5 +461,130 @@ mod tests {
             validate_program(&prog),
             Err(ValidateError::BadLabelTarget { label: 0, .. })
         ));
+    }
+
+    /// The label scan the single walk replaced, kept as its spec: each
+    /// table entry re-decodes the procedure from offset 0 until it reaches
+    /// or passes the target.
+    fn per_label_walk(proc: &Procedure) -> Result<(), ValidateError> {
+        for (i, &target) in proc.labels.iter().enumerate() {
+            let ok = for_each_instr(&proc.code, |insn| {
+                if insn.offset >= target as usize {
+                    ControlFlow::Break(
+                        insn.offset == target as usize && insn.opcode == Opcode::LABELV,
+                    )
+                } else {
+                    ControlFlow::Continue(())
+                }
+            })
+            .map_err(|error| ValidateError::Decode {
+                proc: proc.name.clone(),
+                error,
+            })?
+            .unwrap_or(false);
+            if !ok {
+                return Err(ValidateError::BadLabelTarget {
+                    proc: proc.name.clone(),
+                    label: i,
+                    target,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// An instruction with raw operand bytes; one in four is a `LABELV`.
+    fn instruction() -> impl Strategy<Value = Instruction> {
+        let opcode = prop_oneof![
+            1 => Just(Opcode::LABELV),
+            3 => (0..Opcode::ALL.len()).prop_map(|i| Opcode::ALL[i]),
+        ];
+        (opcode, any::<u32>())
+            .prop_map(|(op, raw)| Instruction::new(op, &raw.to_le_bytes()[..op.operand_bytes()]))
+    }
+
+    /// Where a label-table entry points, relative to the generated code.
+    fn target(
+        kind: u8,
+        at: prop::sample::Index,
+        spans: &[(usize, usize, bool)],
+        len: usize,
+    ) -> u32 {
+        let candidates: Vec<usize> = match kind {
+            // A marker, or the start of another instruction.
+            0 | 1 => spans
+                .iter()
+                .filter(|&&(_, _, marker)| marker == (kind == 0))
+                .map(|&(start, _, _)| start)
+                .collect(),
+            // Inside a multi-byte instruction.
+            2 => spans
+                .iter()
+                .flat_map(|&(start, size, _)| start + 1..start + size)
+                .collect(),
+            // At or past the end.
+            _ => (len..len + 3).collect(),
+        };
+        let pick = if candidates.is_empty() {
+            len
+        } else {
+            candidates[at.index(candidates.len())]
+        };
+        pick as u32
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The single-walk label scan reports exactly what the per-label
+        /// walk did, ahead of every pass-2 error, on label tables that
+        /// point at markers, other instructions, operand bytes and past
+        /// the end, over code that may be cut short inside an
+        /// instruction or carry a byte that is no opcode.
+        #[test]
+        fn single_walk_label_scan_matches_the_per_label_walk(
+            insns in prop::collection::vec(instruction(), 0..24),
+            targets in prop::collection::vec((0u8..4, any::<prop::sample::Index>()), 0..6),
+            mutation in (0u8..3, any::<prop::sample::Index>()),
+        ) {
+            let mut code = Vec::new();
+            let mut spans = Vec::new();
+            for insn in &insns {
+                let start = code.len();
+                insn.encode_into(&mut code);
+                spans.push((start, code.len() - start, insn.opcode == Opcode::LABELV));
+            }
+            let labels = targets
+                .iter()
+                .map(|&(kind, at)| target(kind, at, &spans, code.len()))
+                .collect();
+            match mutation {
+                // Truncate inside an instruction's operands.
+                (1, at) => {
+                    let cuts: Vec<usize> = spans
+                        .iter()
+                        .flat_map(|&(start, size, _)| start + 1..start + size)
+                        .collect();
+                    if !cuts.is_empty() {
+                        code.truncate(cuts[at.index(cuts.len())]);
+                    }
+                }
+                // Replace an opcode byte with one that is no opcode.
+                (2, at) if !spans.is_empty() => {
+                    let bad = (0..=u8::MAX).rev().find(|&b| Opcode::from_u8(b).is_none());
+                    code[spans[at.index(spans.len())].0] = bad.expect("a byte that is no opcode");
+                }
+                _ => {}
+            }
+            let proc = Procedure {
+                code,
+                labels,
+                ..Procedure::new("p")
+            };
+            let program = Program::new();
+            let want = per_label_walk(&proc)
+                .and_then(|()| check_stack_and_tables(&proc, &program).map(|_| ()));
+            prop_assert_eq!(validate_procedure(&proc, &program), want);
+        }
     }
 }

@@ -15,9 +15,9 @@
 //! maintained incrementally (Re-Pair style), because every contraction
 //! relabels the parent and therefore changes the keys of all edges
 //! incident to it. Every child node realizes exactly one edge, its
-//! incoming one, so occurrences are per-node links in flat arrays, and
-//! the max-heap holds one entry per edge (see [`expand`] for why that
-//! suffices).
+//! incoming one, so occurrences are per-node links packed in one flat
+//! array, and the max-heap holds one entry per edge (see [`expand`] for
+//! why that suffices).
 
 use pgr_grammar::grammar::MAX_RHS_LEN;
 use pgr_grammar::{Forest, Grammar, NodeId, Nt, RuleId, RuleOrigin};
@@ -144,6 +144,24 @@ impl Hasher for EdgeKeyHasher {
 /// `NodeId` / edge-id sentinel in the flat arrays.
 const NONE: u32 = u32::MAX;
 
+/// A node's place in the occurrence list of the edge it realizes.
+#[derive(Debug, Clone, Copy)]
+struct Occurrence {
+    /// The edge (`NONE` for roots and contracted nodes).
+    edge: u32,
+    /// Neighbouring occurrences of that edge.
+    next: u32,
+    prev: u32,
+}
+
+impl Occurrence {
+    const UNLINKED: Occurrence = Occurrence {
+        edge: NONE,
+        next: NONE,
+        prev: NONE,
+    };
+}
+
 /// Incremental edge bookkeeping in flat arrays. Edges get dense ids in
 /// creation order and are never forgotten, so the edges one contraction
 /// loop creates are exactly the ids it appends. A node's occurrence
@@ -156,11 +174,8 @@ struct EdgeIndex {
     key: Vec<EdgeKey>,
     count: Vec<u32>,
     head: Vec<u32>,
-    /// Per node: the edge it realizes (`NONE` for roots and contracted
-    /// nodes) and its neighbours in that edge's occurrence list.
-    edge_of: Vec<u32>,
-    next: Vec<u32>,
-    prev: Vec<u32>,
+    /// Per node, indexed by `NodeId`.
+    occ: Vec<Occurrence>,
 }
 
 impl EdgeIndex {
@@ -170,15 +185,18 @@ impl EdgeIndex {
             key: Vec::new(),
             count: Vec::new(),
             head: Vec::new(),
-            edge_of: vec![NONE; nodes],
-            next: vec![NONE; nodes],
-            prev: vec![NONE; nodes],
+            occ: vec![Occurrence::UNLINKED; nodes],
         }
     }
 
     /// Number of edges ever created.
     fn len(&self) -> usize {
         self.key.len()
+    }
+
+    /// The edge `node` realizes, `NONE` if none.
+    fn edge_of(&self, node: NodeId) -> u32 {
+        self.occ[node.index()].edge
     }
 
     /// Record `node` as an occurrence of the edge `key`.
@@ -190,34 +208,34 @@ impl EdgeIndex {
             self.count.push(0);
             self.head.push(NONE);
         }
-        let (n, e) = (node.index(), e as usize);
-        debug_assert_eq!(self.edge_of[n], NONE, "node already realizes an edge");
-        self.count[e] += 1;
-        let first = self.head[e];
+        debug_assert_eq!(self.edge_of(node), NONE, "node already realizes an edge");
+        self.count[e as usize] += 1;
+        let first = self.head[e as usize];
         if first != NONE {
-            self.prev[first as usize] = node.0;
+            self.occ[first as usize].prev = node.0;
         }
-        self.next[n] = first;
-        self.prev[n] = NONE;
-        self.head[e] = node.0;
-        self.edge_of[n] = e as u32;
+        self.occ[node.index()] = Occurrence {
+            edge: e,
+            next: first,
+            prev: NONE,
+        };
+        self.head[e as usize] = node.0;
     }
 
     /// Remove `node` from the occurrences of the edge it realizes.
     fn dec(&mut self, node: NodeId) {
-        let n = node.index();
-        let e = self.edge_of[n] as usize;
+        let Occurrence { edge, next, prev } = self.occ[node.index()];
+        let e = edge as usize;
         self.count[e] -= 1;
-        let (prev, next) = (self.prev[n], self.next[n]);
         if prev == NONE {
             self.head[e] = next;
         } else {
-            self.next[prev as usize] = next;
+            self.occ[prev as usize].next = next;
         }
         if next != NONE {
-            self.prev[next as usize] = prev;
+            self.occ[next as usize].prev = prev;
         }
-        self.edge_of[n] = NONE;
+        self.occ[node.index()] = Occurrence::UNLINKED;
     }
 
     /// The live occurrences of edge `e`, ascending by node id, into `out`.
@@ -226,7 +244,7 @@ impl EdgeIndex {
         let mut n = self.head[e as usize];
         while n != NONE {
             out.push(NodeId(n));
-            n = self.next[n as usize];
+            n = self.occ[n as usize].next;
         }
         out.sort_unstable();
     }
@@ -291,17 +309,15 @@ pub fn expand(
     assert!(grammar.rule_slots() <= 1 << RULE_BITS, "too many rules");
     let mut edges = EdgeIndex::new(forest.node_slots());
     let mut rule_use: Vec<u64> = vec![0; grammar.rule_slots()];
+    let mut stack = Vec::new();
     for &root in forest.roots() {
         // Iterative preorder walk.
-        let mut stack = vec![root];
+        stack.push(root);
         while let Some(id) = stack.pop() {
-            let node = forest.node(id);
-            rule_use[node.rule.index()] += 1;
-            for (slot, &child) in node.children.iter().enumerate() {
-                edges.inc(
-                    child,
-                    EdgeKey::new(node.rule, slot, forest.node(child).rule),
-                );
+            let rule = forest.node(id).rule;
+            rule_use[rule.index()] += 1;
+            for (slot, child) in forest.children(id).enumerate() {
+                edges.inc(child, EdgeKey::new(rule, slot, forest.node(child).rule));
                 stack.push(child);
             }
         }
@@ -357,7 +373,7 @@ pub fn expand(
         let first_new_edge = edges.len();
         edges.occurrences(e, &mut occurrences);
         for &child_node in &occurrences {
-            if edges.edge_of[child_node.index()] == e {
+            if edges.edge_of(child_node) == e {
                 contract_one(forest, &mut edges, &mut rule_use, child_node, new_rule);
                 stats.contractions += 1;
             }
@@ -429,14 +445,14 @@ fn contract_one(
     // Retire the edges incident to the parent (its label is about to
     // change): to its children, `child_node` included, and from the
     // grandparent; and the edges from `child_node` to its children.
-    for &ch in &forest.node(parent).children {
+    for ch in forest.children(parent) {
         edges.dec(ch);
     }
     let gp = forest.node(parent).parent();
     if gp.is_some() {
         edges.dec(parent);
     }
-    for &gc in &forest.node(child_node).children {
+    for gc in forest.children(child_node) {
         edges.dec(gc);
     }
 
@@ -447,7 +463,7 @@ fn contract_one(
     rule_use[new_rule.index()] += 1;
 
     // Re-add edges with the parent's new label.
-    for (slot, &ch) in forest.node(parent).children.iter().enumerate() {
+    for (slot, ch) in forest.children(parent).enumerate() {
         edges.inc(ch, EdgeKey::new(new_rule, slot, forest.node(ch).rule));
     }
     if let Some(gp) = gp {

@@ -97,9 +97,10 @@ impl Derivation {
         let mut rules = Vec::new();
         let mut stack = vec![root];
         while let Some(id) = stack.pop() {
-            let node = forest.node(id);
-            rules.push(node.rule);
-            stack.extend(node.children.iter().rev());
+            rules.push(forest.node(id).rule);
+            let first = stack.len();
+            stack.extend(forest.children(id));
+            stack[first..].reverse();
         }
         Derivation(rules)
     }

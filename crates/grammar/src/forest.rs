@@ -13,6 +13,11 @@
 //! The expander contracts edges of this forest (Fig. 2); the
 //! [`Forest::contract`] and [`Forest::relabel`] mutators support exactly
 //! that operation.
+//!
+//! The forest is one flat array of fixed-size nodes. A node's children
+//! form a singly linked list threaded through the nodes themselves (first
+//! child, next sibling), so building a node allocates nothing and a
+//! contraction relinks the contracted node's children into its place.
 
 use crate::grammar::RuleId;
 use crate::initial::InitialGrammar;
@@ -25,7 +30,10 @@ use std::fmt;
 pub struct NodeId(pub u32);
 
 impl NodeId {
+    /// The end of a link chain: no parent, no child, no next sibling.
     const NONE: NodeId = NodeId(u32::MAX);
+    /// The parent link of a contracted (tombstoned) node.
+    const DEAD: NodeId = NodeId(u32::MAX - 1);
 
     /// Dense index.
     pub fn index(self) -> usize {
@@ -33,28 +41,28 @@ impl NodeId {
     }
 }
 
-/// A parse-tree node.
-#[derive(Debug, Clone)]
+/// A parse-tree node. Its children are read through
+/// [`Forest::children`].
+#[derive(Debug, Clone, Copy)]
 pub struct Node {
     /// The rule labeling this node.
     pub rule: RuleId,
-    /// One child per non-terminal occurrence of the rule's right-hand
-    /// side, in left-to-right order.
-    pub children: Vec<NodeId>,
+    /// The parent; `NONE` for a root, `DEAD` once contracted.
     parent: NodeId,
-    alive: bool,
+    first_child: NodeId,
+    next_sibling: NodeId,
 }
 
 impl Node {
     /// The parent node, if any.
     pub fn parent(&self) -> Option<NodeId> {
-        (self.parent != NodeId::NONE).then_some(self.parent)
+        (self.parent.0 < NodeId::DEAD.0).then_some(self.parent)
     }
 
     /// Whether the node is still part of the forest (contracted nodes are
     /// tombstoned).
     pub fn alive(&self) -> bool {
-        self.alive
+        self.parent != NodeId::DEAD
     }
 }
 
@@ -144,13 +152,31 @@ impl Forest {
     /// Add a childless node (a leaf rule application). Building blocks
     /// for alternative deterministic parsers (e.g. the typed grammar's).
     pub fn add_leafless(&mut self, rule: RuleId) -> NodeId {
-        self.add_node(rule, Vec::new())
+        self.add_with_children(rule, &[])
     }
 
     /// Add a node whose children (one per non-terminal occurrence of the
-    /// rule's right-hand side, in order) already exist.
-    pub fn add_with_children(&mut self, rule: RuleId, children: Vec<NodeId>) -> NodeId {
-        self.add_node(rule, children)
+    /// rule's right-hand side, in order) already exist and have no parent
+    /// yet.
+    pub fn add_with_children(&mut self, rule: RuleId, children: &[NodeId]) -> NodeId {
+        let id = NodeId(self.nodes.len() as u32);
+        assert!(id.0 < NodeId::DEAD.0, "forest node ids exhausted");
+        let mut next_sibling = NodeId::NONE;
+        for &c in children.iter().rev() {
+            let child = &mut self.nodes[c.index()];
+            debug_assert_eq!(child.parent, NodeId::NONE, "child already placed");
+            child.parent = id;
+            child.next_sibling = next_sibling;
+            next_sibling = c;
+        }
+        self.nodes.push(Node {
+            rule,
+            parent: NodeId::NONE,
+            first_child: next_sibling,
+            next_sibling: NodeId::NONE,
+        });
+        self.live += 1;
+        id
     }
 
     /// Register a fully built tree as a segment root.
@@ -158,24 +184,18 @@ impl Forest {
         self.roots.push(root);
     }
 
-    fn add_node(&mut self, rule: RuleId, children: Vec<NodeId>) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        for &c in &children {
-            self.nodes[c.index()].parent = id;
-        }
-        self.nodes.push(Node {
-            rule,
-            children,
-            parent: NodeId::NONE,
-            alive: true,
-        });
-        self.live += 1;
-        id
-    }
-
     /// Access a node.
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.index()]
+    }
+
+    /// The children of `id`, in order (one per non-terminal occurrence of
+    /// its rule's right-hand side). A contracted node has none.
+    pub fn children(&self, id: NodeId) -> Children<'_> {
+        Children {
+            nodes: &self.nodes,
+            next: self.nodes[id.index()].first_child,
+        }
     }
 
     /// Segment roots, in input order.
@@ -198,7 +218,7 @@ impl Forest {
     /// Relabel a node with a new rule (used together with
     /// [`Forest::contract`] during edge contraction).
     pub fn relabel(&mut self, id: NodeId, rule: RuleId) {
-        debug_assert!(self.nodes[id.index()].alive);
+        debug_assert!(self.nodes[id.index()].alive());
         self.nodes[id.index()].rule = rule;
     }
 
@@ -213,25 +233,51 @@ impl Forest {
     ///
     /// Panics if `child` has no parent or is already dead.
     pub fn contract(&mut self, child: NodeId) -> NodeId {
-        let c = &self.nodes[child.index()];
-        assert!(c.alive, "contracting a dead node");
-        let parent = c.parent;
-        assert!(parent != NodeId::NONE, "contracting a root");
-        let grandchildren = std::mem::take(&mut self.nodes[child.index()].children);
-        self.nodes[child.index()].alive = false;
-        self.live -= 1;
-        for &gc in &grandchildren {
-            self.nodes[gc.index()].parent = parent;
+        let c = self.nodes[child.index()];
+        assert!(c.alive(), "contracting a dead node");
+        let parent = c.parent().expect("contracting a root");
+        // Hand the grandchildren to the parent and link the last one on to
+        // what followed `child`: they take its place in the list, or, if
+        // there are none, its next sibling does.
+        let mut replacement = c.next_sibling;
+        let mut gc = c.first_child;
+        while gc != NodeId::NONE {
+            let node = &mut self.nodes[gc.index()];
+            node.parent = parent;
+            if node.next_sibling == NodeId::NONE {
+                node.next_sibling = c.next_sibling;
+                replacement = c.first_child;
+                break;
+            }
+            gc = node.next_sibling;
         }
-        let p = &mut self.nodes[parent.index()];
-        let pos = p
-            .children
-            .iter()
-            .position(|&k| k == child)
-            .expect("child is listed under its parent");
-        p.children.splice(pos..=pos, grandchildren);
-        self.nodes[child.index()].parent = NodeId::NONE;
+        // Point the link that led to `child` at its replacement.
+        match self.previous_sibling(child) {
+            None => self.nodes[parent.index()].first_child = replacement,
+            Some(prev) => self.nodes[prev.index()].next_sibling = replacement,
+        }
+        self.nodes[child.index()] = Node {
+            parent: NodeId::DEAD,
+            first_child: NodeId::NONE,
+            next_sibling: NodeId::NONE,
+            ..c
+        };
+        self.live -= 1;
         parent
+    }
+
+    /// The sibling just before `child` under its parent (`None` if it is
+    /// the first child).
+    fn previous_sibling(&self, child: NodeId) -> Option<NodeId> {
+        let parent = self.nodes[child.index()].parent;
+        let mut prev = None;
+        for k in self.children(parent) {
+            if k == child {
+                return prev;
+            }
+            prev = Some(k);
+        }
+        unreachable!("child is listed under its parent")
     }
 
     /// Position of `child` among its parent's children (its non-terminal
@@ -241,12 +287,11 @@ impl Forest {
     ///
     /// Panics if `child` has no parent.
     pub fn slot_of(&self, child: NodeId) -> usize {
-        let parent = self.nodes[child.index()].parent;
-        assert!(parent != NodeId::NONE);
-        self.nodes[parent.index()]
-            .children
-            .iter()
-            .position(|&k| k == child)
+        let parent = self.nodes[child.index()]
+            .parent()
+            .expect("child has a parent");
+        self.children(parent)
+            .position(|k| k == child)
             .expect("child is listed under its parent")
     }
 
@@ -254,27 +299,46 @@ impl Forest {
     /// the grammar the forest's rules live in.
     pub fn yield_string(&self, grammar: &crate::grammar::Grammar, id: NodeId) -> Vec<Terminal> {
         let mut out = Vec::new();
-        // Explicit stack of (node, next RHS position, next child slot).
-        let mut stack = vec![(id, 0usize, 0usize)];
-        while let Some((node_id, mut pos, slot)) = stack.pop() {
-            let node = self.node(node_id);
-            let rule = grammar.rule(node.rule);
-            while pos < rule.rhs.len() {
-                match rule.rhs[pos] {
+        // Explicit stack of (node, next RHS position, remaining children).
+        let mut stack = vec![(id, 0usize, self.children(id))];
+        while let Some((node_id, mut pos, mut kids)) = stack.pop() {
+            let rhs = &grammar.rule(self.node(node_id).rule).rhs;
+            while pos < rhs.len() {
+                match rhs[pos] {
                     Symbol::T(t) => {
                         out.push(t);
                         pos += 1;
                     }
                     Symbol::N(_) => {
-                        let child = node.children[slot];
-                        stack.push((node_id, pos + 1, slot + 1));
-                        stack.push((child, 0, 0));
+                        let child = kids.next().expect("one child per non-terminal");
+                        stack.push((node_id, pos + 1, kids));
+                        stack.push((child, 0, self.children(child)));
                         break;
                     }
                 }
             }
         }
         out
+    }
+}
+
+/// The children of one node, in order: see [`Forest::children`].
+#[derive(Debug, Clone)]
+pub struct Children<'f> {
+    nodes: &'f [Node],
+    next: NodeId,
+}
+
+impl Iterator for Children<'_> {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        let id = self.next;
+        if id == NodeId::NONE {
+            return None;
+        }
+        self.next = self.nodes[id.index()].next_sibling;
+        Some(id)
     }
 }
 
@@ -290,13 +354,14 @@ impl TreeBuilder for Segment<'_> {
     }
 
     fn node(&mut self, rule: RuleId, children: &[NodeId]) -> NodeId {
-        self.0.add_node(rule, children.to_vec())
+        self.0.add_with_children(rule, children)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grammar::{Grammar, RuleOrigin};
     use crate::initial::tokenize_segment;
     use pgr_bytecode::{encode, Instruction, Opcode};
 
@@ -337,7 +402,7 @@ mod tests {
             }
             assert_eq!(node.rule, ig.start_rec);
             spine += 1;
-            n = node.children[0];
+            n = forest.children(n).next().unwrap();
         }
         assert_eq!(spine, 3);
     }
@@ -387,7 +452,7 @@ mod tests {
         // Contract the edge from the root (start_rec) to its <x> child,
         // mimicking one inline step. We relabel with an actual inlined
         // rule so the yield stays well-defined.
-        let x_child = forest.node(root).children[1];
+        let x_child = forest.children(root).nth(1).unwrap();
         let x_rule = forest.node(x_child).rule;
         let mut g2 = ig.grammar.clone();
         let new_rhs = g2.inlined_rhs(ig.start_rec, 1, x_rule);
@@ -415,10 +480,119 @@ mod tests {
         let mut forest = Forest::new();
         let tokens = paper_example_tokens();
         let root = forest.add_segment(&ig, &tokens).unwrap();
-        let kids = forest.node(root).children.clone();
+        let kids: Vec<NodeId> = forest.children(root).collect();
         assert_eq!(forest.slot_of(kids[0]), 0);
         assert_eq!(forest.slot_of(kids[1]), 1);
         assert_eq!(forest.node(kids[1]).parent(), Some(root));
         assert_eq!(forest.node(root).parent(), None);
+    }
+
+    /// Contract the child in `slot` of `parent` and relabel `parent` with
+    /// the inlined rule, as the expander does, then check the splice: the
+    /// parent's children are the old ones with the child replaced by its
+    /// own, each knows its parent and slot, one node fewer is live, the
+    /// child is a tombstone, and the tree rooted at `root` still yields
+    /// `tokens`.
+    fn inline_checked(
+        forest: &mut Forest,
+        g: &mut Grammar,
+        (root, tokens): (NodeId, &[Terminal]),
+        parent: NodeId,
+        slot: usize,
+    ) {
+        let child = nth_child(forest, parent, slot);
+        assert_eq!(forest.slot_of(child), slot);
+        let (parent_rule, child_rule) = (forest.node(parent).rule, forest.node(child).rule);
+        let mut want: Vec<NodeId> = forest.children(parent).collect();
+        want.splice(slot..=slot, forest.children(child));
+        let live = forest.live_count();
+
+        let rhs = g.inlined_rhs(parent_rule, slot, child_rule);
+        let origin = RuleOrigin::Inlined {
+            parent: parent_rule,
+            slot: slot as u32,
+            child: child_rule,
+        };
+        let rule = g.add_rule(g.rule(parent_rule).lhs, rhs, origin);
+        assert_eq!(forest.contract(child), parent);
+        forest.relabel(parent, rule);
+
+        let got: Vec<NodeId> = forest.children(parent).collect();
+        assert_eq!(got, want);
+        for (i, &k) in got.iter().enumerate() {
+            assert_eq!(forest.node(k).parent(), Some(parent));
+            assert_eq!(forest.slot_of(k), i);
+        }
+        assert_eq!(forest.live_count(), live - 1);
+        assert!(!forest.node(child).alive());
+        assert_eq!(forest.node(child).parent(), None);
+        assert_eq!(forest.children(child).count(), 0);
+        assert_eq!(forest.yield_string(g, root), tokens);
+    }
+
+    fn nth_child(forest: &Forest, id: NodeId, n: usize) -> NodeId {
+        forest.children(id).nth(n).unwrap()
+    }
+
+    #[test]
+    fn contraction_splices_at_every_position() {
+        // LIT4 1 2 3 4  LIT1 5  ADDU  POPU:
+        // start_rec[start_empty, x_unary[v_binary[v, v, <v2>], <x1>]].
+        let ig = InitialGrammar::build();
+        let mut g = ig.grammar.clone();
+        let tokens = tokenize_segment(&encode(&[
+            Instruction::new(Opcode::LIT4, &[1, 2, 3, 4]),
+            Instruction::new(Opcode::LIT1, &[5]),
+            Instruction::op(Opcode::ADDU),
+            Instruction::op(Opcode::POPU),
+        ]))
+        .unwrap();
+        let mut forest = Forest::new();
+        let root = forest.add_segment(&ig, &tokens).unwrap();
+        let seg = (root, tokens.as_slice());
+        let sum = nth_child(&forest, nth_child(&forest, root, 1), 0);
+        assert_eq!(forest.node(sum).rule, ig.v_binary);
+
+        // The last child, which has children of its own.
+        inline_checked(&mut forest, &mut g, seg, root, 1);
+        // The first child, which has none.
+        inline_checked(&mut forest, &mut g, seg, root, 0);
+        // Middle, last (childless) and first child of one parent in turn.
+        inline_checked(&mut forest, &mut g, seg, sum, 1);
+        inline_checked(&mut forest, &mut g, seg, sum, 2);
+        inline_checked(&mut forest, &mut g, seg, sum, 0);
+        // The LIT4 leaf and its four operand bytes.
+        assert_eq!(forest.children(nth_child(&forest, sum, 0)).count(), 4);
+        inline_checked(&mut forest, &mut g, seg, sum, 0);
+        assert_eq!(forest.children(sum).count(), 5);
+        assert_eq!(forest.children(root).count(), 2);
+    }
+
+    #[test]
+    fn contraction_splices_a_self_recursive_chain() {
+        // ADDRLP 0 0  INDIRU ×3  POPU: a chain of <v> ::= <v> <v1>.
+        let ig = InitialGrammar::build();
+        let mut g = ig.grammar.clone();
+        let tokens = tokenize_segment(&encode(&[
+            Instruction::with_u16(Opcode::ADDRLP, 0),
+            Instruction::op(Opcode::INDIRU),
+            Instruction::op(Opcode::INDIRU),
+            Instruction::op(Opcode::INDIRU),
+            Instruction::op(Opcode::POPU),
+        ]))
+        .unwrap();
+        let mut forest = Forest::new();
+        let root = forest.add_segment(&ig, &tokens).unwrap();
+        let seg = (root, tokens.as_slice());
+        let top = nth_child(&forest, nth_child(&forest, root, 1), 0);
+        for _ in 0..2 {
+            assert_eq!(forest.node(nth_child(&forest, top, 0)).rule, ig.v_unary);
+            inline_checked(&mut forest, &mut g, seg, top, 0);
+        }
+        // <v> ::= <v> <v1> <v1> <v1>, then the leaf and its two bytes.
+        assert_eq!(forest.children(top).count(), 4);
+        inline_checked(&mut forest, &mut g, seg, top, 0);
+        inline_checked(&mut forest, &mut g, seg, top, 0);
+        assert_eq!(forest.children(top).count(), 5);
     }
 }

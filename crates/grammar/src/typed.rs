@@ -290,7 +290,7 @@ impl TypedGrammar {
                     _ => return Err(ForestParseError::UnexpectedToken { position: i + k }),
                 }
             }
-            let node = forest.add_with_children(rule, operands);
+            let node = forest.add_with_children(rule, &operands);
             match sig.result {
                 Some(c) if op == Opcode::LIT4 => {
                     let _ = c;
@@ -306,7 +306,7 @@ impl TypedGrammar {
         }
         let mut root = forest.add_leafless(self.start_empty);
         for x in statements {
-            root = forest.add_with_children(self.start_rec, vec![root, x]);
+            root = forest.add_with_children(self.start_rec, &[root, x]);
         }
         forest.finish_root(root);
         Ok(root)

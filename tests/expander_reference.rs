@@ -105,7 +105,7 @@ mod reference {
             while let Some(id) = stack.pop() {
                 let node = forest.node(id);
                 rule_use[node.rule.index()] += 1;
-                for (slot, &child) in node.children.iter().enumerate() {
+                for (slot, child) in forest.children(id).enumerate() {
                     edges.inc(
                         Edge {
                             parent: node.rule,
@@ -212,7 +212,7 @@ mod reference {
         let child_rule = forest.node(child_node).rule;
 
         // Remove edges incident to the parent (its label is about to change) …
-        for (slot, &ch) in forest.node(parent).children.iter().enumerate() {
+        for (slot, ch) in forest.children(parent).enumerate() {
             edges.dec(
                 Edge {
                     parent: parent_rule,
@@ -237,7 +237,7 @@ mod reference {
             );
         }
         // … and the edges from the child to its children.
-        for (slot, &gc) in forest.node(child_node).children.iter().enumerate() {
+        for (slot, gc) in forest.children(child_node).enumerate() {
             edges.dec(
                 Edge {
                     parent: child_rule,
@@ -255,7 +255,7 @@ mod reference {
         rule_use[new_rule.index()] += 1;
 
         // Re-add edges with the parent's new label.
-        for (slot, &ch) in forest.node(parent).children.iter().enumerate() {
+        for (slot, ch) in forest.children(parent).enumerate() {
             edges.inc(
                 Edge {
                     parent: new_rule,
@@ -331,9 +331,14 @@ fn assert_same_forest(label: &str, got: &Forest, want: &Forest) {
     assert_eq!(got.live_count(), want.live_count(), "{label}: live nodes");
     assert_eq!(got.node_slots(), want.node_slots(), "{label}: node slots");
     for i in 0..want.node_slots() {
-        let (g, w) = (got.node(NodeId(i as u32)), want.node(NodeId(i as u32)));
+        let id = NodeId(i as u32);
+        let (g, w) = (got.node(id), want.node(id));
         assert_eq!(g.rule, w.rule, "{label}: label of node {i}");
-        assert_eq!(g.children, w.children, "{label}: children of node {i}");
+        assert_eq!(
+            got.children(id).collect::<Vec<_>>(),
+            want.children(id).collect::<Vec<_>>(),
+            "{label}: children of node {i}"
+        );
         assert_eq!(g.parent(), w.parent(), "{label}: parent of node {i}");
         assert_eq!(g.alive(), w.alive(), "{label}: liveness of node {i}");
     }

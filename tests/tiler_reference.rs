@@ -258,7 +258,9 @@ fn all_tilings(
                     true
                 }
                 PatternNode::Rule(r) if *r == forest.node(n).rule => {
-                    stack.extend(forest.node(n).children.iter().rev());
+                    let first = stack.len();
+                    stack.extend(forest.children(n));
+                    stack[first..].reverse();
                     true
                 }
                 PatternNode::Rule(_) => false,
