@@ -38,13 +38,6 @@ fn bench_interp(c: &mut Criterion) {
         segment_cache_entries,
         ..VmConfig::default()
     };
-    // The tier ladder rows: tier 1 caps execution at segment replay;
-    // tier 2 (the default) also fuses hot segments into
-    // superinstruction programs.
-    let tier_config = |tier: u8| VmConfig {
-        tier,
-        ..VmConfig::default()
-    };
     let run_compressed = |config: VmConfig| {
         let mut vm = Vm::new_compressed(
             &cp.program,
@@ -68,9 +61,6 @@ fn bench_interp(c: &mut Criterion) {
     group.bench_function("interp_nt_8q", |b| {
         b.iter(|| run_compressed(compressed_config(false, 1024)))
     });
-    group.bench_function("interp_nt_8q_tier1", |b| {
-        b.iter(|| run_compressed(tier_config(1)))
-    });
     group.bench_function("interp_nt_8q_nocache", |b| {
         b.iter(|| run_compressed(compressed_config(false, 0)))
     });
@@ -87,20 +77,16 @@ fn bench_interp(c: &mut Criterion) {
         std::hint::black_box(vm.run().unwrap());
     });
     let fast = measure(9, || run_compressed(compressed_config(false, 1024)));
-    let tier1 = measure(9, || run_compressed(tier_config(1)));
     let nocache = measure(9, || run_compressed(compressed_config(false, 0)));
     let reference = measure(9, || run_compressed(compressed_config(true, 0)));
     let ratio = |a: Duration, b: Duration| a.as_secs_f64() / b.as_secs_f64();
     println!(
-        "interp ratio (8q): plain {plain:.2?}; compressed tier2 {fast:.2?} ({:.2}x plain), \
-         tier1 {tier1:.2?} ({:.2}x plain), cache-off {nocache:.2?} ({:.2}x plain), \
-         reference {reference:.2?} ({:.2}x plain); tier2 is {:.2}x over tier1, \
-         {:.2}x over the reference walker",
+        "interp ratio (8q): plain {plain:.2?}; compressed {fast:.2?} ({:.2}x plain), \
+         cache-off {nocache:.2?} ({:.2}x plain), reference {reference:.2?} ({:.2}x plain); \
+         compressed is {:.2}x over the reference walker",
         ratio(fast, plain),
-        ratio(tier1, plain),
         ratio(nocache, plain),
         ratio(reference, plain),
-        ratio(tier1, fast),
         ratio(reference, fast),
     );
 

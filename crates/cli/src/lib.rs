@@ -86,8 +86,7 @@ fn usage() -> String {
      \x20     [--earley-budget ITEMS[,COLUMNS]] [--no-fallback] [--trace-out <t.json>]\n\
      \x20 decompress <in.pgrc> [-g <grammar>] -o <out.pgrb>\n\
      \x20 run <in.pgrb|in.pgrc> [-g <grammar>] [--stdin TEXT] [--trace N]\n\
-     \x20     [--segment-cache N] [--tier {0|1|2}] [--tier-up N]\n\
-     \x20     [--reference-walker] [--trace-out <t.json>]\n\
+     \x20     [--segment-cache N] [--reference-walker] [--trace-out <t.json>]\n\
      \x20 verify <in.pgrb|in.pgrc> [-g <grammar>]\n\
      \x20 stats <in.pgrb>\n\
      \x20 cgen -g <grammar> [-p <image>] -o <dir>\n\
@@ -154,8 +153,6 @@ fn positionals(args: &[String]) -> Vec<&str> {
             || a == "--batch-bytes"
             || a == "--earley-budget"
             || a == "--segment-cache"
-            || a == "--tier"
-            || a == "--tier-up"
             || a == "--metrics"
             || a == "--metrics-out"
             || a == "-p"
@@ -634,27 +631,12 @@ fn cmd_run(args: &[String]) -> Result<i32, String> {
             .map_err(|_| format!("bad --segment-cache {v:?}"))?,
         None => VmConfig::default().segment_cache_entries,
     };
-    let tier = match opt_value(args, "--tier") {
-        Some(v) => match v.parse::<u8>() {
-            Ok(t @ 0..=2) => t,
-            _ => return Err(format!("bad --tier {v:?} (expected 0, 1, or 2)")),
-        },
-        None => VmConfig::default().tier,
-    };
-    let tier_up = match opt_value(args, "--tier-up") {
-        Some(v) => v
-            .parse::<u32>()
-            .map_err(|_| format!("bad --tier-up {v:?}"))?,
-        None => VmConfig::default().tier_up,
-    };
     let config = VmConfig {
         input: opt_value(args, "--stdin").unwrap_or("").as_bytes().to_vec(),
         trace_limit,
         recorder: recorder.clone(),
         reference_walker: flag(args, "--reference-walker"),
         segment_cache_entries,
-        tier,
-        tier_up,
         ..VmConfig::default()
     };
     // Root trace id for the command; the VM's interpreter thread
@@ -1248,7 +1230,7 @@ pub fn render_top(response: &str) -> Result<String, String> {
         out,
         "queue depth {}   engines {}   rejected {rejected} ({rejected_pct:.2}%)   \
          batch size p50/p99 {}/{}   batch wait µs p50/p99 {}/{}   \
-         tier2 compiled {} deopts {}",
+         segments compiled {}",
         num(&doc, "queue_depth"),
         num(&doc, "engines"),
         quant(batch_size, "p50"),
@@ -1256,7 +1238,6 @@ pub fn render_top(response: &str) -> Result<String, String> {
         quant(batch_wait, "p50"),
         quant(batch_wait, "p99"),
         num(window, "tier2_compiled"),
-        num(window, "tier2_deopts"),
     );
     // Robustness counters: deadline expiries (and the subset the
     // reactor's watchdog had to force), idle evictions, and oversized

@@ -588,14 +588,14 @@ fn render_top_formats_a_stats_response() {
         "\"window\":{\"window_secs\":60,\"requests\":4,\"errors\":1,\"rps\":0.067,",
         "\"error_rate\":0.25,\"ops\":{\"compress\":{\"count\":4,\"p50\":20,",
         "\"p90\":38,\"p95\":39,\"p99\":40,\"max\":40}},\"grammars\":{},",
-        "\"tier2_compiled\":3,\"tier2_deopts\":2},",
+        "\"tier2_compiled\":3},",
         "\"uptime_secs\":42,\"trace\":\"00000000000000aa\"}",
     );
     let screen = pgr_cli::render_top(response).expect("stats response renders");
     assert!(screen.contains("uptime 42s"), "{screen}");
     assert!(screen.contains("compress"), "{screen}");
     assert!(screen.contains("rps 0.067"), "{screen}");
-    assert!(screen.contains("tier2 compiled 3 deopts 2"), "{screen}");
+    assert!(screen.contains("segments compiled 3"), "{screen}");
     // Windowed and lifetime p50 both present on the compress row.
     let row = screen
         .lines()

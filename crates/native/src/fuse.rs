@@ -1,33 +1,36 @@
-//! Superinstruction selection for the VM's tier-2 backend.
+//! Superinstruction selection for the VM's compiled segment programs.
 //!
-//! The decoded-segment cache (tier 1) already reduces a hot segment to a
+//! The VM's decoded-segment cache reduces each recorded segment to a
 //! flat `(opcode, operands)` trace; what remains per step is dispatch
 //! overhead and stack traffic that a one-pass lowering can remove. This
-//! module is that lowering: a greedy, longest-match scan over a trace
-//! that fuses the patterns the profile says dominate execution —
-//! address-of + load/store pairs, immediate ALU operands, and
-//! compare + branch chains — into single superinstructions with operands
-//! and branch targets burnt in. It is the same peephole vocabulary the
-//! synthetic x86 translator in this crate applies to full procedures
-//! (push/pop traffic becomes direct moves, compares fuse with their
-//! branches), re-targeted at the interpreter's tier-2 handlers instead
-//! of a pseudo-x86 listing.
+//! module is that lowering, run once when a segment's recording is
+//! sealed: a greedy, longest-match scan over the trace that fuses the
+//! patterns the profile says dominate execution — address-of +
+//! load/store pairs, immediate ALU operands, and compare + branch
+//! chains — into single superinstructions with operands and branch
+//! targets burnt in. It is the same peephole vocabulary the synthetic
+//! x86 translator in this crate applies to full procedures (push/pop
+//! traffic becomes direct moves, compares fuse with their branches),
+//! re-targeted at the interpreter's replay handlers instead of a
+//! pseudo-x86 listing.
 //!
 //! Selection is pure data transformation: no VM types, no execution
 //! state. Each [`SuperOp`] remembers the index of the **last** source
-//! step it covers (`last`), which is what lets the executing tier keep
-//! fuel and error accounting byte-identical to the per-step replay — a
-//! side exit or fault inside a superinstruction maps back to an exact
-//! source-step boundary.
+//! step it covers (`last`), which is what lets the replay keep fuel,
+//! error and telemetry accounting byte-identical to the derivation walk
+//! — a side exit or fault inside a superinstruction maps back to an
+//! exact source-step boundary.
 //!
-//! Anything outside the fused vocabulary (calls are excluded upstream,
-//! division can fault data-dependently, float compares are cold) falls
-//! through to [`Fused::Exec`], the plain one-step handler, so fusion can
-//! never change semantics — only the dispatch count.
+//! Anything outside the fused vocabulary (division can fault
+//! data-dependently, float compares are cold) falls through to
+//! [`Fused::Exec`], the plain one-step handler, so fusion can never
+//! change semantics — only the dispatch count. The VM does not fuse
+//! traces that contain calls at all; it lowers them to one `Exec` per
+//! step.
 
 use pgr_bytecode::Opcode;
 
-/// One tier-2 superinstruction.
+/// One superinstruction of a compiled segment program.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Fused {
     /// Push a literal (`LIT1`-`LIT4` with the operand pre-decoded).
@@ -170,14 +173,15 @@ fn u16_of(operands: [u8; 4]) -> u32 {
 /// Fuse a resolved step trace into a superinstruction program.
 ///
 /// `steps` is the segment's instruction trace with all operands already
-/// resolved (the tier-1 cache guarantees this); `resolve_label` maps a
-/// branch-label index to its code offset, and `resolve_global` maps a
-/// global-table index to its load-time address. Both return `None` for
-/// indices the program does not define — such steps stay unfused so the
-/// runtime reports the exact same `BadLabel` / `BadGlobal` fault the
-/// reference walker would.
-pub fn fuse_steps(
-    steps: &[(Opcode, [u8; 4])],
+/// resolved, and `insn` reads a step's operator and operand bytes;
+/// `resolve_label` maps a branch-label index to its code offset, and
+/// `resolve_global` maps a global-table index to its load-time address.
+/// Both return `None` for indices the program does not define — such
+/// steps stay unfused so the runtime reports the exact same `BadLabel` /
+/// `BadGlobal` fault the reference walker would.
+pub fn fuse_steps<S>(
+    steps: &[S],
+    insn: impl Fn(&S) -> (Opcode, [u8; 4]),
     mut resolve_label: impl FnMut(u16) -> Option<u32>,
     mut resolve_global: impl FnMut(u16) -> Option<u32>,
 ) -> Vec<SuperOp> {
@@ -188,8 +192,9 @@ pub fn fuse_steps(
         resolve_label(u16::from_le_bytes([operands[0], operands[1]]))
     };
     while i < steps.len() {
-        let (op, operands) = steps[i];
-        let next = steps.get(i + 1).map(|s| s.0);
+        let (op, operands) = insn(&steps[i]);
+        let op_at = |j: usize| steps.get(j).map(|s| insn(s).0);
+        let next = op_at(i + 1);
         let (fused, n) = match op {
             ADDRLP | ADDRFP => {
                 let off = u16_of(operands);
@@ -213,10 +218,8 @@ pub fn fuse_steps(
             _ if is_lit(op) => {
                 let imm = u32::from_le_bytes(operands);
                 match next {
-                    Some(cmp)
-                        if fusable_cmp(cmp) && steps.get(i + 2).map(|s| s.0) == Some(BrTrue) =>
-                    {
-                        match resolve(steps[i + 2].1) {
+                    Some(cmp) if fusable_cmp(cmp) && op_at(i + 2) == Some(BrTrue) => {
+                        match resolve(insn(&steps[i + 2]).1) {
                             Some(target) => (Fused::CmpImmBr { cmp, imm, target }, 3),
                             None => (Fused::Push { imm }, 1),
                         }
@@ -225,7 +228,7 @@ pub fn fuse_steps(
                     _ => (Fused::Push { imm }, 1),
                 }
             }
-            _ if fusable_cmp(op) && next == Some(BrTrue) => match resolve(steps[i + 1].1) {
+            _ if fusable_cmp(op) && next == Some(BrTrue) => match resolve(insn(&steps[i + 1]).1) {
                 Some(target) => (Fused::CmpBr { cmp: op, target }, 2),
                 None => (Fused::Exec { op, operands }, 1),
             },
@@ -277,7 +280,7 @@ mod tests {
             op0(LTI),
             op2(BrTrue, 1),
         ];
-        let fused = fuse_steps(&steps, |l| Some(u32::from(l) * 100), |_| None);
+        let fused = fuse_steps(&steps, |s| *s, |l| Some(u32::from(l) * 100), |_| None);
         assert_eq!(
             fused,
             vec![
@@ -308,7 +311,7 @@ mod tests {
             op2(ADDRLP, 8),
             op0(ASGNU),
         ];
-        let fused = fuse_steps(&steps, |_| Some(0), |_| None);
+        let fused = fuse_steps(&steps, |s| *s, |_| Some(0), |_| None);
         assert_eq!(fused.len(), 3);
         assert_eq!(fused[0].fused, Fused::LoadLocal { off: 8 });
         assert_eq!(fused[1].fused, Fused::AluImm { op: ADDU, imm: 3 });
@@ -322,7 +325,7 @@ mod tests {
         // A branch whose label the procedure does not define must stay
         // an Exec step so the runtime faults exactly like the walker.
         let steps = [op0(EQU), op2(BrTrue, 7), op2(JUMPV, 7)];
-        let fused = fuse_steps(&steps, |_| None, |_| None);
+        let fused = fuse_steps(&steps, |s| *s, |_| None, |_| None);
         assert_eq!(fused.len(), 3);
         for (s, f) in steps.iter().zip(&fused) {
             assert!(matches!(f.fused, Fused::Exec { op, .. } if op == s.0));
@@ -339,22 +342,22 @@ mod tests {
         let globals = [64u32, 68, 72];
         let resolve = |i: u16| globals.get(usize::from(i)).copied();
         let steps = [op2(ADDRGP, 2), op0(INDIRU)];
-        let fused = fuse_steps(&steps, |_| None, resolve);
+        let fused = fuse_steps(&steps, |s| *s, |_| None, resolve);
         assert_eq!(fused.len(), 1);
         assert_eq!(fused[0].fused, Fused::LoadGlobal { addr: 72 });
         assert_eq!(fused[0].last, 1);
 
         let steps = [op2(ADDRGP, 1), op0(ASGNU)];
-        let fused = fuse_steps(&steps, |_| None, resolve);
+        let fused = fuse_steps(&steps, |s| *s, |_| None, resolve);
         assert_eq!(fused.len(), 1);
         assert_eq!(fused[0].fused, Fused::StoreGlobal { addr: 68 });
 
         let steps = [op2(ADDRGP, 0), op0(RETV)];
-        let fused = fuse_steps(&steps, |_| None, resolve);
+        let fused = fuse_steps(&steps, |s| *s, |_| None, resolve);
         assert_eq!(fused[0].fused, Fused::Push { imm: 64 });
 
         let steps = [op2(ADDRGP, 9), op0(INDIRU)];
-        let fused = fuse_steps(&steps, |_| None, resolve);
+        let fused = fuse_steps(&steps, |s| *s, |_| None, resolve);
         assert_eq!(fused.len(), 2);
         assert!(matches!(fused[0].fused, Fused::Exec { op: ADDRGP, .. }));
     }
@@ -364,7 +367,7 @@ mod tests {
         // DIVU can fault on a zero divisor; it must keep the generic
         // handler even with a literal right operand.
         let steps = [lit(0), op0(DIVU)];
-        let fused = fuse_steps(&steps, |_| Some(0), |_| None);
+        let fused = fuse_steps(&steps, |s| *s, |_| Some(0), |_| None);
         assert_eq!(fused.len(), 2);
         assert_eq!(fused[0].fused, Fused::Push { imm: 0 });
         assert!(matches!(fused[1].fused, Fused::Exec { op: DIVU, .. }));
@@ -386,7 +389,7 @@ mod tests {
             op2(JUMPV, 1),
             op0(RETV),
         ];
-        let fused = fuse_steps(&steps, |l| Some(u32::from(l)), |_| None);
+        let fused = fuse_steps(&steps, |s| *s, |l| Some(u32::from(l)), |_| None);
         let mut next = 0u32;
         for s in &fused {
             assert!(s.last >= next, "span went backwards at {s:?}");

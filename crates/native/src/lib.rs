@@ -19,8 +19,8 @@
 //!
 //! This crate is the home of everything that lowers bytecode *below*
 //! the grammar level. Besides the x86-size model, the [`fuse`] module
-//! performs superinstruction selection for the VM's profile-guided
-//! tier-2 backend: it fuses a hot segment's resolved instruction trace
+//! performs superinstruction selection for the VM's compiled segment
+//! programs: it fuses a recorded segment's resolved instruction trace
 //! into specialized superinstructions (the same peephole vocabulary,
 //! re-targeted at interpreter handlers instead of a listing).
 

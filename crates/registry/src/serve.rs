@@ -628,13 +628,13 @@ fn handle_run(state: &State, request: &Request, cancel: &CancelToken) -> Result<
             (result, Some(engine.id), vm.tier2_stats())
         }
     };
-    // Surface this request's tier-2 activity in the sliding stats
-    // window, so `pgr top` shows tier-up churn as it happens.
-    state.window.lock().expect("window lock").record_tier2(
-        state.start.elapsed().as_secs(),
-        tier2.compiled,
-        tier2.deopts,
-    );
+    // Surface the segment programs this request compiled in the
+    // sliding stats window, so `pgr top` shows compilation as it happens.
+    state
+        .window
+        .lock()
+        .expect("window lock")
+        .record_tier2(state.start.elapsed().as_secs(), tier2.compiled);
     Ok((
         ResponseLine::ok()
             .int_field(

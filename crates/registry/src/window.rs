@@ -33,10 +33,8 @@ struct Slot {
     batch_size: Hist,
     /// Oldest-request wait per dispatched batch, micros.
     batch_wait: Hist,
-    /// Hot segments tier-2-compiled by run requests.
+    /// Segment programs compiled by run requests.
     tier2_compiled: u64,
-    /// Tiered replays deoptimized to tier-1 by run requests.
-    tier2_deopts: u64,
     /// Requests answered in-band with `deadline_exceeded`.
     deadline_exceeded: u64,
     /// Requests force-expired by the reactor watchdog (a subset of
@@ -59,7 +57,6 @@ impl Slot {
         self.batch_size = Hist::default();
         self.batch_wait = Hist::default();
         self.tier2_compiled = 0;
-        self.tier2_deopts = 0;
         self.deadline_exceeded = 0;
         self.force_expired = 0;
         self.idle_closed = 0;
@@ -73,7 +70,6 @@ impl Slot {
             || self.rejected > 0
             || self.batch_size.count > 0
             || self.tier2_compiled > 0
-            || self.tier2_deopts > 0
             || self.deadline_exceeded > 0
             || self.force_expired > 0
             || self.idle_closed > 0
@@ -108,11 +104,8 @@ pub struct WindowStats {
     pub batch_size: Hist,
     /// Oldest-request wait per dispatched batch, micros.
     pub batch_wait: Hist,
-    /// Hot segments tier-2-compiled by run requests inside the window.
+    /// Segment programs compiled by run requests inside the window.
     pub tier2_compiled: u64,
-    /// Tiered replays deoptimized to tier-1 (telemetry or tracing
-    /// active) by run requests inside the window.
-    pub tier2_deopts: u64,
     /// Requests answered `deadline_exceeded` inside the window.
     pub deadline_exceeded: u64,
     /// Requests force-expired by the reactor watchdog inside the window
@@ -166,7 +159,7 @@ impl WindowStats {
             "{{\"window_secs\":{},\"requests\":{},\"errors\":{},\"rejected\":{},\
              \"rps\":{:.3},\"error_rate\":{:.4},\"ops\":{},\"grammars\":{},\
              \"batch_size\":{},\"batch_wait\":{},\
-             \"tier2_compiled\":{},\"tier2_deopts\":{},\
+             \"tier2_compiled\":{},\
              \"deadline_exceeded\":{},\"force_expired\":{},\
              \"idle_closed\":{},\"line_overflow\":{}}}",
             self.window_secs,
@@ -180,7 +173,6 @@ impl WindowStats {
             hist_json(&self.batch_size),
             hist_json(&self.batch_wait),
             self.tier2_compiled,
-            self.tier2_deopts,
             self.deadline_exceeded,
             self.force_expired,
             self.idle_closed,
@@ -237,15 +229,12 @@ impl SlidingWindow {
         slot.batch_wait.observe(wait_micros);
     }
 
-    /// Record one run request's tier-2 activity: segments compiled and
-    /// replays deoptimized during that request's execution.
-    pub fn record_tier2(&mut self, now_sec: u64, compiled: u64, deopts: u64) {
-        if compiled == 0 && deopts == 0 {
+    /// Record the segment programs one run request compiled.
+    pub fn record_tier2(&mut self, now_sec: u64, compiled: u64) {
+        if compiled == 0 {
             return;
         }
-        let slot = self.slot_at(now_sec);
-        slot.tier2_compiled += compiled;
-        slot.tier2_deopts += deopts;
+        self.slot_at(now_sec).tier2_compiled += compiled;
     }
 
     /// Record one request answered in-band with `deadline_exceeded`;
@@ -299,7 +288,6 @@ impl SlidingWindow {
             stats.errors += slot.errors;
             stats.rejected += slot.rejected;
             stats.tier2_compiled += slot.tier2_compiled;
-            stats.tier2_deopts += slot.tier2_deopts;
             stats.deadline_exceeded += slot.deadline_exceeded;
             stats.force_expired += slot.force_expired;
             stats.idle_closed += slot.idle_closed;
@@ -392,26 +380,24 @@ mod tests {
     #[test]
     fn tier2_counters_roll_through_the_window() {
         let mut w = SlidingWindow::new(3);
-        w.record_tier2(0, 2, 5);
-        w.record_tier2(1, 1, 0);
+        w.record_tier2(0, 2);
+        w.record_tier2(1, 1);
         // Zero activity records nothing (and must not keep an otherwise
         // empty slot alive).
-        w.record_tier2(2, 0, 0);
+        w.record_tier2(2, 0);
 
         let all = w.aggregate(2);
         assert_eq!(all.tier2_compiled, 3);
-        assert_eq!(all.tier2_deopts, 5);
 
         // Second 0 expires at t=3.
         let later = w.aggregate(3);
         assert_eq!(later.tier2_compiled, 1);
-        assert_eq!(later.tier2_deopts, 0);
 
         let text = all.to_json();
         let doc = pgr_telemetry::json::parse(&text).expect("window JSON parses");
         use pgr_telemetry::json::Value;
         assert_eq!(doc.get("tier2_compiled").and_then(Value::as_u64), Some(3));
-        assert_eq!(doc.get("tier2_deopts").and_then(Value::as_u64), Some(5));
+        assert!(doc.get("tier2_deopts").is_none());
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! seconds of wall clock on an adversarial input. A [`CancelToken`] is
 //! the lightweight contract between the request's owner (the serve
 //! reactor, which knows the deadline) and the compute layers (segment
-//! tiling and encoding, VM fuel replay), which poll it at coarse
-//! boundaries: every few dozen tree nodes, segment starts, fuel-batch
-//! refills.
+//! tiling and encoding, VM execution), which poll it at coarse
+//! boundaries: every few dozen tree nodes, segment starts, every 65,536
+//! VM steps.
 //!
 //! The design constraints mirror the rest of this crate:
 //!

@@ -156,18 +156,12 @@ pub const VM_RULEPROG_MICRO_OPS: &str = "vm.ruleprog.micro_ops";
 /// VM: verbatim-escape segments executed directly (raw bytecode embedded
 /// by the compressor's graceful-degradation fallback).
 pub const VM_VERBATIM_SEGMENTS: &str = "vm.verbatim.segments";
-/// VM: hot segments compiled to tier-2 superinstruction programs.
+/// VM: decoded segments compiled to superinstruction programs (replays
+/// of them are `vm.segment_cache.hits`, their bytes
+/// `vm.segment_cache.bytes`).
 pub const VM_TIER2_COMPILED: &str = "vm.tier2.compiled";
-/// VM: superinstructions emitted across all tier-2 compilations.
+/// VM: superinstructions across all compiled segment programs.
 pub const VM_TIER2_FUSED_OPS: &str = "vm.tier2.fused_ops";
-/// VM gauge: resident bytes of compiled tier-2 programs.
-pub const VM_TIER2_BYTES: &str = "vm.tier2.bytes";
-/// VM: segment replays served from a tier-2 program (fused or
-/// deoptimized).
-pub const VM_TIER2_HITS: &str = "vm.tier2.hits";
-/// VM: tiered replays that fell back to the per-step tier-1 loop
-/// (telemetry or tracing active).
-pub const VM_TIER2_DEOPTS: &str = "vm.tier2.deopts";
 /// Prefix of the per-opcode dispatch counter family.
 pub const VM_DISPATCH_PREFIX: &str = "vm.dispatch.";
 

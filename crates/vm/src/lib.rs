@@ -15,9 +15,10 @@
 //!   Literal operands may be split between the rule (burnt-in bytes) and
 //!   the instruction stream — the `GET` logic of §5. By default it runs
 //!   over a [`ruleprog::RuleProgram`] snapshot — the grammar precompiled
-//!   to flat micro-ops at load time — with a decoded-segment cache that
-//!   replays loop back-edges without re-walking derivations; the
-//!   reference rule walker stays selectable via
+//!   to flat micro-ops at load time — and compiles each segment it
+//!   decodes into a superinstruction program ([`segment`]) that one
+//!   replay routine runs on later visits, quiet or observed;
+//!   the reference rule walker stays selectable via
 //!   [`VmConfig::reference_walker`] as the executable specification.
 //!
 //! Both interpreters share one operator semantics ([`exec`]) over one
@@ -60,10 +61,10 @@ pub mod machine;
 pub mod memory;
 pub mod natives;
 pub mod ruleprog;
-pub mod tier;
+pub mod segment;
 pub mod value;
 
 pub use error::VmError;
 pub use machine::{RunResult, TraceEvent, Vm, VmConfig};
-pub use tier::Tier2Stats;
+pub use segment::Tier2Stats;
 pub use value::Slot;

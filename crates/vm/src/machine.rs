@@ -1,8 +1,14 @@
-//! The machine model and the two interpreter loops.
+//! The machine model and the interpreter loops.
 //!
 //! A [`Vm`] loads one program image — uncompressed bytecode or compressed
 //! derivations plus the expanded grammar — resolves its global table
-//! (playing the linker of §3), and runs it. Procedure calls allocate
+//! (playing the linker of §3), and runs it. Uncompressed code runs in
+//! `interp1`. Compressed code runs in the reference walker `interp_nt`
+//! (the executable spec) or, by default, in `interp_nt_fast`, which
+//! walks the precompiled [`RuleProgram`] and compiles each segment it
+//! decodes into a [`SegProgram`] that `Vm::replay` runs on later
+//! visits; `run_verbatim` executes the verbatim escapes both walkers
+//! share. Procedure calls allocate
 //! frames on a stack region of the flat memory; arguments travel in a
 //! contiguous block, "an x86 calling convention that passes all arguments
 //! in contiguous memory" (Appendix 3). Indirect calls dispatch on
@@ -15,8 +21,8 @@ use crate::error::VmError;
 use crate::exec::Flow;
 use crate::memory::Memory;
 use crate::natives::{self, Native, NativeOutcome};
-use crate::ruleprog::{self, RuleProgram, SegStep, SegTrace};
-use crate::tier::{self, Tier2Program, Tier2Stats, TieredCache};
+use crate::ruleprog::{self, RuleProgram};
+use crate::segment::{SegKeyMap, SegProgram, SegRecorder, Tier2Stats};
 use crate::value::Slot;
 use pgr_bytecode::{escape, GlobalEntry, Opcode, Procedure, Program};
 use pgr_grammar::{Grammar, Nt, Symbol, Terminal};
@@ -56,13 +62,17 @@ pub struct VmConfig {
     /// Bytes served to `getchar`.
     pub input: Vec<u8>,
     /// Record the first N executed operators (0 = off). The trace lands
-    /// in [`RunResult::trace`]; tracing is identical for both
-    /// interpreters, which makes diverging runs easy to diff.
+    /// in [`RunResult::trace`]; tracing is identical for every
+    /// interpreter path, which makes diverging runs easy to diff.
+    /// Compiled segment programs add the events of the steps they ran
+    /// in bulk, so tracing never changes which code executes.
     pub trace_limit: usize,
     /// Telemetry destination for `vm.*` counters (per-opcode dispatch,
     /// calls, rule walks) and depth gauges. Defaults to the shared
     /// disabled recorder; the interpreter loops check one cached flag
-    /// and touch nothing else when disabled.
+    /// and touch nothing else when disabled, and compiled segment
+    /// programs add their steps' counts in bulk, so an observed run
+    /// executes the same code as a quiet one.
     pub recorder: Recorder,
     /// Run compressed programs with the reference grammar walker instead
     /// of the precompiled [`RuleProgram`] fast path. The two are
@@ -71,24 +81,16 @@ pub struct VmConfig {
     /// walker exists as the executable specification and for
     /// bisection.
     pub reference_walker: bool,
-    /// Decoded-segment cache capacity in entries (0 disables). The fast
-    /// path memoizes each label-delimited segment's decoded instruction
-    /// trace by stream offset, so loop back-edges replay instructions
-    /// without re-walking derivations.
+    /// Decoded-segment cache capacity in entries (0 = walk only). The
+    /// fast path compiles each label-delimited segment it decodes into
+    /// a superinstruction program keyed by stream offset, so loop
+    /// back-edges replay it without re-walking derivations. Entries are
+    /// never evicted; segments past the cap are walked every time.
     pub segment_cache_entries: usize,
-    /// Highest execution tier for compressed programs: 0 = derivation
-    /// walk only (segment cache off), 1 = decoded-segment replay,
-    /// 2 = profile-guided superinstruction compilation of hot segments
-    /// (the default).
-    pub tier: u8,
-    /// Replay count at which a cached segment compiles to tier 2.
-    pub tier_up: u32,
-    /// Tier-2 program cache capacity in entries (LRU-evicted).
-    pub tier2_cache_entries: usize,
-    /// Cooperative-cancellation handle for this run. Polled at fuel-batch
-    /// boundaries (tier-1/2 replay windows) and on a coarse step stride
-    /// in the per-step loops; fires as [`VmError::Cancelled`]. Defaults
-    /// to [`CancelToken::never`], which costs one relaxed load per poll.
+    /// Cooperative-cancellation handle for this run. Every path debits
+    /// fuel through one helper, which polls the token whenever the step
+    /// count crosses a multiple of 65,536; a fired token stops the run
+    /// with [`VmError::Cancelled`]. Defaults to [`CancelToken::never`].
     pub cancel: CancelToken,
 }
 
@@ -105,9 +107,6 @@ impl Default for VmConfig {
             recorder: Recorder::disabled(),
             reference_walker: false,
             segment_cache_entries: 1024,
-            tier: 2,
-            tier_up: 64,
-            tier2_cache_entries: 256,
             cancel: CancelToken::never(),
         }
     }
@@ -211,20 +210,18 @@ pub struct Vm<'p> {
     /// The compiled rule programs, when the compressed fast path is
     /// active (compressed repr and `reference_walker` off).
     ruleprog: Option<Arc<RuleProgram>>,
-    /// Decoded-segment cache: `(proc, pc)` → replayable trace plus its
-    /// tier-2 state ([`tier::SegEntry`]), or `None` for segments proven
-    /// uncacheable (their decode faults). Traces and compiled programs
-    /// are `Arc`s so replay can iterate them while `exec_op` borrows
-    /// the VM mutably.
-    seg_cache: tier::SegKeyMap<Option<tier::SegEntry>>,
+    /// Decoded-segment cache: `(proc, pc)` → compiled segment program,
+    /// or `None` for segments proven uncacheable (their decode faults).
+    /// Programs are `Arc`s so a replay can run one while `exec_op`
+    /// borrows the VM mutably.
+    seg_cache: SegKeyMap<Option<Arc<SegProgram>>>,
     seg_cache_cap: usize,
     seg_cache_bytes: usize,
     seg_hits: u64,
     seg_misses: u64,
-    /// Tier-2 state: hot-segment replay counters and compiled
-    /// superinstruction programs. `None` below tier 2 (and for plain or
-    /// reference-walker execution).
-    tier2: Option<TieredCache>,
+    /// Segment programs compiled, and their superinstructions.
+    seg_compiled: u64,
+    seg_fused_ops: u64,
     /// Whether a stream byte equal to [`escape::VERBATIM_MARKER`] can
     /// only mean a verbatim escape: true when the grammar's start
     /// non-terminal has at most 255 rules (the compressor reserves the
@@ -354,19 +351,13 @@ impl<'p> Vm<'p> {
             call_depth_peak: 0,
             walk_depth_peak: 0,
             operand_stack_peak: 0,
-            seg_cache: tier::SegKeyMap::default(),
-            // Tier 0 forces the pure derivation walk: no segment cache,
-            // and therefore nothing to tier up from.
-            seg_cache_cap: if config.tier == 0 {
-                0
-            } else {
-                config.segment_cache_entries
-            },
+            seg_cache: SegKeyMap::default(),
+            seg_cache_cap: config.segment_cache_entries,
             seg_cache_bytes: 0,
             seg_hits: 0,
             seg_misses: 0,
-            tier2: (config.tier >= 2 && config.segment_cache_entries > 0 && ruleprog.is_some())
-                .then(|| TieredCache::new(config.tier2_cache_entries, config.tier_up)),
+            seg_compiled: 0,
+            seg_fused_ops: 0,
             ruleprog,
             verbatim_ok,
             verbatim_segments: 0,
@@ -452,14 +443,8 @@ impl<'p> Vm<'p> {
             batch.gauge_max(names::VM_SEG_CACHE_ENTRIES, self.seg_cache.len() as u64);
             batch.gauge_max(names::VM_RULEPROG_BYTES, rp.table_bytes() as u64);
             batch.gauge_max(names::VM_RULEPROG_MICRO_OPS, rp.micro_ops() as u64);
-        }
-        if let Some(t2) = &self.tier2 {
-            let s = t2.stats();
-            batch.add(names::VM_TIER2_COMPILED, s.compiled);
-            batch.add(names::VM_TIER2_FUSED_OPS, s.fused_ops);
-            batch.add(names::VM_TIER2_HITS, s.hits);
-            batch.add(names::VM_TIER2_DEOPTS, s.deopts);
-            batch.gauge_max(names::VM_TIER2_BYTES, s.bytes);
+            batch.add(names::VM_TIER2_COMPILED, self.seg_compiled);
+            batch.add(names::VM_TIER2_FUSED_OPS, self.seg_fused_ops);
         }
         for (byte, &count) in self.dispatch.iter().enumerate() {
             if count > 0 {
@@ -612,49 +597,33 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Steps between cancellation polls on the per-step interpreter
-    /// paths: frequent enough that a fired deadline stops a spinning
-    /// program within well under a millisecond, rare enough that the
-    /// poll (one relaxed load when unarmed) never shows in profiles.
+    /// Steps between cancellation polls: frequent enough that a fired
+    /// deadline stops a spinning program within well under a
+    /// millisecond, rare enough that an armed token's clock read never
+    /// shows in profiles.
     const CANCEL_STRIDE_MASK: u64 = (1 << 16) - 1;
 
-    /// Poll the run's [`CancelToken`]; a fired token stops the run with
-    /// [`VmError::Cancelled`].
-    fn check_cancel(&self) -> Result<(), Stop> {
-        if self.cancel.is_cancelled() {
-            return Err(Stop::Error(VmError::Cancelled {
-                elapsed_ms: self.cancel.elapsed_ms(),
-            }));
-        }
-        Ok(())
-    }
-
-    fn burn_fuel(&mut self) -> Result<(), Stop> {
-        if self.fuel == 0 {
-            return Err(Stop::Error(VmError::OutOfFuel));
-        }
-        self.fuel -= 1;
-        self.steps += 1;
-        if self.steps & Self::CANCEL_STRIDE_MASK == 0 {
-            self.check_cancel()?;
-        }
-        Ok(())
-    }
-
-    /// Burn `n` fuel in one go — exactly `n` calls to [`Vm::burn_fuel`]:
-    /// when the budget runs short, the steps that fit are still counted
-    /// before `OutOfFuel`, matching the reference walk dying mid-window.
-    /// Every batched refill is also a cancellation point: tier-1 replay
-    /// windows poll the token here without paying per-step.
-    fn burn_fuel_n(&mut self, n: u64) -> Result<(), Stop> {
-        self.check_cancel()?;
+    /// Burn `n` fuel — the one place every execution path debits fuel.
+    /// When the budget runs short, the steps that fit are still counted
+    /// before `OutOfFuel`, exactly like `n` single-step burns dying
+    /// mid-window. The run's [`CancelToken`] is polled only when the
+    /// step count crosses a multiple of 65,536, so an armed deadline
+    /// costs a clock read per stride, not per step or per replay.
+    #[inline]
+    fn burn_fuel(&mut self, n: u64) -> Result<(), Stop> {
         if self.fuel < n {
             self.steps += self.fuel;
             self.fuel = 0;
             return Err(Stop::Error(VmError::OutOfFuel));
         }
+        let before = self.steps;
         self.fuel -= n;
         self.steps += n;
+        if self.steps > before | Self::CANCEL_STRIDE_MASK && self.cancel.is_cancelled() {
+            return Err(Stop::Error(VmError::Cancelled {
+                elapsed_ms: self.cancel.elapsed_ms(),
+            }));
+        }
         Ok(())
     }
 
@@ -708,7 +677,7 @@ impl<'p> Vm<'p> {
         self.verbatim_segments += 1;
         let mut ip = pc + escape::VERBATIM_HEADER;
         while ip < end {
-            self.burn_fuel()?;
+            self.burn_fuel(1)?;
             let byte = code[ip];
             let Some(op) = Opcode::from_u8(byte) else {
                 return Err(Stop::Error(VmError::BadOpcode {
@@ -757,7 +726,7 @@ impl<'p> Vm<'p> {
         let mut pc = 0usize;
         let mut stack: Vec<Slot> = Vec::with_capacity(16);
         loop {
-            self.burn_fuel()?;
+            self.burn_fuel(1)?;
             let Some(&byte) = code.get(pc) else {
                 return Err(Stop::Error(VmError::FellOffEnd {
                     proc: proc.name.clone(),
@@ -833,7 +802,7 @@ impl<'p> Vm<'p> {
         let mut walk: Vec<(pgr_grammar::RuleId, usize)> = Vec::with_capacity(32);
 
         loop {
-            self.burn_fuel()?;
+            self.burn_fuel(1)?;
             if walk.is_empty() {
                 // Start the next segment's derivation of <start>.
                 if pc >= code.len() {
@@ -945,8 +914,9 @@ impl<'p> Vm<'p> {
     /// [`Vm::interp_nt`] — one fuel unit per derivation-walk iteration,
     /// identical error offsets and telemetry — but over the precompiled
     /// [`RuleProgram`] micro-ops (one `u64` load per symbol instead of a
-    /// rule-object pattern match), with the decoded-segment cache
-    /// replaying previously walked segments instruction-for-instruction.
+    /// rule-object pattern match). The first walk of a segment is
+    /// recorded and sealed into a [`SegProgram`]; later visits replay
+    /// that program through [`Vm::replay`].
     fn interp_nt_fast(&mut self, frame: &FrameCtx, rp: &Arc<RuleProgram>) -> Result<Slot, Stop> {
         let program = self.program;
         let proc = &program.procs[frame.proc_idx];
@@ -963,12 +933,6 @@ impl<'p> Vm<'p> {
         let mut stack: Vec<Slot> = Vec::with_capacity(16);
         let mut walk: Vec<WalkFrame> = Vec::with_capacity(64);
         let cache_on = self.seg_cache_cap > 0;
-        // Both inputs to the tier decision are fixed for the whole run
-        // (`telemetry_on` and `trace_limit` are set at construction),
-        // so hoist them out of the dispatch loop. `tier_up == 0` means
-        // tiering is off and segments never heat up.
-        let tier2_quiet = self.tier2.is_some() && !self.telemetry_on && self.trace_limit == 0;
-        let tier_up = self.tier2.as_ref().map_or(0, TieredCache::threshold);
         let mut rec = SegRecorder::default();
 
         loop {
@@ -978,7 +942,7 @@ impl<'p> Vm<'p> {
                     // fuel (matching the reference walker's loop-top
                     // burn) and execute the raw payload. Escapes bypass
                     // the segment cache — they are already decoded.
-                    self.burn_fuel()?;
+                    self.burn_fuel(1)?;
                     match self.run_verbatim(frame, pc, &mut stack)? {
                         Replay::Goto(next) => {
                             pc = next;
@@ -987,74 +951,25 @@ impl<'p> Vm<'p> {
                         Replay::Returned(v) => return Ok(v),
                     }
                 }
-                // Segment boundary: replay a cached decode, or start
-                // recording this one.
+                // Segment boundary: replay its compiled program, or
+                // start recording this one.
                 if cache_on {
-                    // One map lookup decides the whole tier ladder: the
-                    // entry carries the trace, the compiled program,
-                    // and the heat/recency counters, so the borrow of
-                    // the cache slot is all the steady state pays.
                     let key = seg_key(frame.proc_idx, pc);
-                    let path = match self.seg_cache.get_mut(&key) {
-                        Some(Some(entry)) if self.fuel >= entry.trace.total_fuel => {
-                            self.seg_hits += 1;
-                            entry.tick = self.seg_hits;
-                            if let Some(prog) = &entry.tier2 {
-                                if tier2_quiet {
-                                    Some(TierPath::Fused(prog.clone()))
-                                } else {
-                                    Some(TierPath::Deopt(entry.trace.clone()))
-                                }
-                            } else if tier_up > 0 && !entry.trace.has_calls {
-                                // Call-carrying traces never tier up:
-                                // callee fuel is data-dependent, so
-                                // their windows cannot burn up front.
-                                entry.heat += 1;
-                                if entry.heat >= tier_up {
-                                    entry.heat = 0;
-                                    Some(TierPath::Compile(entry.trace.clone()))
-                                } else {
-                                    Some(TierPath::Replay(entry.trace.clone()))
-                                }
-                            } else {
-                                Some(TierPath::Replay(entry.trace.clone()))
-                            }
-                        }
+                    let hit = match self.seg_cache.get(&key) {
+                        Some(Some(prog)) if self.fuel >= prog.total_fuel => Some(Arc::clone(prog)),
                         // Known-uncacheable segment, or not enough fuel
-                        // left for an exact batched replay: walk it.
-                        Some(_) => {
-                            self.seg_misses += 1;
-                            None
-                        }
+                        // left for an exact replay: walk it.
+                        Some(_) => None,
                         None => {
-                            self.seg_misses += 1;
                             if self.seg_cache.len() < self.seg_cache_cap {
                                 rec.begin(key);
                             }
                             None
                         }
                     };
-                    if let Some(path) = path {
-                        let replayed = match path {
-                            TierPath::Fused(prog) => {
-                                self.tier2_mut().note_hit();
-                                self.run_tier2(frame, proc, &prog, &mut stack)?
-                            }
-                            TierPath::Deopt(trace) => {
-                                let t2 = self.tier2_mut();
-                                t2.note_hit();
-                                t2.note_deopt();
-                                self.replay_segment(frame, proc, &trace, &mut stack)?
-                            }
-                            TierPath::Compile(trace) => {
-                                self.tier_up(key, &trace, proc);
-                                self.replay_segment(frame, proc, &trace, &mut stack)?
-                            }
-                            TierPath::Replay(trace) => {
-                                self.replay_segment(frame, proc, &trace, &mut stack)?
-                            }
-                        };
-                        match replayed {
+                    if let Some(prog) = hit {
+                        self.seg_hits += 1;
+                        match self.replay(frame, proc, &prog, &mut stack)? {
                             Replay::Goto(next) => {
                                 pc = next;
                                 continue;
@@ -1062,10 +977,11 @@ impl<'p> Vm<'p> {
                             Replay::Returned(v) => return Ok(v),
                         }
                     }
+                    self.seg_misses += 1;
                 }
                 // The segment-start iteration: the next stream byte
                 // selects a <start> rule.
-                self.burn_fuel()?;
+                self.burn_fuel(1)?;
                 rec.tick();
                 if pc >= code.len() {
                     return Err(Stop::Error(VmError::FellOffEnd {
@@ -1089,15 +1005,15 @@ impl<'p> Vm<'p> {
                 continue;
             }
 
-            self.burn_fuel()?;
+            self.burn_fuel(1)?;
             rec.tick();
             let top = walk.last_mut().expect("walk is non-empty");
             if top.ip == top.end {
                 walk.pop();
                 if walk.is_empty() && rec.active {
                     // Fall-through completion: the trailing window
-                    // becomes the trace's tail.
-                    self.seal_recording(&mut rec, pc);
+                    // becomes the program's tail.
+                    self.seal_recording(&mut rec, pc, proc);
                 }
                 continue;
             }
@@ -1155,14 +1071,14 @@ impl<'p> Vm<'p> {
                                 // The walk is abandoned mid-segment;
                                 // finish the decode fuel-free so the
                                 // cached trace covers the whole segment.
-                                self.finish_recording_by_decode(&mut rec, rp, code, pc, &walk);
+                                self.finish_recording_by_decode(&mut rec, rp, proc, pc, &walk);
                             }
                             pc = target;
                             walk.clear();
                         }
                         Flow::Return(v) => {
                             if rec.active {
-                                self.finish_recording_by_decode(&mut rec, rp, code, pc, &walk);
+                                self.finish_recording_by_decode(&mut rec, rp, proc, pc, &walk);
                             }
                             return Ok(v);
                         }
@@ -1189,299 +1105,268 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Replay a cached segment decode: per instruction, burn the
-    /// recorded bookkeeping window in one batch, apply the recorded
-    /// telemetry deltas, and execute — control flow stays live, so a
-    /// conditional branch may exit the replay anywhere, exactly like the
-    /// walk it replaces.
-    fn replay_segment(
+    /// Run a compiled segment program — the one replay routine. A
+    /// call-free program debits its whole fuel up front (the caller
+    /// guarantees `fuel >= total_fuel`, and no step can consume fuel of
+    /// its own) and refunds the unexecuted remainder through the fuel
+    /// prefix sums on any side exit: taken branch, return, or fault. A
+    /// program containing a call is unfused and debits each step's
+    /// window just before the step (`PER_STEP`), so a callee sees
+    /// exactly the fuel the walk would leave it. Either way the fuel,
+    /// step count, result and error match the walk's exactly.
+    ///
+    /// Telemetry and tracing never change which handlers run: the
+    /// counts and trace events of the steps that ran are added in bulk
+    /// from the program's windows when the replay leaves, except that a
+    /// call-carrying program accounts each step before running it, so a
+    /// callee's events follow its caller's.
+    fn replay(
         &mut self,
         frame: &FrameCtx,
         proc: &Procedure,
-        trace: &SegTrace,
+        prog: &SegProgram,
         stack: &mut Vec<Slot>,
     ) -> Result<Replay, Stop> {
-        if !self.telemetry_on && self.trace_limit == 0 && !trace.has_calls {
-            return self.replay_segment_lean(frame, proc, trace, stack);
+        if prog.has_calls {
+            self.run_program::<true>(frame, proc, prog, stack)
+        } else {
+            self.run_program::<false>(frame, proc, prog, stack)
         }
-        for step in &trace.steps {
-            self.burn_fuel_n(u64::from(step.pre_fuel))?;
-            if self.telemetry_on {
-                self.rules_walked += u64::from(step.pre_rules);
-                if step.pre_depth as usize > self.walk_depth_peak {
-                    self.walk_depth_peak = step.pre_depth as usize;
-                }
-                self.dispatch[usize::from(step.op as u8)] += 1;
-            }
-            if self.trace_limit > 0 {
-                self.record(frame.proc_idx, step.op, u32::from_le_bytes(step.operands));
-            }
-            let flow = self.exec_op(step.op, step.operands, frame, stack)?;
-            if self.telemetry_on && stack.len() > self.operand_stack_peak {
-                self.operand_stack_peak = stack.len();
-            }
-            match flow {
-                Flow::Continue => {}
-                Flow::Branch(label) => return Ok(Replay::Goto(Self::branch_target(proc, label)?)),
-                Flow::Return(v) => return Ok(Replay::Returned(v)),
-            }
-        }
-        self.burn_fuel_n(u64::from(trace.tail_fuel))?;
-        if self.telemetry_on {
-            self.rules_walked += u64::from(trace.tail_rules);
-            if trace.tail_depth as usize > self.walk_depth_peak {
-                self.walk_depth_peak = trace.tail_depth as usize;
-            }
-        }
-        Ok(Replay::Goto(trace.end_pc as usize))
     }
 
-    /// The hot replay loop: telemetry and tracing off, no calls in the
-    /// trace. The caller guarantees `fuel >= trace.total_fuel` and no
-    /// step can consume fuel of its own, so the whole window burns up
-    /// front and an early exit (branch, return, or fault mid-trace)
-    /// refunds the unexecuted remainder — byte-identical fuel and step
-    /// accounting to the per-step path, without its per-instruction
-    /// bookkeeping. The hottest stack-push operators are additionally
-    /// unpacked inline rather than dispatched through [`Vm::exec_op`].
-    fn replay_segment_lean(
+    /// The body of [`Vm::replay`], compiled once per fuel mode, so the
+    /// call-free loop carries neither a per-step debit nor a test of
+    /// the mode per superinstruction.
+    #[inline(always)]
+    fn run_program<const PER_STEP: bool>(
         &mut self,
         frame: &FrameCtx,
         proc: &Procedure,
-        trace: &SegTrace,
+        prog: &SegProgram,
         stack: &mut Vec<Slot>,
     ) -> Result<Replay, Stop> {
-        self.check_cancel()?;
-        self.fuel -= trace.total_fuel;
-        self.steps += trace.total_fuel;
-        let mut consumed = 0u64;
-        for step in &trace.steps {
-            consumed += u64::from(step.pre_fuel);
-            let flow = match step.op {
-                Opcode::LIT1 | Opcode::LIT2 | Opcode::LIT3 | Opcode::LIT4 => {
-                    stack.push(Slot::from_u(u32::from_le_bytes(step.operands)));
-                    continue;
+        // Fuel debited so far: all of it up front, or through the last
+        // step that ran.
+        let mut charged = 0u64;
+        if !PER_STEP {
+            self.burn_fuel(prog.total_fuel)?;
+            charged = prog.total_fuel;
+        }
+        let observed = self.telemetry_on || self.trace_limit > 0;
+        let entry_height = stack.len();
+        // Steps whose telemetry is already added (per-step programs).
+        let mut accounted = 0usize;
+        // In an observed run, add the telemetry of a replay that leaves
+        // with `$ran` source steps dispatched, the first `$done` of them
+        // completed (their stack effect applied).
+        macro_rules! observe_exit {
+            ($ran:expr, $done:expr) => {
+                if observed {
+                    self.account_exit(frame.proc_idx, prog, accounted, $ran, entry_height, $done);
                 }
-                Opcode::ADDRLP => {
-                    let off = u32::from(u16::from_le_bytes([step.operands[0], step.operands[1]]));
-                    stack.push(Slot::from_u(frame.locals_base + off));
-                    continue;
-                }
-                Opcode::ADDRFP => {
-                    let off = u32::from(u16::from_le_bytes([step.operands[0], step.operands[1]]));
-                    stack.push(Slot::from_u(frame.args_base + off));
-                    continue;
-                }
-                op => self.exec_op(op, step.operands, frame, stack),
             };
-            match flow {
-                Ok(Flow::Continue) => {}
-                Ok(Flow::Branch(label)) => {
-                    let refund = trace.total_fuel - consumed;
-                    self.fuel += refund;
-                    self.steps -= refund;
-                    return Ok(Replay::Goto(Self::branch_target(proc, label)?));
-                }
-                Ok(Flow::Return(v)) => {
-                    let refund = trace.total_fuel - consumed;
-                    self.fuel += refund;
-                    self.steps -= refund;
-                    return Ok(Replay::Returned(v));
-                }
-                Err(stop) => {
-                    let refund = trace.total_fuel - consumed;
-                    self.fuel += refund;
-                    self.steps -= refund;
-                    return Err(stop);
-                }
-            }
         }
-        Ok(Replay::Goto(trace.end_pc as usize))
-    }
-
-    /// The tier-2 ledger; only called on paths the dispatch loop takes
-    /// when a program is (or is about to be) tiered, which implies the
-    /// ladder is active.
-    fn tier2_mut(&mut self) -> &mut TieredCache {
-        self.tier2.as_mut().expect("tiered segment implies tier 2")
-    }
-
-    /// Compile a hot segment and admit its program under the tier-2
-    /// cap, first evicting the least recently replayed program
-    /// (minimum [`tier::SegEntry::tick`]) while over it. Eviction drops
-    /// the compiled program only — the tier-1 trace stays cached, and a
-    /// segment that stays hot simply recompiles.
-    fn tier_up(&mut self, key: u64, trace: &SegTrace, proc: &Procedure) {
-        let prog = Arc::new(tier::compile(trace, proc, &self.globals));
-        let Some(t2) = self.tier2.as_mut() else {
-            return;
-        };
-        while t2.resident() >= t2.cap() as u64 {
-            let victim = self
-                .seg_cache
-                .values_mut()
-                .filter_map(Option::as_mut)
-                .filter(|e| e.tier2.is_some())
-                .min_by_key(|e| e.tick);
-            let Some(entry) = victim else { break };
-            let old = entry.tier2.take().expect("victim holds a program");
-            t2.note_evicted(&old);
-        }
-        t2.note_compiled(&prog);
-        let entry = self
-            .seg_cache
-            .get_mut(&key)
-            .and_then(Option::as_mut)
-            .expect("compiling segment is cached");
-        entry.tier2 = Some(prog);
-    }
-
-    /// Execute a compiled tier-2 program: the whole segment's fuel is
-    /// debited in one subtraction, straight-line runs execute as fused
-    /// handlers with operands and branch targets burnt in, and every
-    /// side exit (taken branch, return, fault) refunds the unexecuted
-    /// remainder through the program's fuel prefix sums — byte-identical
-    /// accounting to [`Vm::replay_segment_lean`], pinned by the
-    /// differential proptests. Only quiet, call-free segments reach this
-    /// loop (dispatch and compilation guarantee it), so no step consumes
-    /// fuel of its own and no per-step telemetry is owed.
-    fn run_tier2(
-        &mut self,
-        frame: &FrameCtx,
-        proc: &Procedure,
-        prog: &Tier2Program,
-        stack: &mut Vec<Slot>,
-    ) -> Result<Replay, Stop> {
-        self.check_cancel()?;
-        self.fuel -= prog.total_fuel;
-        self.steps += prog.total_fuel;
-        // A side exit at source step `i` has consumed `prefix[i]` fuel;
-        // the rest of the upfront debit is refunded before leaving.
-        macro_rules! exit {
-            ($consumed:expr, $out:expr) => {{
-                let refund = prog.total_fuel - $consumed;
+        // Leave the program after source step `$at` dispatched: refund
+        // the fuel debited for later windows.
+        macro_rules! leave {
+            ($at:expr, $done:expr, $out:expr) => {{
+                let at: usize = $at;
+                let refund = charged - prog.fuel_through(at);
                 self.fuel += refund;
                 self.steps -= refund;
+                observe_exit!(at + 1, $done);
                 return $out;
             }};
         }
         macro_rules! underflow {
-            ($op:expr, $consumed:expr) => {
-                exit!(
-                    $consumed,
+            ($op:expr, $at:expr) => {{
+                let at: usize = $at;
+                leave!(
+                    at,
+                    at,
                     Err(Stop::Error(VmError::StackUnderflow {
                         proc: proc.name.clone(),
                         opcode: $op,
                     }))
                 )
-            };
+            }};
         }
         for sop in prog.ops.iter() {
             let last = sop.last as usize;
+            if PER_STEP {
+                // Unfused: this superinstruction is source step `last`.
+                let through = prog.fuel_through(last);
+                if let Err(stop) = self.burn_fuel(through - charged) {
+                    observe_exit!(last, last);
+                    return Err(stop);
+                }
+                charged = through;
+                if observed {
+                    self.account(frame.proc_idx, prog, accounted, last + 1);
+                    accounted = last + 1;
+                }
+            }
             match sop.fused {
                 Fused::Push { imm } => stack.push(Slot::from_u(imm)),
                 Fused::PushLocal { off } => stack.push(Slot::from_u(frame.locals_base + off)),
                 Fused::PushArg { off } => stack.push(Slot::from_u(frame.args_base + off)),
                 Fused::LoadLocal { off } => match self.mem.load_u32(frame.locals_base + off) {
                     Ok(v) => stack.push(Slot::from_u(v)),
-                    Err(e) => exit!(prog.prefix[last], Err(Stop::Error(e))),
+                    Err(e) => leave!(last, last, Err(Stop::Error(e))),
                 },
                 Fused::LoadArg { off } => match self.mem.load_u32(frame.args_base + off) {
                     Ok(v) => stack.push(Slot::from_u(v)),
-                    Err(e) => exit!(prog.prefix[last], Err(Stop::Error(e))),
+                    Err(e) => leave!(last, last, Err(Stop::Error(e))),
                 },
                 Fused::StoreLocal { off } => {
                     let Some(v) = stack.pop() else {
-                        underflow!(Opcode::ASGNU, prog.prefix[last]);
+                        underflow!(Opcode::ASGNU, last)
                     };
                     if let Err(e) = self.mem.store_u32(frame.locals_base + off, v.u()) {
-                        exit!(prog.prefix[last], Err(Stop::Error(e)));
+                        leave!(last, last, Err(Stop::Error(e)));
                     }
                 }
                 Fused::StoreArg { off } => {
                     let Some(v) = stack.pop() else {
-                        underflow!(Opcode::ASGNU, prog.prefix[last]);
+                        underflow!(Opcode::ASGNU, last)
                     };
                     if let Err(e) = self.mem.store_u32(frame.args_base + off, v.u()) {
-                        exit!(prog.prefix[last], Err(Stop::Error(e)));
+                        leave!(last, last, Err(Stop::Error(e)));
                     }
                 }
                 Fused::LoadGlobal { addr } => match self.mem.load_u32(addr) {
                     Ok(v) => stack.push(Slot::from_u(v)),
-                    Err(e) => exit!(prog.prefix[last], Err(Stop::Error(e))),
+                    Err(e) => leave!(last, last, Err(Stop::Error(e))),
                 },
                 Fused::StoreGlobal { addr } => {
                     let Some(v) = stack.pop() else {
-                        underflow!(Opcode::ASGNU, prog.prefix[last]);
+                        underflow!(Opcode::ASGNU, last)
                     };
                     if let Err(e) = self.mem.store_u32(addr, v.u()) {
-                        exit!(prog.prefix[last], Err(Stop::Error(e)));
+                        leave!(last, last, Err(Stop::Error(e)));
                     }
                 }
                 Fused::AluImm { op, imm } => {
                     let Some(a) = stack.pop() else {
-                        underflow!(op, prog.prefix[last]);
+                        underflow!(op, last)
                     };
                     stack.push(alu_imm(op, a, imm));
                 }
                 Fused::CmpBr { cmp, target } => {
-                    // The comparison is the second-to-last constituent;
-                    // an underflow there (either pop — the operator pops
-                    // b first, like `exec_op`) charges its step, while a
-                    // taken branch charges through the BrTrue.
+                    // The comparison is the second-to-last step; an
+                    // underflow there (either pop — the operator pops
+                    // b first, like `exec_op`) charges its step, while
+                    // a taken branch charges through the BrTrue.
                     let Some(b) = stack.pop() else {
-                        underflow!(cmp, prog.prefix[last - 1]);
+                        underflow!(cmp, last - 1)
                     };
                     let Some(a) = stack.pop() else {
-                        underflow!(cmp, prog.prefix[last - 1]);
+                        underflow!(cmp, last - 1)
                     };
                     if cmp_eval(cmp, a, b) {
-                        exit!(prog.prefix[last], Ok(Replay::Goto(target as usize)));
+                        leave!(last, last + 1, Ok(Replay::Goto(target as usize)));
                     }
                 }
                 Fused::CmpImmBr { cmp, imm, target } => {
                     let Some(a) = stack.pop() else {
-                        underflow!(cmp, prog.prefix[last - 1]);
+                        underflow!(cmp, last - 1)
                     };
                     if cmp_eval(cmp, a, Slot::from_u(imm)) {
-                        exit!(prog.prefix[last], Ok(Replay::Goto(target as usize)));
+                        leave!(last, last + 1, Ok(Replay::Goto(target as usize)));
                     }
                 }
                 Fused::BrTruePop { target } => {
                     let Some(flag) = stack.pop() else {
-                        underflow!(Opcode::BrTrue, prog.prefix[last]);
+                        underflow!(Opcode::BrTrue, last)
                     };
                     if flag.u() != 0 {
-                        exit!(prog.prefix[last], Ok(Replay::Goto(target as usize)));
+                        leave!(last, last + 1, Ok(Replay::Goto(target as usize)));
                     }
                 }
                 Fused::Jump { target } => {
-                    exit!(prog.prefix[last], Ok(Replay::Goto(target as usize)))
+                    leave!(last, last + 1, Ok(Replay::Goto(target as usize)))
                 }
                 Fused::Exec { op, operands } => match self.exec_op(op, operands, frame, stack) {
                     Ok(Flow::Continue) => {}
+                    // The walk notes the stack before resolving the
+                    // label, so even a bad label completes the step.
                     Ok(Flow::Branch(label)) => match Self::branch_target(proc, label) {
-                        Ok(t) => exit!(prog.prefix[last], Ok(Replay::Goto(t))),
-                        Err(e) => exit!(prog.prefix[last], Err(e)),
+                        Ok(t) => leave!(last, last + 1, Ok(Replay::Goto(t))),
+                        Err(e) => leave!(last, last + 1, Err(e)),
                     },
-                    Ok(Flow::Return(v)) => {
-                        exit!(prog.prefix[last], Ok(Replay::Returned(v)))
-                    }
-                    Err(stop) => exit!(prog.prefix[last], Err(stop)),
+                    Ok(Flow::Return(v)) => leave!(last, last + 1, Ok(Replay::Returned(v))),
+                    Err(stop) => leave!(last, last, Err(stop)),
                 },
             }
+        }
+        let n = prog.steps.len();
+        if PER_STEP {
+            if let Err(stop) = self.burn_fuel(prog.total_fuel - charged) {
+                observe_exit!(n, n);
+                return Err(stop);
+            }
+        }
+        observe_exit!(n, n);
+        if self.telemetry_on {
+            self.rules_walked += u64::from(prog.tail_rules);
+            self.walk_depth_peak = self.walk_depth_peak.max(prog.tail_depth as usize);
         }
         Ok(Replay::Goto(prog.end_pc as usize))
     }
 
-    /// Snapshot of tier-2 activity (all zeros when tiering is
-    /// inactive). Live regardless of telemetry, so serving hosts can
-    /// surface tier-up behavior without enabling a recorder.
+    /// Add the telemetry of a replay that leaves after `ran` source
+    /// steps of `prog` dispatched, `done` of them completed, from a
+    /// stack `entry_height` deep at entry; steps before `from` were
+    /// accounted already.
+    #[cold]
+    fn account_exit(
+        &mut self,
+        proc_idx: usize,
+        prog: &SegProgram,
+        from: usize,
+        ran: usize,
+        entry_height: usize,
+        done: usize,
+    ) {
+        self.account(proc_idx, prog, from, ran);
+        if self.telemetry_on && done > 0 {
+            let peak = entry_height as i64 + i64::from(prog.steps[done - 1].stack_peak);
+            self.operand_stack_peak = self.operand_stack_peak.max(peak as usize);
+        }
+    }
+
+    /// Add the dispatch counts, rules walked, walk-depth peak and trace
+    /// events of source steps `from..to` of `prog`, which ran.
+    fn account(&mut self, proc_idx: usize, prog: &SegProgram, from: usize, to: usize) {
+        if from >= to {
+            return;
+        }
+        let steps = &prog.steps[from..to];
+        if self.telemetry_on {
+            let last = &prog.steps[to - 1];
+            self.rules_walked += u64::from(last.rules_through - prog.rules_before(from));
+            self.walk_depth_peak = self.walk_depth_peak.max(last.depth_peak as usize);
+            for s in steps {
+                self.dispatch[usize::from(s.op as u8)] += 1;
+            }
+        }
+        let room = self.trace_limit.saturating_sub(self.trace.len());
+        for s in steps.iter().take(room) {
+            self.record(proc_idx, s.op, u32::from_le_bytes(s.operands));
+        }
+    }
+
+    /// Activity of the compiled segment programs (all zeros for plain
+    /// and reference-walker runs, and with the segment cache off). Live
+    /// regardless of telemetry, so serving hosts can surface it without
+    /// enabling a recorder. `deopts` is always 0.
     pub fn tier2_stats(&self) -> Tier2Stats {
-        self.tier2
-            .as_ref()
-            .map(TieredCache::stats)
-            .unwrap_or_default()
+        Tier2Stats {
+            compiled: self.seg_compiled,
+            fused_ops: self.seg_fused_ops,
+            hits: self.seg_hits,
+            deopts: 0,
+        }
     }
 
     /// A branch or return abandoned the walk mid-segment while
@@ -1495,14 +1380,15 @@ impl<'p> Vm<'p> {
         &mut self,
         rec: &mut SegRecorder,
         rp: &RuleProgram,
-        code: &[u8],
+        proc: &Procedure,
         mut pc: usize,
         walk: &[WalkFrame],
     ) {
+        let code = &proc.code;
         let mut shadow: Vec<WalkFrame> = walk.to_vec();
         loop {
             if shadow.is_empty() {
-                self.seal_recording(rec, pc);
+                self.seal_recording(rec, pc, proc);
                 return;
             }
             let top = shadow.last_mut().expect("shadow walk is non-empty");
@@ -1548,40 +1434,27 @@ impl<'p> Vm<'p> {
                 _ => break,
             }
         }
-        self.mark_uncacheable(rec);
-    }
-
-    /// Close a recording into a [`SegTrace`] and publish it.
-    fn seal_recording(&mut self, rec: &mut SegRecorder, end_pc: usize) {
-        let has_calls = rec
-            .steps
-            .iter()
-            .any(|s| s.op.is_local_call() || s.op.is_indirect_call());
-        let trace = SegTrace {
-            steps: std::mem::take(&mut rec.steps).into_boxed_slice(),
-            tail_fuel: rec.win_fuel,
-            tail_rules: rec.win_rules,
-            tail_depth: rec.win_depth,
-            end_pc: end_pc as u32,
-            total_fuel: rec.total_fuel,
-            has_calls,
-        };
-        rec.active = false;
+        rec.abandon();
+        // Publish a negative entry: this segment's decode faults, so
+        // never try to record it again.
         if self.seg_cache.len() < self.seg_cache_cap && !self.seg_cache.contains_key(&rec.key) {
-            self.seg_cache_bytes += trace.bytes();
-            self.seg_cache
-                .insert(rec.key, Some(tier::SegEntry::new(Arc::new(trace))));
+            self.seg_cache_bytes += size_of::<u64>() + size_of::<Option<Arc<SegProgram>>>();
+            self.seg_cache.insert(rec.key, None);
         }
     }
 
-    /// Publish a negative entry: this segment's decode faults, so never
-    /// try to record it again.
-    fn mark_uncacheable(&mut self, rec: &mut SegRecorder) {
-        rec.active = false;
-        rec.steps.clear();
+    /// Compile a finished recording and publish it as the segment's
+    /// cache entry (unless a nested activation of the same segment, or
+    /// the cap, got there first).
+    fn seal_recording(&mut self, rec: &mut SegRecorder, end_pc: usize, proc: &Procedure) {
         if self.seg_cache.len() < self.seg_cache_cap && !self.seg_cache.contains_key(&rec.key) {
-            self.seg_cache_bytes += size_of::<u64>() + size_of::<Option<tier::SegEntry>>();
-            self.seg_cache.insert(rec.key, None);
+            let prog = rec.seal(end_pc, proc, &self.globals);
+            self.seg_compiled += 1;
+            self.seg_fused_ops += prog.fused_ops() as u64;
+            self.seg_cache_bytes += prog.bytes();
+            self.seg_cache.insert(rec.key, Some(Arc::new(prog)));
+        } else {
+            rec.abandon();
         }
     }
 }
@@ -1599,22 +1472,6 @@ struct WalkFrame {
 enum Replay {
     Goto(usize),
     Returned(Slot),
-}
-
-/// How a segment-cache hit is serviced, decided in the dispatch loop
-/// while the single cache-entry borrow is live. Cloning the `Arc`s out
-/// lets the replay methods take `&mut self` afterwards.
-enum TierPath {
-    /// Run the compiled tier-2 superinstruction program.
-    Fused(Arc<Tier2Program>),
-    /// The segment is tiered, but telemetry or tracing needs per-step
-    /// bookkeeping: deoptimize to tier-1 replay.
-    Deopt(Arc<SegTrace>),
-    /// This replay crossed the tier-up threshold: compile, then replay
-    /// at tier 1 (the program serves the next quiet hit).
-    Compile(Arc<SegTrace>),
-    /// Plain tier-1 replay.
-    Replay(Arc<SegTrace>),
 }
 
 fn seg_key(proc_idx: usize, pc: usize) -> u64 {
@@ -1663,79 +1520,13 @@ fn alu_imm(op: Opcode, a: Slot, imm: u32) -> Slot {
     }
 }
 
-/// Accumulates a segment decode into [`SegStep`] windows while the fast
-/// path walks it for real. Inactive recorders make every hook a single
-/// predictable branch.
-#[derive(Default)]
-struct SegRecorder {
-    active: bool,
-    key: u64,
-    steps: Vec<SegStep>,
-    /// Fuel burnt since the last recorded instruction (bookkeeping
-    /// iterations plus the next instruction's own dispatch).
-    win_fuel: u32,
-    /// Rules selected since the last recorded instruction.
-    win_rules: u32,
-    /// Walk-depth peak since the last recorded instruction.
-    win_depth: u32,
-    total_fuel: u64,
-}
-
-impl SegRecorder {
-    fn begin(&mut self, key: u64) {
-        self.active = true;
-        self.key = key;
-        self.steps.clear();
-        self.win_fuel = 0;
-        self.win_rules = 0;
-        self.win_depth = 0;
-        self.total_fuel = 0;
-    }
-
-    /// Count one derivation-walk iteration (one unit of fuel).
-    #[inline]
-    fn tick(&mut self) {
-        if self.active {
-            self.win_fuel += 1;
-            self.total_fuel += 1;
-        }
-    }
-
-    /// Count one rule selection at the given walk depth.
-    #[inline]
-    fn rule(&mut self, depth: usize) {
-        if self.active {
-            self.win_rules += 1;
-            self.win_depth = self.win_depth.max(depth as u32);
-        }
-    }
-
-    /// Close the current window into a recorded instruction.
-    #[inline]
-    fn step(&mut self, op: Opcode, operands: [u8; 4]) {
-        if self.active {
-            self.steps.push(SegStep {
-                op,
-                operands,
-                pre_fuel: self.win_fuel,
-                pre_rules: self.win_rules,
-                pre_depth: self.win_depth,
-            });
-            self.win_fuel = 0;
-            self.win_rules = 0;
-            self.win_depth = 0;
-        }
-    }
-}
-
 #[cfg(test)]
-mod tier_dispatch_tests {
+mod segment_cache_tests {
     use super::*;
     use pgr_bytecode::asm::assemble;
     use pgr_core::{train, TrainConfig};
 
-    /// Counting loop — every segment replays enough to tier up at any
-    /// threshold.
+    /// Counting loop — every segment replays.
     const LOOP: &str = "proc main frame=16 args=0\n\
          \tLIT1 0\n\tADDRLP 0\n\tASGNU\n\
          \tLIT1 0\n\tADDRLP 8\n\tASGNU\n\
@@ -1751,36 +1542,33 @@ mod tier_dispatch_tests {
          endproc\nentry main\n";
 
     /// Negative cache entries ("this segment's decode faults") must
-    /// never reach the tier ladder: a fully poisoned cache walks every
-    /// segment fresh, compiles nothing, and still produces the
-    /// byte-identical result.
+    /// never replay: a fully poisoned cache walks every segment fresh,
+    /// compiles nothing, and still produces the byte-identical result.
     #[test]
-    fn negative_segments_never_tier_up() {
+    fn negative_segments_never_replay() {
         let program = assemble(LOOP).unwrap();
         let trained = train(&[&program], &TrainConfig::default()).unwrap();
         let (cp, _) = trained.compress(&program).unwrap();
         let ig = trained.initial();
-        let config = VmConfig {
-            tier_up: 1,
-            ..VmConfig::default()
-        };
         let mk = || {
             Vm::new_compressed(
                 &cp.program,
                 trained.expanded(),
                 ig.nt_start,
                 ig.nt_byte,
-                config.clone(),
+                VmConfig::default(),
             )
             .unwrap()
         };
 
         let mut vm = mk();
         let clean = vm.run().unwrap();
+        let stats = vm.tier2_stats();
         assert!(
-            vm.tier2_stats().compiled > 0,
-            "hot loop should tier up in the clean run"
+            stats.compiled > 0,
+            "the clean run should compile its segments"
         );
+        assert!(stats.hits > 0, "the clean run should replay the loop");
 
         let mut vm = mk();
         for (proc_idx, p) in cp.program.procs.iter().enumerate() {
@@ -1790,8 +1578,8 @@ mod tier_dispatch_tests {
         }
         let poisoned = vm.run().unwrap();
         let stats = vm.tier2_stats();
-        assert_eq!(stats.compiled, 0, "negative segment tiered up");
-        assert_eq!(stats.hits, 0);
+        assert_eq!(stats.compiled, 0, "negative segment compiled");
+        assert_eq!(stats.hits, 0, "negative segment replayed");
         assert!(
             vm.seg_misses > 2,
             "poisoned segments should be re-walked on every visit"

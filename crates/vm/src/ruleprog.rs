@@ -23,17 +23,10 @@
 //! them, so the walk loop in `machine.rs` touches two `u32` bounds
 //! arrays and one `u64` array instead of pattern-matching symbol enums.
 //! The snapshot is built from the same [`RuleTable`] packed-symbol
-//! tables the reference Earley parser uses.
-//!
-//! This module also defines the decoded-**segment-cache** entry types
-//! ([`SegTrace`]/[`SegStep`]): the first walk of a label-delimited
-//! segment records its flat (opcode, resolved-operand) trace together
-//! with per-step fuel/telemetry windows, and later entries at the same
-//! `pc` (loop back-edges — the hot case) replay the trace without
-//! walking the derivation at all. See `machine.rs` for the replay loop
-//! and DESIGN.md §5e for the equivalence contract.
+//! tables the reference Earley parser uses. The segments this walk
+//! decodes are cached as compiled programs ([`crate::segment`]); see
+//! DESIGN.md §5e for the equivalence contract.
 
-use pgr_bytecode::Opcode;
 use pgr_grammar::{Grammar, Nt, RuleTable, Terminal};
 
 /// Micro-op kind: execute an operator.
@@ -249,61 +242,10 @@ fn compile_rule(table: &RuleTable, rule: pgr_grammar::RuleId, byte_nt: Nt, ops: 
     }
 }
 
-/// One replayable instruction of a cached decoded segment: the resolved
-/// operator plus the telemetry window covering every derivation-walk
-/// iteration since the previous instruction (rule selections, frame
-/// pops, and this instruction's own dispatch).
-#[derive(Debug, Clone, Copy)]
-pub struct SegStep {
-    /// The operator.
-    pub op: Opcode,
-    /// Fully resolved operand bytes (stream operands are a pure function
-    /// of the segment's `pc`, so they resolve at record time).
-    pub operands: [u8; 4],
-    /// Fuel the reference walk burns for this window.
-    pub pre_fuel: u32,
-    /// Rules the reference walk selects in this window.
-    pub pre_rules: u32,
-    /// Walk-depth high-water mark inside this window.
-    pub pre_depth: u32,
-}
-
-/// A fully decoded segment: the instruction trace from the segment's
-/// first stream byte to the point where the walk stack drains, plus the
-/// trailing bookkeeping window and the `pc` the walk falls through to.
-#[derive(Debug)]
-pub struct SegTrace {
-    /// The instructions, in execution order.
-    pub steps: Box<[SegStep]>,
-    /// Fuel burnt after the last instruction (trailing frame pops).
-    pub tail_fuel: u32,
-    /// Rules selected after the last instruction.
-    pub tail_rules: u32,
-    /// Walk-depth high-water mark after the last instruction.
-    pub tail_depth: u32,
-    /// Stream offset of the next segment when the walk falls through.
-    pub end_pc: u32,
-    /// Total fuel of a fall-through replay (`Σ pre_fuel + tail_fuel`);
-    /// replay is skipped when less fuel than this remains, so batched
-    /// burns can never overshoot the budget.
-    pub total_fuel: u64,
-    /// Whether any step is a call operator. A call burns callee fuel
-    /// mid-segment, so only call-free traces may burn their whole fuel
-    /// window up front (the lean replay path).
-    pub has_calls: bool,
-}
-
-impl SegTrace {
-    /// Approximate resident size in bytes (the `vm.segment_cache.bytes`
-    /// gauge).
-    pub fn bytes(&self) -> usize {
-        size_of::<SegTrace>() + self.steps.len() * size_of::<SegStep>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pgr_bytecode::Opcode;
     use pgr_grammar::InitialGrammar;
 
     #[test]

@@ -1,13 +1,16 @@
 //! Differential testing of the compressed-interpreter fast path.
 //!
-//! The precompiled-rule-program walker (with and without its decoded-
-//! segment cache) must be *byte-identical* to the reference grammar
-//! walker: same `RunResult` (return value, output, exit code, **step
-//! count**), same operator trace, and the same `vm.*` telemetry. These
-//! proptests drive all three configurations over parameterized program
-//! shapes (loops — the segment-cache hot case —, recursion, straight
-//! line), over fuel exhaustion at arbitrary points, and over completely
-//! arbitrary derivation streams, asserting exact agreement every time.
+//! The precompiled-rule-program walker (with its compiled segment
+//! programs, with a one-entry segment cache, and with the cache off)
+//! must be *byte-identical* to the reference grammar walker: same
+//! `RunResult` (return value, output, exit code, **step count**), same
+//! operator trace, and the same `vm.*` telemetry. Every configuration
+//! runs twice, instrumented (recorder plus `trace_limit`) and quiet, and
+//! both must compile and replay the same segment programs. These
+//! proptests drive the matrix over parameterized program shapes (loops —
+//! the segment-cache hot case —, recursion, straight line), over fuel
+//! exhaustion at arbitrary points, and over completely arbitrary
+//! derivation streams, asserting exact agreement every time.
 //!
 //! One documented exception (DESIGN.md §5e): when a run dies of fuel
 //! exhaustion, `vm.rules_walked`/`vm.walk_depth_peak` may undercount on
@@ -15,9 +18,10 @@
 //! compared only for runs that do not hit `OutOfFuel`.
 
 use pgr_bytecode::asm::assemble;
+use pgr_bytecode::Program;
 use pgr_core::{train, TrainConfig, Trained};
 use pgr_telemetry::{Metrics, Recorder};
-use pgr_vm::{Vm, VmConfig, VmError};
+use pgr_vm::{RunResult, Vm, VmConfig, VmError};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::collections::BTreeMap;
@@ -60,6 +64,34 @@ fn fib_src(n: u8) -> String {
          \tADDRLP 0\n\tINDIRU\n\tADDU\n\tRETU\n\
          \tlabel 0\n\
          \tADDRFP 0\n\tINDIRU\n\tRETU\n\
+         endproc\nentry main\n"
+    )
+}
+
+/// Counting loop whose body adds `c` through a call, and only on odd
+/// `i`: on even `i` the body's first segment branches out, on odd `i`
+/// it makes the call and falls through into the next label, so replays
+/// of a call-carrying segment leave both ways.
+fn branchy_src(n: u8, c: u8) -> String {
+    format!(
+        "proc main frame=16 args=0\n\
+         \tLIT1 0\n\tADDRLP 0\n\tASGNU\n\
+         \tLIT1 0\n\tADDRLP 8\n\tASGNU\n\
+         \tlabel 0\n\
+         \tADDRLP 0\n\tINDIRU\n\tLIT1 {n}\n\tLTI\n\tBrTrue 1\n\
+         \tJUMPV 2\n\
+         \tlabel 1\n\
+         \tADDRLP 0\n\tINDIRU\n\tLIT1 1\n\tBANDU\n\tLIT1 0\n\tEQU\n\tBrTrue 3\n\
+         \tADDRLP 8\n\tINDIRU\n\tARGU\n\tLIT1 {c}\n\tARGU\n\tLocalCALLU 1\n\
+         \tADDRLP 8\n\tASGNU\n\
+         \tlabel 3\n\
+         \tADDRLP 0\n\tINDIRU\n\tLIT1 1\n\tADDU\n\tADDRLP 0\n\tASGNU\n\
+         \tJUMPV 0\n\
+         \tlabel 2\n\
+         \tADDRLP 8\n\tINDIRU\n\tRETU\n\
+         endproc\n\
+         proc add frame=0 args=8\n\
+         \tADDRFP 0\n\tINDIRU\n\tADDRFP 4\n\tINDIRU\n\tADDU\n\tRETU\n\
          endproc\nentry main\n"
     )
 }
@@ -115,96 +147,72 @@ fn vm_view(m: &Metrics, exact_walk: bool) -> (BTreeMap<String, u64>, BTreeMap<St
     )
 }
 
-/// The tier ladder both matrices drive, as
-/// `(reference_walker, segment_cache_entries, tier, tier_up)` rows:
-/// tier 2 at the default threshold, tier 2 forced hot (`tier_up: 1`
-/// compiles every segment on its first replay), tier 1 (cache without
-/// tier-up), tier 0 / cache off, and the reference walker.
-const CONFIGS: [(bool, usize, u8, u32); 6] = [
-    (false, 1024, 2, 64),
-    (false, 1024, 2, 1),
-    (false, 1024, 1, 64),
-    (false, 1024, 0, 64),
-    (false, 0, 2, 64),
-    (true, 0, 2, 64),
-];
+/// The configurations both halves of the matrix drive, as
+/// `(reference_walker, segment_cache_entries)` rows: the default, a
+/// one-entry segment cache (later segments are walked every time), the
+/// cache off (walk only), and the reference walker, which comes last
+/// and is the spec.
+const CONFIGS: [(bool, usize); 4] = [(false, 1024), (false, 1), (false, 0), (true, 0)];
 
-/// Compress `src` once, then run it under every tier of the fast path
-/// (superinstructions, segment replay, cache disabled) and the
-/// reference walker; assert byte-identical results, traces, and
-/// telemetry.
-fn differential(src: &str, fuel: u64) -> Result<(), TestCaseError> {
-    let program = assemble(src).unwrap();
+/// Run `program` (the compressed image) under every configuration,
+/// instrumented and quiet, and assert that each agrees with the
+/// reference walker: results, step counts, operator traces and the
+/// `vm_view` telemetry, and that an instrumented run compiles and
+/// replays the same segment programs as its quiet twin. Returns the
+/// reference walker's quiet outcome.
+fn agree(program: &Program, fuel: u64) -> Result<Result<RunResult, VmError>, TestCaseError> {
     let trained = trained();
-    let (cp, _) = trained.compress(&program).unwrap();
     let ig = trained.initial();
-
-    let mut results = Vec::new();
-    for (reference_walker, segment_cache_entries, tier, tier_up) in CONFIGS {
-        let recorder = Recorder::new();
+    let run = |(reference_walker, segment_cache_entries): (bool, usize), observed: bool| {
+        let recorder = if observed {
+            Recorder::new()
+        } else {
+            Recorder::disabled()
+        };
         let config = VmConfig {
             fuel,
-            trace_limit: 1 << 16,
+            trace_limit: if observed { 1 << 16 } else { 0 },
             recorder: recorder.clone(),
             reference_walker,
             segment_cache_entries,
-            tier,
-            tier_up,
             ..VmConfig::default()
         };
-        let mut vm = Vm::new_compressed(
-            &cp.program,
-            trained.expanded(),
-            ig.nt_start,
-            ig.nt_byte,
-            config,
-        )
-        .unwrap();
-        results.push((vm.run(), recorder.snapshot()));
-    }
-
-    let (r0, m0) = &results[0];
-    let exact_walk = !matches!(r0, Err(VmError::OutOfFuel));
-    for (r, m) in &results[1..] {
-        prop_assert_eq!(r0, r);
-        prop_assert_eq!(vm_view(m0, exact_walk), vm_view(m, exact_walk));
-    }
-
-    // Telemetry and tracing off selects the lean replay loop and — for
-    // tiered segments — the fused tier-2 handlers (upfront fuel burn
-    // with early-exit refunds); their step accounting must stay
-    // byte-identical to both the instrumented runs above and the other
-    // quiet configurations.
-    let mut quiet = Vec::new();
-    for (reference_walker, segment_cache_entries, tier, tier_up) in CONFIGS {
-        let config = VmConfig {
-            fuel,
-            reference_walker,
-            segment_cache_entries,
-            tier,
-            tier_up,
-            ..VmConfig::default()
-        };
-        let mut vm = Vm::new_compressed(
-            &cp.program,
-            trained.expanded(),
-            ig.nt_start,
-            ig.nt_byte,
-            config,
-        )
-        .unwrap();
-        quiet.push(vm.run());
-    }
-    let key = |r: &Result<pgr_vm::RunResult, VmError>| {
+        let mut vm =
+            Vm::new_compressed(program, trained.expanded(), ig.nt_start, ig.nt_byte, config)
+                .unwrap();
+        let result = vm.run();
+        (result, recorder.snapshot(), vm.tier2_stats())
+    };
+    let (spec, spec_metrics, _) = run(CONFIGS[3], true);
+    let (spec_quiet, _, _) = run(CONFIGS[3], false);
+    let exact_walk = !matches!(spec, Err(VmError::OutOfFuel));
+    let key = |r: &Result<RunResult, VmError>| {
         r.as_ref()
             .map(|x| (x.steps, x.ret, x.output.clone(), x.exit_code))
             .map_err(Clone::clone)
     };
-    prop_assert_eq!(key(r0), key(&quiet[0]));
-    for q in &quiet[1..] {
-        prop_assert_eq!(&quiet[0], q);
+    prop_assert_eq!(key(&spec), key(&spec_quiet));
+    for config in &CONFIGS[..3] {
+        let (observed, metrics, observed_stats) = run(*config, true);
+        let (quiet, _, quiet_stats) = run(*config, false);
+        // Each comparison carries the configuration, so a failure names it.
+        prop_assert_eq!((config, &spec), (config, &observed));
+        prop_assert_eq!(
+            (config, vm_view(&spec_metrics, exact_walk)),
+            (config, vm_view(&metrics, exact_walk))
+        );
+        prop_assert_eq!((config, &spec_quiet), (config, &quiet));
+        prop_assert_eq!((config, observed_stats), (config, quiet_stats));
+        prop_assert_eq!(observed_stats.deopts, 0);
     }
-    Ok(())
+    Ok(spec_quiet)
+}
+
+/// Compress `src` once and run it through the whole matrix.
+fn differential(src: &str, fuel: u64) -> Result<(), TestCaseError> {
+    let program = assemble(src).unwrap();
+    let (cp, _) = trained().compress(&program).unwrap();
+    agree(&cp.program, fuel).map(drop)
 }
 
 proptest! {
@@ -226,6 +234,12 @@ proptest! {
     }
 
     #[test]
+    fn fall_through_replays_are_path_identical(n in 0u8..32, c in 0u8..=255, fuel in 1u64..3_000) {
+        differential(&branchy_src(n, c), 200_000_000)?;
+        differential(&branchy_src(n, c), fuel)?;
+    }
+
+    #[test]
     fn fuel_exhaustion_is_path_identical(n in 1u8..16, fuel in 1u64..2_000) {
         // Dying at an arbitrary point — mid-segment, mid-replay, inside
         // a call — must stop both paths at the identical step count.
@@ -242,42 +256,18 @@ proptest! {
         bytes in prop::collection::vec(any::<u8>(), 0..120),
     ) {
         // Arbitrary byte streams as the compressed code of the entry
-        // procedure: both paths must terminate within the fuel limit
+        // procedure: every path must terminate within the fuel limit
         // with the *same* outcome — a clean `VmError` with identical
         // offset and detail, or (for the rare stream that happens to be
-        // a valid derivation reaching a return) the same clean result.
-        let trained = trained();
-        let ig = trained.initial();
-        let mut program = pgr_bytecode::Program::new();
+        // a valid derivation reaching a return) the same clean result —
+        // and, observed, the same trace and telemetry. Streams that loop
+        // exercise the compiled programs' side exits under observation.
+        let mut program = Program::new();
         let mut proc = pgr_bytecode::Procedure::new("fuzz");
         proc.code = bytes;
         proc.frame_size = 64;
         program.procs.push(proc);
-
-        let mut outcomes = Vec::new();
-        // `tier_up: 1` compiles every replayed segment immediately, so
-        // corrupt streams that loop exercise the fused side exits too.
-        for (reference_walker, tier_up) in [(false, 64), (false, 1), (true, 64)] {
-            let config = VmConfig {
-                fuel: 50_000,
-                reference_walker,
-                tier_up,
-                ..VmConfig::default()
-            };
-            let mut vm = Vm::new_compressed(
-                &program,
-                trained.expanded(),
-                ig.nt_start,
-                ig.nt_byte,
-                config,
-            )
-            .unwrap();
-            outcomes.push(vm.run());
-        }
-        for o in &outcomes[1..] {
-            prop_assert_eq!(&outcomes[0], o);
-        }
-        if let Ok(r) = &outcomes[0] {
+        if let Ok(r) = agree(&program, 50_000)? {
             prop_assert!(r.steps <= 50_000);
         }
     }
