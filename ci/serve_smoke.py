@@ -2,7 +2,8 @@
 """Drive a running `pgr serve` instance end to end, stdlib-only (CI
 runners have no extra packages).
 
-    python3 ci/serve_smoke.py <socket> <grammar-id> <image.pgrb> [slow.ndjson]
+    python3 ci/serve_smoke.py [--server-pid PID --max-hwm-kib KIB] \
+        <socket> <grammar-id> <image.pgrb> [slow.ndjson]
 
 Speaks the newline-delimited JSON protocol from pgr-registry's `serve`
 module and checks the contract the docs promise:
@@ -24,6 +25,10 @@ module and checks the contract the docs promise:
   * stats exposes the reactor's live queue depth and resident engine
     count, and the batching histograms (serve.batch.size,
     serve.batch.wait_micros) are populated once a compress has run,
+  * with --server-pid and --max-hwm-kib, the server's peak resident
+    set (VmHWM in /proc/<pid>/status), read after five plain and
+    compressed run round-trips and before shutdown, is at most the
+    ceiling,
   * shutdown is acknowledged before the server exits,
   * when a slow-trace path is given (the server ran with --slow-ms 0),
     the NDJSON dump exists, every line parses, and the header trace ids
@@ -117,6 +122,18 @@ def check_slow_trace(path):
     print(f"serve smoke: slow-trace dump ok ({len(headers)} request trees)")
 
 
+def check_peak_rss(pid, ceiling_kib):
+    """Fail when the server's peak resident set is above the ceiling."""
+    with open(f"/proc/{pid}/status", encoding="utf-8") as status:
+        fields = dict(line.split(":", 1) for line in status if ":" in line)
+    if "VmHWM" not in fields:
+        fail(f"/proc/{pid}/status has no VmHWM line")
+    kib = int(fields["VmHWM"].split()[0])
+    print(f"serve smoke: server VmHWM {kib} KiB (ceiling {ceiling_kib} KiB)")
+    if kib > ceiling_kib:
+        fail(f"server peak RSS {kib} KiB is above the {ceiling_kib} KiB ceiling")
+
+
 def check_overload(path, grammar_id, image_path):
     """Pipeline 8 compresses at a server with a tiny queue: overflow is
     refused in-band, in order, without dropping the connection."""
@@ -176,11 +193,15 @@ def main():
             sys.exit(2)
         check_overload(*argv[1:])
         return
-    if len(sys.argv) not in (4, 5):
+    gate = {}
+    while argv and argv[0] in ("--server-pid", "--max-hwm-kib") and len(argv) > 1:
+        gate[argv[0]] = int(argv[1])
+        argv = argv[2:]
+    if len(argv) not in (3, 4) or len(gate) not in (0, 2):
         print(__doc__, file=sys.stderr)
         sys.exit(2)
-    path, grammar_id, image_path = sys.argv[1:4]
-    slow_trace = sys.argv[4] if len(sys.argv) == 5 else None
+    path, grammar_id, image_path = argv[:3]
+    slow_trace = argv[3] if len(argv) == 4 else None
     original = open(image_path, "rb").read()
     client = Client(path)
 
@@ -228,15 +249,19 @@ def main():
         trace_of(ran)
         return ran
 
-    plain, compressed = run(base64.b64encode(original).decode()), run(packed["image"])
-    if plain.get("exit_code") != 0:
-        fail(f"uncompressed run exit code {plain.get('exit_code')!r}")
-    for key in ("exit_code", "output"):
-        if plain.get(key) != compressed.get(key):
-            fail(
-                f"compressed run diverged on {key}: "
-                f"{plain.get(key)!r} vs {compressed.get(key)!r}"
-            )
+    images = (base64.b64encode(original).decode(), packed["image"])
+    # With the memory gate on, the pair runs five times, so every worker
+    # that serves a run reaches its steady footprint before the gate.
+    for _ in range(5 if gate else 1):
+        plain, compressed = (run(image) for image in images)
+        if plain.get("exit_code") != 0:
+            fail(f"uncompressed run exit code {plain.get('exit_code')!r}")
+        for key in ("exit_code", "output"):
+            if plain.get(key) != compressed.get(key):
+                fail(
+                    f"compressed run diverged on {key}: "
+                    f"{plain.get(key)!r} vs {compressed.get(key)!r}"
+                )
 
     stats = client.call(op="stats")
     if not stats.get("ok"):
@@ -286,6 +311,9 @@ def main():
                 fail(f"window op {op!r} lacks {field}: {entry}")
     if "compress" not in window.get("ops", {}):
         fail(f"window lacks a compress entry: {window.get('ops')}")
+
+    if gate:
+        check_peak_rss(gate["--server-pid"], gate["--max-hwm-kib"])
 
     down = client.call(op="shutdown")
     if not down.get("ok"):

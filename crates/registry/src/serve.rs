@@ -54,10 +54,10 @@ use crate::store::{Registry, RegistryError};
 use crate::window::{SlidingWindow, DEFAULT_WINDOW_SECS};
 use pgr_bytecode::{read_program_tagged, write_program_tagged, ImageKind, Program};
 use pgr_core::{Compressor, CompressorConfig, EarleyBudget};
-use pgr_grammar::Nt;
 use pgr_telemetry::{
     names, trace, CancelToken, Metrics, Recorder, Stopwatch, TraceId, DEFAULT_TRACE_CAPACITY,
 };
+use pgr_vm::ruleprog::RuleProgram;
 use pgr_vm::{Vm, VmConfig, VmError};
 use std::collections::HashMap;
 use std::fmt;
@@ -224,13 +224,14 @@ impl From<RegistryError> for ServeError {
     }
 }
 
-/// One loaded grammar: its interpreter handles and a compressor — which
-/// owns the grammar — whose derivation cache all requests for this
-/// grammar share. Dropping an evicted engine frees its grammar.
+/// One loaded grammar: a compressor — which owns the grammar — whose
+/// derivation cache all requests for this grammar share, and the
+/// grammar's rule program, built once when the engine loads and shared
+/// by every `run` against it. Dropping an evicted engine frees both.
 pub(crate) struct Engine {
     pub(crate) id: GrammarId,
-    pub(crate) byte_nt: Nt,
     pub(crate) compressor: Compressor<'static>,
+    pub(crate) rules: Arc<RuleProgram>,
 }
 
 impl Engine {
@@ -240,11 +241,23 @@ impl Engine {
         config: CompressorConfig,
         recorder: Recorder,
     ) -> Arc<Engine> {
+        let rules = Arc::new(RuleProgram::build(&file.grammar, file.start, file.byte_nt));
         Arc::new(Engine {
             id,
-            byte_nt: file.byte_nt,
             compressor: Compressor::owning(file.grammar, file.start, config, recorder),
+            rules,
         })
+    }
+
+    /// Load a compressed program against this engine's grammar and rule
+    /// program.
+    fn vm<'a>(&'a self, program: &'a Program, config: VmConfig) -> Result<Vm<'a>, VmError> {
+        Vm::with_rule_program(
+            program,
+            self.compressor.grammar(),
+            Arc::clone(&self.rules),
+            config,
+        )
     }
 }
 
@@ -616,14 +629,9 @@ fn handle_run(state: &State, request: &Request, cancel: &CancelToken) -> Result<
         }
         ImageKind::Compressed => {
             let engine = state.engine_of_request(request.grammar.as_deref(), header_id)?;
-            let mut vm = Vm::new_compressed(
-                &program,
-                engine.compressor.grammar(),
-                engine.compressor.start(),
-                engine.byte_nt,
-                config,
-            )
-            .map_err(|e| vm_error_message(&e))?;
+            let mut vm = engine
+                .vm(&program, config)
+                .map_err(|e| vm_error_message(&e))?;
             let result = vm.run().map_err(|e| vm_error_message(&e))?;
             (result, Some(engine.id), vm.tier2_stats())
         }
@@ -1241,6 +1249,28 @@ mod tests {
         );
         drop(server);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn runs_through_one_engine_share_its_rule_program() {
+        let engine = engine(5, &Recorder::disabled());
+        let program = pgr_bytecode::asm::assemble(
+            "proc main frame=8 args=0\n\tLIT1 7\n\tADDRLP 0\n\tASGNU\n\
+             \tADDRLP 0\n\tINDIRU\n\tRETU\nendproc\nentry main\n",
+        )
+        .unwrap();
+        let (cp, _) = engine.compressor.compress(&program).unwrap();
+        for _ in 0..2 {
+            let mut vm = engine.vm(&cp.program, VmConfig::default()).unwrap();
+            let shared = vm
+                .rule_program()
+                .expect("the fast path walks a rule program");
+            assert!(
+                Arc::ptr_eq(shared, &engine.rules),
+                "run rebuilt the rule program"
+            );
+            assert_eq!(vm.run().unwrap().ret.u(), 7);
+        }
     }
 
     #[test]

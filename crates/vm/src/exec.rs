@@ -295,7 +295,7 @@ impl<'p> Vm<'p> {
             ARGB => {
                 let addr = pop!().u();
                 let size = u32::from(operand_u16);
-                let bytes = self.mem.load_bytes(addr, size)?.to_vec();
+                let bytes = self.mem.load_bytes(addr, size)?;
                 self.arg_buf.extend_from_slice(&bytes);
             }
             ARGD => {

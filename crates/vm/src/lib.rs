@@ -22,8 +22,9 @@
 //!   [`VmConfig::reference_walker`] as the executable specification.
 //!
 //! Both interpreters share one operator semantics ([`exec`]) over one
-//! machine model ([`Vm`]): a flat little-endian memory holding data, BSS,
-//! a bump-allocated heap and a frame stack; a global-address table
+//! machine model ([`Vm`]): a little-endian memory holding data, BSS,
+//! a bump-allocated heap and a frame stack, materialized as the program
+//! touches it ([`memory`]); a global-address table
 //! resolved at load time (the "linker" of §3); trampoline-style indirect
 //! calls that reach bytecode and native library routines through the same
 //! mechanism (Appendix 3); and out-of-line label tables for branches.

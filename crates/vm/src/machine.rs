@@ -8,10 +8,10 @@
 //! walks the precompiled [`RuleProgram`] and compiles each segment it
 //! decodes into a [`SegProgram`] that `Vm::replay` runs on later
 //! visits; `run_verbatim` executes the verbatim escapes both walkers
-//! share. Procedure calls allocate
-//! frames on a stack region of the flat memory; arguments travel in a
-//! contiguous block, "an x86 calling convention that passes all arguments
-//! in contiguous memory" (Appendix 3). Indirect calls dispatch on
+//! share. Procedure calls allocate frames on the frame-stack region of
+//! the VM's memory; arguments travel in a contiguous block, "an x86
+//! calling convention that passes all arguments in contiguous memory"
+//! (Appendix 3). Indirect calls dispatch on
 //! synthetic address ranges: trampoline addresses reach bytecoded
 //! procedures, native addresses reach library routines — "the indirect
 //! call may call conventional code (a library routine) or bytecode and
@@ -45,9 +45,12 @@ fn align8(v: u32) -> u32 {
 /// VM configuration.
 #[derive(Debug, Clone)]
 pub struct VmConfig {
-    /// Bytes of bump-allocated heap for `malloc`.
+    /// Bytes of bump-allocated heap for `malloc`: a limit of the
+    /// address space, which is materialized only as the program writes
+    /// it (see [`crate::memory`]).
     pub heap_size: u32,
-    /// Bytes of frame stack.
+    /// Bytes of frame stack: a limit of the address space, materialized
+    /// as calls push frames.
     pub stack_size: u32,
     /// Instruction budget (an instruction here is one executed operator
     /// or derivation step).
@@ -241,13 +244,16 @@ impl<'p> Vm<'p> {
     /// Fails with [`VmError::UnknownNative`] if the global table names a
     /// routine the VM does not provide.
     pub fn new(program: &'p Program, config: VmConfig) -> Result<Vm<'p>, VmError> {
-        Vm::build(program, Repr::Plain, config)
+        Vm::build(program, Repr::Plain, None, config)
     }
 
     /// Load a compressed program (the `program` field of a
     /// `CompressedProgram`) together with the expanded grammar it was
     /// encoded against. `start` and `byte_nt` are the grammar's start and
     /// `<byte>` non-terminals (`InitialGrammar::nt_start`/`nt_byte`).
+    /// Builds the grammar's [`RuleProgram`] and loads through
+    /// [`Vm::with_rule_program`]; a host that runs many programs against
+    /// one grammar builds the rule program once and calls that instead.
     ///
     /// # Errors
     ///
@@ -259,28 +265,40 @@ impl<'p> Vm<'p> {
         byte_nt: Nt,
         config: VmConfig,
     ) -> Result<Vm<'p>, VmError> {
-        Vm::build(
-            program,
-            Repr::Compressed {
-                grammar,
-                start,
-                byte_nt,
-            },
-            config,
-        )
+        let rules = Arc::new(RuleProgram::build(grammar, start, byte_nt));
+        Vm::with_rule_program(program, grammar, rules, config)
     }
 
-    fn build(program: &'p Program, repr: Repr<'p>, config: VmConfig) -> Result<Vm<'p>, VmError> {
-        let ruleprog = match &repr {
-            Repr::Compressed {
-                grammar,
-                start,
-                byte_nt,
-            } if !config.reference_walker => {
-                Some(Arc::new(RuleProgram::build(grammar, *start, *byte_nt)))
-            }
-            _ => None,
+    /// Load a compressed program against `grammar`, whose rule program
+    /// `rules` was built by [`RuleProgram::build`] (which fixes the start
+    /// and `<byte>` non-terminals). The fast path walks `rules`; with
+    /// [`VmConfig::reference_walker`] set the VM walks `grammar` instead
+    /// and ignores `rules`.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Vm::new`].
+    pub fn with_rule_program(
+        program: &'p Program,
+        grammar: &'p Grammar,
+        rules: Arc<RuleProgram>,
+        config: VmConfig,
+    ) -> Result<Vm<'p>, VmError> {
+        let repr = Repr::Compressed {
+            grammar,
+            start: rules.start(),
+            byte_nt: rules.byte_nt(),
         };
+        let rules = (!config.reference_walker).then_some(rules);
+        Vm::build(program, repr, rules, config)
+    }
+
+    fn build(
+        program: &'p Program,
+        repr: Repr<'p>,
+        ruleprog: Option<Arc<RuleProgram>>,
+        config: VmConfig,
+    ) -> Result<Vm<'p>, VmError> {
         let verbatim_ok = match &repr {
             Repr::Compressed { grammar, start, .. } => {
                 grammar.rules_of(*start).len() <= usize::from(escape::VERBATIM_MARKER)
@@ -295,7 +313,9 @@ impl<'p> Vm<'p> {
         let stack_base = align8(heap_end);
         let stack_end = stack_base + config.stack_size;
 
-        let mut mem = Memory::new(stack_end);
+        // Data and bss are materialized up front; the heap and the frame
+        // stack as the program touches them.
+        let mut mem = Memory::new(stack_base, stack_end, bss_end);
         if !program.data.is_empty() {
             mem.store_bytes(DATA_BASE, &program.data)?;
         }
@@ -526,7 +546,7 @@ impl<'p> Vm<'p> {
                 have: self.arg_buf.len(),
             }));
         }
-        let args = self.arg_buf.split_off(self.arg_buf.len() - need);
+        let args_from = self.arg_buf.len() - need;
 
         let args_base = align8(self.stack_next);
         let locals_base = args_base + align8(need as u32);
@@ -535,15 +555,13 @@ impl<'p> Vm<'p> {
             return Err(Stop::Error(VmError::StackOverflow));
         }
         // Deterministic frames: zero the whole region, then copy args.
-        let zero = vec![0u8; (frame_end - args_base) as usize];
         self.mem
-            .store_bytes(args_base, &zero)
+            .fill(args_base, frame_end - args_base, 0)
             .map_err(Stop::Error)?;
-        if !args.is_empty() {
-            self.mem
-                .store_bytes(args_base, &args)
-                .map_err(Stop::Error)?;
-        }
+        self.mem
+            .store_bytes(args_base, &self.arg_buf[args_from..])
+            .map_err(Stop::Error)?;
+        self.arg_buf.truncate(args_from);
 
         let saved_stack = self.stack_next;
         self.stack_next = frame_end;
@@ -990,7 +1008,7 @@ impl<'p> Vm<'p> {
                 }
                 let b = code[pc];
                 pc += 1;
-                let Some(slot) = rp.select(rp.start_nt(), b) else {
+                let Some(slot) = rp.select(rp.start().0, b) else {
                     return Err(corrupt(pc - 1, "no such start rule"));
                 };
                 let (ip, end) = rp.rule_range(slot);
@@ -1120,6 +1138,10 @@ impl<'p> Vm<'p> {
     /// from the program's windows when the replay leaves, except that a
     /// call-carrying program accounts each step before running it, so a
     /// callee's events follow its caller's.
+    ///
+    /// Always inlined into the walk: out of line, its call cost the
+    /// benchmark's compressed sieve about 3%.
+    #[inline(always)]
     fn replay(
         &mut self,
         frame: &FrameCtx,
@@ -1210,11 +1232,15 @@ impl<'p> Vm<'p> {
                 Fused::Push { imm } => stack.push(Slot::from_u(imm)),
                 Fused::PushLocal { off } => stack.push(Slot::from_u(frame.locals_base + off)),
                 Fused::PushArg { off } => stack.push(Slot::from_u(frame.args_base + off)),
-                Fused::LoadLocal { off } => match self.mem.load_u32(frame.locals_base + off) {
-                    Ok(v) => stack.push(Slot::from_u(v)),
-                    Err(e) => leave!(last, last, Err(Stop::Error(e))),
-                },
-                Fused::LoadArg { off } => match self.mem.load_u32(frame.args_base + off) {
+                // Frames live on the stack region, which `call_descriptor`
+                // materialized when it pushed this one.
+                Fused::LoadLocal { off } => {
+                    match self.mem.load_stack_u32(frame.locals_base + off) {
+                        Ok(v) => stack.push(Slot::from_u(v)),
+                        Err(e) => leave!(last, last, Err(Stop::Error(e))),
+                    }
+                }
+                Fused::LoadArg { off } => match self.mem.load_stack_u32(frame.args_base + off) {
                     Ok(v) => stack.push(Slot::from_u(v)),
                     Err(e) => leave!(last, last, Err(Stop::Error(e))),
                 },
@@ -1222,7 +1248,7 @@ impl<'p> Vm<'p> {
                     let Some(v) = stack.pop() else {
                         underflow!(Opcode::ASGNU, last)
                     };
-                    if let Err(e) = self.mem.store_u32(frame.locals_base + off, v.u()) {
+                    if let Err(e) = self.mem.store_stack_u32(frame.locals_base + off, v.u()) {
                         leave!(last, last, Err(Stop::Error(e)));
                     }
                 }
@@ -1230,7 +1256,7 @@ impl<'p> Vm<'p> {
                     let Some(v) = stack.pop() else {
                         underflow!(Opcode::ASGNU, last)
                     };
-                    if let Err(e) = self.mem.store_u32(frame.args_base + off, v.u()) {
+                    if let Err(e) = self.mem.store_stack_u32(frame.args_base + off, v.u()) {
                         leave!(last, last, Err(Stop::Error(e)));
                     }
                 }
@@ -1354,6 +1380,18 @@ impl<'p> Vm<'p> {
         for s in steps.iter().take(room) {
             self.record(proc_idx, s.op, u32::from_le_bytes(s.operands));
         }
+    }
+
+    /// The rule program the fast path walks: `None` for plain programs
+    /// and with [`VmConfig::reference_walker`] set.
+    pub fn rule_program(&self) -> Option<&Arc<RuleProgram>> {
+        self.ruleprog.as_ref()
+    }
+
+    /// Bytes of the address space materialized so far: data and bss,
+    /// plus the heap and frame stack the program has written.
+    pub fn materialized_bytes(&self) -> usize {
+        self.mem.materialized()
     }
 
     /// Activity of the compiled segment programs (all zeros for plain

@@ -134,7 +134,7 @@ pub fn call(vm: &mut Vm<'_>, native: Native, args: &[u8]) -> Result<NativeOutcom
         }
         Native::Putstr => {
             let addr = arg_u32(args, 0);
-            let s = vm.mem.load_cstr(addr, 1 << 16)?.to_vec();
+            let s = vm.mem.load_cstr(addr, 1 << 16)?;
             vm.output.extend_from_slice(&s);
             Slot::ZERO
         }
@@ -163,8 +163,7 @@ pub fn call(vm: &mut Vm<'_>, native: Native, args: &[u8]) -> Result<NativeOutcom
             let c = arg_u32(args, 1) as u8;
             let n = arg_u32(args, 2);
             if n > 0 {
-                let buf = vec![c; n as usize];
-                vm.mem.store_bytes(d, &buf)?;
+                vm.mem.fill(d, n, c)?;
             }
             Slot::from_u(d)
         }

@@ -6,8 +6,10 @@
 //! `GET` split of §5 (which operand bytes are burnt into the rule,
 //! which come from the stream). None of that depends on the executing
 //! program — it is all a function of the grammar — so a [`RuleProgram`]
-//! snapshot, taken once at `Vm::new_compressed` time, precompiles every
-//! rule's right-hand side into dense flat **micro-ops**:
+//! snapshot, built once per grammar and shared by every run against it
+//! (`Vm::with_rule_program`; `Vm::new_compressed` builds its own),
+//! precompiles every rule's right-hand side into dense flat
+//! **micro-ops**:
 //!
 //! * **Exec** — an operator: opcode byte, the pre-assembled burnt-in
 //!   operand template, and a 4-bit mask of which operand slots read the
@@ -105,7 +107,7 @@ fn pack_corrupt(detail: u64, mask: u32) -> u64 {
 
 /// A grammar compiled to flat micro-op programs, one per rule, plus the
 /// flattened per-non-terminal rule-selection tables. Immutable once
-/// built; shared by every `interp_nt` activation of a run.
+/// built; shared by every run against the grammar.
 #[derive(Debug)]
 pub struct RuleProgram {
     /// All rules' micro-ops, concatenated.
@@ -118,7 +120,8 @@ pub struct RuleProgram {
     /// this range directly.
     nt_bounds: Vec<u32>,
     nt_rules: Vec<u32>,
-    start: u16,
+    start: Nt,
+    byte_nt: Nt,
 }
 
 impl RuleProgram {
@@ -146,14 +149,20 @@ impl RuleProgram {
             rule_bounds,
             nt_bounds,
             nt_rules,
-            start: start.0,
+            start,
+            byte_nt,
         }
     }
 
-    /// The start non-terminal's index.
+    /// The start non-terminal.
     #[inline]
-    pub fn start_nt(&self) -> u16 {
+    pub fn start(&self) -> Nt {
         self.start
+    }
+
+    /// The `<byte>` non-terminal.
+    pub fn byte_nt(&self) -> Nt {
+        self.byte_nt
     }
 
     /// The micro-op at `ip`.
@@ -273,7 +282,8 @@ mod tests {
         let rp = RuleProgram::build(&ig.grammar, ig.nt_start, ig.nt_byte);
         assert!(rp.micro_ops() > 0);
         assert!(rp.table_bytes() > 0);
-        assert_eq!(rp.start_nt(), ig.nt_start.0);
+        assert_eq!(rp.start(), ig.nt_start);
+        assert_eq!(rp.byte_nt(), ig.nt_byte);
         // Every rule except the 256 standalone `<byte>` literals is
         // well-formed; a `<byte>` rule walked as a child faults in the
         // reference too, so it compiles to exactly one Corrupt op.

@@ -18,8 +18,9 @@
 //! compared only for runs that do not hit `OutOfFuel`.
 
 use pgr_bytecode::asm::assemble;
-use pgr_bytecode::Program;
+use pgr_bytecode::{Opcode, Procedure, Program};
 use pgr_core::{train, TrainConfig, Trained};
+use pgr_grammar::{Grammar, InitialGrammar, Nt, RuleOrigin, Symbol, Terminal};
 use pgr_telemetry::{Metrics, Recorder};
 use pgr_vm::{RunResult, Vm, VmConfig, VmError};
 use proptest::prelude::*;
@@ -163,6 +164,18 @@ const CONFIGS: [(bool, usize); 4] = [(false, 1024), (false, 1), (false, 0), (tru
 fn agree(program: &Program, fuel: u64) -> Result<Result<RunResult, VmError>, TestCaseError> {
     let trained = trained();
     let ig = trained.initial();
+    agree_on(trained.expanded(), ig.nt_start, ig.nt_byte, program, fuel)
+}
+
+/// [`agree`] against any grammar with the given start and `<byte>`
+/// non-terminals.
+fn agree_on(
+    grammar: &Grammar,
+    start: Nt,
+    byte_nt: Nt,
+    program: &Program,
+    fuel: u64,
+) -> Result<Result<RunResult, VmError>, TestCaseError> {
     let run = |(reference_walker, segment_cache_entries): (bool, usize), observed: bool| {
         let recorder = if observed {
             Recorder::new()
@@ -177,9 +190,7 @@ fn agree(program: &Program, fuel: u64) -> Result<Result<RunResult, VmError>, Tes
             segment_cache_entries,
             ..VmConfig::default()
         };
-        let mut vm =
-            Vm::new_compressed(program, trained.expanded(), ig.nt_start, ig.nt_byte, config)
-                .unwrap();
+        let mut vm = Vm::new_compressed(program, grammar, start, byte_nt, config).unwrap();
         let result = vm.run();
         (result, recorder.snapshot(), vm.tier2_stats())
     };
@@ -213,6 +224,183 @@ fn differential(src: &str, fuel: u64) -> Result<(), TestCaseError> {
     let program = assemble(src).unwrap();
     let (cp, _) = trained().compress(&program).unwrap();
     agree(&cp.program, fuel).map(drop)
+}
+
+/// One statement of a hand-built derivation stream: a flat `<start>`
+/// rule of [`stream_grammar`]. Unlike the Appendix 2 rules, most of them
+/// leave the operand stack unbalanced, so a label can be entered at
+/// another stack height than the one its segment was recorded at.
+#[derive(Debug, Clone, Copy)]
+enum Stmt {
+    /// `LIT1 v`: push.
+    Push(u8),
+    /// `POPU`: pop.
+    Pop,
+    /// `LTI; BrTrue L`: pop two, branch (a fused compare-and-branch).
+    CmpBr(u8),
+    /// `BrTrue L`: pop one, branch.
+    Br(u8),
+    /// `JUMPV L`.
+    Jump(u8),
+    /// `ADDRLP o; INDIRU`: push a local (a fused local load).
+    Load(u16),
+    /// `ADDRLP o; ASGNU`: pop into a local (a fused local store).
+    Store(u16),
+    /// `LocalCALLU 1`: push the callee's result.
+    Call,
+    /// `RETU`: pop and return.
+    Ret,
+    /// A chain of [`TAIL_DEPTH`] non-terminals that derives ε: as a
+    /// segment's last statement it is a tail window that selects rules
+    /// after the last operator.
+    Tail,
+}
+
+/// Length of the ε chain of [`Stmt::Tail`]: deeper than any walk of a
+/// generated segment, so only a tail window reaches that walk depth.
+const TAIL_DEPTH: usize = 8;
+
+/// The grammar of the hand-built streams, and per [`Stmt`] the encoding
+/// index of its `<start>` rule.
+struct StreamGrammar {
+    grammar: Grammar,
+    start: Nt,
+    byte_nt: Nt,
+    empty: u8,
+    rules: Vec<u8>,
+}
+
+fn stream_grammar() -> &'static StreamGrammar {
+    static G: OnceLock<StreamGrammar> = OnceLock::new();
+    G.get_or_init(|| {
+        let ig = InitialGrammar::build();
+        let mut grammar = ig.grammar.clone();
+        let start = ig.nt_start;
+        let op = |o: Opcode| Symbol::T(Terminal::Op(o));
+        let b = Symbol::N(ig.nt_byte);
+        let chain: Vec<Nt> = (0..TAIL_DEPTH)
+            .map(|i| grammar.add_nt(format!("tail{i}")))
+            .collect();
+        for pair in chain.windows(2) {
+            grammar.add_rule(pair[0], vec![Symbol::N(pair[1])], RuleOrigin::Original);
+        }
+        grammar.add_rule(chain[TAIL_DEPTH - 1], Vec::new(), RuleOrigin::Original);
+        let bodies = [
+            vec![op(Opcode::LIT1), b],
+            vec![op(Opcode::POPU)],
+            vec![op(Opcode::LTI), op(Opcode::BrTrue), b, b],
+            vec![op(Opcode::BrTrue), b, b],
+            vec![op(Opcode::JUMPV), b, b],
+            vec![op(Opcode::ADDRLP), b, b, op(Opcode::INDIRU)],
+            vec![op(Opcode::ADDRLP), b, b, op(Opcode::ASGNU)],
+            vec![op(Opcode::LocalCALLU), b, b],
+            vec![op(Opcode::RETU)],
+            vec![Symbol::N(chain[0])],
+        ];
+        let mut rules = Vec::new();
+        for body in bodies {
+            let mut rhs = vec![Symbol::N(start)];
+            rhs.extend(body);
+            let id = grammar.add_rule(start, rhs, RuleOrigin::Original);
+            let index = grammar.rules_of(start).iter().position(|&r| r == id);
+            rules.push(index.unwrap() as u8);
+        }
+        let empty = grammar
+            .rules_of(start)
+            .iter()
+            .position(|&r| r == ig.start_empty);
+        StreamGrammar {
+            grammar,
+            start,
+            byte_nt: ig.nt_byte,
+            empty: empty.unwrap() as u8,
+            rules,
+        }
+    })
+}
+
+/// Encode one segment: the `<start>` rules outermost first, then ε,
+/// then each statement's stream operands in execution order.
+fn encode_segment(g: &StreamGrammar, stmts: &[Stmt]) -> Vec<u8> {
+    let rule = |s: &Stmt| {
+        g.rules[match s {
+            Stmt::Push(_) => 0,
+            Stmt::Pop => 1,
+            Stmt::CmpBr(_) => 2,
+            Stmt::Br(_) => 3,
+            Stmt::Jump(_) => 4,
+            Stmt::Load(_) => 5,
+            Stmt::Store(_) => 6,
+            Stmt::Call => 7,
+            Stmt::Ret => 8,
+            Stmt::Tail => 9,
+        }]
+    };
+    let mut out: Vec<u8> = stmts.iter().rev().map(rule).collect();
+    out.push(g.empty);
+    for s in stmts {
+        match *s {
+            Stmt::Push(v) => out.push(v),
+            Stmt::CmpBr(l) | Stmt::Br(l) | Stmt::Jump(l) => out.extend([l, 0]),
+            Stmt::Load(o) | Stmt::Store(o) => out.extend(o.to_le_bytes()),
+            Stmt::Call => out.extend([1, 0]),
+            Stmt::Tail => out.extend([0; TAIL_DEPTH]),
+            Stmt::Pop | Stmt::Ret => {}
+        }
+    }
+    out
+}
+
+/// A two-procedure program over [`stream_grammar`]: `main` is the given
+/// segments, label `i` at the start of segment `i`; procedure 1 pushes
+/// and pops a few values and returns 7.
+fn stream_program(segments: &[Vec<Stmt>]) -> Program {
+    let g = stream_grammar();
+    let mut main = Procedure::new("main");
+    main.frame_size = 16;
+    for seg in segments {
+        main.labels.push(main.code.len() as u32);
+        main.code.extend(encode_segment(g, seg));
+    }
+    let mut callee = Procedure::new("callee");
+    callee.code = encode_segment(
+        g,
+        &[
+            Stmt::Push(3),
+            Stmt::Push(4),
+            Stmt::Pop,
+            Stmt::Pop,
+            Stmt::Push(7),
+            Stmt::Ret,
+        ],
+    );
+    let mut program = Program::new();
+    program.procs.push(main);
+    program.procs.push(callee);
+    program
+}
+
+/// A generated statement: `kind` picks the rule, `arg` its operand.
+/// Labels range one past the last segment (a bad label); local offsets
+/// are mostly inside the frame, sometimes far above it on the stack.
+fn stmt(kind: u8, arg: u8, segments: usize) -> Stmt {
+    let label = arg % (segments as u8 + 1);
+    let local = match arg % 6 {
+        5 => 4_096 + u16::from(arg),
+        n => u16::from(n % 4) * 4,
+    };
+    match kind % 12 {
+        0 | 1 => Stmt::Push(arg % 3),
+        2 => Stmt::Pop,
+        3 => Stmt::CmpBr(label),
+        4 => Stmt::Br(label),
+        5 => Stmt::Jump(label),
+        6 => Stmt::Load(local),
+        7 => Stmt::Store(local),
+        8 | 9 => Stmt::Call,
+        10 => Stmt::Ret,
+        _ => Stmt::Tail,
+    }
 }
 
 proptest! {
@@ -270,5 +458,89 @@ proptest! {
         if let Ok(r) = agree(&program, 50_000)? {
             prop_assert!(r.steps <= 50_000);
         }
+    }
+}
+
+/// [`agree`] on a hand-built stream over [`stream_grammar`].
+fn agree_stream(program: &Program, fuel: u64) -> Result<Result<RunResult, VmError>, TestCaseError> {
+    let g = stream_grammar();
+    agree_on(&g.grammar, g.start, g.byte_nt, program, fuel)
+}
+
+#[test]
+fn a_replayed_compare_and_branch_underflows_like_the_walk() {
+    // Segment 1 pops two values per visit and branches back to itself
+    // while the comparison holds: the walk records it with four values
+    // on the stack, the first replay runs with two and the second with
+    // none, so the fused compare underflows.
+    let program = stream_program(&[
+        vec![
+            Stmt::Push(0),
+            Stmt::Push(1),
+            Stmt::Push(0),
+            Stmt::Push(1),
+            Stmt::Jump(1),
+        ],
+        vec![Stmt::CmpBr(1)],
+    ]);
+    let outcome = agree_stream(&program, 20_000).unwrap();
+    assert!(
+        matches!(
+            outcome,
+            Err(VmError::StackUnderflow {
+                opcode: Opcode::LTI,
+                ..
+            })
+        ),
+        "{outcome:?}"
+    );
+}
+
+#[test]
+fn a_tail_window_first_reached_by_a_replay_is_counted() {
+    // Segment 1 branches out on its first visit, before its tail
+    // window; its first replay falls through the tail, to a walk depth
+    // no walk has reached, and its second underflows at the branch.
+    let program = stream_program(&[
+        vec![Stmt::Push(0), Stmt::Push(1), Stmt::Jump(1)],
+        vec![Stmt::Br(2), Stmt::Tail],
+        vec![Stmt::Jump(1)],
+    ]);
+    let outcome = agree_stream(&program, 20_000).unwrap();
+    assert!(
+        matches!(
+            outcome,
+            Err(VmError::StackUnderflow {
+                opcode: Opcode::BrTrue,
+                ..
+            })
+        ),
+        "{outcome:?}"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn reentries_at_other_stack_heights_are_path_identical(
+        raw in prop::collection::vec(
+            prop::collection::vec((any::<u8>(), any::<u8>()), 0..6),
+            1..5,
+        ),
+        fuel in 1u64..1_500,
+    ) {
+        // Hand-built streams whose segments push, pop, branch and call
+        // without balancing the operand stack, so loops re-enter their
+        // labels at changing heights: replays then underflow in fused
+        // compare-and-branches, fault in calls at a new stack peak, and
+        // fall through tail windows their recording never walked.
+        let segments: Vec<Vec<Stmt>> = raw
+            .iter()
+            .map(|seg| seg.iter().map(|&(k, a)| stmt(k, a, raw.len())).collect())
+            .collect();
+        let program = stream_program(&segments);
+        agree_stream(&program, 20_000).map(drop)?;
+        agree_stream(&program, fuel).map(drop)?;
     }
 }

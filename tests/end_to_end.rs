@@ -55,6 +55,37 @@ fn samples_run_identically_compressed() {
     }
 }
 
+/// A run materializes only the memory it touches: on every sample,
+/// plain or compressed, at most 64 KiB of the 2 MiB address space the
+/// default configuration maps.
+#[test]
+fn samples_materialize_only_what_they_touch() {
+    let programs: Vec<_> = SAMPLES.iter().map(|(n, _)| compile_sample(n)).collect();
+    let refs: Vec<_> = programs.iter().collect();
+    let trained = train(&refs, &TrainConfig::default()).unwrap();
+    let ig = trained.initial();
+    for (program, (name, _)) in programs.iter().zip(SAMPLES) {
+        let (compressed, _) = trained.compress(program).unwrap();
+        let mut plain = Vm::new(program, VmConfig::default()).unwrap();
+        let mut packed = Vm::new_compressed(
+            &compressed.program,
+            trained.expanded(),
+            ig.nt_start,
+            ig.nt_byte,
+            VmConfig::default(),
+        )
+        .unwrap();
+        for (vm, form) in [(&mut plain, "plain"), (&mut packed, "compressed")] {
+            vm.run().unwrap_or_else(|e| panic!("{name} {form}: {e}"));
+            let bytes = vm.materialized_bytes();
+            assert!(
+                bytes <= 64 << 10,
+                "{name} {form} materialized {bytes} bytes"
+            );
+        }
+    }
+}
+
 /// A grammar trained on one corpus compresses a *different* corpus (the
 /// cross-training column of Table 1), and self-training is at least as
 /// good on the big corpora.
