@@ -1,7 +1,6 @@
 #!/usr/bin/env python3
-"""Closed-loop load generator for `pgr serve`, stdlib-only.
-
-Live mode — drive a running server and print a JSON result line:
+"""Closed-loop load generator for `pgr serve`, stdlib-only. Drive a
+running server and print a JSON result line:
 
     python3 ci/serve_load.py <socket> <grammar-id> <image.pgrb> \
         [--connections N] [--duration S] [--warmup S] [--depth D]
@@ -26,15 +25,6 @@ every request is a probe and the quantiles are exact per-request
 send-to-response times; at higher depths they include client-side
 pipeline queueing and are the honest figure for a pipelining client,
 not comparable to depth-1 numbers.
-
-Check mode — validate a committed BENCH_serve.json baseline:
-
-    python3 ci/serve_load.py --check BENCH_serve.json
-
-Asserts the pgr-serve-bench/1 shape, recomputes the speedup and p99
-ratio from the section figures, and enforces the acceptance floors:
-reactor throughput at high concurrency at least 3x thread-per-conn,
-single-connection p99 within 10%, zero errors in every section.
 """
 
 import base64
@@ -190,59 +180,8 @@ def run_load(path, grammar_id, image_path, connections, duration, warmup, depth)
     }
 
 
-def check_baseline(path):
-    doc = json.load(open(path))
-    if doc.get("schema") != "pgr-serve-bench/1":
-        fail(f"schema tag {doc.get('schema')!r} != 'pgr-serve-bench/1'")
-    for key in ("corpus", "connections", "depth", "duration_secs"):
-        if key not in doc:
-            fail(f"baseline lacks {key!r}")
-
-    def section(obj, label):
-        for field in ("rps", "p50_us", "p99_us", "requests", "errors"):
-            if not isinstance(obj.get(field), (int, float)):
-                fail(f"{label} lacks numeric {field!r}: {obj}")
-        if obj["errors"]:
-            fail(f"{label} recorded {obj['errors']} errors")
-        if obj["rps"] <= 0:
-            fail(f"{label} throughput is not positive: {obj['rps']}")
-        return obj
-
-    reactor = section(doc.get("reactor", {}), "reactor")
-    legacy = section(doc.get("thread_per_conn", {}), "thread_per_conn")
-    speedup = reactor["rps"] / legacy["rps"]
-    if abs(speedup - doc.get("speedup", 0)) > 0.05:
-        fail(f"stored speedup {doc.get('speedup')} != recomputed {speedup:.2f}")
-    if speedup < 3.0:
-        fail(
-            f"reactor must be >= 3x thread-per-conn at {doc['connections']} "
-            f"connections; measured {speedup:.2f}x"
-        )
-
-    c1 = doc.get("concurrency1", {})
-    c1_reactor = section(c1.get("reactor", {}), "concurrency1.reactor")
-    c1_legacy = section(c1.get("thread_per_conn", {}), "concurrency1.thread_per_conn")
-    ratio = c1_reactor["p99_us"] / c1_legacy["p99_us"]
-    if abs(ratio - c1.get("p99_ratio", 0)) > 0.05:
-        fail(f"stored p99_ratio {c1.get('p99_ratio')} != recomputed {ratio:.3f}")
-    if ratio > 1.10:
-        fail(f"single-connection p99 regressed beyond 10%: ratio {ratio:.3f}")
-
-    print(
-        f"{path}: valid pgr-serve-bench/1 baseline "
-        f"({speedup:.2f}x at {doc['connections']} connections, "
-        f"concurrency-1 p99 ratio {ratio:.3f})"
-    )
-
-
 def main():
     args = sys.argv[1:]
-    if args and args[0] == "--check":
-        if len(args) != 2:
-            print(__doc__, file=sys.stderr)
-            sys.exit(2)
-        check_baseline(args[1])
-        return
     if len(args) < 3:
         print(__doc__, file=sys.stderr)
         sys.exit(2)

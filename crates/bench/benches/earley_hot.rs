@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pgr_bytecode::{instrs, Opcode};
 use pgr_core::tile::{TileScratch, Tiler};
-use pgr_core::{canonicalize_program, train, EarleyBudget, TrainConfig};
+use pgr_core::{canonicalize_program, train, TrainConfig};
 use pgr_corpus::{corpus, CorpusName};
 use pgr_earley::{ChartArena, ShortestParser};
 use pgr_grammar::initial::tokenize_segment;
@@ -49,7 +49,6 @@ fn bench_earley_hot(c: &mut Criterion) {
     let parser = ShortestParser::new(trained.expanded());
     let start = trained.initial().nt_start;
     let tiler = Tiler::new(trained.expanded(), start);
-    let budget = EarleyBudget::UNLIMITED;
     let tokens: u64 = segments.iter().map(|s| s.len() as u64).sum();
     println!(
         "earley_hot: {} segments, {} tokens, {} Earley table bytes, {} tiler table bytes",
@@ -60,7 +59,7 @@ fn bench_earley_hot(c: &mut Criterion) {
     );
     let mut scratch = TileScratch::new();
     for s in &segments {
-        let tiled = tiler.tile(&mut scratch, s, &budget, None).unwrap();
+        let tiled = tiler.tile(&mut scratch, s, None).unwrap();
         assert_eq!(tiled.len(), parser.parse(start, s).unwrap().len());
     }
 
@@ -85,7 +84,7 @@ fn bench_earley_hot(c: &mut Criterion) {
     group.bench_function("tiler", |b| {
         b.iter(|| {
             for s in &segments {
-                std::hint::black_box(tiler.tile(&mut scratch, s, &budget, None).unwrap());
+                std::hint::black_box(tiler.tile(&mut scratch, s, None).unwrap());
             }
         })
     });

@@ -45,7 +45,7 @@ pub fn dump(name: &str, metrics: &Metrics) -> std::io::Result<Option<PathBuf>> {
 /// Run an instrumented compress of the gzip corpus under its own trained
 /// grammar (training itself is unobserved) and return exactly what a
 /// `pgr compress --metrics json` run records: `compress.*`, `cache.*`,
-/// and `earley.*` families. This is the `BENCH_compress.json` baseline
+/// and `tiler.*` families. This is the `BENCH_compress.json` baseline
 /// the repo commits and CI re-validates.
 pub fn compress_metrics() -> Metrics {
     let c = corpus(CorpusName::Gzip);

@@ -1,8 +1,8 @@
 //! The verbatim-segment escape encoding.
 //!
 //! Graceful degradation for the compressor: when a segment has no
-//! derivation under the expanded grammar (or the Earley work budget
-//! trips first), the engine emits the segment *verbatim* — a reserved
+//! derivation under the expanded grammar, the engine emits the segment
+//! *verbatim* — a reserved
 //! marker byte, a little-endian `u16` length, and the raw canonical
 //! bytecode — instead of failing the whole program. The decompressor and
 //! both compressed-mode interpreter paths recognize the marker and copy

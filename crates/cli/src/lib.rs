@@ -83,7 +83,7 @@ fn usage() -> String {
      \x20 disasm <in.pgrb>\n\
      \x20 train <in.pgrb>... -o <out.pgrg> [--cap N]\n\
      \x20 compress <in.pgrb> -g <grammar> -o <out.pgrc> [--threads N] [--batch-bytes N] [--timings]\n\
-     \x20     [--earley-budget ITEMS[,COLUMNS]] [--no-fallback] [--trace-out <t.json>]\n\
+     \x20     [--no-fallback] [--trace-out <t.json>]\n\
      \x20 decompress <in.pgrc> [-g <grammar>] -o <out.pgrb>\n\
      \x20 run <in.pgrb|in.pgrc> [-g <grammar>] [--stdin TEXT] [--trace N]\n\
      \x20     [--segment-cache N] [--reference-walker] [--trace-out <t.json>]\n\
@@ -91,9 +91,8 @@ fn usage() -> String {
      \x20 stats <in.pgrb>\n\
      \x20 cgen -g <grammar> [-p <image>] -o <dir>\n\
      \x20 registry <add <g.pgrg> [--label TEXT] | list | rm <id> | gc [<keep-id>...]>\n\
-     \x20 serve --socket <path> [--max-budget ITEMS[,COLUMNS]] [--threads N]\n\
-     \x20     [--workers N] [--batch-window-us N] [--max-connections N]\n\
-     \x20     [--max-queue N] [--max-engines N]\n\
+     \x20 serve --socket <path> [--threads N] [--workers N] [--batch-window-us N]\n\
+     \x20     [--max-connections N] [--max-queue N] [--max-engines N]\n\
      \x20     [--request-timeout-ms N] [--idle-timeout-ms N] [--max-line-bytes N]\n\
      \x20     [--slow-ms N [--slow-trace <out.ndjson>] [--slow-trace-max-bytes N]]\n\
      \x20 call --socket <path> [<request-json>] [--timeout-ms N] [--retries N]\n\
@@ -113,9 +112,8 @@ fn usage() -> String {
      \x20 --metrics-out <path>     write telemetry to a file (implies json)\n\
      compress/run also take:\n\
      \x20 --trace-out <path>       write a Chrome trace-event JSON span tree\n\
-     per-segment budgets (--earley-budget, --max-budget): ITEMS caps the candidate\n\
-     patterns the encoder examines, COLUMNS caps segment tokens + 1; an over-budget\n\
-     segment is stored verbatim"
+     compress stores a segment that is not postfix code verbatim; --no-fallback\n\
+     fails instead, naming the procedure and segment offset"
         .to_string()
 }
 
@@ -151,7 +149,6 @@ fn positionals(args: &[String]) -> Vec<&str> {
             || a == "--trace"
             || a == "--threads"
             || a == "--batch-bytes"
-            || a == "--earley-budget"
             || a == "--segment-cache"
             || a == "--metrics"
             || a == "--metrics-out"
@@ -159,7 +156,6 @@ fn positionals(args: &[String]) -> Vec<&str> {
             || a == "--label"
             || a == "--registry"
             || a == "--socket"
-            || a == "--max-budget"
             || a == "--trace-out"
             || a == "--slow-ms"
             || a == "--slow-trace"
@@ -198,23 +194,6 @@ fn positionals(args: &[String]) -> Vec<&str> {
         out.push(a.as_str());
     }
     out
-}
-
-/// Parse `--earley-budget ITEMS[,COLUMNS]` into an [`EarleyBudget`]:
-/// a cap on candidate patterns examined, optionally followed by a cap on
-/// columns (token count + 1).
-fn parse_budget(v: &str) -> Result<pgr_core::EarleyBudget, String> {
-    let bad = || format!("bad --earley-budget {v:?} (expected ITEMS[,COLUMNS])");
-    let mut parts = v.splitn(2, ',');
-    let items = parts
-        .next()
-        .and_then(|s| s.parse::<usize>().ok())
-        .ok_or_else(bad)?;
-    let mut budget = pgr_core::EarleyBudget::UNLIMITED.max_items(items);
-    if let Some(cols) = parts.next() {
-        budget = budget.max_columns(cols.parse::<usize>().map_err(|_| bad())?);
-    }
-    Ok(budget)
 }
 
 // ---- telemetry plumbing -----------------------------------------------
@@ -410,8 +389,7 @@ fn grammar_for_image(
 }
 
 /// Build the compressor configuration from the shared CLI flags
-/// (`--threads`, `--batch-bytes`, `--earley-budget`, `--no-fallback`,
-/// `--timings`) — the one place flag parsing produces a
+/// (`--threads`, `--batch-bytes`, `--no-fallback`, `--timings`) — the one place flag parsing produces a
 /// [`pgr_core::CompressorConfig`].
 fn compressor_config(args: &[String]) -> Result<pgr_core::CompressorConfig, String> {
     let mut builder = pgr_core::CompressorConfig::builder()
@@ -428,9 +406,6 @@ fn compressor_config(args: &[String]) -> Result<pgr_core::CompressorConfig, Stri
             v.parse::<usize>()
                 .map_err(|_| format!("bad --batch-bytes {v:?}"))?,
         );
-    }
-    if let Some(v) = opt_value(args, "--earley-budget") {
-        builder = builder.earley_budget(parse_budget(v)?);
     }
     Ok(builder.build())
 }
@@ -560,7 +535,7 @@ fn compress(args: &[String]) -> Result<i32, String> {
     );
     if stats.fallback_segments > 0 {
         eprintln!(
-            "note: {} segment(s) stored verbatim (parse failed or budget hit)",
+            "note: {} segment(s) stored verbatim (not postfix code)",
             stats.fallback_segments
         );
     }
@@ -948,10 +923,6 @@ fn cmd_serve(args: &[String]) -> Result<i32, String> {
     let socket = required(args, "--socket")?;
     let root = registry_root(args)
         .ok_or("no registry configured (pass --registry <dir> or set $PGR_REGISTRY)")?;
-    let max_budget = match opt_value(args, "--max-budget") {
-        Some(v) => parse_budget(v)?,
-        None => pgr_core::EarleyBudget::UNLIMITED,
-    };
     let threads = match opt_value(args, "--threads") {
         Some(v) => v
             .parse::<usize>()
@@ -1008,7 +979,6 @@ fn cmd_serve(args: &[String]) -> Result<i32, String> {
         socket,
         ServeConfig {
             registry_root: root.into(),
-            max_budget,
             threads,
             recorder,
             slow_ms,

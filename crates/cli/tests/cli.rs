@@ -297,7 +297,7 @@ fn metrics_json_emits_documented_keys() {
     let hits = counter(&doc, names::CACHE_HITS).unwrap();
     let misses = counter(&doc, names::CACHE_MISSES).unwrap();
     assert_eq!(hits + misses, segments);
-    assert_eq!(counter(&doc, names::EARLEY_SEGMENTS_PARSED), Some(misses));
+    assert_eq!(counter(&doc, names::TILER_SEGMENTS), Some(misses));
     assert!(counter(&doc, names::TILER_CANDIDATES).unwrap() > 0);
     for span in [
         names::SPAN_COMPRESS_CANONICALIZE,

@@ -15,8 +15,8 @@
 
 use crate::canonical::CanonError;
 use crate::engine::PhaseTimings;
+use crate::tile::NoParse;
 use pgr_bytecode::{escape, Opcode, Procedure, Program};
-use pgr_earley::NoParse;
 use pgr_grammar::derivation::DerivationError;
 use pgr_grammar::initial::{detokenize, TokenizeError};
 use pgr_grammar::{Derivation, Grammar, Nt};
@@ -47,8 +47,8 @@ pub struct CompressionStats {
     pub compressed_code: usize,
     /// Number of segments encoded.
     pub segments: usize,
-    /// Segments that had no derivation (or blew the work budget) and
-    /// were emitted as verbatim escapes instead (see
+    /// Segments that did not tokenize or had no derivation and were
+    /// emitted as verbatim escapes instead (see
     /// [`CompressorConfig::fallback`](crate::engine::CompressorConfig::fallback)).
     pub fallback_segments: usize,
     /// Per-phase wall-clock cost; all zero unless
@@ -100,7 +100,7 @@ pub enum CompressError {
         proc: String,
         /// Byte offset of the offending segment.
         segment_offset: usize,
-        /// The parser's report.
+        /// The tiler's report.
         error: NoParse,
     },
     /// An encoder worker panicked on this segment. The panic was caught
@@ -116,8 +116,8 @@ pub enum CompressError {
         message: String,
     },
     /// The request's `CancelToken` fired (deadline passed or the owner
-    /// cancelled) before this entry finished encoding. Unlike a budget
-    /// trip this never degrades to verbatim fallback — the caller asked
+    /// cancelled) before this entry finished encoding. Unlike a segment
+    /// with no derivation this never degrades to verbatim fallback — the caller asked
     /// for the work to *stop*, not to be answered more cheaply.
     Cancelled {
         /// Milliseconds between the token's creation (request arrival)
@@ -466,12 +466,7 @@ entry check
         let escaped = escape::encode_verbatim(&raw).unwrap();
         let retv = tokenize(&[pgr_bytecode::Opcode::RETV as u8]);
         let derivation_bytes = crate::tile::Tiler::new(&ig.grammar, ig.nt_start)
-            .tile(
-                &mut crate::tile::TileScratch::new(),
-                &retv,
-                &pgr_earley::EarleyBudget::UNLIMITED,
-                None,
-            )
+            .tile(&mut crate::tile::TileScratch::new(), &retv, None)
             .unwrap()
             .to_bytes(&ig.grammar.rule_index_map());
         let mut code = escaped.clone();

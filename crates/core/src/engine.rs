@@ -34,9 +34,8 @@
 
 use crate::canonical::canonicalize_program;
 use crate::compress::{decompress_program, CompressError, CompressedProgram, CompressionStats};
-use crate::tile::{TileScratch, Tiler};
+use crate::tile::{NoParse, TileScratch, Tiler};
 use pgr_bytecode::{escape, instrs, Opcode, Procedure, Program};
-use pgr_earley::{EarleyBudget, NoParse};
 use pgr_grammar::initial::tokenize_segment;
 use pgr_grammar::{Grammar, Nt, Terminal};
 use pgr_telemetry::faults::{self, FaultPoint};
@@ -111,15 +110,10 @@ pub struct CompressorConfig {
     /// Whether to measure per-phase wall-clock time into
     /// [`CompressionStats::timings`].
     pub collect_timings: bool,
-    /// Work budget for each segment's shortest-derivation search, in
-    /// candidate patterns examined and token columns (see
-    /// [`EarleyBudget`]). Unlimited by default; a limited budget turns an
-    /// over-budget segment into a clean [`NoParse::BudgetExceeded`],
-    /// which `fallback` then degrades through.
-    pub earley_budget: EarleyBudget,
-    /// Degrade gracefully on per-segment parse failures (no derivation,
-    /// or budget exceeded) by emitting the segment as a verbatim escape
-    /// (`pgr_bytecode::escape`) instead of failing the whole program.
+    /// Degrade gracefully on segments that do not tokenize or have no
+    /// derivation (see [`NoParse`]) by emitting the segment as a verbatim
+    /// escape (`pgr_bytecode::escape`) instead of failing the whole
+    /// program.
     /// On by default; disable for strict, fail-fast behavior
     /// (`pgr compress --no-fallback`).
     pub fallback: bool,
@@ -132,7 +126,6 @@ impl Default for CompressorConfig {
             segment_cache_capacity: 4096,
             batch_bytes: 1024,
             collect_timings: false,
-            earley_budget: EarleyBudget::UNLIMITED,
             fallback: true,
         }
     }
@@ -146,11 +139,11 @@ impl Default for CompressorConfig {
 /// without breaking the chainable-field style:
 ///
 /// ```
-/// use pgr_core::{CompressorConfig, EarleyBudget};
+/// use pgr_core::CompressorConfig;
 /// let config = CompressorConfig::builder()
 ///     .threads(2)
 ///     .batch_bytes(512)
-///     .earley_budget(EarleyBudget::UNLIMITED.max_items(10_000))
+///     .fallback(false)
 ///     .build();
 /// assert_eq!(config.threads, 2);
 /// ```
@@ -181,12 +174,6 @@ impl CompressorConfigBuilder {
     /// Enable or disable per-phase timing collection.
     pub fn collect_timings(mut self, collect: bool) -> CompressorConfigBuilder {
         self.config.collect_timings = collect;
-        self
-    }
-
-    /// Set the per-segment work budget.
-    pub fn earley_budget(mut self, budget: EarleyBudget) -> CompressorConfigBuilder {
-        self.config.earley_budget = budget;
         self
     }
 
@@ -229,12 +216,6 @@ impl CompressorConfig {
     /// Enable or disable per-phase timing collection.
     pub fn collect_timings(mut self, collect: bool) -> CompressorConfig {
         self.collect_timings = collect;
-        self
-    }
-
-    /// Set the per-segment work budget.
-    pub fn earley_budget(mut self, budget: EarleyBudget) -> CompressorConfig {
-        self.earley_budget = budget;
         self
     }
 
@@ -297,14 +278,11 @@ impl SegmentCache {
     }
 }
 
-/// One request of a cancellable batch dispatch
-/// ([`Compressor::compress_batch_cancellable`]): a program, its work
-/// quota, and the cancellation token its owner can fire.
+/// One request of a batch dispatch ([`Compressor::compress_batch`]): a
+/// program and the cancellation token its owner can fire.
 pub struct BatchEntry<'p> {
     /// The program to compress.
     pub program: &'p Program,
-    /// This entry's per-segment work quota.
-    pub budget: EarleyBudget,
     /// This entry's cancellation handle; [`CancelToken::never`] when the
     /// caller has no deadline.
     pub cancel: CancelToken,
@@ -402,7 +380,6 @@ pub struct Compressor<'g> {
     threads: usize,
     batch_bytes: usize,
     collect_timings: bool,
-    earley_budget: EarleyBudget,
     fallback: bool,
     /// Whether the grammar left rule index `0xFF` of the start
     /// non-terminal unassigned, making the verbatim marker unambiguous.
@@ -430,8 +407,8 @@ impl<'g> Compressor<'g> {
     }
 
     /// Build an engine that reports `compress.*` counters and spans,
-    /// `cache.*` counters, and (via the embedded tiler) the `earley.*`
-    /// encoder outcomes and `tiler.*` work into `recorder`.
+    /// `cache.*` counters, and (via the embedded tiler) the `tiler.*`
+    /// counters into `recorder`.
     ///
     /// # Panics
     ///
@@ -477,7 +454,6 @@ impl<'g> Compressor<'g> {
             threads,
             batch_bytes: config.batch_bytes,
             collect_timings: config.collect_timings,
-            earley_budget: config.earley_budget,
             fallback: config.fallback,
             verbatim_ok: grammar.rules_of(start).len() <= usize::from(escape::VERBATIM_MARKER),
             grammar,
@@ -577,98 +553,34 @@ impl<'g> Compressor<'g> {
         &self,
         program: &Program,
     ) -> Result<(CompressedProgram, CompressionStats), CompressError> {
-        self.compress_budgeted(program, self.earley_budget)
-    }
-
-    /// Compress a program under a caller-supplied per-call
-    /// [`EarleyBudget`], overriding the engine's configured budget.
-    ///
-    /// This is the multi-tenant entry point: a long-lived engine (one per
-    /// loaded grammar, with a shared derivation cache) can serve requests
-    /// with different work quotas — admission control picks the budget,
-    /// and a request that blows it degrades to verbatim escapes (or a
-    /// structured `NoParse::BudgetExceeded` with fallback off) without
-    /// affecting any other request. The derivation cache stays shared and
-    /// sound across budgets: only successful parses are cached, and a
-    /// successful shortest-derivation parse is budget-invariant.
-    ///
-    /// # Errors
-    ///
-    /// See [`CompressError`].
-    pub fn compress_budgeted(
-        &self,
-        program: &Program,
-        budget: EarleyBudget,
-    ) -> Result<(CompressedProgram, CompressionStats), CompressError> {
-        self.compress_batch(&[(program, budget)])
-            .pop()
-            .expect("one entry in, one result out")
-    }
-
-    /// Compress a program under a per-call budget *and* a cancellation
-    /// token: the serving path's entry point, where a request deadline
-    /// must be able to stop an in-flight compression at the next segment
-    /// boundary or within a segment's tiling.
-    ///
-    /// # Errors
-    ///
-    /// See [`CompressError`]; a fired token yields
-    /// [`CompressError::Cancelled`].
-    pub fn compress_cancellable(
-        &self,
-        program: &Program,
-        budget: EarleyBudget,
-        cancel: CancelToken,
-    ) -> Result<(CompressedProgram, CompressionStats), CompressError> {
-        self.compress_batch_cancellable(&[BatchEntry {
+        self.compress_batch(&[BatchEntry {
             program,
-            budget,
-            cancel,
+            cancel: CancelToken::never(),
         }])
         .pop()
         .expect("one entry in, one result out")
     }
 
-    /// Compress several programs in one engine dispatch.
+    /// Compress several programs in one engine dispatch, each under its
+    /// own [`CancelToken`]: the serving path's entry point.
     ///
     /// All entries' segments are planned up front and fanned out across
     /// the worker pool as a *single* job list, so a batch of concurrent
     /// requests shares one parallel stride and one derivation-cache epoch
     /// instead of paying per-call dispatch overhead. Entries are
     /// independent: each gets its own `Result`, in input order, and a
-    /// failing entry never affects its neighbours.
-    ///
-    /// Output is byte-identical to calling
-    /// [`Compressor::compress_budgeted`] once per entry: segment encoding
-    /// is deterministic given the grammar and budget, and the shared
-    /// cache only ever holds successful (budget-invariant) parses.
-    pub fn compress_batch(
-        &self,
-        entries: &[(&Program, EarleyBudget)],
-    ) -> Vec<Result<(CompressedProgram, CompressionStats), CompressError>> {
-        let never = CancelToken::never();
-        let entries: Vec<BatchEntry<'_>> = entries
-            .iter()
-            .map(|&(program, budget)| BatchEntry {
-                program,
-                budget,
-                cancel: never.clone(),
-            })
-            .collect();
-        self.compress_batch_cancellable(&entries)
-    }
-
-    /// Like [`Compressor::compress_batch`], but each entry carries its
-    /// own [`CancelToken`] — requests batched together can have
-    /// different deadlines, and one entry's cancellation never affects
-    /// its neighbours (they share the dispatch, not the token).
+    /// failing or cancelled entry never affects its neighbours (they
+    /// share the dispatch, not the token). Output is byte-identical to
+    /// calling [`Compressor::compress`] once per entry: segment encoding
+    /// is deterministic given the grammar, and the shared cache holds
+    /// only successful tilings.
     ///
     /// Tokens are polled at segment boundaries and (inside the tiler)
     /// every few dozen tree nodes; a fired token yields
     /// [`CompressError::Cancelled`] for that entry. Cancellation never
     /// degrades to verbatim fallback: the owner asked for the work to
     /// stop.
-    pub fn compress_batch_cancellable(
+    pub fn compress_batch(
         &self,
         entries: &[BatchEntry<'_>],
     ) -> Vec<Result<(CompressedProgram, CompressionStats), CompressError>> {
@@ -715,13 +627,12 @@ impl<'g> Compressor<'g> {
                 job_range: job_start..jobs.len(),
             }));
         }
-        let budgets: Vec<EarleyBudget> = entries.iter().map(|e| e.budget).collect();
         let cancels: Vec<&CancelToken> = entries.iter().map(|e| &e.cancel).collect();
 
         // Encode: fan every entry's segments out across the worker pool
         // in one stride.
         let trace_encode = self.recorder.trace_span("compress.encode");
-        let results = self.run_jobs(&plans, &jobs, &budgets, &cancels);
+        let results = self.run_jobs(&plans, &jobs, &cancels);
         let mut results: Vec<Option<Result<EncodedSegment, CompressError>>> =
             results.into_iter().map(Some).collect();
         drop(trace_encode);
@@ -908,7 +819,6 @@ impl<'g> Compressor<'g> {
         &self,
         plans: &[Result<EntryPlan, CompressError>],
         jobs: &[Job],
-        budgets: &[EarleyBudget],
         cancels: &[&CancelToken],
     ) -> Vec<Result<EncodedSegment, CompressError>> {
         let proc_of = |job: &Job| -> &Procedure {
@@ -927,7 +837,6 @@ impl<'g> Compressor<'g> {
                         &mut scratch,
                         proc_of(job),
                         job.range.clone(),
-                        budgets[job.entry],
                         cancels[job.entry],
                     )
                 })
@@ -962,7 +871,6 @@ impl<'g> Compressor<'g> {
                                         &mut scratch,
                                         proc_of(job),
                                         job.range.clone(),
-                                        budgets[job.entry],
                                         cancels[job.entry],
                                     ),
                                 ));
@@ -995,11 +903,10 @@ impl<'g> Compressor<'g> {
         scratch: &mut TileScratch,
         proc: &Procedure,
         range: Range<usize>,
-        budget: EarleyBudget,
         cancel: &CancelToken,
     ) -> Result<EncodedSegment, CompressError> {
         let attempt = catch_unwind(AssertUnwindSafe(|| {
-            self.encode_segment(scratch, proc, range.clone(), budget, cancel)
+            self.encode_segment(scratch, proc, range.clone(), cancel)
         }));
         attempt.unwrap_or_else(|payload| {
             Err(CompressError::WorkerPanic {
@@ -1026,7 +933,6 @@ impl<'g> Compressor<'g> {
         scratch: &mut TileScratch,
         proc: &Procedure,
         range: Range<usize>,
-        budget: EarleyBudget,
         cancel: &CancelToken,
     ) -> Result<EncodedSegment, CompressError> {
         // The segment boundary is the coarse cancellation point: a fired
@@ -1082,7 +988,7 @@ impl<'g> Compressor<'g> {
         let parsed = if faults::fire(FaultPoint::Parse) {
             Err(NoParse::NoDerivation { furthest: 0 })
         } else {
-            self.tiler.tile(scratch, &tokens, &budget, Some(cancel))
+            self.tiler.tile(scratch, &tokens, Some(cancel))
         };
         let derivation = match parsed {
             Ok(derivation) => derivation,
@@ -1335,7 +1241,7 @@ entry f
     }
 
     #[test]
-    fn recorder_collects_compress_cache_and_earley_metrics() {
+    fn recorder_collects_compress_cache_and_tiler_metrics() {
         let ig = InitialGrammar::build();
         let recorder = Recorder::new();
         let engine = Compressor::with_recorder(
@@ -1359,7 +1265,7 @@ entry f
             stats.segments as u64
         );
         assert_eq!(
-            m.counter(names::EARLEY_SEGMENTS_PARSED),
+            m.counter(names::TILER_SEGMENTS),
             m.counter(names::CACHE_MISSES),
             "every cache miss is exactly one tiling"
         );
@@ -1371,15 +1277,11 @@ entry f
 
     #[test]
     fn builder_and_chained_config_agree() {
-        let budget = pgr_earley::EarleyBudget::default()
-            .max_items(123)
-            .max_columns(9);
         let built = CompressorConfig::builder()
             .threads(3)
             .segment_cache_capacity(17)
             .batch_bytes(256)
             .collect_timings(true)
-            .earley_budget(budget)
             .fallback(false)
             .build();
         let chained = CompressorConfig::default()
@@ -1387,39 +1289,12 @@ entry f
             .segment_cache_capacity(17)
             .batch_bytes(256)
             .collect_timings(true)
-            .earley_budget(budget)
             .fallback(false);
         assert_eq!(built, chained);
         assert_eq!(
             CompressorConfig::builder().build(),
             CompressorConfig::default()
         );
-    }
-
-    #[test]
-    fn per_call_budgets_share_one_engine_without_interference() {
-        let ig = InitialGrammar::build();
-        let engine = Compressor::new(&ig.grammar, ig.nt_start);
-        let prog = assemble(SAMPLE).unwrap();
-
-        // A starved request degrades to all-verbatim…
-        let tiny = pgr_earley::EarleyBudget::default().max_items(1);
-        let (cp_tiny, stats_tiny) = engine.compress_budgeted(&prog, tiny).unwrap();
-        assert_eq!(stats_tiny.fallback_segments, stats_tiny.segments);
-        let back = decompress_program(&ig.grammar, ig.nt_start, &cp_tiny).unwrap();
-        assert_eq!(back, canonicalize_program(&prog).unwrap());
-
-        // …while an unlimited request on the same engine (same shared
-        // cache) still gets full compression, identical to a fresh
-        // engine's output.
-        let (cp_full, stats_full) = engine
-            .compress_budgeted(&prog, pgr_earley::EarleyBudget::UNLIMITED)
-            .unwrap();
-        assert_eq!(stats_full.fallback_segments, 0);
-        let reference = Compressor::new(&ig.grammar, ig.nt_start)
-            .compress(&prog)
-            .unwrap();
-        assert_eq!(cp_full, reference.0);
     }
 
     #[test]
@@ -1460,49 +1335,51 @@ entry f
     }
 
     #[test]
-    fn tiny_budget_degrades_to_fallback_and_roundtrips() {
+    fn injected_parse_faults_fall_back_and_are_never_cached() {
         let ig = InitialGrammar::build();
         let prog = assemble(SAMPLE).unwrap();
-        let budget = pgr_earley::EarleyBudget::default().max_items(1);
-        let engine = Compressor::with_config(
-            &ig.grammar,
-            ig.nt_start,
-            CompressorConfig::default().threads(1).earley_budget(budget),
+        let config = CompressorConfig::default().threads(1);
+        let engine = Compressor::with_config(&ig.grammar, ig.nt_start, config);
+        let strict = Compressor::with_config(&ig.grammar, ig.nt_start, config.fallback(false));
+
+        // Every tiling faults: each segment degrades to verbatim and the
+        // image round-trips, while strict mode surfaces the verdict.
+        let guard = faults::install(
+            faults::FaultPlan::new().with(FaultPoint::Parse, faults::FaultMode::Always),
         );
         let (cp, stats) = engine.compress(&prog).unwrap();
+        let err = strict.compress(&prog).unwrap_err();
+        drop(guard);
         assert_eq!(stats.fallback_segments, stats.segments);
         let back = decompress_program(&ig.grammar, ig.nt_start, &cp).unwrap();
         assert_eq!(back, canonicalize_program(&prog).unwrap());
-
-        // Strict mode surfaces the budget verdict instead.
-        let strict = Compressor::with_config(
-            &ig.grammar,
-            ig.nt_start,
-            CompressorConfig::default()
-                .threads(1)
-                .earley_budget(budget)
-                .fallback(false),
-        );
-        let err = strict.compress(&prog).unwrap_err();
         assert!(matches!(
             err,
             CompressError::NoParse {
-                error: NoParse::BudgetExceeded { .. },
+                error: NoParse::NoDerivation { .. },
                 ..
             }
         ));
+
+        // The next call on the same engine (same shared cache) gets full
+        // compression, identical to a fresh engine's.
+        let (cp_full, stats_full) = engine.compress(&prog).unwrap();
+        assert_eq!(stats_full.fallback_segments, 0);
+        let reference = Compressor::new(&ig.grammar, ig.nt_start)
+            .compress(&prog)
+            .unwrap();
+        assert_eq!(cp_full, reference.0);
     }
 
     #[test]
     fn compress_batch_is_bytewise_identical_to_serial_dispatch() {
         let ig = InitialGrammar::build();
         // Program variants differing only in one literal, plus repeats:
-        // the batch mixes fresh parses and memo-cache hits.
+        // the batch mixes fresh tilings and memo-cache hits.
         let programs: Vec<Program> = [1, 7, 1, 13, 7]
             .into_iter()
             .map(|lit| assemble(&SAMPLE.replace("LIT1 1", &format!("LIT1 {lit}"))).unwrap())
             .collect();
-        let ample = pgr_earley::EarleyBudget::UNLIMITED;
         let fresh = |threads: usize| {
             Compressor::with_config(
                 &ig.grammar,
@@ -1510,15 +1387,22 @@ entry f
                 CompressorConfig::default().threads(threads),
             )
         };
-        let check = |threads: usize, entries: &[(&Program, pgr_earley::EarleyBudget)]| {
+        for threads in [1, 3] {
+            let entries: Vec<BatchEntry<'_>> = programs
+                .iter()
+                .map(|program| BatchEntry {
+                    program,
+                    cancel: CancelToken::never(),
+                })
+                .collect();
             // Fresh engine per dispatch style: both start from the same
             // (empty) cache state, like a serve engine at either end of
             // a batch window.
-            let batched = fresh(threads).compress_batch(entries);
+            let batched = fresh(threads).compress_batch(&entries);
             assert_eq!(batched.len(), entries.len());
             let serial_engine = fresh(threads);
-            for (i, (got, (program, budget))) in batched.iter().zip(entries).enumerate() {
-                let want = serial_engine.compress_budgeted(program, *budget).unwrap();
+            for (i, (got, program)) in batched.iter().zip(&programs).enumerate() {
+                let want = serial_engine.compress(program).unwrap();
                 let got = got.as_ref().unwrap();
                 assert_eq!(got.0, want.0, "entry {i}, threads {threads}");
                 assert_eq!(
@@ -1535,26 +1419,32 @@ entry f
                     "entry {i}, threads {threads}"
                 );
             }
-        };
-
-        // Uniform budgets: identical at any thread count (successful
-        // parses are budget- and schedule-invariant).
-        for threads in [1, 3] {
-            let entries: Vec<(&Program, pgr_earley::EarleyBudget)> =
-                programs.iter().map(|p| (p, ample)).collect();
-            check(threads, &entries);
         }
 
-        // Mixed per-entry budgets, single worker: batch job order equals
-        // serial call order, so cache evolution — and therefore which
-        // starved segments luck into budget-free cache hits — matches
-        // exactly.
-        let starved = pgr_earley::EarleyBudget::default().max_items(1);
-        let entries: Vec<(&Program, pgr_earley::EarleyBudget)> = programs
+        // A cancelled entry fails alone; its neighbours' bytes are
+        // unchanged.
+        let fired = CancelToken::new();
+        fired.cancel();
+        let entries: Vec<BatchEntry<'_>> = programs
             .iter()
             .enumerate()
-            .map(|(i, p)| (p, if i % 2 == 0 { ample } else { starved }))
+            .map(|(i, program)| BatchEntry {
+                program,
+                cancel: if i == 1 {
+                    fired.clone()
+                } else {
+                    CancelToken::never()
+                },
+            })
             .collect();
-        check(1, &entries);
+        let results = fresh(3).compress_batch(&entries);
+        for (i, (got, program)) in results.iter().zip(&programs).enumerate() {
+            if i == 1 {
+                assert!(matches!(got, Err(CompressError::Cancelled { .. })));
+            } else {
+                let want = fresh(1).compress(program).unwrap();
+                assert_eq!(got.as_ref().unwrap().0, want.0, "entry {i}");
+            }
+        }
     }
 }

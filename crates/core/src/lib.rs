@@ -46,5 +46,5 @@ pub use engine::{
     BatchEntry, CacheStats, Compressor, CompressorConfig, CompressorConfigBuilder, PhaseTimings,
 };
 pub use expander::{expand, expand_with, ExpanderConfig, ExpansionStats};
-pub use pgr_earley::{EarleyBudget, NoParse};
 pub use pipeline::{train, TrainConfig, TrainError, Trained};
+pub use tile::NoParse;

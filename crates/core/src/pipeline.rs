@@ -108,7 +108,7 @@ impl Trained {
     }
 
     /// Build a reusable compression engine that reports `compress.*`,
-    /// `earley.*`, and `cache.*` metrics into `recorder`.
+    /// `tiler.*`, and `cache.*` metrics into `recorder`.
     pub fn compressor_with_recorder(
         &self,
         config: CompressorConfig,

@@ -26,13 +26,17 @@
 //! operator, with one wildcard bucket per rule for patterns whose
 //! operator is a hole. The `pgr-earley` parser stays as the reference
 //! spec this tiler is tested against (`tests/tiler_reference.rs`).
+//!
+//! A tiling does linear work in the segment's length: each node scans
+//! at most two buckets, so no work budget is needed. A request's
+//! deadline bounds its time, and its line-length bound its size.
 
 use pgr_bytecode::Opcode;
-use pgr_earley::{EarleyBudget, NoParse};
 use pgr_grammar::forest::ForestParseError;
 use pgr_grammar::postfix::{self, TreeBuilder};
 use pgr_grammar::{Derivation, Grammar, InitialGrammar, Nt, RuleId, Symbol, Terminal};
 use pgr_telemetry::{names, CancelToken, Metrics, Recorder};
+use std::fmt;
 use std::ops::Range;
 
 /// Label of a pattern node standing for a hole.
@@ -43,6 +47,43 @@ const WILD: usize = Opcode::COUNT;
 const NO_HEAD: u8 = u8::MAX;
 /// Subject nodes between two cancellation polls.
 const CANCEL_POLL: usize = 64;
+
+/// Why a segment has no tiling.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NoParse {
+    /// The tokens are not postfix code, so the expanded grammar (which
+    /// derives exactly the Appendix 2 language) has no derivation.
+    NoDerivation {
+        /// The token position the postfix parse stopped at: tokens
+        /// `0..furthest` parsed, and the error is at or near token
+        /// `furthest` (the segment's length when the tokens ran out).
+        furthest: usize,
+    },
+    /// The tiling was abandoned because its [`CancelToken`] fired: the
+    /// request's deadline passed or its owner cancelled it. A resource
+    /// decision, not a language one.
+    Cancelled {
+        /// Milliseconds between the token's creation (request arrival)
+        /// and the poll that saw it fire.
+        elapsed_ms: u64,
+    },
+}
+
+impl fmt::Display for NoParse {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            NoParse::NoDerivation { furthest } => {
+                write!(f, "input has no derivation (stuck near token {furthest})")
+            }
+            NoParse::Cancelled { elapsed_ms } => write!(
+                f,
+                "parse abandoned: request cancelled after {elapsed_ms} ms"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for NoParse {}
 
 /// One node of a rule's pattern, in preorder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,10 +150,10 @@ impl Tiler {
         Tiler::with_recorder(grammar, start, Recorder::disabled())
     }
 
-    /// Like [`Tiler::new`], but report the encoder counters
-    /// (`earley.segments_parsed`, `earley.tokens`, `earley.no_parse`,
-    /// `earley.budget.exceeded`, `earley.cancelled`) and the tiler's
-    /// work (`tiler.*`) into `recorder`.
+    /// Like [`Tiler::new`], but report the tiler's counters
+    /// (`tiler.segments`, `tiler.tokens`, `tiler.no_derivation`,
+    /// `tiler.cancelled`, `tiler.nodes`, `tiler.candidates`) and its
+    /// table size into `recorder`.
     ///
     /// # Panics
     ///
@@ -261,44 +302,31 @@ impl Tiler {
     }
 
     /// Find a shortest leftmost derivation of `tokens` from the start
-    /// symbol, using `scratch` for all per-segment state.
-    ///
-    /// `budget.max_columns` caps `tokens + 1` up front;
-    /// `budget.max_items` caps the candidate patterns examined. Within
-    /// budget, the result never depends on the budget. `cancel` is
-    /// polled every few dozen tree nodes.
+    /// symbol, using `scratch` for all per-segment state. `cancel` is
+    /// polled every few dozen tree nodes of the dynamic program.
     ///
     /// # Errors
     ///
-    /// [`NoParse::NoDerivation`] if the tokens are not postfix code (the
-    /// expanded grammar derives exactly the Appendix 2 language),
-    /// [`NoParse::BudgetExceeded`], or [`NoParse::Cancelled`].
+    /// [`NoParse::NoDerivation`] if the tokens are not postfix code, or
+    /// [`NoParse::Cancelled`].
     pub fn tile(
         &self,
         scratch: &mut TileScratch,
         tokens: &[Terminal],
-        budget: &EarleyBudget,
         cancel: Option<&CancelToken>,
     ) -> Result<Derivation, NoParse> {
         let mut work = Work::default();
-        let outcome = self.run(scratch, tokens, budget, cancel, &mut work);
+        let outcome = self.run(scratch, tokens, cancel, &mut work);
         if self.recorder.is_enabled() {
             let mut batch = Metrics::new();
-            batch.add(names::EARLEY_SEGMENTS_PARSED, 1);
-            batch.add(names::EARLEY_TOKENS, tokens.len() as u64);
+            batch.add(names::TILER_SEGMENTS, 1);
+            batch.add(names::TILER_TOKENS, tokens.len() as u64);
             batch.add(names::TILER_NODES, work.nodes);
-            batch.add(names::TILER_CANDIDATES, work.candidates as u64);
-            if outcome.is_err() {
-                batch.add(names::EARLEY_NO_PARSE, 1);
-            }
-            // Pinned by the metrics schema: emitted, zero or not, on
-            // every segment.
-            batch.add(
-                names::EARLEY_BUDGET_EXCEEDED,
-                u64::from(matches!(outcome, Err(NoParse::BudgetExceeded { .. }))),
-            );
-            if matches!(outcome, Err(NoParse::Cancelled { .. })) {
-                batch.add(names::EARLEY_CANCELLED, 1);
+            batch.add(names::TILER_CANDIDATES, work.candidates);
+            match &outcome {
+                Ok(_) => {}
+                Err(NoParse::NoDerivation { .. }) => batch.add(names::TILER_NO_DERIVATION, 1),
+                Err(NoParse::Cancelled { .. }) => batch.add(names::TILER_CANCELLED, 1),
             }
             self.recorder.record(batch);
         }
@@ -309,14 +337,9 @@ impl Tiler {
         &self,
         scratch: &mut TileScratch,
         tokens: &[Terminal],
-        budget: &EarleyBudget,
         cancel: Option<&CancelToken>,
         work: &mut Work,
     ) -> Result<Derivation, NoParse> {
-        let columns = tokens.len() + 1;
-        if columns > budget.max_columns {
-            return Err(NoParse::BudgetExceeded { items: 0, columns });
-        }
         scratch.subject.clear();
         let symbols = tokens.iter().map(|&t| Symbol::T(t));
         let root = postfix::parse(&self.ig, self.ig.nt_start, symbols, &mut scratch.subject)
@@ -361,13 +384,7 @@ impl Tiler {
             } else {
                 (self.bucket(base + usize::from(h)), self.bucket(base + WILD))
             };
-            work.candidates += exact.len() + wild.len();
-            if work.candidates > budget.max_items {
-                return Err(NoParse::BudgetExceeded {
-                    items: work.candidates,
-                    columns,
-                });
-            }
+            work.candidates += (exact.len() + wild.len()) as u64;
             // Best (cost, encoding index, pattern) so far.
             let mut best = (u32::MAX, usize::MAX, u32::MAX);
             for bucket in [exact, wild] {
@@ -446,7 +463,7 @@ impl Tiler {
 #[derive(Default)]
 struct Work {
     nodes: u64,
-    candidates: usize,
+    candidates: u64,
 }
 
 /// A tree built by the postfix parser: per node its label (an Appendix 2
@@ -541,9 +558,7 @@ mod tests {
         let ig = InitialGrammar::build();
         let tiler = Tiler::new(&ig.grammar, ig.nt_start);
         let t = tokens(&[Opcode::RETV as u8]);
-        let d = tiler
-            .tile(&mut TileScratch::new(), &t, &EarleyBudget::UNLIMITED, None)
-            .unwrap();
+        let d = tiler.tile(&mut TileScratch::new(), &t, None).unwrap();
         assert_eq!(
             d.0,
             vec![
@@ -583,9 +598,7 @@ mod tests {
         assert_eq!(g.rule(s_retv).rhs, g.rule(s_retv_too).rhs);
         let tiler = Tiler::new(&g, ig.nt_start);
         let t = tokens(&[Opcode::RETV as u8]);
-        let d = tiler
-            .tile(&mut TileScratch::new(), &t, &EarleyBudget::UNLIMITED, None)
-            .unwrap();
+        let d = tiler.tile(&mut TileScratch::new(), &t, None).unwrap();
         assert_eq!(d.0, vec![s_retv, ig.start_empty]);
         assert_eq!(d.expand(&g, ig.nt_start).unwrap(), t);
         assert_eq!(
@@ -600,12 +613,10 @@ mod tests {
     }
 
     #[test]
-    fn malformed_tokens_have_no_derivation_and_budgets_trip() {
+    fn malformed_tokens_have_no_derivation() {
         let ig = InitialGrammar::build();
         let tiler = Tiler::new(&ig.grammar, ig.nt_start);
-        let mut scratch = TileScratch::new();
-        let none =
-            |t: &[Terminal]| tiler.tile(&mut TileScratch::new(), t, &EarleyBudget::UNLIMITED, None);
+        let none = |t: &[Terminal]| tiler.tile(&mut TileScratch::new(), t, None);
         assert_eq!(
             none(&tokens(&[Opcode::ADDU as u8])),
             Err(NoParse::NoDerivation { furthest: 0 })
@@ -614,38 +625,45 @@ mod tests {
             none(&tokens(&[Opcode::LIT1 as u8, 7])),
             Err(NoParse::NoDerivation { furthest: 2 })
         );
-        let t = tokens(&[Opcode::RETV as u8]);
-        for items in [1, 2, 3] {
-            assert!(matches!(
-                tiler.tile(
-                    &mut scratch,
-                    &t,
-                    &EarleyBudget::UNLIMITED.max_items(items),
-                    None
-                ),
-                Err(NoParse::BudgetExceeded { columns: 2, .. })
-            ));
-        }
-        assert!(tiler
-            .tile(
-                &mut scratch,
-                &t,
-                &EarleyBudget::UNLIMITED.max_items(4),
-                None
-            )
-            .is_ok());
+    }
+
+    #[test]
+    fn a_fired_token_stops_the_tiling() {
+        let ig = InitialGrammar::build();
+        let recorder = Recorder::new();
+        let tiler = Tiler::with_recorder(&ig.grammar, ig.nt_start, recorder.clone());
+        let mut scratch = TileScratch::new();
+        // `LIT1 1; POPU` 40 times over: well past one poll stride of
+        // tree nodes.
+        let code: Vec<u8> = [Opcode::LIT1 as u8, 1, Opcode::POPU as u8].repeat(40);
+        let t = tokens(&code);
+        let cancel = CancelToken::new();
+        assert!(tiler.tile(&mut scratch, &t, Some(&cancel)).is_ok());
+        cancel.cancel();
+        assert!(matches!(
+            tiler.tile(&mut scratch, &t, Some(&cancel)),
+            Err(NoParse::Cancelled { .. })
+        ));
         assert_eq!(
-            tiler.tile(
-                &mut scratch,
-                &t,
-                &EarleyBudget::UNLIMITED.max_columns(1),
-                None
-            ),
-            Err(NoParse::BudgetExceeded {
-                items: 0,
-                columns: 2
-            })
+            tiler_counts(&recorder),
+            (2, 2 * t.len() as u64, 0, 1),
+            "segments, tokens, no derivation, cancelled"
         );
+        assert_eq!(
+            tiler.tile(&mut scratch, &tokens(&[Opcode::ADDU as u8]), None),
+            Err(NoParse::NoDerivation { furthest: 0 })
+        );
+        assert_eq!(tiler_counts(&recorder).2, 1);
+    }
+
+    fn tiler_counts(recorder: &Recorder) -> (u64, u64, u64, u64) {
+        let m = recorder.snapshot();
+        (
+            m.counter(names::TILER_SEGMENTS),
+            m.counter(names::TILER_TOKENS),
+            m.counter(names::TILER_NO_DERIVATION),
+            m.counter(names::TILER_CANCELLED),
+        )
     }
 
     #[test]

@@ -91,8 +91,7 @@ pub enum NoParse {
     /// before reaching a verdict. This is a resource decision, not a
     /// language one: the input may or may not be derivable.
     BudgetExceeded {
-        /// Work items counted when the budget tripped, in the unit of
-        /// [`EarleyBudget::max_items`] for the encoder that tripped it.
+        /// Chart items created when the budget tripped.
         items: usize,
         /// Chart columns the parse required (`tokens + 1`).
         columns: usize,
@@ -128,26 +127,20 @@ impl fmt::Display for NoParse {
 
 impl std::error::Error for NoParse {}
 
-/// A work budget for one segment's shortest-derivation search: caps that
-/// turn an expensive segment into a clean [`NoParse::BudgetExceeded`]
-/// instead of unbounded work, which callers degrade to the
-/// verbatim-escape fallback. Admission control (`pgr serve
-/// --max-budget`) sets it per request.
+/// A work budget for one parse: caps that turn an expensive segment into
+/// a clean [`NoParse::BudgetExceeded`] instead of unbounded chart work.
 ///
-/// The name predates the compressor's tiler and stays with the wire and
-/// CLI names. The compressor (`pgr_core::tile`) counts *candidate
-/// patterns examined* — the patterns indexed under each node's rule and
-/// operator, summed over the nodes of the segment's Appendix 2 tree —
-/// against `max_items`; this crate's reference parser counts chart items
-/// created.
+/// The paper caps its Earley parser because chart work grows faster
+/// than segment length (§4.1). It applies to this crate's
+/// [`ShortestParser`] only: the compressor tiles each segment in linear
+/// time (`pgr_core::tile`) and takes no budget.
 ///
-/// The default budget is unlimited; limited budgets cost one integer
-/// compare per tree node (per worklist pop in the Earley parser).
+/// The default budget is unlimited; a limited budget costs one integer
+/// compare per worklist pop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EarleyBudget {
-    /// Maximum work items one segment may use: candidate patterns
-    /// examined by the compressor's tiler, chart items (states across
-    /// all columns) created by [`ShortestParser`].
+    /// Maximum chart items (states across all columns) one parse may
+    /// create.
     pub max_items: usize,
     /// Maximum chart columns (`segment tokens + 1`) a parse may use;
     /// checked up front, so over-long segments fail before any chart
@@ -573,13 +566,6 @@ impl ShortestParser {
         if outcome.is_err() {
             batch.add(names::EARLEY_NO_PARSE, 1);
         }
-        // Pinned by the metrics schema: emitted (possibly as zero) on
-        // every parse so schema validation sees the key even in runs
-        // where no budget ever trips.
-        batch.add(
-            names::EARLEY_BUDGET_EXCEEDED,
-            u64::from(matches!(outcome, Err(NoParse::BudgetExceeded { .. }))),
-        );
         if matches!(outcome, Err(NoParse::Cancelled { .. })) {
             batch.add(names::EARLEY_CANCELLED, 1);
         }

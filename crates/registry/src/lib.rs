@@ -18,8 +18,8 @@
 //! * [`Server`] / [`serve`] — newline-delimited JSON over a Unix
 //!   socket: `compress` / `decompress` / `run` / `stats` / `shutdown`
 //!   requests dispatched onto shared per-grammar engines, with
-//!   per-request [`EarleyBudget`](pgr_core::EarleyBudget) admission
-//!   control and panic isolation.
+//!   per-request deadlines, bounded lines, connections and queues, and
+//!   panic isolation.
 //!
 //! The server's one transport is an epoll reactor over raw syscalls, so
 //! the crate supports Linux on x86_64 or aarch64 and nothing else. The

@@ -21,7 +21,6 @@
 //! `Request`; routing, admission, deadlines, batching, and the
 //! handlers all read that one value.
 
-use pgr_core::EarleyBudget;
 use pgr_telemetry::json::{self, Value};
 use std::borrow::Cow;
 
@@ -142,11 +141,6 @@ pub(crate) struct Request {
     pub image: Option<String>,
     /// Base64 VM input.
     pub input: Option<String>,
-    /// The declared per-segment budget (`{"max_items":N,"max_columns":M}`:
-    /// candidate patterns the encoder may examine, and one more than the
-    /// segment's tokens), present whenever the `budget` key is; a member
-    /// that is missing or not an exact integer reads as unlimited.
-    pub budget: Option<EarleyBudget>,
     /// The request's own deadline, when an exact non-negative integer
     /// (`1.5e3` is 1500).
     pub timeout_ms: Option<u64>,
@@ -175,24 +169,11 @@ impl Request {
             other => Op::Unknown(other.to_string()),
         };
         let (grammar, image, input) = (text("grammar"), text("image"), text("input"));
-        let budget = doc.get("budget").map(|declared| {
-            let member = |key: &str| {
-                declared
-                    .get(key)
-                    .and_then(Value::as_u64)
-                    .map_or(usize::MAX, |v| usize::try_from(v).unwrap_or(usize::MAX))
-            };
-            EarleyBudget {
-                max_items: member("max_items"),
-                max_columns: member("max_columns"),
-            }
-        });
         Ok(Request {
             op,
             grammar,
             image,
             input,
-            budget,
             timeout_ms: doc.get("timeout_ms").and_then(Value::as_u64),
         })
     }
@@ -380,7 +361,6 @@ mod tests {
             let request = parsed(line);
             assert_eq!(request.op, Op::Unknown(String::new()), "{line}");
             assert_eq!(request.image, None);
-            assert_eq!(request.budget, None);
             assert_eq!(request.timeout_ms, None);
         }
     }
@@ -397,27 +377,19 @@ mod tests {
     }
 
     #[test]
-    fn budgets_read_each_member_and_default_to_unlimited() {
-        let budget = |line: &str| parsed(line).budget;
-        assert_eq!(budget(r#"{"op":"compress"}"#), None);
-        assert_eq!(
-            budget(r#"{"budget":{"max_items":500,"max_columns":20}}"#),
-            Some(EarleyBudget {
-                max_items: 500,
-                max_columns: 20
-            })
-        );
-        assert_eq!(
-            budget(r#"{"budget":{"max_items":500,"max_columns":-1}}"#),
-            Some(EarleyBudget {
-                max_items: 500,
-                max_columns: usize::MAX
-            })
-        );
-        // A present but unusable budget is declared-unlimited, which the
-        // server clamps; an absent one is not declared at all.
-        assert_eq!(budget(r#"{"budget":null}"#), Some(EarleyBudget::UNLIMITED));
-        assert_eq!(budget(r#"{"budget":[1]}"#), Some(EarleyBudget::UNLIMITED));
+    fn a_budget_key_is_ignored() {
+        // The server reads no `budget` field: the key parses like any
+        // other unknown one.
+        let plain = r#"{"op":"compress","grammar":"9c0f","image":"AA=="}"#;
+        for budget in [
+            r#""budget":{"max_items":500,"max_columns":20}"#,
+            r#""budget":{"max_items":1}"#,
+            r#""budget":null"#,
+            r#""budget":[1]"#,
+        ] {
+            let line = plain.replacen('{', &format!("{{{budget},"), 1);
+            assert_eq!(parsed(&line), parsed(plain), "{line}");
+        }
     }
 
     #[test]
@@ -489,7 +461,7 @@ mod tests {
             .str_field("image", "AA==")
             .num_field("bytes", 7)
             .int_field("exit_code", -1)
-            .bool_field("clamped", false)
+            .bool_field("shutdown", true)
             .raw_field("metrics", "{\"counters\":{}}")
             .finish();
         let doc = pgr_telemetry::json::parse(&line).expect("valid JSON");

@@ -16,10 +16,10 @@
 //! `shutdown` are handled one at a time. Both paths answer through the
 //! same response-and-accounting tail.
 //!
-//! Admission control is layered: per request, a declared
-//! [`EarleyBudget`] is clamped to the server's ceiling before the
-//! compressor sees it, so one greedy request degrades itself (to
-//! verbatim fallback) without starving neighbours; per server,
+//! Admission control bounds the server, not the encoder's work: a
+//! request's size is bounded by [`ServeConfig::max_line_bytes`] and its
+//! time by its deadline (the tiler is linear in segment length, so
+//! nothing else grows with a request);
 //! [`ServeConfig::max_connections`] bounds the connection table and
 //! [`ServeConfig::max_queue`] bounds each grammar's pending batch —
 //! overflow is answered in-band with
@@ -53,7 +53,7 @@ use crate::proto::{base64_decode, base64_encode, json_string, Op, Request, Respo
 use crate::store::{Registry, RegistryError};
 use crate::window::{SlidingWindow, DEFAULT_WINDOW_SECS};
 use pgr_bytecode::{read_program_tagged, write_program_tagged, ImageKind, Program};
-use pgr_core::{Compressor, CompressorConfig, EarleyBudget};
+use pgr_core::{BatchEntry, Compressor, CompressorConfig};
 use pgr_telemetry::{
     names, trace, CancelToken, Metrics, Recorder, Stopwatch, TraceId, DEFAULT_TRACE_CAPACITY,
 };
@@ -79,11 +79,6 @@ pub const SERVE_OPS: [&str; 4] = ["compress", "decompress", "run", "stats"];
 pub struct ServeConfig {
     /// Registry root directory (created if missing).
     pub registry_root: PathBuf,
-    /// Per-request budget ceiling (`max_items` in candidate patterns the
-    /// encoder examines per segment, `max_columns` in one more than the
-    /// segment's tokens); declared budgets above this are clamped down
-    /// (and counted under `serve.budget.clamped`).
-    pub max_budget: EarleyBudget,
     /// Compressor worker threads per engine (0 = one per CPU).
     pub threads: usize,
     /// Telemetry destination. Pass an enabled recorder — `stats`
@@ -144,7 +139,6 @@ impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             registry_root: PathBuf::from("registry"),
-            max_budget: EarleyBudget::UNLIMITED,
             threads: 0,
             recorder: Recorder::new(),
             slow_ms: None,
@@ -379,7 +373,6 @@ impl EngineShards {
 pub(crate) struct State {
     pub(crate) registry: Registry,
     pub(crate) engines: EngineShards,
-    max_budget: EarleyBudget,
     threads: usize,
     pub(crate) recorder: Recorder,
     pub(crate) running: AtomicBool,
@@ -469,10 +462,7 @@ impl State {
             return Ok(engine);
         }
         let file = self.registry.load(&id)?;
-        let config = CompressorConfig::builder()
-            .threads(self.threads)
-            .earley_budget(self.max_budget)
-            .build();
+        let config = CompressorConfig::builder().threads(self.threads).build();
         let engine = Engine::new(id, file, config, self.recorder.clone());
         let engine = self.engines.insert(engine, &self.recorder);
         self.recorder
@@ -496,21 +486,6 @@ impl State {
             )?,
         };
         self.engine_for(id).map_err(|e| error_chain(&e))
-    }
-
-    /// Clamp a request's declared budget to the server ceiling. Returns
-    /// the admitted budget and whether clamping happened; the caller
-    /// counts the clamp once per answered request, since one admission
-    /// serves every duplicate of a batched request.
-    fn admit_budget(&self, declared: Option<EarleyBudget>) -> (EarleyBudget, bool) {
-        let Some(requested) = declared else {
-            return (self.max_budget, false);
-        };
-        let admitted = EarleyBudget {
-            max_items: requested.max_items.min(self.max_budget.max_items),
-            max_columns: requested.max_columns.min(self.max_budget.max_columns),
-        };
-        (admitted, admitted != requested)
     }
 
     /// Retire a request's trace events: always drained (completed
@@ -787,27 +762,15 @@ fn respond(
     }
 }
 
-/// One distinct batched request, checked and ready for the engine.
-struct Prepared {
-    program: Program,
-    budget: EarleyBudget,
-    clamped: bool,
-}
-
-/// Take one distinct batched request as far as the engine; every member
-/// that sent it shares the verdict.
-fn prepare(state: &State, request: &Result<Request, String>) -> Result<Prepared, String> {
+/// Take one distinct batched request as far as the engine: its
+/// uncompressed program. Every member that sent it shares the verdict.
+fn prepare(request: &Result<Request, String>) -> Result<Program, String> {
     let request = request.as_ref().map_err(String::clone)?;
     let (program, kind, _) = image_of(request)?;
     if kind == ImageKind::Compressed {
         return Err("image is already compressed".into());
     }
-    let (budget, clamped) = state.admit_budget(request.budget);
-    Ok(Prepared {
-        program,
-        budget,
-        clamped,
-    })
+    Ok(program)
 }
 
 /// Handle one flushed compress batch: one engine dispatch for every
@@ -865,10 +828,10 @@ pub(crate) fn handle_batch(state: &State, batch: Batch) -> Vec<Done> {
     // distinct request as far as the engine: without one, every request
     // that got that far fails with the resolution error.
     let engine = state.engine_of_request(batch.grammar.as_deref(), None);
-    let preps: Vec<Result<Prepared, String>> = distinct
+    let preps: Vec<Result<Program, String>> = distinct
         .iter()
         .map(|request| {
-            let prepared = prepare(state, request)?;
+            let prepared = prepare(request)?;
             engine.as_ref().map_err(String::clone)?;
             Ok(prepared)
         })
@@ -923,13 +886,7 @@ pub(crate) fn handle_batch(state: &State, batch: Batch) -> Vec<Done> {
         .requests
         .iter()
         .zip(&group_of)
-        .map(|(req, &group)| {
-            let outcome = outcomes[group].clone();
-            if outcome.is_ok() && preps[group].as_ref().is_ok_and(|p| p.clamped) {
-                state.recorder.add(names::SERVE_BUDGET_CLAMPED, 1);
-            }
-            respond(state, req, "compress", outcome, grammar)
-        })
+        .map(|(req, &group)| respond(state, req, "compress", outcomes[group].clone(), grammar))
         .collect();
     // Retire the batch-level trace (engine spans accumulated here); it
     // reports to the slow log under the whole dispatch's elapsed time.
@@ -945,10 +902,10 @@ pub(crate) fn handle_batch(state: &State, batch: Batch) -> Vec<Done> {
 /// answering each in group order; `cancel_of` gives a group's token.
 fn dispatch(
     engine: &Engine,
-    preps: &[Result<Prepared, String>],
+    preps: &[Result<Program, String>],
     cancel_of: impl Fn(usize) -> CancelToken,
 ) -> Vec<Result<ResponseLine, String>> {
-    let ready: Vec<(usize, &Prepared)> = preps
+    let ready: Vec<(usize, &Program)> = preps
         .iter()
         .enumerate()
         .filter_map(|(group, prep)| Some((group, prep.as_ref().ok()?)))
@@ -956,23 +913,21 @@ fn dispatch(
     if ready.is_empty() {
         return Vec::new();
     }
-    let entries: Vec<pgr_core::BatchEntry<'_>> = ready
+    let entries: Vec<BatchEntry<'_>> = ready
         .iter()
-        .map(|&(group, prepared)| pgr_core::BatchEntry {
-            program: &prepared.program,
-            budget: prepared.budget,
+        .map(|&(group, program)| BatchEntry {
+            program,
             cancel: cancel_of(group),
         })
         .collect();
     let Ok(results) = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        engine.compressor.compress_batch_cancellable(&entries)
+        engine.compressor.compress_batch(&entries)
     })) else {
         return vec![Err(INTERNAL_PANIC.to_string()); ready.len()];
     };
-    ready
-        .iter()
-        .zip(results)
-        .map(|(&(_, prepared), result)| {
+    results
+        .into_iter()
+        .map(|result| {
             let (cp, stats) = result.map_err(|e| compress_error_message(&e))?;
             let image = write_program_tagged(
                 &cp.program,
@@ -984,8 +939,7 @@ fn dispatch(
                 .str_field("image", &base64_encode(&image))
                 .num_field("original_bytes", stats.original_code as u64)
                 .num_field("compressed_bytes", stats.compressed_code as u64)
-                .num_field("fallback_segments", stats.fallback_segments as u64)
-                .bool_field("clamped", prepared.clamped))
+                .num_field("fallback_segments", stats.fallback_segments as u64))
         })
         .collect()
 }
@@ -1029,7 +983,6 @@ impl Server {
             names::SERVE_CONNECTIONS,
             names::SERVE_REQUESTS,
             names::SERVE_ERRORS,
-            names::SERVE_BUDGET_CLAMPED,
             names::SERVE_SLOW_REQUESTS,
             names::SERVE_REJECTED_OVERLOAD,
             names::SERVE_ENGINES_EVICTED,
@@ -1082,7 +1035,6 @@ impl Server {
             state: Arc::new(State {
                 registry,
                 engines: EngineShards::new(config.max_engines),
-                max_budget: config.max_budget,
                 threads: config.threads,
                 recorder: config.recorder,
                 running: AtomicBool::new(true),

@@ -1,6 +1,6 @@
 //! End-to-end tests for the grammar registry and the request server:
 //! content-addressed round-trips, stale-id rejection, and a concurrent
-//! serve session with mixed per-request budgets.
+//! serve session in which one request falls back to verbatim segments.
 
 use pgr_bytecode::asm::assemble;
 use pgr_bytecode::{read_program_tagged, write_program, write_program_tagged, ImageKind, Opcode};
@@ -176,8 +176,22 @@ fn connect(socket: &Path) -> UnixStream {
     panic!("server socket never came up at {}", socket.display());
 }
 
+/// A program whose two segments are not postfix code: the value pushed
+/// before the label is still live after it, so neither segment parses
+/// alone and the compressor stores both verbatim. It returns 42.
+const LIVE_ACROSS_LABEL: &str = r#"
+proc main frame=0 args=0
+    LIT1 40
+    label 0
+    LIT1 2
+    ADDU
+    RETU
+endproc
+entry main
+"#;
+
 #[test]
-fn concurrent_serve_with_mixed_budgets() {
+fn concurrent_serve_with_a_degrading_neighbour() {
     let scratch = Scratch::new("serve");
     let registry = Registry::open(scratch.path("reg")).unwrap();
     let manifest = registry.store(&sample_grammar(), "serve test").unwrap();
@@ -188,12 +202,6 @@ fn concurrent_serve_with_mixed_budgets() {
         &socket,
         ServeConfig {
             registry_root: scratch.path("reg"),
-            // A real ceiling (not UNLIMITED), so an extravagant request
-            // demonstrably gets clamped while still succeeding.
-            max_budget: pgr_core::EarleyBudget {
-                max_items: 1_000_000,
-                max_columns: 10_000,
-            },
             threads: 2,
             recorder: Recorder::new(),
             ..ServeConfig::default()
@@ -204,40 +212,28 @@ fn concurrent_serve_with_mixed_budgets() {
 
     let program = assemble(SAMPLE).expect("assemble sample");
     let image_b64 = base64_encode(&write_program(&program, ImageKind::Uncompressed));
-    // The starved client gets a program with different operand bytes:
-    // the engine's derivation cache is shared across requests, so if it
-    // compressed the same segments a warm cache would (correctly) hand
-    // it successful derivations without ever consulting its budget.
-    let starved_program = assemble(&SAMPLE.replace("LIT1 1", "LIT1 9")).expect("assemble variant");
-    let starved_b64 = base64_encode(&write_program(&starved_program, ImageKind::Uncompressed));
+    let degrading_program = assemble(LIVE_ACROSS_LABEL).expect("assemble degrading program");
+    let degrading_b64 = base64_encode(&write_program(&degrading_program, ImageKind::Uncompressed));
 
-    // Fan out mixed-budget compress requests concurrently: ample (and
-    // over-ceiling, so clamped) requests must compress cleanly while a
-    // starved neighbour degrades to verbatim fallback — on the same
-    // shared engine, at the same time.
+    // Fan out compress requests concurrently: postfix requests must
+    // compress cleanly while a neighbour whose segments are not postfix
+    // code degrades to verbatim fallback — on the same shared engine,
+    // at the same time.
     let mut clients = Vec::new();
     for i in 0..4 {
         let socket = socket.clone();
         let id_hex = id_hex.clone();
-        let starved = i == 0;
-        let image_b64 = if starved {
-            starved_b64.clone()
+        let degrading = i == 0;
+        let image_b64 = if degrading {
+            degrading_b64.clone()
         } else {
             image_b64.clone()
         };
         clients.push(std::thread::spawn(move || {
-            let budget = if starved {
-                r#","budget":{"max_items":1,"max_columns":1}"#.to_string()
-            } else {
-                // Far above the server ceiling: admission must clamp it.
-                r#","budget":{"max_items":18446744073709551615}"#.to_string()
-            };
             let mut stream = connect(&socket);
             let resp = exchange(
                 &mut stream,
-                &format!(
-                    r#"{{"op":"compress","grammar":"{id_hex}","image":"{image_b64}"{budget}}}"#
-                ),
+                &format!(r#"{{"op":"compress","grammar":"{id_hex}","image":"{image_b64}"}}"#),
             );
             assert_eq!(
                 resp.get("ok").and_then(Value::as_bool),
@@ -248,29 +244,27 @@ fn concurrent_serve_with_mixed_budgets() {
                 .get("fallback_segments")
                 .and_then(Value::as_u64)
                 .unwrap();
-            let clamped = resp.get("clamped").and_then(Value::as_bool) == Some(true);
             let image = resp
                 .get("image")
                 .and_then(Value::as_str)
                 .unwrap()
                 .to_string();
-            (starved, fallback, clamped, image)
+            (degrading, fallback, image)
         }));
     }
-    let results: Vec<(bool, u64, bool, String)> =
+    let results: Vec<(bool, u64, String)> =
         clients.into_iter().map(|c| c.join().unwrap()).collect();
 
     let mut clean_image = None;
-    for (starved, fallback, clamped, image) in &results {
-        if *starved {
-            // The budget admitted one chart item per segment: every
-            // segment degrades to a verbatim escape, but the request
+    let mut degraded_image = None;
+    for (degrading, fallback, image) in &results {
+        if *degrading {
+            // Both segments degrade to verbatim escapes, but the request
             // still succeeds.
-            assert!(*fallback > 0, "starved request should degrade");
-            assert!(!clamped, "a tiny budget is admitted as-is");
+            assert_eq!(*fallback, 2, "both segments should degrade");
+            degraded_image = Some(image.clone());
         } else {
-            assert_eq!(*fallback, 0, "ample request must not degrade");
-            assert!(*clamped, "over-ceiling budget must be clamped");
+            assert_eq!(*fallback, 0, "postfix requests must not degrade");
             clean_image = Some(image.clone());
         }
     }
@@ -282,19 +276,19 @@ fn concurrent_serve_with_mixed_budgets() {
         &pgr_core::canonicalize_program(&program).unwrap(),
         ImageKind::Uncompressed,
     );
-    let starved_canonical_image = write_program(
-        &pgr_core::canonicalize_program(&starved_program).unwrap(),
+    let degrading_canonical_image = write_program(
+        &pgr_core::canonicalize_program(&degrading_program).unwrap(),
         ImageKind::Uncompressed,
     );
     let mut stream = connect(&socket);
-    for (starved, _, _, image) in &results {
+    for (degrading, _, image) in &results {
         let resp = exchange(
             &mut stream,
             &format!(r#"{{"op":"decompress","image":"{image}"}}"#),
         );
         let back = base64_decode(resp.get("image").and_then(Value::as_str).unwrap()).unwrap();
-        let expected = if *starved {
-            &starved_canonical_image
+        let expected = if *degrading {
+            &degrading_canonical_image
         } else {
             &canonical_image
         };
@@ -335,6 +329,17 @@ fn concurrent_serve_with_mixed_budgets() {
     );
     assert_eq!(resp.get("exit_code").and_then(Value::as_u64), Some(0));
 
+    // The degraded image runs like its plain original.
+    for image in [degraded_image.unwrap(), degrading_b64] {
+        let resp = exchange(&mut stream, &format!(r#"{{"op":"run","image":"{image}"}}"#));
+        assert_eq!(
+            resp.get("ok").and_then(Value::as_bool),
+            Some(true),
+            "{resp:?}"
+        );
+        assert_eq!(resp.get("exit_code").and_then(Value::as_u64), Some(42));
+    }
+
     // Errors are in-band and do not poison the connection.
     let resp = exchange(&mut stream, r#"{"op":"compress","grammar":"beef"}"#);
     assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(false));
@@ -358,12 +363,6 @@ fn concurrent_serve_with_mixed_budgets() {
             .and_then(Value::as_u64)
             .unwrap()
             >= 1
-    );
-    assert_eq!(
-        counters
-            .get(names::SERVE_BUDGET_CLAMPED)
-            .and_then(Value::as_u64),
-        Some(3)
     );
     let hists = metrics.get("histograms").expect("histograms");
     for name in [

@@ -1,6 +1,7 @@
 //! Robustness tests for the serve loop: request deadlines with
-//! cooperative cancellation, idle-connection eviction, request-line
-//! byte bounds, slow-log rotation, and a seeded socket-level chaos run.
+//! cooperative cancellation (in a spinning run and in one long compress
+//! segment), idle-connection eviction, request-line byte bounds,
+//! slow-log rotation, and a seeded socket-level chaos run.
 //!
 //! The contract under test: a stuck or adversarial peer costs the
 //! server *one request slot for one deadline*, never a worker, never a
@@ -207,6 +208,106 @@ fn per_request_timeout_is_honored_and_clamped_to_the_server_ceiling() {
         resp.get("micros").and_then(Value::as_u64).is_some()
             || resp.get("elapsed_ms").and_then(Value::as_u64).is_some(),
         "expiry reports elapsed time: {resp:?}"
+    );
+
+    exchange(&mut stream, r#"{"op":"shutdown"}"#);
+    server_thread.join().unwrap();
+}
+
+/// One procedure whose body is `statements` frame-local updates
+/// (`l[a] = l[b] op k`, eleven tokens each) drawn from `seed`: a single
+/// straight-line segment of postfix code.
+fn updates(statements: usize, seed: u64) -> String {
+    let ops = ["ADDU", "SUBU", "MULU", "BANDU", "BORU"];
+    let mut x = seed;
+    let mut src = String::from("proc main frame=32 args=0\n");
+    for _ in 0..statements {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let r = x >> 24;
+        src.push_str(&format!(
+            "\tADDRLP {}\n\tINDIRU\n\tLIT1 {}\n\t{}\n\tADDRLP {}\n\tASGNU\n",
+            4 * (r % 8),
+            (r >> 3) % 200,
+            ops[(r >> 11) as usize % ops.len()],
+            4 * ((r >> 14) % 8),
+        ));
+    }
+    src.push_str("\tRETV\nendproc\nentry main\n");
+    src
+}
+
+#[test]
+fn a_deadline_bounds_one_long_segment() {
+    let scratch = Scratch::new("deadline-segment");
+    let (socket, server_thread, _) = spawn_server(&scratch, |c| c.workers = 1);
+    // A grammar trained on updates of the same shape: its rules tile the
+    // long segment with dozens of candidate patterns per node, so the
+    // tiler's dynamic program, which polls the deadline, dominates the
+    // request's cost.
+    let training = assemble(&updates(400, 1)).unwrap();
+    let trained = pgr_core::train(&[&training], &pgr_core::TrainConfig::default()).unwrap();
+    let ig = trained.initial();
+    let file = GrammarFile::new(trained.expanded().clone(), ig.nt_start, ig.nt_byte);
+    let registry = Registry::open(scratch.path("reg")).unwrap();
+    let id_hex = registry.store(&file, "updates").unwrap().id.to_hex();
+
+    let mut stream = connect(&socket);
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let compress = |stream: &mut UnixStream, image: &str, extra: &str| {
+        let started = Instant::now();
+        let resp = exchange(
+            stream,
+            &format!(r#"{{"op":"compress","grammar":"{id_hex}","image":"{image}"{extra}}}"#),
+        );
+        (resp, started.elapsed())
+    };
+
+    // Calibrate on a tenth of the segment (the first request also loads
+    // the engine, so take the faster of two): the tiler is linear, so
+    // the long segment costs about ten times as much. Its deadline is a
+    // quarter of that estimate.
+    let mut tenth = Duration::MAX;
+    for seed in [2, 3] {
+        let (resp, elapsed) = compress(&mut stream, &image_b64(&updates(1_818, seed)), "");
+        assert_eq!(
+            resp.get("ok").and_then(Value::as_bool),
+            Some(true),
+            "{resp:?}"
+        );
+        tenth = tenth.min(elapsed);
+    }
+    let deadline = (tenth * 10 / 4).max(Duration::from_millis(20));
+
+    // 18,182 updates: one segment of 200,003 tokens.
+    let long = image_b64(&updates(18_182, 4));
+    let extra = format!(r#","timeout_ms":{}"#, deadline.as_millis());
+    let (resp, elapsed) = compress(&mut stream, &long, &extra);
+    assert_eq!(
+        resp.get("error").and_then(Value::as_str),
+        Some("deadline_exceeded"),
+        "deadline {deadline:?}: {resp:?}"
+    );
+    assert!(
+        elapsed < deadline * 2,
+        "the answer must land within twice the {deadline:?} deadline, took {elapsed:?}"
+    );
+
+    // The worker answered it itself (the reactor's watchdog did not
+    // have to), and is free for the next request.
+    let resp = exchange(&mut stream, r#"{"op":"stats"}"#);
+    let counters = resp.get("metrics").and_then(|m| m.get("counters")).unwrap();
+    let counter = |name: &str| counters.get(name).and_then(Value::as_u64).unwrap();
+    assert_eq!(counter(names::SERVE_DEADLINE_EXCEEDED), 1);
+    assert_eq!(counter(names::SERVE_DEADLINE_FORCE_EXPIRED), 0);
+    let (resp, _) = compress(&mut stream, &image_b64(HALT), "");
+    assert_eq!(
+        resp.get("ok").and_then(Value::as_bool),
+        Some(true),
+        "{resp:?}"
     );
 
     exchange(&mut stream, r#"{"op":"shutdown"}"#);

@@ -1,9 +1,10 @@
 //! Cooperative cancellation: a shared deadline + cancelled flag that
 //! long-running work checks at its natural batch boundaries.
 //!
-//! The serving path admits requests whose work is bounded only by the
-//! per-segment work budget and the VM fuel tank — both of which can be
-//! seconds of wall clock on an adversarial input. A [`CancelToken`] is
+//! The serving path admits requests whose work is bounded only by their
+//! size (the compressor's work is linear in it) and the VM fuel tank —
+//! both of which can be seconds of wall clock on an adversarial input.
+//! A [`CancelToken`] is
 //! the lightweight contract between the request's owner (the serve
 //! reactor, which knows the deadline) and the compute layers (segment
 //! tiling and encoding, VM execution), which poll it at coarse

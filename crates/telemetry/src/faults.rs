@@ -1,8 +1,8 @@
 //! Deterministic fault injection for the robustness test suite.
 //!
-//! The hardening work (work budgets, verbatim fallback, checksummed
-//! images, panic-isolated workers) is only trustworthy if the degraded
-//! paths are *executed*, not just written. This module gives the tests a
+//! The hardening work (verbatim fallback, checksummed images,
+//! panic-isolated workers) is only trustworthy if the degraded paths
+//! are *executed*, not just written. This module gives the tests a
 //! way to trip them on demand: the pipeline consults [`fire`] at a small
 //! set of named [`FaultPoint`]s, and an installed [`FaultPlan`] decides —
 //! deterministically — which occurrences fault.

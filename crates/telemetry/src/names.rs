@@ -30,10 +30,11 @@ pub const TRAIN_SATURATED_SKIPS: &str = "train.saturated_skips";
 /// Expander gauge: largest rules-per-non-terminal after expansion.
 pub const TRAIN_RULES_PER_NT_PEAK: &str = "train.rules_per_nt_peak";
 
-/// Encoder: segments handed to the shortest-derivation encoder (one per
-/// tiling, or per `parse` call of the reference Earley parser).
+/// Earley (reference parser only): segments parsed, one per `parse`
+/// call.
 pub const EARLEY_SEGMENTS_PARSED: &str = "earley.segments_parsed";
-/// Encoder: input tokens across all encoded segments.
+/// Earley (reference parser only): input tokens across all parsed
+/// segments.
 pub const EARLEY_TOKENS: &str = "earley.tokens";
 /// Earley (reference parser only): items added by prediction.
 pub const EARLEY_ITEMS_PREDICTED: &str = "earley.items_predicted";
@@ -42,15 +43,11 @@ pub const EARLEY_ITEMS_SCANNED: &str = "earley.items_scanned";
 /// Earley (reference parser only): completion events processed
 /// (including cost improvements).
 pub const EARLEY_ITEMS_COMPLETED: &str = "earley.items_completed";
-/// Encoder: segments that failed with `NoParse`.
+/// Earley (reference parser only): parses that failed with `NoParse`,
+/// whatever the reason.
 pub const EARLEY_NO_PARSE: &str = "earley.no_parse";
-/// Encoder: segments abandoned because they hit the configured work
-/// budget (`EarleyBudget`); a normal degraded outcome, not an input
-/// error.
-pub const EARLEY_BUDGET_EXCEEDED: &str = "earley.budget.exceeded";
-/// Encoder: segments abandoned because the request's `CancelToken` fired
-/// (deadline passed or the owner cancelled); a degraded outcome like a
-/// budget trip, not an input error.
+/// Earley (reference parser only): parses abandoned because their
+/// `CancelToken` fired.
 pub const EARLEY_CANCELLED: &str = "earley.cancelled";
 /// Earley gauge (reference parser only): chart size high-water mark
 /// (states in the fullest column of any parse).
@@ -66,11 +63,22 @@ pub const EARLEY_TABLE_BYTES: &str = "earley.table.bytes";
 /// (longest segment + 1 across arena lifetimes).
 pub const EARLEY_CHART_COLUMNS_PEAK: &str = "earley.chart.columns_peak";
 
+/// Tiler: segments handed to the compressor's encoder, one per tiling
+/// (derivation-cache hits are not tiled).
+pub const TILER_SEGMENTS: &str = "tiler.segments";
+/// Tiler: input tokens across all tiled segments.
+pub const TILER_TOKENS: &str = "tiler.tokens";
+/// Tiler: segments with no derivation because they are not postfix
+/// code (the engine stores them verbatim, or fails in strict mode).
+pub const TILER_NO_DERIVATION: &str = "tiler.no_derivation";
+/// Tiler: tilings abandoned because the request's `CancelToken` fired
+/// (deadline passed or the owner cancelled).
+pub const TILER_CANCELLED: &str = "tiler.cancelled";
 /// Tiler: Appendix 2 tree nodes tiled, one dynamic-programming step
 /// each.
 pub const TILER_NODES: &str = "tiler.nodes";
 /// Tiler: candidate patterns examined (the patterns indexed under each
-/// node's rule and operator), the unit `EarleyBudget::max_items` caps.
+/// node's rule and operator); per token, the encoder's unit of work.
 pub const TILER_CANDIDATES: &str = "tiler.candidates";
 /// Tiler gauge: resident bytes of the pattern table and its index.
 pub const TILER_TABLE_BYTES: &str = "tiler.table.bytes";
@@ -83,8 +91,8 @@ pub const COMPRESS_SEGMENTS: &str = "compress.segments";
 pub const COMPRESS_ORIGINAL_BYTES: &str = "compress.original_bytes";
 /// Engine: compressed output bytes.
 pub const COMPRESS_COMPRESSED_BYTES: &str = "compress.compressed_bytes";
-/// Engine: segments that failed to parse (or blew the Earley budget)
-/// and were emitted as verbatim escapes instead.
+/// Engine: segments that did not tokenize or had no derivation and were
+/// emitted as verbatim escapes instead.
 pub const COMPRESS_FALLBACK_SEGMENTS: &str = "compress.fallback.segments";
 /// Engine: derivation-cache poison recoveries (a worker panicked while
 /// holding the cache lock; the cache was cleared and compression went
@@ -94,7 +102,8 @@ pub const COMPRESS_CACHE_POISONED: &str = "compress.cache.poisoned";
 pub const SPAN_COMPRESS_CANONICALIZE: &str = "compress.canonicalize";
 /// Engine span: tokenize phase (summed across workers).
 pub const SPAN_COMPRESS_TOKENIZE: &str = "compress.tokenize";
-/// Engine span: Earley parse phase (summed across workers).
+/// Engine span: shortest-derivation phase, by tiling (summed across
+/// workers). The name predates the tiler.
 pub const SPAN_COMPRESS_PARSE: &str = "compress.parse";
 /// Engine span: stream assembly and label rewriting.
 pub const SPAN_COMPRESS_EMIT: &str = "compress.emit";
@@ -172,9 +181,6 @@ pub const SERVE_REQUESTS: &str = "serve.requests";
 /// Serve: requests answered with an error response (bad JSON, unknown
 /// grammar, VM faults); transport-level drops are not counted.
 pub const SERVE_ERRORS: &str = "serve.errors";
-/// Serve: requests whose declared Earley budget exceeded the server's
-/// ceiling and was clamped down before admission.
-pub const SERVE_BUDGET_CLAMPED: &str = "serve.budget.clamped";
 /// Serve gauge: grammars resident in the server's engine map (each holds
 /// one shared derivation cache).
 pub const SERVE_GRAMMARS_LOADED: &str = "serve.grammars.loaded";

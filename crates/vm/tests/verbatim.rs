@@ -1,14 +1,15 @@
 //! Verbatim-escape execution: compressed streams may embed raw
 //! canonical bytecode behind the reserved `0xFF` marker (the
-//! compressor's graceful-degradation path for unparseable or
-//! over-budget segments). Both compressed walkers must execute escapes
+//! compressor's graceful-degradation path for segments with no
+//! derivation). Both compressed walkers must execute escapes
 //! identically to each other and to the uncompressed interpreter, and
 //! must reject malformed escapes with clean errors, never panics.
 
 use pgr_bytecode::asm::assemble;
 use pgr_bytecode::{escape, Opcode, Procedure, Program};
-use pgr_core::{train, Compressor, CompressorConfig, EarleyBudget, TrainConfig};
+use pgr_core::{train, Compressor, CompressorConfig, TrainConfig};
 use pgr_grammar::InitialGrammar;
+use pgr_telemetry::faults::{self, FaultMode, FaultPlan, FaultPoint};
 use pgr_vm::{Vm, VmConfig, VmError};
 
 /// A program with branches, a loop, and a native call — enough control
@@ -33,17 +34,19 @@ fn all_fallback_programs_run_identically_on_every_walker() {
     let plain = vm.run().unwrap();
     assert_eq!(plain.output, b"0123456789");
 
-    // A one-item Earley budget forces every segment through the
-    // verbatim escape.
+    // An injected parse fault on every segment forces each one through
+    // the verbatim escape.
     let trained = train(&[&program], &TrainConfig::default()).unwrap();
     let ig = trained.initial();
-    let engine = Compressor::with_config(
-        trained.expanded(),
-        ig.nt_start,
-        CompressorConfig::default().earley_budget(EarleyBudget::UNLIMITED.max_items(1)),
-    );
+    let engine =
+        Compressor::with_config(trained.expanded(), ig.nt_start, CompressorConfig::default());
+    let guard = faults::install(FaultPlan::new().with(FaultPoint::Parse, FaultMode::Always));
     let (cp, stats) = engine.compress(&program).unwrap();
-    assert!(stats.fallback_segments > 0, "budget never tripped");
+    drop(guard);
+    assert_eq!(
+        stats.fallback_segments, stats.segments,
+        "a segment was tiled"
+    );
 
     let variants = [
         ("fast path", VmConfig::default()),

@@ -102,30 +102,52 @@ proptest! {
         prop_assert_eq!(plain.exit_code, direct.exit_code);
     }
 
-    /// A starvation-level Earley budget must never break correctness:
-    /// every segment the parser cannot afford degrades to a verbatim
-    /// escape, the image round-trips byte-identically, and all three
-    /// interpreter paths execute it exactly like the uncompressed
-    /// program. Strict mode (`--no-fallback`) instead names the failing
-    /// segment's procedure and offset.
+    /// Segments with no derivation must never break correctness: with
+    /// half the tilings failing (a seeded `FaultPoint::Parse` plan),
+    /// each failed segment degrades to a verbatim escape, the mixed
+    /// image round-trips byte-identically, and all three interpreter
+    /// paths execute it exactly like the uncompressed program. Strict
+    /// mode (`--no-fallback`) instead names the failing segment's
+    /// procedure and offset.
     #[test]
-    fn tiny_budgets_degrade_to_verbatim_and_roundtrip(config in arb_config()) {
-        use pgr::core::{CompressError, Compressor, CompressorConfig, EarleyBudget, NoParse};
+    fn parse_faults_degrade_to_verbatim_and_roundtrip(config in arb_config()) {
+        use pgr::core::{CompressError, Compressor, CompressorConfig, NoParse};
+        use pgr::telemetry::faults::{self, FaultMode, FaultPlan, FaultPoint};
 
         let source = generate_source(&config);
         let program = pgr::minic::compile(&source).expect("valid mini-C");
         let canonical = canonicalize_program(&program).unwrap();
         let trained = train(&[&program], &TrainConfig::default()).unwrap();
         let ig = trained.initial();
-        let budget = EarleyBudget::UNLIMITED.max_items(2);
-
-        let engine = Compressor::with_config(
-            trained.expanded(),
-            ig.nt_start,
-            CompressorConfig::default().earley_budget(budget),
-        );
-        let (compressed, stats) = engine.compress(&program).unwrap();
-        prop_assert!(stats.fallback_segments >= 1, "a two-item budget must starve some parse");
+        // One worker and no derivation cache, so a plan sees every
+        // segment and its verdicts land on the same segments in the
+        // strict run below. A seeded plan fails each tiling with
+        // probability 1/2, so it can spare every segment of a small
+        // program: take the first plan seed from the case's own that
+        // fails at least one.
+        let engine = |fallback: bool| {
+            Compressor::with_config(
+                trained.expanded(),
+                ig.nt_start,
+                CompressorConfig::default()
+                    .threads(1)
+                    .segment_cache_capacity(0)
+                    .fallback(fallback),
+            )
+        };
+        let plan = |seed: u64| {
+            FaultPlan::new().with(FaultPoint::Parse, FaultMode::Seeded { seed, rate_per_1024: 512 })
+        };
+        let (seed, compressed) = (0..64)
+            .map(|i| {
+                let seed = config.seed.wrapping_add(i);
+                let _guard = faults::install(plan(seed));
+                let (compressed, stats) = engine(true).compress(&program).unwrap();
+                (seed, compressed, stats.fallback_segments)
+            })
+            .find(|&(_, _, fallback_segments)| fallback_segments >= 1)
+            .map(|(seed, compressed, _)| (seed, compressed))
+            .expect("one of 64 seeded plans fails some tiling");
 
         let back = pgr::core::compress::decompress_program(
             trained.expanded(),
@@ -160,17 +182,15 @@ proptest! {
             }
         }
 
-        // Strict mode: the same budget is a structured error naming the
-        // first failing segment.
-        let strict = Compressor::with_config(
-            trained.expanded(),
-            ig.nt_start,
-            CompressorConfig::default().earley_budget(budget).fallback(false),
-        );
-        match strict.compress(&program).unwrap_err() {
+        // Strict mode: the same plan, replayed from its first occurrence,
+        // is a structured error naming the first failing segment.
+        let guard = faults::install(plan(seed));
+        let strict = engine(false).compress(&program);
+        drop(guard);
+        match strict.unwrap_err() {
             CompressError::NoParse { proc, segment_offset, error } => {
-                prop_assert!(matches!(error, NoParse::BudgetExceeded { .. }),
-                             "strict failure should carry the budget error, got {:?}", error);
+                prop_assert!(matches!(error, NoParse::NoDerivation { .. }),
+                             "strict failure should carry the tiler's verdict, got {:?}", error);
                 let failing = canonical.procs.iter().find(|p| p.name == proc);
                 prop_assert!(failing.is_some(), "reported proc {:?} is not in the program", proc);
                 prop_assert!(segment_offset < failing.unwrap().code.len(),

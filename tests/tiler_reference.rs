@@ -18,8 +18,8 @@
 use pgr::bytecode::Program;
 use pgr::core::tile::{PatternNode, TileScratch, Tiler};
 use pgr::core::{
-    canonicalize_program, train, Compressor, CompressorConfig, EarleyBudget, ExpanderConfig,
-    NoParse, TrainConfig, Trained,
+    canonicalize_program, train, Compressor, CompressorConfig, ExpanderConfig, NoParse,
+    TrainConfig, Trained,
 };
 use pgr::corpus::synth::{self, Flavor, SynthConfig};
 use pgr::corpus::{compile_sample, corpus, CorpusName, SAMPLES};
@@ -71,7 +71,7 @@ fn tile(
     scratch: &mut TileScratch,
     tokens: &[Terminal],
 ) -> Result<pgr::grammar::Derivation, NoParse> {
-    tiler.tile(scratch, tokens, &EarleyBudget::UNLIMITED, None)
+    tiler.tile(scratch, tokens, None)
 }
 
 /// Train on `train_set` once per `(cap, remove_subsumed)` in `runs` and
@@ -377,7 +377,10 @@ proptest! {
             let want = f.parser.parse(f.trained.start(), &tokens);
             match (got, want) {
                 (Ok(got), Ok(want)) => prop_assert_eq!(got.len(), want.len()),
-                (Err(NoParse::NoDerivation { .. }), Err(NoParse::NoDerivation { .. })) => {}
+                (
+                    Err(NoParse::NoDerivation { .. }),
+                    Err(pgr::earley::NoParse::NoDerivation { .. }),
+                ) => {}
                 (got, want) => panic!("{tokens:?}: tiler {got:?}, Earley {want:?}"),
             }
             Ok(())
