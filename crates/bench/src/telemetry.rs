@@ -44,8 +44,8 @@ pub fn dump(name: &str, metrics: &Metrics) -> std::io::Result<Option<PathBuf>> {
 
 /// Run an instrumented compress of the gzip corpus under its own trained
 /// grammar (training itself is unobserved) and return exactly what a
-/// `pgr compress --metrics json` run records: `compress.*`, `cache.*`,
-/// and `tiler.*` families. This is the `BENCH_compress.json` baseline
+/// `pgr compress --metrics json` run records: the `compress.*` and
+/// `tiler.*` families. This is the `BENCH_compress.json` baseline
 /// the repo commits and CI re-validates.
 pub fn compress_metrics() -> Metrics {
     let c = corpus(CorpusName::Gzip);
@@ -88,8 +88,8 @@ pub fn run_metrics() -> Metrics {
 }
 
 /// Run an instrumented train + self-compress of the gzip corpus and
-/// return everything the pipeline recorded: trainer, validator, Earley,
-/// cache, and per-phase span metrics.
+/// return everything the pipeline recorded: trainer, validator, tiler,
+/// and per-phase span metrics.
 pub fn pipeline_metrics() -> Metrics {
     let recorder = pgr_telemetry::Recorder::new();
     let c = corpus(CorpusName::Gzip);

@@ -134,66 +134,78 @@ fn flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
-fn positionals(args: &[String]) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut skip = false;
-    for (i, a) in args.iter().enumerate() {
-        if skip {
-            skip = false;
-            continue;
-        }
-        if a == "-o"
-            || a == "-g"
-            || a == "--cap"
-            || a == "--stdin"
-            || a == "--trace"
-            || a == "--threads"
-            || a == "--batch-bytes"
-            || a == "--segment-cache"
-            || a == "--metrics"
-            || a == "--metrics-out"
-            || a == "-p"
-            || a == "--label"
-            || a == "--registry"
-            || a == "--socket"
-            || a == "--trace-out"
-            || a == "--slow-ms"
-            || a == "--slow-trace"
-            || a == "--interval-ms"
-            || a == "--iterations"
-            || a == "--workers"
-            || a == "--batch-window-us"
-            || a == "--max-connections"
-            || a == "--max-queue"
-            || a == "--max-engines"
-            || a == "--request-timeout-ms"
-            || a == "--idle-timeout-ms"
-            || a == "--max-line-bytes"
-            || a == "--slow-trace-max-bytes"
-            || a == "--timeout-ms"
-            || a == "--retries"
-            || a == "--backoff-ms"
-            || a == "--seed"
-            || a == "--breaker-threshold"
-            || a == "--listen"
-            || a == "--upstream"
-            || a == "--duration-ms"
-            || a == "--partial-per-1024"
-            || a == "--reset-per-1024"
-            || a == "--stall-per-1024"
-            || a == "--stall-ms"
-            || a == "--garbage-per-1024"
-        {
-            skip = true;
-            continue;
-        }
-        if a.starts_with('-') {
-            continue;
-        }
-        let _ = i;
-        out.push(a.as_str());
+/// The flags `command` takes, space-separated: first those that take the
+/// next argument as their value, then those that stand alone.
+fn flags_of(command: &str) -> (&'static str, &'static str) {
+    match command {
+        "compile" => ("-o", "-O"),
+        "train" => ("-o --cap --metrics --metrics-out", ""),
+        "compress" => (
+            "-o -g --registry --threads --batch-bytes --trace-out --metrics --metrics-out",
+            "--timings --no-fallback",
+        ),
+        "decompress" => ("-o -g --registry --metrics --metrics-out", ""),
+        "run" => (
+            "-g --registry --stdin --trace --segment-cache --trace-out --metrics --metrics-out",
+            "--reference-walker",
+        ),
+        "verify" => ("-g --registry", ""),
+        "cgen" => ("-g --registry -p -o", ""),
+        "registry add" => ("--registry --label", ""),
+        "registry" => ("--registry", ""),
+        "serve" => (
+            "--socket --registry --threads --workers --batch-window-us --max-connections \
+             --max-queue --max-engines --request-timeout-ms --idle-timeout-ms \
+             --max-line-bytes --slow-ms --slow-trace --slow-trace-max-bytes \
+             --metrics --metrics-out",
+            "",
+        ),
+        "call" => (
+            "--socket --timeout-ms --retries --backoff-ms --seed --breaker-threshold",
+            "--verbose",
+        ),
+        "chaos-proxy" => (
+            "--listen --upstream --seed --duration-ms --partial-per-1024 --reset-per-1024 \
+             --stall-per-1024 --stall-ms --garbage-per-1024",
+            "",
+        ),
+        "top" => ("--socket --interval-ms --iterations", ""),
+        _ => ("", ""), // disasm, stats, metrics-check
     }
-    out
+}
+
+/// The positional arguments of `args`, after checking every flag against
+/// the ones `command` takes.
+///
+/// # Errors
+///
+/// A flag the command does not take, or a valued flag with no value,
+/// named.
+fn positionals<'a>(args: &'a [String], command: &str) -> Result<Vec<&'a str>, String> {
+    let (valued, switches) = flags_of(command);
+    let takes = |list: &str, a: &str| list.split_whitespace().any(|f| f == a);
+    let mut out = Vec::new();
+    let mut args = args.iter().map(String::as_str);
+    while let Some(a) = args.next() {
+        if takes(valued, a) {
+            if args.next().is_none() {
+                return Err(format!("{command}: {a} needs a value"));
+            }
+        } else if !a.starts_with('-') {
+            out.push(a);
+        } else if !takes(switches, a) {
+            return Err(format!("{command}: unknown flag {a}"));
+        }
+    }
+    Ok(out)
+}
+
+/// Like [`positionals`], for a command that takes none.
+fn no_positionals(args: &[String], command: &str) -> Result<(), String> {
+    match positionals(args, command)?.first() {
+        Some(stray) => Err(format!("{command}: unexpected argument {stray:?}")),
+        None => Ok(()),
+    }
 }
 
 // ---- telemetry plumbing -----------------------------------------------
@@ -413,7 +425,7 @@ fn compressor_config(args: &[String]) -> Result<pgr_core::CompressorConfig, Stri
 // ---- commands -----------------------------------------------------------
 
 fn compile(args: &[String]) -> Result<i32, String> {
-    let inputs = positionals(args);
+    let inputs = positionals(args, "compile")?;
     let [input] = inputs.as_slice() else {
         return Err("compile takes exactly one .c file".into());
     };
@@ -434,7 +446,7 @@ fn compile(args: &[String]) -> Result<i32, String> {
 }
 
 fn disasm(args: &[String]) -> Result<i32, String> {
-    let pos = positionals(args);
+    let pos = positionals(args, "disasm")?;
     let [input] = pos.as_slice() else {
         return Err("disasm takes exactly one image".into());
     };
@@ -449,7 +461,7 @@ fn disasm(args: &[String]) -> Result<i32, String> {
 }
 
 fn cmd_train(args: &[String]) -> Result<i32, String> {
-    let inputs = positionals(args);
+    let inputs = positionals(args, "train")?;
     if inputs.is_empty() {
         return Err("train needs at least one training image".into());
     }
@@ -490,7 +502,7 @@ fn cmd_train(args: &[String]) -> Result<i32, String> {
 }
 
 fn compress(args: &[String]) -> Result<i32, String> {
-    let pos = positionals(args);
+    let pos = positionals(args, "compress")?;
     let [input] = pos.as_slice() else {
         return Err("compress takes exactly one image".into());
     };
@@ -556,7 +568,7 @@ fn compress(args: &[String]) -> Result<i32, String> {
 }
 
 fn decompress(args: &[String]) -> Result<i32, String> {
-    let pos = positionals(args);
+    let pos = positionals(args, "decompress")?;
     let [input] = pos.as_slice() else {
         return Err("decompress takes exactly one image".into());
     };
@@ -587,7 +599,7 @@ fn decompress(args: &[String]) -> Result<i32, String> {
 }
 
 fn cmd_run(args: &[String]) -> Result<i32, String> {
-    let pos = positionals(args);
+    let pos = positionals(args, "run")?;
     let [input] = pos.as_slice() else {
         return Err("run takes exactly one image".into());
     };
@@ -666,7 +678,7 @@ fn cmd_run(args: &[String]) -> Result<i32, String> {
 /// validation for uncompressed images, and (with `-g`) a decompression
 /// round-trip for compressed ones. Exit 0 means the image is intact.
 fn verify(args: &[String]) -> Result<i32, String> {
-    let pos = positionals(args);
+    let pos = positionals(args, "verify")?;
     let [input] = pos.as_slice() else {
         return Err("verify takes exactly one image".into());
     };
@@ -741,7 +753,7 @@ fn verify(args: &[String]) -> Result<i32, String> {
 }
 
 fn stats(args: &[String]) -> Result<i32, String> {
-    let pos = positionals(args);
+    let pos = positionals(args, "stats")?;
     let [input] = pos.as_slice() else {
         return Err("stats takes exactly one image".into());
     };
@@ -825,7 +837,7 @@ pub fn check_metrics_json(text: &str) -> Result<(), String> {
 }
 
 fn metrics_check(args: &[String]) -> Result<i32, String> {
-    let pos = positionals(args);
+    let pos = positionals(args, "metrics-check")?;
     let [input] = pos.as_slice() else {
         return Err("metrics-check takes exactly one metrics JSON file".into());
     };
@@ -836,6 +848,7 @@ fn metrics_check(args: &[String]) -> Result<i32, String> {
 }
 
 fn cgen(args: &[String]) -> Result<i32, String> {
+    no_positionals(args, "cgen")?;
     let out = required(args, "-o")?;
     let grammar = load_grammar_spec(args, required(args, "-g")?)?.file.grammar;
     std::fs::create_dir_all(out).map_err(|e| format!("{out}: {e}"))?;
@@ -866,10 +879,15 @@ fn cmd_registry(args: &[String]) -> Result<i32, String> {
     let Some((sub, rest)) = args.split_first() else {
         return Err("usage: pgr registry <add|list|rm|gc> ...".into());
     };
+    let command = if sub == "add" {
+        "registry add"
+    } else {
+        "registry"
+    };
+    let pos = positionals(rest, command)?;
     let registry = open_registry(args)?;
     match sub.as_str() {
         "add" => {
-            let pos = positionals(rest);
             let [path] = pos.as_slice() else {
                 return Err("registry add takes exactly one .pgrg file".into());
             };
@@ -893,7 +911,6 @@ fn cmd_registry(args: &[String]) -> Result<i32, String> {
             Ok(0)
         }
         "rm" => {
-            let pos = positionals(rest);
             let [spec] = pos.as_slice() else {
                 return Err("registry rm takes exactly one id (or prefix)".into());
             };
@@ -904,7 +921,7 @@ fn cmd_registry(args: &[String]) -> Result<i32, String> {
         }
         "gc" => {
             let mut keep = Vec::new();
-            for spec in positionals(rest) {
+            for spec in pos {
                 keep.push(registry.resolve(spec).map_err(pipeline_err)?);
             }
             let report = registry.gc(&keep).map_err(pipeline_err)?;
@@ -920,6 +937,7 @@ fn cmd_registry(args: &[String]) -> Result<i32, String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<i32, String> {
+    no_positionals(args, "serve")?;
     let socket = required(args, "--socket")?;
     let root = registry_root(args)
         .ok_or("no registry configured (pass --registry <dir> or set $PGR_REGISTRY)")?;
@@ -1020,6 +1038,7 @@ fn cmd_call(args: &[String]) -> Result<i32, String> {
     use pgr_client::{CallError, Client, ClientConfig};
     use std::io::BufRead as _;
 
+    let pos = positionals(args, "call")?;
     let socket = required(args, "--socket")?;
     let uint = |name: &str, default: u64| -> Result<u64, String> {
         match opt_value(args, name) {
@@ -1047,7 +1066,6 @@ fn cmd_call(args: &[String]) -> Result<i32, String> {
     };
     let verbose = flag(args, "--verbose");
     let mut client = Client::new(config);
-    let pos = positionals(args);
     let requests: Vec<String> = if pos.is_empty() {
         std::io::stdin()
             .lock()
@@ -1095,6 +1113,7 @@ fn cmd_chaos_proxy(args: &[String]) -> Result<i32, String> {
     use pgr_registry::{ChaosConfig, ChaosProxy};
     use std::sync::atomic::Ordering;
 
+    no_positionals(args, "chaos-proxy")?;
     let listen = required(args, "--listen")?;
     let upstream = required(args, "--upstream")?;
     let d = ChaosConfig::default();
@@ -1292,6 +1311,7 @@ pub fn render_top(response: &str) -> Result<String, String> {
 fn cmd_top(args: &[String]) -> Result<i32, String> {
     use std::io::{BufRead, BufReader, IsTerminal, Write as _};
 
+    no_positionals(args, "top")?;
     let socket = required(args, "--socket")?;
     let interval_ms = match opt_value(args, "--interval-ms") {
         Some(v) => v

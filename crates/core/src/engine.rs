@@ -2,12 +2,13 @@
 //!
 //! [`Compressor`] owns everything that is expensive to build and cheap to
 //! share: the [`Tiler`] (whose pattern table costs a parse of every
-//! rule), the rule-index map used to serialize derivations, and a bounded
-//! memo cache mapping tokenized segments to their derivation bytes.
-//! Construct it once per trained grammar and reuse it across many
-//! programs — the paper's pipeline compresses whole corpora under one
-//! grammar, and identical straight-line segments (prologues, `x = x + 1`
-//! statements, epilogues) recur heavily across procedures.
+//! rule) and the rule-index map used to serialize derivations. Construct
+//! it once per trained grammar and reuse it across many programs — the
+//! paper's pipeline compresses whole corpora under one grammar. Like the
+//! paper (§4.1), the engine encodes each segment as its own shortest
+//! derivation and keeps no memo, so a compress is a pure function of the
+//! grammar and the program: nothing of one input stays behind for the
+//! next.
 //!
 //! Within one [`Compressor::compress`] call the per-segment tilings are
 //! independent, so they fan out across a small worker pool
@@ -37,15 +38,12 @@ use crate::compress::{decompress_program, CompressError, CompressedProgram, Comp
 use crate::tile::{NoParse, TileScratch, Tiler};
 use pgr_bytecode::{escape, instrs, Opcode, Procedure, Program};
 use pgr_grammar::initial::tokenize_segment;
-use pgr_grammar::{Grammar, Nt, Terminal};
+use pgr_grammar::{Grammar, Nt};
 use pgr_telemetry::faults::{self, FaultPoint};
 use pgr_telemetry::{names, trace, CancelToken, Metrics, Recorder, Stopwatch};
 use std::borrow::Cow;
-use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Wall-clock cost of each compression phase, surfaced on
@@ -90,7 +88,6 @@ impl PhaseTimings {
 /// use pgr_core::CompressorConfig;
 /// let config = CompressorConfig::default()
 ///     .threads(2)
-///     .segment_cache_capacity(512)
 ///     .collect_timings(true);
 /// assert_eq!(config.threads, 2);
 /// ```
@@ -99,9 +96,6 @@ pub struct CompressorConfig {
     /// Worker threads for segment encoding. `0` means one per available
     /// CPU; `1` disables fan-out entirely (no threads are spawned).
     pub threads: usize,
-    /// Maximum number of tokenized segments memoized in the derivation
-    /// cache. `0` disables the cache.
-    pub segment_cache_capacity: usize,
     /// Approximate input bytes per dispatch batch: contiguous segments
     /// are grouped until their byte lengths reach this, and workers claim
     /// whole batches. `0` dispatches per segment. Never affects output
@@ -123,7 +117,6 @@ impl Default for CompressorConfig {
     fn default() -> CompressorConfig {
         CompressorConfig {
             threads: 0,
-            segment_cache_capacity: 4096,
             batch_bytes: 1024,
             collect_timings: false,
             fallback: true,
@@ -159,9 +152,11 @@ impl CompressorConfigBuilder {
         self
     }
 
-    /// Set the segment-cache capacity (`0` disables caching).
-    pub fn segment_cache_capacity(mut self, capacity: usize) -> CompressorConfigBuilder {
-        self.config.segment_cache_capacity = capacity;
+    /// Does nothing: the engine keeps no derivation cache. Kept only
+    /// until the next benchmark-only change, because `perfbench` still
+    /// calls it.
+    #[doc(hidden)]
+    pub fn segment_cache_capacity(self, _capacity: usize) -> CompressorConfigBuilder {
         self
     }
 
@@ -201,12 +196,6 @@ impl CompressorConfig {
         self
     }
 
-    /// Set the segment-cache capacity (`0` disables caching).
-    pub fn segment_cache_capacity(mut self, capacity: usize) -> CompressorConfig {
-        self.segment_cache_capacity = capacity;
-        self
-    }
-
     /// Set the dispatch-batch size in input bytes (`0` = per segment).
     pub fn batch_bytes(mut self, bytes: usize) -> CompressorConfig {
         self.batch_bytes = bytes;
@@ -226,56 +215,15 @@ impl CompressorConfig {
     }
 }
 
-/// Observability counters for the segment memo cache.
+/// Always zero: the engine keeps no derivation cache. Kept only until
+/// the next benchmark-only change, because `perfbench` still reads it.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Segments answered from the cache.
+    /// Always 0.
     pub hits: u64,
-    /// Segments that had to be parsed.
+    /// Always 0.
     pub misses: u64,
-    /// Entries currently resident.
-    pub entries: usize,
-    /// Configured capacity (0 = cache disabled).
-    pub capacity: usize,
-}
-
-/// Bounded FIFO memo: tokenized segment → derivation bytes.
-///
-/// FIFO (rather than LRU) keeps eviction O(1) without timestamp
-/// bookkeeping; segment popularity in bytecode corpora is heavy-tailed
-/// enough that the distinction is immaterial at the default capacity.
-struct SegmentCache {
-    map: HashMap<Vec<Terminal>, Vec<u8>>,
-    order: VecDeque<Vec<Terminal>>,
-    capacity: usize,
-}
-
-impl SegmentCache {
-    fn new(capacity: usize) -> SegmentCache {
-        SegmentCache {
-            map: HashMap::with_capacity(capacity.min(1 << 16)),
-            order: VecDeque::new(),
-            capacity,
-        }
-    }
-
-    fn get(&self, tokens: &[Terminal]) -> Option<Vec<u8>> {
-        self.map.get(tokens).cloned()
-    }
-
-    fn insert(&mut self, tokens: Vec<Terminal>, bytes: Vec<u8>) {
-        if self.map.contains_key(&tokens) {
-            return; // racing miss on another thread got here first
-        }
-        while self.map.len() >= self.capacity {
-            let Some(oldest) = self.order.pop_front() else {
-                break;
-            };
-            self.map.remove(&oldest);
-        }
-        self.order.push_back(tokens.clone());
-        self.map.insert(tokens, bytes);
-    }
 }
 
 /// One request of a batch dispatch ([`Compressor::compress_batch`]): a
@@ -385,10 +333,6 @@ pub struct Compressor<'g> {
     /// non-terminal unassigned, making the verbatim marker unambiguous.
     verbatim_ok: bool,
     recorder: Recorder,
-    cache: Option<Mutex<SegmentCache>>,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_poisoned: AtomicU64,
 }
 
 impl<'g> Compressor<'g> {
@@ -406,9 +350,8 @@ impl<'g> Compressor<'g> {
         Compressor::with_recorder(grammar, start, config, Recorder::disabled())
     }
 
-    /// Build an engine that reports `compress.*` counters and spans,
-    /// `cache.*` counters, and (via the embedded tiler) the `tiler.*`
-    /// counters into `recorder`.
+    /// Build an engine that reports `compress.*` counters and spans, and
+    /// (via the embedded tiler) the `tiler.*` counters, into `recorder`.
     ///
     /// # Panics
     ///
@@ -458,31 +401,6 @@ impl<'g> Compressor<'g> {
             verbatim_ok: grammar.rules_of(start).len() <= usize::from(escape::VERBATIM_MARKER),
             grammar,
             recorder,
-            cache: (config.segment_cache_capacity > 0)
-                .then(|| Mutex::new(SegmentCache::new(config.segment_cache_capacity))),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            cache_poisoned: AtomicU64::new(0),
-        }
-    }
-
-    /// Lock the segment cache, recovering from poisoning: a worker that
-    /// panicked while holding the lock may have left a half-applied
-    /// insert, so the recovered cache is cleared (correctness never
-    /// depends on its contents) and `compress.cache.poisoned` counts the
-    /// event. `Mutex::clear_poison` makes the recovery one-shot instead
-    /// of firing on every subsequent lock.
-    fn lock_cache<'a>(&self, cache: &'a Mutex<SegmentCache>) -> MutexGuard<'a, SegmentCache> {
-        match cache.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => {
-                cache.clear_poison();
-                let mut guard = poisoned.into_inner();
-                guard.map.clear();
-                guard.order.clear();
-                self.cache_poisoned.fetch_add(1, Ordering::Relaxed);
-                guard
-            }
         }
     }
 
@@ -515,29 +433,12 @@ impl<'g> Compressor<'g> {
         self.threads
     }
 
-    /// Cache hit/miss/occupancy counters, accumulated over the engine's
-    /// lifetime.
+    /// Returns zeros: the engine keeps no derivation cache. Kept only
+    /// until the next benchmark-only change, because `perfbench` still
+    /// reads it.
+    #[doc(hidden)]
     pub fn cache_stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.cache_hits.load(Ordering::Relaxed),
-            misses: self.cache_misses.load(Ordering::Relaxed),
-            entries: self
-                .cache
-                .as_ref()
-                .map(|c| self.lock_cache(c).map.len())
-                .unwrap_or(0),
-            capacity: self
-                .cache
-                .as_ref()
-                .map(|c| self.lock_cache(c).capacity)
-                .unwrap_or(0),
-        }
-    }
-
-    /// How many times the segment cache recovered from lock poisoning
-    /// (see `compress.cache.poisoned`).
-    pub fn cache_poisonings(&self) -> u64 {
-        self.cache_poisoned.load(Ordering::Relaxed)
+        CacheStats::default()
     }
 
     /// Compress a program under the engine's grammar.
@@ -566,17 +467,17 @@ impl<'g> Compressor<'g> {
     ///
     /// All entries' segments are planned up front and fanned out across
     /// the worker pool as a *single* job list, so a batch of concurrent
-    /// requests shares one parallel stride and one derivation-cache epoch
-    /// instead of paying per-call dispatch overhead. Entries are
-    /// independent: each gets its own `Result`, in input order, and a
-    /// failing or cancelled entry never affects its neighbours (they
-    /// share the dispatch, not the token). Output is byte-identical to
-    /// calling [`Compressor::compress`] once per entry: segment encoding
-    /// is deterministic given the grammar, and the shared cache holds
-    /// only successful tilings.
+    /// requests shares one parallel stride instead of paying per-call
+    /// dispatch overhead. Entries are independent: each gets its own
+    /// `Result`, in input order, and a failing or cancelled entry never
+    /// affects its neighbours (they share the dispatch, not the token).
+    /// Output is byte-identical to calling [`Compressor::compress`] once
+    /// per entry: a segment's encoding depends on the grammar and the
+    /// segment alone.
     ///
     /// Tokens are polled at segment boundaries and (inside the tiler)
-    /// every few dozen tree nodes; a fired token yields
+    /// every few thousand tokens while the segment's tree is built and
+    /// every few dozen tree nodes while it is tiled; a fired token yields
     /// [`CompressError::Cancelled`] for that entry. Cancellation never
     /// degrades to verbatim fallback: the owner asked for the work to
     /// stop.
@@ -585,10 +486,6 @@ impl<'g> Compressor<'g> {
         entries: &[BatchEntry<'_>],
     ) -> Vec<Result<(CompressedProgram, CompressionStats), CompressError>> {
         let timed = self.timings_on();
-
-        let cache_hits_before = self.cache_hits.load(Ordering::Relaxed);
-        let cache_misses_before = self.cache_misses.load(Ordering::Relaxed);
-        let cache_poisoned_before = self.cache_poisoned.load(Ordering::Relaxed);
 
         // Plan: per entry, one job per non-empty straight-line segment,
         // plus the assembly script (segments and labels in code order)
@@ -668,30 +565,6 @@ impl<'g> Compressor<'g> {
                 continue;
             }
             out.push(Ok(self.emit_entry(plan, base, &encoded, timed)));
-        }
-
-        if self.recorder.is_enabled() {
-            // Cache and poisoning deltas are measured over the whole
-            // batch (workers interleave entries, so per-entry attribution
-            // is meaningless); totals match serial dispatch. Pinned by
-            // the metrics schema: always emitted, zero or not.
-            let mut batch = Metrics::new();
-            batch.add(
-                names::CACHE_HITS,
-                self.cache_hits.load(Ordering::Relaxed) - cache_hits_before,
-            );
-            batch.add(
-                names::CACHE_MISSES,
-                self.cache_misses.load(Ordering::Relaxed) - cache_misses_before,
-            );
-            batch.add(
-                names::COMPRESS_CACHE_POISONED,
-                self.cache_poisoned.load(Ordering::Relaxed) - cache_poisoned_before,
-            );
-            let cache = self.cache_stats();
-            batch.gauge_max(names::CACHE_ENTRIES, cache.entries as u64);
-            batch.gauge_max(names::CACHE_CAPACITY, cache.capacity as u64);
-            self.recorder.record(batch);
         }
 
         out
@@ -894,8 +767,8 @@ impl<'g> Compressor<'g> {
     }
 
     /// Isolate one segment's encoding behind `catch_unwind`: a panic
-    /// (a tiler bug, or the injected cache-lock fault in the test
-    /// harness) surfaces as a structured [`CompressError::WorkerPanic`]
+    /// (a tiler bug, or the injected [`FaultPoint::Encode`] fault in the
+    /// test harness) surfaces as a structured [`CompressError::WorkerPanic`]
     /// for that segment while every other segment — including the rest
     /// of this worker's batch stride — still encodes normally.
     fn encode_segment_isolated(
@@ -927,7 +800,7 @@ impl<'g> Compressor<'g> {
         escape::encode_verbatim(raw).ok_or(err)
     }
 
-    /// Tokenize and encode one segment, consulting the memo cache.
+    /// Tokenize and encode one segment.
     fn encode_segment(
         &self,
         scratch: &mut TileScratch,
@@ -970,19 +843,6 @@ impl<'g> Compressor<'g> {
         let tokenize = sw.elapsed();
         drop(trace_tok);
 
-        if let Some(cache) = &self.cache {
-            if let Some(bytes) = self.lock_cache(cache).get(&tokens) {
-                self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(EncodedSegment {
-                    bytes,
-                    fallback: false,
-                    tokenize,
-                    parse: Duration::default(),
-                });
-            }
-            self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        }
-
         let trace_parse = self.recorder.trace_span(names::SPAN_COMPRESS_PARSE);
         let sw = Stopwatch::start_if(timed);
         let parsed = if faults::fire(FaultPoint::Parse) {
@@ -1004,9 +864,6 @@ impl<'g> Compressor<'g> {
                     segment_offset: range.start,
                     error,
                 };
-                // Fallback segments are never cached: the cache must
-                // hold only derivation bytes, so cache-on and cache-off
-                // runs report identical fallback counts.
                 let bytes = self.fall_back(raw, err)?;
                 return Ok(EncodedSegment {
                     bytes,
@@ -1020,14 +877,10 @@ impl<'g> Compressor<'g> {
         let parse = sw.elapsed();
         drop(trace_parse);
 
-        if let Some(cache) = &self.cache {
-            let mut guard = self.lock_cache(cache);
-            if faults::fire(FaultPoint::CacheLock) {
-                // Deliberately panic *while holding the lock*: this is
-                // the poisoning scenario the recovery path exists for.
-                panic!("injected cache-lock fault");
-            }
-            guard.insert(tokens, bytes.clone());
+        if faults::fire(FaultPoint::Encode) {
+            // A stand-in for a tiler bug: the worker's `catch_unwind`
+            // must turn it into this segment's `WorkerPanic`.
+            panic!("injected encode fault");
         }
         Ok(EncodedSegment {
             bytes,
@@ -1106,12 +959,7 @@ entry f
             CompressorConfig::default().threads(1),
             CompressorConfig::default().threads(2),
             CompressorConfig::default().threads(7),
-            CompressorConfig::default()
-                .threads(1)
-                .segment_cache_capacity(0),
-            CompressorConfig::default()
-                .threads(3)
-                .segment_cache_capacity(1),
+            CompressorConfig::default().threads(3),
             CompressorConfig::default().threads(4).batch_bytes(0),
             CompressorConfig::default().threads(4).batch_bytes(3),
             CompressorConfig::default().threads(2).batch_bytes(1 << 20),
@@ -1152,9 +1000,7 @@ entry f
         let reference = Compressor::with_config(
             &ig.grammar,
             ig.nt_start,
-            CompressorConfig::default()
-                .threads(1)
-                .segment_cache_capacity(0),
+            CompressorConfig::default().threads(1),
         )
         .compress(&prog)
         .unwrap();
@@ -1180,43 +1026,6 @@ entry f
     }
 
     #[test]
-    fn repeated_segments_hit_the_cache() {
-        let ig = InitialGrammar::build();
-        let engine = Compressor::with_config(
-            &ig.grammar,
-            ig.nt_start,
-            CompressorConfig::default().threads(1),
-        );
-        let prog = assemble(SAMPLE).unwrap();
-        let (cold, _) = engine.compress(&prog).unwrap();
-        let after_cold = engine.cache_stats();
-        // The two `x = x + 1` statements differ only by the trailing
-        // BrTrue, so at least the second full compression is all hits.
-        let (warm, _) = engine.compress(&prog).unwrap();
-        let after_warm = engine.cache_stats();
-        assert_eq!(cold, warm);
-        assert_eq!(after_warm.misses, after_cold.misses, "warm run re-parsed");
-        assert!(after_warm.hits > after_cold.hits);
-    }
-
-    #[test]
-    fn tiny_cache_capacity_still_correct() {
-        let ig = InitialGrammar::build();
-        let engine = Compressor::with_config(
-            &ig.grammar,
-            ig.nt_start,
-            CompressorConfig::default()
-                .threads(2)
-                .segment_cache_capacity(1),
-        );
-        let prog = assemble(SAMPLE).unwrap();
-        let (cp, _) = engine.compress(&prog).unwrap();
-        let back = decompress_program(&ig.grammar, ig.nt_start, &cp).unwrap();
-        assert_eq!(back, canonicalize_program(&prog).unwrap());
-        assert!(engine.cache_stats().entries <= 1);
-    }
-
-    #[test]
     fn timings_are_collected_only_on_request() {
         let ig = InitialGrammar::build();
         let prog = assemble(SAMPLE).unwrap();
@@ -1231,17 +1040,14 @@ entry f
         let timed = Compressor::with_config(
             &ig.grammar,
             ig.nt_start,
-            CompressorConfig::default()
-                .threads(1)
-                .segment_cache_capacity(0)
-                .collect_timings(true),
+            CompressorConfig::default().threads(1).collect_timings(true),
         );
         let (_, stats) = timed.compress(&prog).unwrap();
         assert!(stats.timings.parse > Duration::default());
     }
 
     #[test]
-    fn recorder_collects_compress_cache_and_tiler_metrics() {
+    fn recorder_collects_compress_and_tiler_metrics() {
         let ig = InitialGrammar::build();
         let recorder = Recorder::new();
         let engine = Compressor::with_recorder(
@@ -1261,13 +1067,9 @@ entry f
             stats.original_code as u64
         );
         assert_eq!(
-            m.counter(names::CACHE_HITS) + m.counter(names::CACHE_MISSES),
-            stats.segments as u64
-        );
-        assert_eq!(
             m.counter(names::TILER_SEGMENTS),
-            m.counter(names::CACHE_MISSES),
-            "every cache miss is exactly one tiling"
+            stats.segments as u64,
+            "every segment is exactly one tiling"
         );
         // An enabled recorder implies phase timing, surfaced both as
         // spans and on the compatibility stats view.
@@ -1279,14 +1081,12 @@ entry f
     fn builder_and_chained_config_agree() {
         let built = CompressorConfig::builder()
             .threads(3)
-            .segment_cache_capacity(17)
             .batch_bytes(256)
             .collect_timings(true)
             .fallback(false)
             .build();
         let chained = CompressorConfig::default()
             .threads(3)
-            .segment_cache_capacity(17)
             .batch_bytes(256)
             .collect_timings(true)
             .fallback(false);
@@ -1295,6 +1095,17 @@ entry f
             CompressorConfig::builder().build(),
             CompressorConfig::default()
         );
+        // The cache shims change nothing and report nothing.
+        assert_eq!(
+            CompressorConfig::builder()
+                .segment_cache_capacity(17)
+                .build(),
+            CompressorConfig::default()
+        );
+        let ig = InitialGrammar::build();
+        let engine = Compressor::new(&ig.grammar, ig.nt_start);
+        engine.compress(&assemble(SAMPLE).unwrap()).unwrap();
+        assert_eq!(engine.cache_stats(), CacheStats::default());
     }
 
     #[test]
@@ -1322,9 +1133,6 @@ entry f
         for config in [
             CompressorConfig::default().threads(1),
             CompressorConfig::default().threads(4),
-            CompressorConfig::default()
-                .threads(1)
-                .segment_cache_capacity(0),
         ] {
             let engine = Compressor::with_config(&ig.grammar, ig.nt_start, config);
             let (cp, stats) = engine.compress(&prog).unwrap();
@@ -1335,7 +1143,7 @@ entry f
     }
 
     #[test]
-    fn injected_parse_faults_fall_back_and_are_never_cached() {
+    fn injected_parse_faults_fall_back_to_verbatim() {
         let ig = InitialGrammar::build();
         let prog = assemble(SAMPLE).unwrap();
         let config = CompressorConfig::default().threads(1);
@@ -1360,22 +1168,12 @@ entry f
                 ..
             }
         ));
-
-        // The next call on the same engine (same shared cache) gets full
-        // compression, identical to a fresh engine's.
-        let (cp_full, stats_full) = engine.compress(&prog).unwrap();
-        assert_eq!(stats_full.fallback_segments, 0);
-        let reference = Compressor::new(&ig.grammar, ig.nt_start)
-            .compress(&prog)
-            .unwrap();
-        assert_eq!(cp_full, reference.0);
     }
 
     #[test]
     fn compress_batch_is_bytewise_identical_to_serial_dispatch() {
         let ig = InitialGrammar::build();
-        // Program variants differing only in one literal, plus repeats:
-        // the batch mixes fresh tilings and memo-cache hits.
+        // Program variants differing only in one literal, plus repeats.
         let programs: Vec<Program> = [1, 7, 1, 13, 7]
             .into_iter()
             .map(|lit| assemble(&SAMPLE.replace("LIT1 1", &format!("LIT1 {lit}"))).unwrap())
@@ -1395,9 +1193,6 @@ entry f
                     cancel: CancelToken::never(),
                 })
                 .collect();
-            // Fresh engine per dispatch style: both start from the same
-            // (empty) cache state, like a serve engine at either end of
-            // a batch window.
             let batched = fresh(threads).compress_batch(&entries);
             assert_eq!(batched.len(), entries.len());
             let serial_engine = fresh(threads);

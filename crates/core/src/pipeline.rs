@@ -95,20 +95,20 @@ impl Trained {
 
     /// Build a reusable compression engine over the expanded grammar with
     /// default [`CompressorConfig`]. Prefer this (and keep the engine
-    /// around) when compressing more than one program: the parser tables
-    /// are built once and the derivation cache warms across calls.
+    /// around) when compressing more than one program: its pattern table
+    /// is built once.
     pub fn compressor(&self) -> Compressor<'_> {
         Compressor::new(&self.expanded, self.start())
     }
 
     /// Build a reusable compression engine with explicit configuration
-    /// (thread count, cache capacity, timing collection).
+    /// (thread count, batch size, fallback, timing collection).
     pub fn compressor_with(&self, config: CompressorConfig) -> Compressor<'_> {
         Compressor::with_config(&self.expanded, self.start(), config)
     }
 
-    /// Build a reusable compression engine that reports `compress.*`,
-    /// `tiler.*`, and `cache.*` metrics into `recorder`.
+    /// Build a reusable compression engine that reports `compress.*` and
+    /// `tiler.*` metrics into `recorder`.
     pub fn compressor_with_recorder(
         &self,
         config: CompressorConfig,

@@ -45,8 +45,10 @@ const HOLE: u16 = u16::MAX;
 const WILD: usize = Opcode::COUNT;
 /// "No child decides the operator" in [`Tiler::head_child`].
 const NO_HEAD: u8 = u8::MAX;
-/// Subject nodes between two cancellation polls.
+/// Subject nodes between two cancellation polls of the dynamic program.
 const CANCEL_POLL: usize = 64;
+/// Input symbols between two cancellation polls of the tree build.
+const SYMBOL_POLL: usize = 4096;
 
 /// Why a segment has no tiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -303,7 +305,8 @@ impl Tiler {
 
     /// Find a shortest leftmost derivation of `tokens` from the start
     /// symbol, using `scratch` for all per-segment state. `cancel` is
-    /// polled every few dozen tree nodes of the dynamic program.
+    /// polled every few thousand tokens while the segment's tree is
+    /// built and every few dozen tree nodes of the dynamic program.
     ///
     /// # Errors
     ///
@@ -341,16 +344,30 @@ impl Tiler {
         work: &mut Work,
     ) -> Result<Derivation, NoParse> {
         scratch.subject.clear();
-        let symbols = tokens.iter().map(|&t| Symbol::T(t));
-        let root = postfix::parse(&self.ig, self.ig.nt_start, symbols, &mut scratch.subject)
-            .map_err(|e| NoParse::NoDerivation {
-                furthest: match e {
-                    ForestParseError::UnexpectedToken { position }
-                    | ForestParseError::StackUnderflow { position } => position,
-                    ForestParseError::DanglingValues { .. }
-                    | ForestParseError::WrongGoal { .. } => tokens.len(),
-                },
-            })?;
+        // A fired token ends the input early. The cut input is never
+        // tiled, whether or not its prefix happened to parse.
+        let mut cut = None;
+        let symbols = tokens.iter().enumerate().map_while(|(i, &t)| {
+            if cut.is_none() && i % SYMBOL_POLL == SYMBOL_POLL - 1 {
+                cut = cancel.filter(|c| c.is_cancelled());
+            }
+            cut.is_none().then_some(Symbol::T(t))
+        });
+        let parsed = postfix::parse(&self.ig, self.ig.nt_start, symbols, &mut scratch.subject);
+        if let Some(c) = cut {
+            return Err(NoParse::Cancelled {
+                elapsed_ms: c.elapsed_ms(),
+            });
+        }
+        let root = parsed.map_err(|e| NoParse::NoDerivation {
+            furthest: match e {
+                ForestParseError::UnexpectedToken { position }
+                | ForestParseError::StackUnderflow { position } => position,
+                ForestParseError::DanglingValues { .. } | ForestParseError::WrongGoal { .. } => {
+                    tokens.len()
+                }
+            },
+        })?;
 
         let TileScratch {
             subject,
@@ -633,17 +650,23 @@ mod tests {
         let recorder = Recorder::new();
         let tiler = Tiler::with_recorder(&ig.grammar, ig.nt_start, recorder.clone());
         let mut scratch = TileScratch::new();
-        // `LIT1 1; POPU` 40 times over: well past one poll stride of
-        // tree nodes.
-        let code: Vec<u8> = [Opcode::LIT1 as u8, 1, Opcode::POPU as u8].repeat(40);
+        // `LIT1 1; POPU` 3,000 times over: 9,000 tokens, past two poll
+        // strides of input symbols and many of tree nodes.
+        let code: Vec<u8> = [Opcode::LIT1 as u8, 1, Opcode::POPU as u8].repeat(3000);
         let t = tokens(&code);
-        let cancel = CancelToken::new();
-        assert!(tiler.tile(&mut scratch, &t, Some(&cancel)).is_ok());
-        cancel.cancel();
+        assert!(t.len() >= 2 * SYMBOL_POLL);
+        // Fired before the call: the tree build stops at its first poll,
+        // so no node is counted, let alone tiled.
+        let fired = CancelToken::new();
+        fired.cancel();
         assert!(matches!(
-            tiler.tile(&mut scratch, &t, Some(&cancel)),
+            tiler.tile(&mut scratch, &t, Some(&fired)),
             Err(NoParse::Cancelled { .. })
         ));
+        assert_eq!(recorder.snapshot().counter(names::TILER_NODES), 0);
+        assert!(tiler
+            .tile(&mut scratch, &t, Some(&CancelToken::new()))
+            .is_ok());
         assert_eq!(
             tiler_counts(&recorder),
             (2, 2 * t.len() as u64, 0, 1),

@@ -3,10 +3,9 @@
 //! Every compress request goes through here — a lone one is a batch of
 //! one. Compress requests naming the same grammar that arrive within the
 //! batch window are coalesced into one engine dispatch: their segments
-//! share a single parallel stride over the compressor's worker pool and
-//! one derivation-cache epoch, amortizing per-call dispatch overhead the
-//! same way the engine's `batch_bytes` machinery amortizes per-segment
-//! overhead. The [`Batcher`] only *schedules* — it holds pending
+//! share a single parallel stride over the compressor's worker pool,
+//! amortizing per-call dispatch overhead the same way the engine's
+//! `batch_bytes` machinery amortizes per-segment overhead. The [`Batcher`] only *schedules* — it holds pending
 //! requests, enforces the per-grammar admission bound, and surfaces
 //! flush deadlines; the reactor decides when to flush (immediately when
 //! workers sit idle, at the window deadline otherwise) and the serve

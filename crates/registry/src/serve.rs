@@ -2,8 +2,8 @@
 //! grammar registry.
 //!
 //! One [`Server`] owns one [`Registry`] and a sharded map of *engines* —
-//! a [`Compressor`] that owns one loaded grammar, whose derivation cache
-//! is shared by every request that names that grammar. The one
+//! a [`Compressor`] that owns one loaded grammar and serves every
+//! request that names that grammar. The one
 //! transport is an epoll reactor (the `reactor` module), which is why
 //! the crate supports Linux on x86_64 or aarch64 only: one event thread
 //! owns every socket in nonblocking mode, frames NDJSON incrementally,
@@ -218,8 +218,8 @@ impl From<RegistryError> for ServeError {
     }
 }
 
-/// One loaded grammar: a compressor — which owns the grammar — whose
-/// derivation cache all requests for this grammar share, and the
+/// One loaded grammar: a compressor — which owns the grammar and its
+/// pattern table — that every request for this grammar shares, and the
 /// grammar's rule program, built once when the engine loads and shared
 /// by every `run` against it. Dropping an evicted engine frees both.
 pub(crate) struct Engine {
@@ -781,7 +781,7 @@ fn prepare(request: &Result<Request, String>) -> Result<Program, String> {
 /// compressed once; compression is deterministic, so their responses
 /// differ only in trace id. Distinct requests become entries of one
 /// [`Compressor::compress_batch`] call, sharing a single parallel
-/// stride and cache epoch. Byte-for-byte, every response is identical
+/// stride. Byte-for-byte, every response is identical
 /// to what serial per-request dispatch would have produced.
 pub(crate) fn handle_batch(state: &State, batch: Batch) -> Vec<Done> {
     // Engine work runs under a batch-level trace id (segment spans can't

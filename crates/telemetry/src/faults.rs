@@ -55,9 +55,9 @@ pub enum FaultPoint {
     /// The engine's per-segment shortest-derivation search (fires as a
     /// `NoParse`).
     Parse = 1,
-    /// The engine's derivation-cache insert (fires as a panic while the
-    /// cache lock is held, driving worker isolation and poison recovery).
-    CacheLock = 2,
+    /// The engine's per-segment encode, after the tiling (fires as a
+    /// panic inside the encoder worker, driving worker isolation).
+    Encode = 2,
     /// The decompressor's per-segment derivation decode.
     Decode = 3,
 }
@@ -70,7 +70,7 @@ impl FaultPoint {
     pub const ALL: [FaultPoint; POINT_COUNT] = [
         FaultPoint::ImageRead,
         FaultPoint::Parse,
-        FaultPoint::CacheLock,
+        FaultPoint::Encode,
         FaultPoint::Decode,
     ];
 
@@ -321,21 +321,21 @@ mod tests {
 
     #[test]
     fn plans_stay_on_their_thread_unless_carried() {
-        let _g = install(FaultPlan::new().with(FaultPoint::CacheLock, FaultMode::Always));
+        let _g = install(FaultPlan::new().with(FaultPoint::Encode, FaultMode::Always));
         std::thread::scope(|s| {
             // A thread the plan was not carried into sees no plan.
-            let stranger = s.spawn(|| fire(FaultPoint::CacheLock));
+            let stranger = s.spawn(|| fire(FaultPoint::Encode));
             assert!(!stranger.join().unwrap());
             // A carried plan fires, and its tallies are shared.
             let context = current();
             let worker = s.spawn(move || {
                 let _scope = scope(context);
-                fire(FaultPoint::CacheLock)
+                fire(FaultPoint::Encode)
             });
             assert!(worker.join().unwrap());
         });
-        assert_eq!(fired(FaultPoint::CacheLock), 1);
-        assert!(fire(FaultPoint::CacheLock));
-        assert_eq!(seen(FaultPoint::CacheLock), 2);
+        assert_eq!(fired(FaultPoint::Encode), 1);
+        assert!(fire(FaultPoint::Encode));
+        assert_eq!(seen(FaultPoint::Encode), 2);
     }
 }

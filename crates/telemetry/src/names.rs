@@ -64,7 +64,7 @@ pub const EARLEY_TABLE_BYTES: &str = "earley.table.bytes";
 pub const EARLEY_CHART_COLUMNS_PEAK: &str = "earley.chart.columns_peak";
 
 /// Tiler: segments handed to the compressor's encoder, one per tiling
-/// (derivation-cache hits are not tiled).
+/// (every segment that tokenizes is tiled).
 pub const TILER_SEGMENTS: &str = "tiler.segments";
 /// Tiler: input tokens across all tiled segments.
 pub const TILER_TOKENS: &str = "tiler.tokens";
@@ -85,7 +85,7 @@ pub const TILER_TABLE_BYTES: &str = "tiler.table.bytes";
 
 /// Engine: `Compressor::compress` calls.
 pub const COMPRESS_CALLS: &str = "compress.calls";
-/// Engine: segments encoded (cache hits included).
+/// Engine: segments encoded.
 pub const COMPRESS_SEGMENTS: &str = "compress.segments";
 /// Engine: canonical input bytes.
 pub const COMPRESS_ORIGINAL_BYTES: &str = "compress.original_bytes";
@@ -94,10 +94,6 @@ pub const COMPRESS_COMPRESSED_BYTES: &str = "compress.compressed_bytes";
 /// Engine: segments that did not tokenize or had no derivation and were
 /// emitted as verbatim escapes instead.
 pub const COMPRESS_FALLBACK_SEGMENTS: &str = "compress.fallback.segments";
-/// Engine: derivation-cache poison recoveries (a worker panicked while
-/// holding the cache lock; the cache was cleared and compression went
-/// on).
-pub const COMPRESS_CACHE_POISONED: &str = "compress.cache.poisoned";
 /// Engine span: canonicalization phase.
 pub const SPAN_COMPRESS_CANONICALIZE: &str = "compress.canonicalize";
 /// Engine span: tokenize phase (summed across workers).
@@ -114,15 +110,6 @@ pub const DECOMPRESS_CALLS: &str = "decompress.calls";
 pub const DECOMPRESS_BYTES: &str = "decompress.bytes";
 /// Decompressor span: whole derivation-expansion pass.
 pub const SPAN_DECOMPRESS: &str = "decompress";
-
-/// Segment cache: answered from the memo.
-pub const CACHE_HITS: &str = "cache.hits";
-/// Segment cache: parsed fresh.
-pub const CACHE_MISSES: &str = "cache.misses";
-/// Segment cache gauge: resident entries.
-pub const CACHE_ENTRIES: &str = "cache.entries";
-/// Segment cache gauge: configured capacity.
-pub const CACHE_CAPACITY: &str = "cache.capacity";
 
 /// Validator: procedures checked.
 pub const BYTECODE_VALIDATE_PROCS: &str = "bytecode.validate.procs";
@@ -181,8 +168,7 @@ pub const SERVE_REQUESTS: &str = "serve.requests";
 /// Serve: requests answered with an error response (bad JSON, unknown
 /// grammar, VM faults); transport-level drops are not counted.
 pub const SERVE_ERRORS: &str = "serve.errors";
-/// Serve gauge: grammars resident in the server's engine map (each holds
-/// one shared derivation cache).
+/// Serve gauge: grammars resident in the server's engine map.
 pub const SERVE_GRAMMARS_LOADED: &str = "serve.grammars.loaded";
 /// Serve histogram: end-to-end latency of `compress` requests, in
 /// microseconds.

@@ -14,8 +14,8 @@ use pgr::core::{train, TrainConfig, Trained};
 use pgr::corpus::{corpus, Corpus, CorpusName};
 
 fn compress_under(trained: &Trained, c: &Corpus) -> (usize, usize) {
-    // One engine per (grammar, corpus) pass: the Earley tables are built
-    // once and recurring segments hit the derivation cache.
+    // One engine per (grammar, corpus) pass: its pattern table is built
+    // once.
     let engine = trained.compressor();
     let mut original = 0;
     let mut compressed = 0;

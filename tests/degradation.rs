@@ -144,7 +144,6 @@ fn injected_parse_failures_degrade_to_verbatim_and_run_identically() {
         m.counter(names::COMPRESS_FALLBACK_SEGMENTS),
         stats.fallback_segments as u64
     );
-    assert!(m.counters().contains_key(names::COMPRESS_CACHE_POISONED));
 }
 
 #[test]
@@ -178,18 +177,18 @@ fn strict_mode_reports_the_failing_segment() {
 }
 
 #[test]
-fn injected_cache_panics_are_isolated_and_the_engine_recovers() {
+fn injected_worker_panics_are_isolated_and_the_engine_recovers() {
     let (program, trained) = trained_sample();
     let ig = trained.initial();
-    let _guard = faults::install(FaultPlan::new().with(FaultPoint::CacheLock, FaultMode::Nth(1)));
+    let _guard = faults::install(FaultPlan::new().with(FaultPoint::Encode, FaultMode::Nth(1)));
     let engine = Compressor::with_config(
         trained.expanded(),
         ig.nt_start,
         CompressorConfig::default().threads(1),
     );
-    // The injected panic fires inside an encoder worker while it holds
-    // the derivation-cache lock; isolation turns it into a structured
-    // error instead of tearing the process down.
+    // The injected panic fires inside an encoder worker, after its first
+    // tiling; isolation turns it into a structured error instead of
+    // tearing the process down.
     match engine.compress(&program).unwrap_err() {
         CompressError::WorkerPanic { message, .. } => {
             assert!(
@@ -199,10 +198,8 @@ fn injected_cache_panics_are_isolated_and_the_engine_recovers() {
         }
         other => panic!("wanted WorkerPanic, got {other:?}"),
     }
-    // The same engine stays usable: the poisoned cache is cleared and
-    // counted, and the next compression round-trips.
+    // The same engine stays usable: the next compression round-trips.
     let (cp, _) = engine.compress(&program).unwrap();
-    assert!(engine.cache_poisonings() >= 1, "poison recovery never ran");
     let back = decompress_program(trained.expanded(), ig.nt_start, &cp).unwrap();
     let rt = trained.compress(&back).map(|(cp2, _)| cp2);
     assert!(rt.is_ok(), "recovered engine produced a bad image");

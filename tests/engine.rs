@@ -1,7 +1,7 @@
-//! Compressor-engine guarantees: parallel segment encoding and the
-//! derivation cache are pure optimizations — the compressed bytes, the
-//! stats, and the error behaviour must be indistinguishable from the
-//! sequential, cache-free path at every configuration.
+//! Compressor-engine guarantees: parallel segment encoding is a pure
+//! optimization — the compressed bytes, the stats, and the error
+//! behaviour must be indistinguishable from the sequential path at every
+//! configuration — and a reused engine compresses like a fresh one.
 
 use pgr::core::{train, CompressorConfig, TrainConfig};
 use pgr::corpus::synth::{generate_source, Flavor, SynthConfig};
@@ -14,11 +14,7 @@ use proptest::prelude::*;
 fn parallel_output_is_byte_identical_to_sequential() {
     let c = corpus(CorpusName::Gzip);
     let trained = train(&c.refs(), &TrainConfig::default()).unwrap();
-    let sequential = trained.compressor_with(
-        CompressorConfig::default()
-            .threads(1)
-            .segment_cache_capacity(0),
-    );
+    let sequential = trained.compressor_with(CompressorConfig::default().threads(1));
     let reference: Vec<_> = c
         .programs
         .iter()
@@ -69,24 +65,6 @@ fn parallel_roundtrip_matches_canonical_form() {
     }
 }
 
-/// The cache actually engages on corpus-shaped input, and its counters
-/// add up.
-#[test]
-fn cache_counters_account_for_every_segment() {
-    let c = corpus(CorpusName::Gzip);
-    let trained = train(&c.refs(), &TrainConfig::default()).unwrap();
-    let engine = trained.compressor_with(CompressorConfig::default().threads(1));
-    let mut segments = 0u64;
-    for p in &c.programs {
-        let (_, stats) = engine.compress(p).unwrap();
-        segments += stats.segments as u64;
-    }
-    let cs = engine.cache_stats();
-    assert_eq!(cs.hits + cs.misses, segments);
-    assert!(cs.hits > 0, "a corpus never repeats a segment? {cs:?}");
-    assert!(cs.entries <= cs.capacity);
-}
-
 fn arb_config() -> impl Strategy<Value = SynthConfig> {
     (
         any::<u64>(),
@@ -103,31 +81,26 @@ fn arb_config() -> impl Strategy<Value = SynthConfig> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// A warm cache must be invisible: compressing the same program a
-    /// second time (every segment now cached) returns exactly the cold
-    /// result, and both equal the cache-free result.
+    /// A reused engine carries nothing from one input to the next:
+    /// compressing the same program a second time returns exactly the
+    /// first result, and both equal a fresh single-threaded engine's.
     #[test]
-    fn cache_warm_compression_equals_cold(config in arb_config()) {
+    fn reused_engine_compression_equals_cold(config in arb_config()) {
         let source = generate_source(&config);
         let program = pgr::minic::compile(&source).expect("valid mini-C");
         let trained = train(&[&program], &TrainConfig::default()).unwrap();
 
-        let uncached = trained.compressor_with(
-            CompressorConfig::default().threads(1).segment_cache_capacity(0),
-        );
-        let baseline = uncached.compress(&program).unwrap();
+        let baseline = trained
+            .compressor_with(CompressorConfig::default().threads(1))
+            .compress(&program)
+            .unwrap();
 
         let engine = trained.compressor();
         let cold = engine.compress(&program).unwrap();
-        let cold_stats = engine.cache_stats();
         let warm = engine.compress(&program).unwrap();
-        let warm_stats = engine.cache_stats();
 
         prop_assert_eq!(&cold, &baseline);
         prop_assert_eq!(&warm, &cold);
-        // The warm pass parsed nothing new.
-        prop_assert_eq!(warm_stats.misses, cold_stats.misses);
-        prop_assert!(warm_stats.hits >= cold_stats.hits);
     }
 
     /// Thread-count and batch-size invariance holds for arbitrary
@@ -279,7 +252,7 @@ proptest! {
         for threads in [1usize, 4] {
             let recorder = Recorder::new();
             let engine = trained.compressor_with_recorder(
-                CompressorConfig::default().threads(threads).segment_cache_capacity(0),
+                CompressorConfig::default().threads(threads),
                 recorder.clone(),
             );
             engine.compress(&program).unwrap();

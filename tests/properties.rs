@@ -119,9 +119,8 @@ proptest! {
         let canonical = canonicalize_program(&program).unwrap();
         let trained = train(&[&program], &TrainConfig::default()).unwrap();
         let ig = trained.initial();
-        // One worker and no derivation cache, so a plan sees every
-        // segment and its verdicts land on the same segments in the
-        // strict run below. A seeded plan fails each tiling with
+        // One worker, so a plan's verdicts land on the same segments in
+        // the strict run below. A seeded plan fails each tiling with
         // probability 1/2, so it can spare every segment of a small
         // program: take the first plan seed from the case's own that
         // fails at least one.
@@ -131,7 +130,6 @@ proptest! {
                 ig.nt_start,
                 CompressorConfig::default()
                     .threads(1)
-                    .segment_cache_capacity(0)
                     .fallback(fallback),
             )
         };
