@@ -2,7 +2,11 @@
 //! in a scratch directory.
 
 use pgr_cli::run;
+use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 struct Scratch {
     dir: PathBuf,
@@ -162,6 +166,11 @@ fn errors_are_reported_not_panicked() {
     assert!(run(&args(&["disasm", &packed])).is_err());
     // Training on compressed images is refused.
     assert!(run(&args(&["train", &packed, "-o", &s.path("y.pgrg")])).is_err());
+    // A rule cap above 256 is refused before training, and writes nothing.
+    let capped = s.path("cap300.pgrg");
+    let err = run(&args(&["train", &image, "-o", &capped, "--cap", "300"])).unwrap_err();
+    assert!(err.contains("rule cap 300 is above 256"), "{err}");
+    assert!(!std::path::Path::new(&capped).exists());
     // Garbage grammar file.
     let junk = s.write("junk.pgrg", "not a grammar");
     assert!(run(&args(&[
@@ -647,4 +656,120 @@ fn render_top_formats_a_stats_response() {
     let err = pgr_cli::render_top("{\"ok\":false,\"error\":\"nope\"}").unwrap_err();
     assert!(err.contains("nope"), "{err}");
     assert!(pgr_cli::render_top("not json").is_err());
+}
+
+/// Read one line from `reader`; the caller's read timeout turns a hang
+/// into a test failure.
+fn read_request(reader: &mut BufReader<UnixStream>) -> String {
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("request line arrives");
+    assert!(
+        line.ends_with('\n'),
+        "connection closed mid-request: {line:?}"
+    );
+    line
+}
+
+#[test]
+fn call_retries_an_overloaded_answer_no_sooner_than_its_hint() {
+    const HINT_MS: u64 = 80;
+    let s = Scratch::new("call");
+    let socket = s.path("fake.sock");
+    let listener = UnixListener::bind(&socket).unwrap();
+    // A stand-in server: the first request is answered `overloaded` with
+    // a retry hint, the retry `ok`. It reports how long the retry took.
+    let server = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        read_request(&mut reader);
+        let rejected_at = Instant::now();
+        writeln!(
+            writer,
+            "{{\"ok\":false,\"error\":\"overloaded\",\"retry_after_ms\":{HINT_MS}}}"
+        )
+        .unwrap();
+        read_request(&mut reader);
+        let waited = rejected_at.elapsed();
+        writeln!(writer, "{{\"ok\":true}}").unwrap();
+        waited
+    });
+    let out = Command::new(env!("CARGO_BIN_EXE_pgr"))
+        .args(["call", "--socket", &socket, "--retries", "4"])
+        .args(["--backoff-ms", "20", "--seed", "7", "--verbose"])
+        .arg(r#"{"op":"stats"}"#)
+        .output()
+        .unwrap();
+    let waited = server.join().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert_eq!(stdout.trim(), r#"{"ok":true}"#);
+    assert!(
+        stderr.contains("2 attempt(s), 1 retr(ies), 1 connect(s), 1 overloaded"),
+        "{stderr}"
+    );
+    assert!(
+        waited >= Duration::from_millis(HINT_MS),
+        "retried {waited:?} after the rejection, under its {HINT_MS} ms hint"
+    );
+}
+
+#[test]
+fn chaos_proxy_with_every_fault_rate_zero_forwards_a_line() {
+    let s = Scratch::new("proxy");
+    let upstream = s.path("upstream.sock");
+    let listen = s.path("proxy.sock");
+    let listener = UnixListener::bind(&upstream).unwrap();
+    // An upstream that echoes one line back.
+    let server = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let line = read_request(&mut BufReader::new(stream));
+        writer.write_all(line.as_bytes()).unwrap();
+    });
+    let mut proxy = Command::new(env!("CARGO_BIN_EXE_pgr"))
+        .args(["chaos-proxy", "--listen", &listen, "--upstream", &upstream])
+        .args([
+            "--seed",
+            "42",
+            "--partial-per-1024",
+            "0",
+            "--reset-per-1024",
+            "0",
+        ])
+        .args(["--stall-per-1024", "0", "--garbage-per-1024", "0"])
+        // Killed below once the line is back; the bound ends it if the
+        // test fails first.
+        .args(["--duration-ms", "60000"])
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let stream = loop {
+        match UnixStream::connect(&listen) {
+            Ok(stream) => break stream,
+            Err(e) if Instant::now() < deadline => {
+                assert!(proxy.try_wait().unwrap().is_none(), "proxy exited: {e}");
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            Err(e) => panic!("proxy never listened on {listen}: {e}"),
+        }
+    };
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let request = "{\"op\":\"stats\",\"pad\":\"a line worth forwarding\"}\n";
+    (&stream).write_all(request.as_bytes()).unwrap();
+    let echoed = read_request(&mut BufReader::new(stream));
+    let _ = proxy.kill();
+    proxy.wait().unwrap();
+    server.join().unwrap();
+    assert_eq!(echoed, request);
 }

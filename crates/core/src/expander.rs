@@ -15,9 +15,12 @@
 //! maintained incrementally (Re-Pair style), because every contraction
 //! relabels the parent and therefore changes the keys of all edges
 //! incident to it. Every child node realizes exactly one edge, its
-//! incoming one, so occurrences are per-node links packed in one flat
-//! array, and the max-heap holds one entry per edge (see [`expand`] for
-//! why that suffices).
+//! incoming one, and keeps only that edge's id. An edge gains
+//! occurrences only in the round that creates it, so each round's
+//! occurrences are counting-sorted by edge, when the round ends, into
+//! one append-only store of per-edge blocks, as recompression (Jeż)
+//! groups each round's pairs by sorting; and the max-heap holds one
+//! entry per edge (see [`expand`] for why that suffices).
 
 use pgr_grammar::grammar::MAX_RHS_LEN;
 use pgr_grammar::{Forest, Grammar, NodeId, Nt, RuleId, RuleOrigin};
@@ -35,7 +38,9 @@ const MIN_COUNT: u32 = 2;
 pub struct ExpanderConfig {
     /// Rule budget per non-terminal; the paper uses 256 so every
     /// derivation step encodes as one byte. Values above 256 break the
-    /// one-byte encoding and are rejected by the pipeline.
+    /// one-byte encoding: `train` refuses them with
+    /// [`TrainError::RuleCap`](crate::TrainError::RuleCap), and
+    /// [`expand`] panics.
     pub max_rules_per_nt: usize,
     /// Remove inlined rules that fall out of use ("in our current
     /// implementation, we remove unused inlined rules", §4.1).
@@ -144,38 +149,32 @@ impl Hasher for EdgeKeyHasher {
 /// `NodeId` / edge-id sentinel in the flat arrays.
 const NONE: u32 = u32::MAX;
 
-/// A node's place in the occurrence list of the edge it realizes.
-#[derive(Debug, Clone, Copy)]
-struct Occurrence {
-    /// The edge (`NONE` for roots and contracted nodes).
-    edge: u32,
-    /// Neighbouring occurrences of that edge.
-    next: u32,
-    prev: u32,
-}
-
-impl Occurrence {
-    const UNLINKED: Occurrence = Occurrence {
-        edge: NONE,
-        next: NONE,
-        prev: NONE,
-    };
-}
-
 /// Incremental edge bookkeeping in flat arrays. Edges get dense ids in
-/// creation order and are never forgotten, so the edges one contraction
-/// loop creates are exactly the ids it appends. A node's occurrence
-/// links thread it into its incoming edge's list.
+/// creation order, so the edges one contraction round creates are
+/// exactly the ids it appends. A node keeps only the id of the edge it
+/// realizes. An edge gains occurrences only in the round that creates
+/// it, so its occurrences are written once, when that round is sealed,
+/// as one block of an append-only store; afterwards the block only goes
+/// stale, as the edge loses occurrences.
 struct EdgeIndex {
-    /// Packed key → edge id.
+    /// Packed key → edge id, for the open round's edges only: a sealed
+    /// edge's key never recurs.
     ids: HashMap<u64, u32, BuildHasherDefault<EdgeKeyHasher>>,
-    /// Per edge: its key, its live occurrence count, and the first node
-    /// of its occurrence list.
+    /// Per edge: its key and its live occurrence count.
     key: Vec<EdgeKey>,
     count: Vec<u32>,
-    head: Vec<u32>,
-    /// Per node, indexed by `NodeId`.
-    occ: Vec<Occurrence>,
+    /// Per sealed edge `e`, its block is `store[start[e]..start[e + 1]]`;
+    /// one entry more than there are sealed edges.
+    start: Vec<u32>,
+    /// Node ids, the blocks of all sealed edges in edge order. Only an
+    /// edge sealed at `MIN_COUNT` or more occurrences has a non-empty
+    /// block.
+    store: Vec<u32>,
+    /// `(edge, node)` per increment of the open round.
+    log: Vec<(u32, u32)>,
+    /// Per node, indexed by `NodeId`: the edge it realizes, `NONE` for
+    /// roots and contracted nodes.
+    edge_of: Vec<u32>,
 }
 
 impl EdgeIndex {
@@ -184,19 +183,16 @@ impl EdgeIndex {
             ids: HashMap::default(),
             key: Vec::new(),
             count: Vec::new(),
-            head: Vec::new(),
-            occ: vec![Occurrence::UNLINKED; nodes],
+            start: vec![0],
+            store: Vec::new(),
+            log: Vec::new(),
+            edge_of: vec![NONE; nodes],
         }
-    }
-
-    /// Number of edges ever created.
-    fn len(&self) -> usize {
-        self.key.len()
     }
 
     /// The edge `node` realizes, `NONE` if none.
     fn edge_of(&self, node: NodeId) -> u32 {
-        self.occ[node.index()].edge
+        self.edge_of[node.index()]
     }
 
     /// Record `node` as an occurrence of the edge `key`.
@@ -206,54 +202,85 @@ impl EdgeIndex {
         if e == fresh {
             self.key.push(key);
             self.count.push(0);
-            self.head.push(NONE);
         }
         debug_assert_eq!(self.edge_of(node), NONE, "node already realizes an edge");
         self.count[e as usize] += 1;
-        let first = self.head[e as usize];
-        if first != NONE {
-            self.occ[first as usize].prev = node.0;
-        }
-        self.occ[node.index()] = Occurrence {
-            edge: e,
-            next: first,
-            prev: NONE,
-        };
-        self.head[e as usize] = node.0;
+        self.edge_of[node.index()] = e;
+        self.log.push((e, node.0));
     }
 
-    /// Remove `node` from the occurrences of the edge it realizes.
+    /// Remove `node` from the occurrences of the edge it realizes. Its
+    /// entry in the log or the store goes stale; readers skip it.
     fn dec(&mut self, node: NodeId) {
-        let Occurrence { edge, next, prev } = self.occ[node.index()];
-        let e = edge as usize;
-        self.count[e] -= 1;
-        if prev == NONE {
-            self.head[e] = next;
-        } else {
-            self.occ[prev as usize].next = next;
-        }
-        if next != NONE {
-            self.occ[next as usize].prev = prev;
-        }
-        self.occ[node.index()] = Occurrence::UNLINKED;
+        let e = std::mem::replace(&mut self.edge_of[node.index()], NONE);
+        self.count[e as usize] -= 1;
     }
 
-    /// The live occurrences of edge `e`, ascending by node id, into `out`.
-    fn occurrences(&self, e: u32, out: &mut Vec<NodeId>) {
-        out.clear();
-        let mut n = self.head[e as usize];
-        while n != NONE {
-            out.push(NodeId(n));
-            n = self.occ[n as usize].next;
+    /// End the open round, whose keys all name `fresh` (`None` for the
+    /// initial scan): counting-sort the log's live entries by edge into
+    /// blocks, and queue every edge the round created at its count.
+    fn seal(&mut self, fresh: Option<RuleId>, heap: &mut Queue) {
+        let (first, end) = (self.start.len() - 1, self.key.len());
+        debug_assert!(
+            fresh.is_none_or(|r| self.key[first..]
+                .iter()
+                .all(|k| k.parent() == r || k.child() == r)),
+            "a key of this round does not name its fresh rule"
+        );
+        let live = |count: u32| if count >= MIN_COUNT { count } else { 0 };
+        // `start[e]` first holds the end of `e`'s block. Placing the
+        // log's entries last to first counts it down to the block's
+        // start and leaves each block in log order.
+        let mut at = self.start.pop().expect("start holds a sentinel");
+        for &count in &self.count[first..] {
+            at = at
+                .checked_add(live(count))
+                .expect("occurrence store outgrew u32 offsets");
+            self.start.push(at);
         }
-        out.sort_unstable();
-    }
-
-    /// Queue every edge created since id `from` at its count.
-    fn queue_from(&self, from: usize, heap: &mut Queue) {
-        for e in from..self.len() {
+        self.start.push(at);
+        self.store.resize(at as usize, NONE);
+        for &(e, n) in self.log.iter().rev() {
+            if self.edge_of[n as usize] == e && self.count[e as usize] >= MIN_COUNT {
+                let slot = &mut self.start[e as usize];
+                *slot -= 1;
+                self.store[*slot as usize] = n;
+            }
+        }
+        debug_assert!(
+            (first..end).all(|e| self.start[e + 1] - self.start[e] == live(self.count[e])),
+            "a block holds other than its edge's live occurrences"
+        );
+        for e in first..end {
             queue(heap, self.count[e], self.key[e], e as u32);
         }
+        if fresh.is_some() {
+            self.log.clear();
+        } else {
+            // The initial scan logged every node; a round logs far fewer.
+            self.log = Vec::new();
+        }
+        self.ids.clear();
+    }
+
+    /// The live occurrences of sealed edge `e`, ascending by node id,
+    /// into `out`.
+    fn occurrences(&self, e: u32, out: &mut Vec<NodeId>) {
+        let e = e as usize;
+        let block = &self.store[self.start[e] as usize..self.start[e + 1] as usize];
+        out.clear();
+        out.extend(
+            block
+                .iter()
+                .filter(|&&n| self.edge_of[n as usize] == e as u32)
+                .map(|&n| NodeId(n)),
+        );
+        debug_assert_eq!(
+            out.len(),
+            self.count[e] as usize,
+            "a sealed edge gained an occurrence"
+        );
+        out.sort_unstable();
     }
 }
 
@@ -277,7 +304,9 @@ fn queue(heap: &mut Queue, count: u32, key: EdgeKey, e: u32) {
 /// its occurrences in ascending node order. Because every inlined rule
 /// is fresh, an edge gains occurrences only in the round that creates
 /// the newer of its two rules (or in the initial scan); afterwards its
-/// count only falls. So the heap needs one entry per edge, queued when
+/// count only falls. So its occurrences are final when that round ends,
+/// and are stored then as one block, which later rounds only filter.
+/// And the heap needs one entry per edge, queued when
 /// that round ends: an entry above the edge's current count is re-queued
 /// at the count (lazy decrease-key). A skip for saturation re-queues the
 /// edge one below its count, since a later subsumed-rule removal can free
@@ -323,7 +352,7 @@ pub fn expand(
         }
     }
     let mut heap = BinaryHeap::new();
-    edges.queue_from(0, &mut heap);
+    edges.seal(None, &mut heap);
 
     let mut occurrences = Vec::new();
     while let Some((queued, key, e)) = heap.pop() {
@@ -370,7 +399,6 @@ pub fn expand(
         // contraction can retire later occurrences (when the parent and
         // child rules coincide) but never adds one: new occurrences all
         // involve `new_rule`.
-        let first_new_edge = edges.len();
         edges.occurrences(e, &mut occurrences);
         for &child_node in &occurrences {
             if edges.edge_of(child_node) == e {
@@ -378,7 +406,7 @@ pub fn expand(
                 stats.contractions += 1;
             }
         }
-        edges.queue_from(first_new_edge, &mut heap);
+        edges.seal(Some(new_rule), &mut heap);
 
         if config.remove_subsumed {
             for r in [parent, child] {
@@ -441,6 +469,14 @@ fn contract_one(
         .expect("occurrence has a parent");
     let parent_rule = forest.node(parent).rule;
     let child_rule = forest.node(child_node).rule;
+    // The parent's incoming edge names the grandparent's rule and the
+    // parent's slot under it; neither changes here.
+    let up = edges.edge_of(parent);
+    debug_assert_eq!(
+        up == NONE,
+        forest.node(parent).parent().is_none(),
+        "only roots realize no edge"
+    );
 
     // Retire the edges incident to the parent (its label is about to
     // change): to its children, `child_node` included, and from the
@@ -448,8 +484,7 @@ fn contract_one(
     for ch in forest.children(parent) {
         edges.dec(ch);
     }
-    let gp = forest.node(parent).parent();
-    if gp.is_some() {
+    if up != NONE {
         edges.dec(parent);
     }
     for gc in forest.children(child_node) {
@@ -466,11 +501,11 @@ fn contract_one(
     for (slot, ch) in forest.children(parent).enumerate() {
         edges.inc(ch, EdgeKey::new(new_rule, slot, forest.node(ch).rule));
     }
-    if let Some(gp) = gp {
-        let gp_rule = forest.node(gp).rule;
+    if up != NONE {
+        let up = edges.key[up as usize];
         edges.inc(
             parent,
-            EdgeKey::new(gp_rule, forest.slot_of(parent), new_rule),
+            EdgeKey::new(up.parent(), up.slot() as usize, new_rule),
         );
     }
 }

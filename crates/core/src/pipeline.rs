@@ -36,6 +36,9 @@ pub enum TrainError {
     Tokenize(TokenizeError),
     /// A training segment is not well-formed postfix code.
     Parse(ForestParseError),
+    /// [`ExpanderConfig::max_rules_per_nt`] is above 256, so rule
+    /// indices would not fit one byte.
+    RuleCap(usize),
 }
 
 impl fmt::Display for TrainError {
@@ -45,6 +48,10 @@ impl fmt::Display for TrainError {
             TrainError::Canon(e) => write!(f, "{e}"),
             TrainError::Tokenize(e) => write!(f, "{e}"),
             TrainError::Parse(e) => write!(f, "{e}"),
+            TrainError::RuleCap(cap) => write!(
+                f,
+                "rule cap {cap} is above 256: rule indices must fit one byte"
+            ),
         }
     }
 }
@@ -56,6 +63,7 @@ impl std::error::Error for TrainError {
             TrainError::Canon(e) => Some(e),
             TrainError::Tokenize(e) => Some(e),
             TrainError::Parse(e) => Some(e),
+            TrainError::RuleCap(_) => None,
         }
     }
 }
@@ -149,8 +157,13 @@ impl Trained {
 ///
 /// # Errors
 ///
-/// Fails if any training program is invalid; see [`TrainError`].
+/// Fails if the rule cap is above 256 or any training program is
+/// invalid; see [`TrainError`].
 pub fn train(programs: &[&Program], config: &TrainConfig) -> Result<Trained, TrainError> {
+    let cap = config.expander.max_rules_per_nt;
+    if cap > 256 {
+        return Err(TrainError::RuleCap(cap));
+    }
     let recorder = &config.recorder;
     let _train_span = recorder.span("train");
     let initial = InitialGrammar::build();
@@ -332,6 +345,16 @@ mod tests {
         bad.procs[0].code = vec![Opcode::ADDU as u8];
         let err = train(&[&bad], &TrainConfig::default()).unwrap_err();
         assert!(matches!(err, TrainError::Validate(_)));
+        // So is a rule cap that one-byte rule indices cannot hold.
+        let config = TrainConfig {
+            expander: ExpanderConfig {
+                max_rules_per_nt: 257,
+                ..ExpanderConfig::default()
+            },
+            ..TrainConfig::default()
+        };
+        let err = train(&[&training_program()], &config).unwrap_err();
+        assert_eq!(err, TrainError::RuleCap(257));
     }
 
     #[test]

@@ -3,24 +3,32 @@
 //! `reference` below is the original greedy loop, kept as the executable
 //! spec: a `HashMap` from edge to a `BTreeSet` of the child nodes
 //! realizing it, and a lazy max-heap that takes one entry per count
-//! increment. The production expander (`pgr::core::expand`) keeps
-//! per-node occurrence links and one heap entry per edge instead. It must
+//! increment. The production expander (`pgr::core::expand`) keeps each
+//! node's edge id, each round's occurrences sorted into per-edge blocks
+//! of one append-only store, and one heap entry per edge instead. It must
 //! build the same rules in the same order and leave the same contracted
 //! forest: every rule slot, every non-terminal's rule order, every
 //! forest node, and every [`ExpansionStats`] field except the two that
 //! count heap traffic (`inline_iterations`, `saturated_skips`).
+//!
+//! Besides the corpora, samples and synthetic programs, a property test
+//! builds forests from random segments of a few statement templates
+//! that stress the bookkeeping: deep `INDIRU` chains (an edge into
+//! itself), `LIT1 k POPU` over a few `k`, nested `ADDU`, and stores to
+//! the same few locals.
 //!
 //! The largest inputs (the lcc and gcc corpora and an 8 × 40-function
 //! synthetic set) are `#[ignore]`d: the reference alone takes over a
 //! second on gcc even in release. Run them with
 //! `cargo test --release --test expander_reference -- --include-ignored`.
 
-use pgr::bytecode::Program;
+use pgr::bytecode::{Opcode, Program};
 use pgr::core::{canonicalize_program, expand, ExpanderConfig, ExpansionStats};
 use pgr::corpus::synth::{self, Flavor, SynthConfig};
 use pgr::corpus::{compile_sample, corpus, CorpusName, SAMPLES};
 use pgr::grammar::initial::tokenize_segment;
 use pgr::grammar::{Forest, Grammar, InitialGrammar, NodeId, Nt, RuleId};
+use proptest::prelude::*;
 
 /// The original expander loop, minus the rule-deduplication branch
 /// (with it gone, every inlined rule is fresh).
@@ -344,13 +352,24 @@ fn assert_same_forest(label: &str, got: &Forest, want: &Forest) {
     }
 }
 
-/// Run both loops on copies of one training forest, configured as the
-/// trainer configures them (start non-terminal escape-reserved), once
-/// per `(cap, remove_subsumed)` in `runs`, and compare everything.
-/// Returns the reference's statistics so callers can check what the
-/// inputs exercised.
+/// Run both loops on copies of `programs`' training forest: see
+/// [`check_forest`].
 fn check(label: &str, programs: &[Program], runs: &[(usize, bool)]) -> Vec<ExpansionStats> {
     let (ig, forest) = training_forest(programs);
+    check_forest(label, &ig, &forest, runs)
+}
+
+/// Run both loops on copies of `forest`, configured as the trainer
+/// configures them (start non-terminal escape-reserved), once per
+/// `(cap, remove_subsumed)` in `runs`, and compare everything. Returns
+/// the reference's statistics so callers can check what the inputs
+/// exercised.
+fn check_forest(
+    label: &str,
+    ig: &InitialGrammar,
+    forest: &Forest,
+    runs: &[(usize, bool)],
+) -> Vec<ExpansionStats> {
     let mut seen = Vec::new();
     for &(cap, remove_subsumed) in runs {
         let config = ExpanderConfig {
@@ -434,6 +453,83 @@ fn seeded_synthetic_sets_match_the_reference() {
         seen.extend(check(&format!("synth seed {seed}"), &[program], &runs));
     }
     assert_exercised("synthetic sets", &seen);
+}
+
+/// One statement of a random segment, as bytecode: it leaves the value
+/// stack empty, so any sequence of them is a segment.
+fn statement() -> impl Strategy<Value = Vec<u8>> {
+    const ADDRLP: u8 = Opcode::ADDRLP as u8;
+    const INDIRU: u8 = Opcode::INDIRU as u8;
+    const LIT1: u8 = Opcode::LIT1 as u8;
+    const ADDU: u8 = Opcode::ADDU as u8;
+    const ASGNU: u8 = Opcode::ASGNU as u8;
+    const POPU: u8 = Opcode::POPU as u8;
+    prop_oneof![
+        // A deep `INDIRU` chain off one of three locals.
+        (0u8..3, 1usize..16).prop_map(|(local, depth)| {
+            let mut code = vec![ADDRLP, 4 * local, 0];
+            code.extend(std::iter::repeat_n(INDIRU, depth));
+            code.push(POPU);
+            code
+        }),
+        // `LIT1 k POPU` over a few `k`.
+        (0u8..4).prop_map(|k| vec![LIT1, k, POPU]),
+        // `ADDU` over 2–7 operands, nested as `shape`'s bits say: after
+        // each operand, one bit per pending pair says whether to add now.
+        (2usize..8, any::<u64>()).prop_map(|(operands, mut shape)| {
+            let mut bit = || {
+                shape = shape.rotate_right(1);
+                shape & 1 == 1
+            };
+            let (mut code, mut depth) = (Vec::new(), 0);
+            for _ in 0..operands {
+                if bit() {
+                    code.extend([LIT1, u8::from(bit())]);
+                } else {
+                    code.extend([ADDRLP, 0, 0, INDIRU]);
+                }
+                depth += 1;
+                while depth > 1 && bit() {
+                    code.push(ADDU);
+                    depth -= 1;
+                }
+            }
+            code.extend(std::iter::repeat_n(ADDU, depth - 1));
+            code.push(POPU);
+            code
+        }),
+        // A store to one of three locals: a literal, or the local plus one.
+        (0u8..3, 0u8..3).prop_map(|(local, k)| {
+            let mut code = if k == 0 {
+                vec![ADDRLP, 4 * local, 0, INDIRU, LIT1, 1, ADDU]
+            } else {
+                vec![LIT1, k]
+            };
+            code.extend([ADDRLP, 4 * local, 0, ASGNU]);
+            code
+        }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random forests of template statements, at one cap in 4–32 with
+    /// subsumed-rule removal on and off.
+    #[test]
+    fn random_template_forests_match_the_reference(
+        segments in prop::collection::vec(prop::collection::vec(statement(), 1..10), 1..24),
+        cap in 4usize..33,
+    ) {
+        let ig = InitialGrammar::build();
+        let mut forest = Forest::new();
+        for statements in &segments {
+            let code = statements.concat();
+            let tokens = tokenize_segment(&code).expect("template statements tokenize");
+            forest.add_segment(&ig, &tokens).expect("template statements parse");
+        }
+        check_forest("template forest", &ig, &forest, &matrix(&[cap]));
+    }
 }
 
 #[test]
