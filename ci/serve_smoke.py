@@ -32,18 +32,6 @@ module and checks the contract the docs promise:
     the NDJSON dump exists, every line parses, and the header trace ids
     include the ids the client saw in its responses.
 
-Overload mode — run against a server started with a tiny queue (e.g.
-`--workers 1 --batch-window-us 200000 --max-queue 2`):
-
-    python3 ci/serve_smoke.py --overload <socket> <grammar-id> <image.pgrb>
-
-Pipelines 4x the queue bound of compress requests in one write and
-checks that admission control answers the overflow in-band — some
-requests succeed, the rest get `{"ok":false,"error":"overloaded"}` with
-a retry_after_ms hint — with every response delivered in request order
-on a connection that stays open, and that serve.rejected.overload and
-the window's rejected counter agree with what the client saw.
-
 The caller is expected to validate the server's emitted metrics file
 against schema/metrics.schema.json afterwards.
 """
@@ -132,65 +120,8 @@ def check_peak_rss(pid, ceiling_kib):
         fail(f"server peak RSS {kib} KiB is above the {ceiling_kib} KiB ceiling")
 
 
-def check_overload(path, grammar_id, image_path):
-    """Pipeline 8 compresses at a server with a tiny queue: overflow is
-    refused in-band, in order, without dropping the connection."""
-    original = open(image_path, "rb").read()
-    request = (
-        json.dumps(
-            {
-                "op": "compress",
-                "grammar": grammar_id,
-                "image": base64.b64encode(original).decode(),
-            }
-        )
-        + "\n"
-    ).encode()
-    client = Client(path)
-    burst = 8
-    client.sock.sendall(request * burst)
-    ok = overloaded = 0
-    for i in range(burst):
-        line = client.reader.readline()
-        if not line:
-            fail(f"connection dropped after {i} of {burst} pipelined responses")
-        resp = json.loads(line)
-        trace_of(resp)
-        if resp.get("ok"):
-            ok += 1
-        elif resp.get("error") == "overloaded":
-            if not isinstance(resp.get("retry_after_ms"), int) or resp["retry_after_ms"] < 1:
-                fail(f"overloaded response lacks a retry_after_ms hint: {resp}")
-            overloaded += 1
-        else:
-            fail(f"unexpected failure under load: {resp}")
-    if not ok or not overloaded:
-        fail(f"saturation did not split the burst: ok={ok} overloaded={overloaded}")
-
-    stats = client.call(op="stats")
-    if not stats.get("ok"):
-        fail(f"stats: {stats.get('error')}")
-    rejected = stats["metrics"]["counters"].get("serve.rejected.overload", 0)
-    if rejected != overloaded:
-        fail(f"serve.rejected.overload={rejected} but client saw {overloaded}")
-    if stats.get("window", {}).get("rejected") != overloaded:
-        fail(f"window rejected diverges from client: {stats.get('window')}")
-
-    down = client.call(op="shutdown")
-    if not down.get("ok"):
-        fail(f"shutdown: {down.get('error')}")
-    print(f"serve smoke: overload split {burst} pipelined requests into "
-          f"{ok} ok + {overloaded} in-band rejections")
-
-
 def main():
     argv = sys.argv[1:]
-    if argv and argv[0] == "--overload":
-        if len(argv) != 4:
-            print(__doc__, file=sys.stderr)
-            sys.exit(2)
-        check_overload(*argv[1:])
-        return
     gate = {}
     while argv and argv[0] in ("--server-pid", "--max-hwm-kib") and len(argv) > 1:
         gate[argv[0]] = int(argv[1])

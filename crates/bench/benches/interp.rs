@@ -1,11 +1,12 @@
 //! Interpreter dispatch overhead: interp1 (uncompressed) vs interp_nt
 //! (compressed). The paper's scenario tolerates interpretation overhead
 //! (ROM-bound embedded code); this quantifies ours — and, since the VM
-//! grew a precompiled-rule-program fast path with a decoded-segment
-//! cache, it also measures that path against the reference grammar
-//! walker it replaced. The summary line at the end reports the
-//! plain-vs-compressed ratio for every configuration so the README
-//! Performance table can quote one number per row.
+//! runs compressed code as compiled segment programs, decoded once and
+//! cached, it also measures that path, and the same with the cache off
+//! (every visit decodes), against the reference grammar walker. The
+//! summary line at the end reports the plain-vs-compressed ratio for
+//! every configuration so the README Performance table can quote one
+//! number per row.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pgr_core::{train, TrainConfig};
@@ -70,8 +71,8 @@ fn bench_interp(c: &mut Criterion) {
     group.finish();
 
     // Plain-vs-compressed summary: one median per configuration, plus
-    // the ratios the README quotes. The reference walker is the PR-4
-    // "before"; the rule-program fast path (cache on) is the "after".
+    // the ratios the README quotes. The reference walker is the
+    // "before"; the cached segment programs are the "after".
     let plain = measure(9, || {
         let mut vm = Vm::new(&program, VmConfig::default()).unwrap();
         std::hint::black_box(vm.run().unwrap());

@@ -62,7 +62,7 @@ pub fn compress_metrics() -> Metrics {
 /// Run an instrumented compressed execution of the 8-queens sample
 /// under its own trained grammar and return exactly what a
 /// `pgr run <image>.pgrc --metrics json` run records: the `vm.*` step,
-/// call, walk, dispatch, segment-cache, and rule-program families. This
+/// call, walk, dispatch, segment-cache and `vm.tier2.*` families. This
 /// is the `BENCH_run.json` baseline the repo commits and CI
 /// re-validates.
 pub fn run_metrics() -> Metrics {

@@ -401,12 +401,10 @@ fn grammar_for_image(
 }
 
 /// Build the compressor configuration from the shared CLI flags
-/// (`--threads`, `--batch-bytes`, `--no-fallback`, `--timings`) — the one place flag parsing produces a
-/// [`pgr_core::CompressorConfig`].
+/// (`--threads`, `--batch-bytes`, `--no-fallback`) — the one place flag
+/// parsing produces a [`pgr_core::CompressorConfig`].
 fn compressor_config(args: &[String]) -> Result<pgr_core::CompressorConfig, String> {
-    let mut builder = pgr_core::CompressorConfig::builder()
-        .collect_timings(flag(args, "--timings"))
-        .fallback(!flag(args, "--no-fallback"));
+    let mut builder = pgr_core::CompressorConfig::builder().fallback(!flag(args, "--no-fallback"));
     if let Some(v) = opt_value(args, "--threads") {
         builder = builder.threads(
             v.parse::<usize>()
@@ -515,6 +513,13 @@ fn compress(args: &[String]) -> Result<i32, String> {
     let timings = flag(args, "--timings");
     let metrics = metrics_opts(args)?;
     let (recorder, trace_out) = recorder_and_trace(args, &metrics);
+    // An enabled recorder times the phases; `--timings` alone gives the
+    // engine a private one, whose metrics are never emitted.
+    let recorder = if timings && !recorder.is_enabled() {
+        Recorder::new()
+    } else {
+        recorder
+    };
     let config = compressor_config(args)?;
     let engine = pgr_core::Compressor::with_recorder(
         &loaded.file.grammar,

@@ -202,6 +202,174 @@ fn errors_are_reported_not_panicked() {
 }
 
 #[test]
+fn error_chains_print_each_sentence_once() {
+    let s = Scratch::new("chains");
+    let image = |name: &str| {
+        let c = s.write(
+            &format!("{name}.c"),
+            pgr::corpus::sample_source(name).unwrap(),
+        );
+        let img = s.path(&format!("{name}.pgrb"));
+        let grammar = s.path(&format!("{name}.pgrg"));
+        run(&args(&["compile", &c, "-o", &img])).unwrap();
+        run(&args(&["train", &img, "-o", &grammar])).unwrap();
+        (img, grammar)
+    };
+    let (sieve, sieve_grammar) = image("sieve");
+    let (_, crc32_grammar) = image("crc32");
+    let packed = s.path("sieve.pgrc");
+    run(&args(&[
+        "compress",
+        &sieve,
+        "-g",
+        &sieve_grammar,
+        "-o",
+        &packed,
+    ]))
+    .unwrap();
+    // Every layer of the decompression failure quotes the next one.
+    let back = s.path("back.pgrb");
+    let err = run(&args(&[
+        "decompress",
+        &packed,
+        "-g",
+        &crc32_grammar,
+        "-o",
+        &back,
+    ]))
+    .unwrap_err();
+    assert_eq!(err, "decompression failed: main: step 3: N2 has no rule 10");
+    let capped = s.path("cap300.pgrg");
+    let err = run(&args(&["train", &sieve, "-o", &capped, "--cap", "300"])).unwrap_err();
+    assert_eq!(
+        err,
+        "training failed: rule cap 300 is above 256: rule indices must fit one byte"
+    );
+}
+
+#[test]
+fn serve_flags_bound_the_queue_and_every_response_is_traced() {
+    // One worker, a 300 ms batch window and a two-request queue, set on
+    // the command line: a pipelined burst of eight compresses is split
+    // into the two the queue admits and six in-band `overloaded`
+    // answers, on one connection, each with a 16-hex-digit trace id.
+    let s = Scratch::new("overload");
+    let c = s.write("hello.c", HELLO);
+    let image = s.path("hello.pgrb");
+    let grammar = s.path("hello.pgrg");
+    let reg = s.path("reg");
+    run(&args(&["compile", &c, "-o", &image])).unwrap();
+    run(&args(&["train", &image, "-o", &grammar])).unwrap();
+    let id = pgr_registry::Registry::open(&reg)
+        .unwrap()
+        .store_bytes(&std::fs::read(&grammar).unwrap(), "hello")
+        .unwrap()
+        .id
+        .to_hex();
+    let socket = s.path("pgr.sock");
+    let serve = args(&[
+        "serve",
+        "--socket",
+        &socket,
+        "--registry",
+        &reg,
+        "--workers",
+        "1",
+        "--batch-window-us",
+        "300000",
+        "--max-queue",
+        "2",
+    ]);
+    let server = std::thread::spawn(move || run(&serve));
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let stream = loop {
+        match UnixStream::connect(&socket) {
+            Ok(stream) => break stream,
+            Err(e) if Instant::now() < deadline => {
+                assert!(!server.is_finished(), "serve exited: {e}");
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            Err(e) => panic!("serve never listened on {socket}: {e}"),
+        }
+    };
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let encoded = pgr_registry::base64_encode(&std::fs::read(&image).unwrap());
+    let request = format!("{{\"op\":\"compress\",\"grammar\":\"{id}\",\"image\":\"{encoded}\"}}\n");
+    (&stream).write_all(request.repeat(8).as_bytes()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut response = |what: &str| {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let value = pgr_telemetry::json::parse(&line)
+            .unwrap_or_else(|e| panic!("{what}: {e:?} in {line:?}"));
+        let trace = value.get("trace").and_then(|t| t.as_str()).unwrap_or("");
+        assert!(
+            trace.len() == 16 && trace.bytes().all(|b| b.is_ascii_hexdigit()),
+            "{what} carries no 16-hex-digit trace id: {line}"
+        );
+        value
+    };
+    let (mut ok, mut overloaded) = (0, 0);
+    for i in 0..8 {
+        let value = response(&format!("response {i}"));
+        if value.get("ok").and_then(|v| v.as_bool()) == Some(true) {
+            ok += 1;
+        } else {
+            assert_eq!(
+                value.get("error").and_then(|e| e.as_str()),
+                Some("overloaded")
+            );
+            overloaded += 1;
+        }
+    }
+    assert_eq!((ok, overloaded), (2, 6));
+    (&stream).write_all(b"{\"op\":\"shutdown\"}\n").unwrap();
+    let down = response("shutdown");
+    assert_eq!(down.get("ok").and_then(|v| v.as_bool()), Some(true));
+    assert_eq!(server.join().unwrap(), Ok(0));
+}
+
+#[test]
+fn timings_flag_prints_measured_phases() {
+    // `--timings` gives the engine an enabled recorder, which times the
+    // phases without changing the compressed bytes.
+    let s = Scratch::new("timings");
+    let c = s.write("hello.c", HELLO);
+    let image = s.path("hello.pgrb");
+    let grammar = s.path("hello.pgrg");
+    run(&args(&["compile", &c, "-o", &image])).unwrap();
+    run(&args(&["train", &image, "-o", &grammar])).unwrap();
+    let plain = s.path("plain.pgrc");
+    run(&args(&["compress", &image, "-g", &grammar, "-o", &plain])).unwrap();
+    let timed = s.path("timed.pgrc");
+    let out = Command::new(env!("CARGO_BIN_EXE_pgr"))
+        .args([
+            "compress",
+            &image,
+            "-g",
+            &grammar,
+            "-o",
+            &timed,
+            "--timings",
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    let phases = stderr
+        .lines()
+        .find(|l| l.starts_with("phases: canonicalize "))
+        .unwrap_or_else(|| panic!("no phase line in {stderr:?}"));
+    assert!(!phases.contains("parse 0ns"), "{phases}");
+    assert_eq!(
+        std::fs::read(&timed).unwrap(),
+        std::fs::read(&plain).unwrap()
+    );
+}
+
+#[test]
 fn unknown_flags_are_refused_by_name() {
     let s = Scratch::new("flags");
     let c = s.write("hello.c", HELLO);

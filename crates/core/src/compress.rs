@@ -51,9 +51,8 @@ pub struct CompressionStats {
     /// emitted as verbatim escapes instead (see
     /// [`CompressorConfig::fallback`](crate::engine::CompressorConfig::fallback)).
     pub fallback_segments: usize,
-    /// Per-phase wall-clock cost; all zero unless
-    /// [`CompressorConfig::collect_timings`](crate::engine::CompressorConfig::collect_timings)
-    /// was set.
+    /// Per-phase wall-clock cost; all zero unless the engine's recorder
+    /// is enabled.
     pub timings: PhaseTimings,
 }
 

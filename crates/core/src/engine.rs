@@ -47,12 +47,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
 /// Wall-clock cost of each compression phase, surfaced on
-/// [`CompressionStats`] when [`CompressorConfig::collect_timings`] is set
-/// or the engine carries an enabled [`Recorder`] (all zero otherwise, so
-/// default-config stats stay comparable across runs). This struct is the
-/// compatibility view of the `compress.*` timing spans the recorder
-/// collects; the clock behind both is [`Stopwatch`], which never reads
-/// the monotonic clock unless something is observing.
+/// [`CompressionStats`] when the engine carries an enabled [`Recorder`]
+/// (all zero otherwise, so default-config stats stay comparable across
+/// runs). This struct is the compatibility view of the `compress.*`
+/// timing spans the recorder collects; the clock behind both is
+/// [`Stopwatch`], which never reads the monotonic clock unless something
+/// is observing.
 ///
 /// `tokenize` and `parse` are summed across worker threads, so with
 /// `threads > 1` they measure aggregate CPU time, not elapsed time;
@@ -88,7 +88,7 @@ impl PhaseTimings {
 /// use pgr_core::CompressorConfig;
 /// let config = CompressorConfig::default()
 ///     .threads(2)
-///     .collect_timings(true);
+///     .fallback(false);
 /// assert_eq!(config.threads, 2);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,9 +101,6 @@ pub struct CompressorConfig {
     /// whole batches. `0` dispatches per segment. Never affects output
     /// bytes, only scheduling granularity.
     pub batch_bytes: usize,
-    /// Whether to measure per-phase wall-clock time into
-    /// [`CompressionStats::timings`].
-    pub collect_timings: bool,
     /// Degrade gracefully on segments that do not tokenize or have no
     /// derivation (see [`NoParse`]) by emitting the segment as a verbatim
     /// escape (`pgr_bytecode::escape`) instead of failing the whole
@@ -118,7 +115,6 @@ impl Default for CompressorConfig {
         CompressorConfig {
             threads: 0,
             batch_bytes: 1024,
-            collect_timings: false,
             fallback: true,
         }
     }
@@ -166,12 +162,6 @@ impl CompressorConfigBuilder {
         self
     }
 
-    /// Enable or disable per-phase timing collection.
-    pub fn collect_timings(mut self, collect: bool) -> CompressorConfigBuilder {
-        self.config.collect_timings = collect;
-        self
-    }
-
     /// Enable or disable verbatim-escape fallback on parse failures.
     pub fn fallback(mut self, fallback: bool) -> CompressorConfigBuilder {
         self.config.fallback = fallback;
@@ -199,12 +189,6 @@ impl CompressorConfig {
     /// Set the dispatch-batch size in input bytes (`0` = per segment).
     pub fn batch_bytes(mut self, bytes: usize) -> CompressorConfig {
         self.batch_bytes = bytes;
-        self
-    }
-
-    /// Enable or disable per-phase timing collection.
-    pub fn collect_timings(mut self, collect: bool) -> CompressorConfig {
-        self.collect_timings = collect;
         self
     }
 
@@ -327,7 +311,6 @@ pub struct Compressor<'g> {
     index_map: Vec<usize>,
     threads: usize,
     batch_bytes: usize,
-    collect_timings: bool,
     fallback: bool,
     /// Whether the grammar left rule index `0xFF` of the start
     /// non-terminal unassigned, making the verbatim marker unambiguous.
@@ -396,7 +379,6 @@ impl<'g> Compressor<'g> {
             index_map: grammar.rule_index_map(),
             threads,
             batch_bytes: config.batch_bytes,
-            collect_timings: config.collect_timings,
             fallback: config.fallback,
             verbatim_ok: grammar.rules_of(start).len() <= usize::from(escape::VERBATIM_MARKER),
             grammar,
@@ -410,12 +392,11 @@ impl<'g> Compressor<'g> {
         &self.recorder
     }
 
-    /// Whether any phase timing is being observed — by
-    /// [`CompressorConfig::collect_timings`] or by an enabled recorder.
-    /// All `Instant::now` reads in the engine gate on this, so the
-    /// default configuration never touches the clock.
+    /// Whether phase timing is being observed, by an enabled recorder.
+    /// All `Instant::now` reads in the engine gate on this, so an engine
+    /// with the disabled recorder never touches the clock.
     fn timings_on(&self) -> bool {
-        self.collect_timings || self.recorder.is_enabled()
+        self.recorder.is_enabled()
     }
 
     /// The grammar this engine encodes against.
@@ -1037,10 +1018,11 @@ entry f
         let (_, stats) = silent.compress(&prog).unwrap();
         assert_eq!(stats.timings, PhaseTimings::default());
 
-        let timed = Compressor::with_config(
+        let timed = Compressor::with_recorder(
             &ig.grammar,
             ig.nt_start,
-            CompressorConfig::default().threads(1).collect_timings(true),
+            CompressorConfig::default().threads(1),
+            Recorder::new(),
         );
         let (_, stats) = timed.compress(&prog).unwrap();
         assert!(stats.timings.parse > Duration::default());
@@ -1082,13 +1064,11 @@ entry f
         let built = CompressorConfig::builder()
             .threads(3)
             .batch_bytes(256)
-            .collect_timings(true)
             .fallback(false)
             .build();
         let chained = CompressorConfig::default()
             .threads(3)
             .batch_bytes(256)
-            .collect_timings(true)
             .fallback(false);
         assert_eq!(built, chained);
         assert_eq!(

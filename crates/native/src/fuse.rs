@@ -1,18 +1,18 @@
 //! Superinstruction selection for the VM's compiled segment programs.
 //!
-//! The VM's decoded-segment cache reduces each recorded segment to a
-//! flat `(opcode, operands)` trace; what remains per step is dispatch
+//! The VM decodes each segment of compressed code once into a flat
+//! `(opcode, operands)` trace; what remains per step is dispatch
 //! overhead and stack traffic that a one-pass lowering can remove. This
-//! module is that lowering, run once when a segment's recording is
-//! sealed: a greedy, longest-match scan over the trace that fuses the
-//! patterns the profile says dominate execution — address-of +
-//! load/store pairs, immediate ALU operands, and compare + branch
-//! chains — into single superinstructions with operands and branch
-//! targets burnt in. It is the same peephole vocabulary the synthetic
-//! x86 translator in this crate applies to full procedures (push/pop
-//! traffic becomes direct moves, compares fuse with their branches),
-//! re-targeted at the interpreter's replay handlers instead of a
-//! pseudo-x86 listing.
+//! module is that lowering, run once when a decoded segment enters the
+//! VM's segment cache: a greedy, longest-match scan over the trace that
+//! fuses the patterns the profile says dominate execution —
+//! address-of + load/store pairs, immediate ALU operands, and compare +
+//! branch chains — into single superinstructions with operands and
+//! branch targets burnt in. It is the same peephole vocabulary the
+//! synthetic x86 translator in this crate applies to full procedures
+//! (push/pop traffic becomes direct moves, compares fuse with their
+//! branches), re-targeted at the interpreter's replay handlers instead
+//! of a pseudo-x86 listing.
 //!
 //! Selection is pure data transformation: no VM types, no execution
 //! state. Each [`SuperOp`] remembers the index of the **last** source
@@ -25,8 +25,7 @@
 //! data-dependently, float compares are cold) falls through to
 //! [`Fused::Exec`], the plain one-step handler, so fusion can never
 //! change semantics — only the dispatch count. The VM does not fuse
-//! traces that contain calls at all; it lowers them to one `Exec` per
-//! step.
+//! traces that contain calls at all; it runs them step by step.
 
 use pgr_bytecode::Opcode;
 

@@ -54,10 +54,10 @@ use crate::store::{Registry, RegistryError};
 use crate::window::{SlidingWindow, DEFAULT_WINDOW_SECS};
 use pgr_bytecode::{read_program_tagged, write_program_tagged, ImageKind, Program};
 use pgr_core::{BatchEntry, Compressor, CompressorConfig};
+use pgr_grammar::Nt;
 use pgr_telemetry::{
     names, trace, CancelToken, Metrics, Recorder, Stopwatch, TraceId, DEFAULT_TRACE_CAPACITY,
 };
-use pgr_vm::ruleprog::RuleProgram;
 use pgr_vm::{Vm, VmConfig, VmError};
 use std::collections::HashMap;
 use std::fmt;
@@ -220,12 +220,12 @@ impl From<RegistryError> for ServeError {
 
 /// One loaded grammar: a compressor — which owns the grammar and its
 /// pattern table — that every request for this grammar shares, and the
-/// grammar's rule program, built once when the engine loads and shared
-/// by every `run` against it. Dropping an evicted engine frees both.
+/// grammar's `<byte>` non-terminal, which `run` requests load with.
+/// Dropping an evicted engine frees its grammar.
 pub(crate) struct Engine {
     pub(crate) id: GrammarId,
     pub(crate) compressor: Compressor<'static>,
-    pub(crate) rules: Arc<RuleProgram>,
+    byte_nt: Nt,
 }
 
 impl Engine {
@@ -235,21 +235,20 @@ impl Engine {
         config: CompressorConfig,
         recorder: Recorder,
     ) -> Arc<Engine> {
-        let rules = Arc::new(RuleProgram::build(&file.grammar, file.start, file.byte_nt));
         Arc::new(Engine {
             id,
             compressor: Compressor::owning(file.grammar, file.start, config, recorder),
-            rules,
+            byte_nt: file.byte_nt,
         })
     }
 
-    /// Load a compressed program against this engine's grammar and rule
-    /// program.
+    /// Load a compressed program against this engine's grammar.
     fn vm<'a>(&'a self, program: &'a Program, config: VmConfig) -> Result<Vm<'a>, VmError> {
-        Vm::with_rule_program(
+        Vm::new_compressed(
             program,
             self.compressor.grammar(),
-            Arc::clone(&self.rules),
+            self.compressor.start(),
+            self.byte_nt,
             config,
         )
     }
@@ -441,13 +440,18 @@ impl SlowLog {
 /// request resolved to, for per-grammar window accounting.
 type Handled = (ResponseLine, Option<GrammarId>);
 
-/// Render an error with its full `source()` chain, outermost first.
+/// Render an error with its full `source()` chain, outermost first,
+/// joined by `": "`, skipping a cause whose text the rendering so far
+/// already ends with (a layer that quotes its source).
 fn error_chain(e: &dyn std::error::Error) -> String {
     let mut out = e.to_string();
     let mut cur = e.source();
     while let Some(cause) = cur {
-        out.push_str(": ");
-        out.push_str(&cause.to_string());
+        let text = cause.to_string();
+        if !out.ends_with(&text) {
+            out.push_str(": ");
+            out.push_str(&text);
+        }
         cur = cause.source();
     }
     out
@@ -1204,25 +1208,24 @@ mod tests {
     }
 
     #[test]
-    fn runs_through_one_engine_share_its_rule_program() {
-        let engine = engine(5, &Recorder::disabled());
-        let program = pgr_bytecode::asm::assemble(
-            "proc main frame=8 args=0\n\tLIT1 7\n\tADDRLP 0\n\tASGNU\n\
-             \tADDRLP 0\n\tINDIRU\n\tRETU\nendproc\nentry main\n",
-        )
-        .unwrap();
-        let (cp, _) = engine.compressor.compress(&program).unwrap();
-        for _ in 0..2 {
-            let mut vm = engine.vm(&cp.program, VmConfig::default()).unwrap();
-            let shared = vm
-                .rule_program()
-                .expect("the fast path walks a rule program");
-            assert!(
-                Arc::ptr_eq(shared, &engine.rules),
-                "run rebuilt the rule program"
-            );
-            assert_eq!(vm.run().unwrap().ret.u(), 7);
-        }
+    fn served_errors_print_each_cause_once() {
+        // `DecompressError::Derivation` quotes its `DerivationError`
+        // source, so the served string states it once.
+        let e = pgr_core::DecompressError::Derivation {
+            proc: "main".into(),
+            error: pgr_grammar::derivation::DerivationError::BadRuleIndex {
+                step: 3,
+                nt: pgr_grammar::Nt(2),
+                index: 10,
+            },
+        };
+        assert_eq!(error_chain(&e), "main: step 3: N2 has no rule 10");
+        // A layer that does not quote its source keeps the cause.
+        let e = RegistryError::Codec(pgr_grammar::GrammarFileError::NotAGrammarFile);
+        assert_eq!(
+            error_chain(&e),
+            "stored grammar failed to decode: not a PGRG grammar file"
+        );
     }
 
     #[test]

@@ -136,27 +136,24 @@ pub const VM_CALL_DEPTH_PEAK: &str = "vm.call_depth_peak";
 pub const VM_WALK_DEPTH_PEAK: &str = "vm.walk_depth_peak";
 /// VM gauge: operand-stack depth high-water mark.
 pub const VM_OPERAND_STACK_PEAK: &str = "vm.operand_stack_peak";
-/// VM: decoded segments replayed from the `interp_nt` segment cache.
+/// VM: segment visits served by a compiled program from the segment
+/// cache.
 pub const VM_SEG_CACHE_HITS: &str = "vm.segment_cache.hits";
-/// VM: segment starts walked fresh (no cached decode, or not enough
-/// fuel for an exact replay).
+/// VM: segments decoded (each segment once while the cache has room,
+/// every visit once it is full).
 pub const VM_SEG_CACHE_MISSES: &str = "vm.segment_cache.misses";
-/// VM gauge: resident bytes of cached segment decodes.
+/// VM gauge: resident bytes of the cached segment programs.
 pub const VM_SEG_CACHE_BYTES: &str = "vm.segment_cache.bytes";
-/// VM gauge: resident segment-cache entries (negative entries included).
+/// VM gauge: resident segment-cache entries, one compiled program each.
 pub const VM_SEG_CACHE_ENTRIES: &str = "vm.segment_cache.entries";
-/// VM gauge: resident bytes of the precompiled rule-program snapshot.
-pub const VM_RULEPROG_BYTES: &str = "vm.ruleprog.bytes";
-/// VM gauge: micro-ops in the precompiled rule-program snapshot.
-pub const VM_RULEPROG_MICRO_OPS: &str = "vm.ruleprog.micro_ops";
 /// VM: verbatim-escape segments executed directly (raw bytecode embedded
 /// by the compressor's graceful-degradation fallback).
 pub const VM_VERBATIM_SEGMENTS: &str = "vm.verbatim.segments";
-/// VM: decoded segments compiled to superinstruction programs (replays
-/// of them are `vm.segment_cache.hits`, their bytes
-/// `vm.segment_cache.bytes`).
+/// VM: decoded segment programs cached (replays of them are
+/// `vm.segment_cache.hits`, their bytes `vm.segment_cache.bytes`).
 pub const VM_TIER2_COMPILED: &str = "vm.tier2.compiled";
-/// VM: superinstructions across all compiled segment programs.
+/// VM: superinstructions across all cached segment programs (a program
+/// holding a call is not fused and adds none).
 pub const VM_TIER2_FUSED_OPS: &str = "vm.tier2.fused_ops";
 /// Prefix of the per-opcode dispatch counter family.
 pub const VM_DISPATCH_PREFIX: &str = "vm.dispatch.";

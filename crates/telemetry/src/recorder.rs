@@ -348,10 +348,9 @@ impl Drop for TraceSpan<'_> {
 /// the monotonic clock and always reports a zero duration.
 ///
 /// All phase timing in the engine routes through this type, gated on one
-/// "is anything observing?" check (`collect_timings` or an enabled
-/// recorder), which is what guarantees the disabled path pays no
-/// `Instant::now()` calls anywhere — including branches that previously
-/// timed unconditionally.
+/// "is anything observing?" check (an enabled recorder), which is what
+/// guarantees the disabled path pays no `Instant::now()` calls anywhere
+/// — including branches that previously timed unconditionally.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch(Option<Instant>);
 

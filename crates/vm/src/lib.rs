@@ -13,13 +13,12 @@
 //!   current non-terminal; the interpreter advances across the rule's
 //!   right-hand side, executing terminals and recursing on non-terminals.
 //!   Literal operands may be split between the rule (burnt-in bytes) and
-//!   the instruction stream — the `GET` logic of §5. By default it runs
-//!   over a [`ruleprog::RuleProgram`] snapshot — the grammar precompiled
-//!   to flat micro-ops at load time — and compiles each segment it
-//!   decodes into a superinstruction program ([`segment`]) that one
-//!   replay routine runs on later visits, quiet or observed;
-//!   the reference rule walker stays selectable via
-//!   [`VmConfig::reference_walker`] as the executable specification.
+//!   the instruction stream — the `GET` logic of §5. By default each
+//!   segment is decoded once, on its first visit, into a compiled
+//!   program ([`segment`]) that one replay routine runs on that visit
+//!   and every later one, quiet or observed; the reference rule walker
+//!   stays selectable via [`VmConfig::reference_walker`] as the
+//!   executable specification.
 //!
 //! Both interpreters share one operator semantics ([`exec`]) over one
 //! machine model ([`Vm`]): a little-endian memory holding data, BSS,
@@ -61,7 +60,6 @@ pub mod exec;
 pub mod machine;
 pub mod memory;
 pub mod natives;
-pub mod ruleprog;
 pub mod segment;
 pub mod value;
 

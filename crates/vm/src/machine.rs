@@ -5,10 +5,10 @@
 //! (playing the linker of §3), and runs it. Uncompressed code runs in
 //! `interp1`. Compressed code runs in the reference walker `interp_nt`
 //! (the executable spec) or, by default, in `interp_nt_fast`, which
-//! walks the precompiled [`RuleProgram`] and compiles each segment it
-//! decodes into a [`SegProgram`] that `Vm::replay` runs on later
-//! visits; `run_verbatim` executes the verbatim escapes both walkers
-//! share. Procedure calls allocate frames on the frame-stack region of
+//! decodes each segment once into a [`SegProgram`] on its first visit
+//! and runs it through `Vm::replay` on that visit and every later one;
+//! `run_verbatim` executes the verbatim escapes both paths share.
+//! Procedure calls allocate frames on the frame-stack region of
 //! the VM's memory; arguments travel in a contiguous block, "an x86
 //! calling convention that passes all arguments in contiguous memory"
 //! (Appendix 3). Indirect calls dispatch on
@@ -21,8 +21,7 @@ use crate::error::VmError;
 use crate::exec::Flow;
 use crate::memory::Memory;
 use crate::natives::{self, Native, NativeOutcome};
-use crate::ruleprog::{self, RuleProgram};
-use crate::segment::{SegKeyMap, SegProgram, SegRecorder, Tier2Stats};
+use crate::segment::{SegEnd, SegKeyMap, SegProgram, Tier2Stats};
 use crate::value::Slot;
 use pgr_bytecode::{escape, GlobalEntry, Opcode, Procedure, Program};
 use pgr_grammar::{Grammar, Nt, Symbol, Terminal};
@@ -57,11 +56,6 @@ pub struct VmConfig {
     pub fuel: u64,
     /// Maximum procedure-call depth.
     pub max_call_depth: usize,
-    /// Host stack bytes for the interpreter thread. The interpreters
-    /// recurse on the host stack for procedure calls (like the paper's C
-    /// interpreters), so deep VM recursion needs host head-room,
-    /// especially in debug builds.
-    pub host_stack_bytes: usize,
     /// Bytes served to `getchar`.
     pub input: Vec<u8>,
     /// Record the first N executed operators (0 = off). The trace lands
@@ -78,17 +72,18 @@ pub struct VmConfig {
     /// executes the same code as a quiet one.
     pub recorder: Recorder,
     /// Run compressed programs with the reference grammar walker instead
-    /// of the precompiled [`RuleProgram`] fast path. The two are
-    /// behaviourally identical (same `RunResult`, trace, and `vm.*`
-    /// telemetry — pinned by a differential proptest); the reference
-    /// walker exists as the executable specification and for
-    /// bisection.
+    /// of the compiled segment programs. The two are behaviourally
+    /// identical (same `RunResult`, trace, and `vm.*` telemetry — pinned
+    /// by a differential proptest); the reference walker exists as the
+    /// executable specification and for bisection.
     pub reference_walker: bool,
-    /// Decoded-segment cache capacity in entries (0 = walk only). The
-    /// fast path compiles each label-delimited segment it decodes into
-    /// a superinstruction program keyed by stream offset, so loop
-    /// back-edges replay it without re-walking derivations. Entries are
-    /// never evicted; segments past the cap are walked every time.
+    /// Compiled-segment cache capacity in entries. The default path
+    /// decodes each label-delimited segment on its first visit into a
+    /// program keyed by stream offset, fuses it into superinstructions
+    /// unless it holds a call, and caches it, so loop back-edges replay
+    /// it without decoding again. Entries are never evicted; a segment visited once the
+    /// cache is full is decoded on every visit and run step by step, so
+    /// 0 keeps nothing.
     pub segment_cache_entries: usize,
     /// Cooperative-cancellation handle for this run. Every path debits
     /// fuel through one helper, which polls the token whenever the step
@@ -104,7 +99,6 @@ impl Default for VmConfig {
             stack_size: 1 << 20,
             fuel: 200_000_000,
             max_call_depth: 200,
-            host_stack_bytes: 32 << 20,
             input: Vec::new(),
             trace_limit: 0,
             recorder: Recorder::disabled(),
@@ -161,11 +155,13 @@ impl From<VmError> for Stop {
 enum Repr<'p> {
     /// Uncompressed bytecode, run by `interp1`.
     Plain,
-    /// Compressed derivations, run by `interp_nt`.
+    /// Compressed derivations, run by `interp_nt_fast`, or by
+    /// `interp_nt` with `reference_walker` set.
     Compressed {
         grammar: &'p Grammar,
         start: Nt,
         byte_nt: Nt,
+        reference_walker: bool,
     },
 }
 
@@ -195,7 +191,6 @@ pub struct Vm<'p> {
     steps: u64,
     depth: usize,
     max_depth: usize,
-    host_stack_bytes: usize,
     trace: Vec<TraceEvent>,
     trace_limit: usize,
     recorder: Recorder,
@@ -210,19 +205,16 @@ pub struct Vm<'p> {
     call_depth_peak: usize,
     walk_depth_peak: usize,
     operand_stack_peak: usize,
-    /// The compiled rule programs, when the compressed fast path is
-    /// active (compressed repr and `reference_walker` off).
-    ruleprog: Option<Arc<RuleProgram>>,
-    /// Decoded-segment cache: `(proc, pc)` → compiled segment program,
-    /// or `None` for segments proven uncacheable (their decode faults).
+    /// Compiled-segment cache: `(proc, pc)` → the segment's program.
     /// Programs are `Arc`s so a replay can run one while `exec_op`
     /// borrows the VM mutably.
-    seg_cache: SegKeyMap<Option<Arc<SegProgram>>>,
+    seg_cache: SegKeyMap<Arc<SegProgram>>,
     seg_cache_cap: usize,
     seg_cache_bytes: usize,
+    /// Segment visits served from the cache, and segments decoded.
     seg_hits: u64,
     seg_misses: u64,
-    /// Segment programs compiled, and their superinstructions.
+    /// Segment programs cached, and their superinstructions.
     seg_compiled: u64,
     seg_fused_ops: u64,
     /// Whether a stream byte equal to [`escape::VERBATIM_MARKER`] can
@@ -244,16 +236,15 @@ impl<'p> Vm<'p> {
     /// Fails with [`VmError::UnknownNative`] if the global table names a
     /// routine the VM does not provide.
     pub fn new(program: &'p Program, config: VmConfig) -> Result<Vm<'p>, VmError> {
-        Vm::build(program, Repr::Plain, None, config)
+        Vm::build(program, Repr::Plain, config)
     }
 
     /// Load a compressed program (the `program` field of a
     /// `CompressedProgram`) together with the expanded grammar it was
     /// encoded against. `start` and `byte_nt` are the grammar's start and
     /// `<byte>` non-terminals (`InitialGrammar::nt_start`/`nt_byte`).
-    /// Builds the grammar's [`RuleProgram`] and loads through
-    /// [`Vm::with_rule_program`]; a host that runs many programs against
-    /// one grammar builds the rule program once and calls that instead.
+    /// Nothing is precomputed from the grammar: each segment is decoded
+    /// from it on first visit.
     ///
     /// # Errors
     ///
@@ -265,40 +256,16 @@ impl<'p> Vm<'p> {
         byte_nt: Nt,
         config: VmConfig,
     ) -> Result<Vm<'p>, VmError> {
-        let rules = Arc::new(RuleProgram::build(grammar, start, byte_nt));
-        Vm::with_rule_program(program, grammar, rules, config)
-    }
-
-    /// Load a compressed program against `grammar`, whose rule program
-    /// `rules` was built by [`RuleProgram::build`] (which fixes the start
-    /// and `<byte>` non-terminals). The fast path walks `rules`; with
-    /// [`VmConfig::reference_walker`] set the VM walks `grammar` instead
-    /// and ignores `rules`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Vm::new`].
-    pub fn with_rule_program(
-        program: &'p Program,
-        grammar: &'p Grammar,
-        rules: Arc<RuleProgram>,
-        config: VmConfig,
-    ) -> Result<Vm<'p>, VmError> {
         let repr = Repr::Compressed {
             grammar,
-            start: rules.start(),
-            byte_nt: rules.byte_nt(),
+            start,
+            byte_nt,
+            reference_walker: config.reference_walker,
         };
-        let rules = (!config.reference_walker).then_some(rules);
-        Vm::build(program, repr, rules, config)
+        Vm::build(program, repr, config)
     }
 
-    fn build(
-        program: &'p Program,
-        repr: Repr<'p>,
-        ruleprog: Option<Arc<RuleProgram>>,
-        config: VmConfig,
-    ) -> Result<Vm<'p>, VmError> {
+    fn build(program: &'p Program, repr: Repr<'p>, config: VmConfig) -> Result<Vm<'p>, VmError> {
         let verbatim_ok = match &repr {
             Repr::Compressed { grammar, start, .. } => {
                 grammar.rules_of(*start).len() <= usize::from(escape::VERBATIM_MARKER)
@@ -356,7 +323,6 @@ impl<'p> Vm<'p> {
             steps: 0,
             depth: 0,
             max_depth: config.max_call_depth,
-            host_stack_bytes: config.host_stack_bytes,
             trace: Vec::new(),
             trace_limit: config.trace_limit,
             telemetry_on: config.recorder.is_enabled(),
@@ -378,12 +344,17 @@ impl<'p> Vm<'p> {
             seg_misses: 0,
             seg_compiled: 0,
             seg_fused_ops: 0,
-            ruleprog,
             verbatim_ok,
             verbatim_segments: 0,
             cancel: config.cancel,
         })
     }
+
+    /// Host stack bytes for the interpreter thread. The interpreters
+    /// recurse on the host stack for procedure calls (like the paper's C
+    /// interpreters), so deep VM recursion needs head-room, especially
+    /// in debug builds.
+    const HOST_STACK_BYTES: usize = 32 << 20;
 
     /// Run the program from its entry procedure with no arguments.
     ///
@@ -396,13 +367,12 @@ impl<'p> Vm<'p> {
         // The interpreter thread gets its own trace lane; the caller's
         // trace attribution and fault plan are carried across explicitly
         // (thread-locals don't cross `thread::scope`).
-        let stack = self.host_stack_bytes;
         let trace_ctx = trace::current();
         let fault_ctx = faults::current();
         std::thread::scope(|scope| {
             std::thread::Builder::new()
                 .name("pgr-vm".into())
-                .stack_size(stack)
+                .stack_size(Self::HOST_STACK_BYTES)
                 .spawn_scoped(scope, || {
                     let _trace = trace::scope_raw(trace_ctx);
                     let _faults = faults::scope(fault_ctx);
@@ -456,13 +426,15 @@ impl<'p> Vm<'p> {
         batch.gauge_max(names::VM_CALL_DEPTH_PEAK, self.call_depth_peak as u64);
         batch.gauge_max(names::VM_WALK_DEPTH_PEAK, self.walk_depth_peak as u64);
         batch.gauge_max(names::VM_OPERAND_STACK_PEAK, self.operand_stack_peak as u64);
-        if let Some(rp) = &self.ruleprog {
+        if let Repr::Compressed {
+            reference_walker: false,
+            ..
+        } = self.repr
+        {
             batch.add(names::VM_SEG_CACHE_HITS, self.seg_hits);
             batch.add(names::VM_SEG_CACHE_MISSES, self.seg_misses);
             batch.gauge_max(names::VM_SEG_CACHE_BYTES, self.seg_cache_bytes as u64);
             batch.gauge_max(names::VM_SEG_CACHE_ENTRIES, self.seg_cache.len() as u64);
-            batch.gauge_max(names::VM_RULEPROG_BYTES, rp.table_bytes() as u64);
-            batch.gauge_max(names::VM_RULEPROG_MICRO_OPS, rp.micro_ops() as u64);
             batch.add(names::VM_TIER2_COMPILED, self.seg_compiled);
             batch.add(names::VM_TIER2_FUSED_OPS, self.seg_fused_ops);
         }
@@ -591,10 +563,14 @@ impl<'p> Vm<'p> {
                 grammar,
                 start,
                 byte_nt,
-            } => match self.ruleprog.clone() {
-                Some(rp) => self.interp_nt_fast(&frame, &rp),
-                None => self.interp_nt(&frame, grammar, start, byte_nt),
-            },
+                reference_walker: true,
+            } => self.interp_nt(&frame, grammar, start, byte_nt),
+            Repr::Compressed {
+                grammar,
+                start,
+                byte_nt,
+                reference_walker: false,
+            } => self.interp_nt_fast(&frame, grammar, start, byte_nt),
         };
         if let Some(name) = &call_name {
             self.recorder.trace_end(name);
@@ -664,7 +640,7 @@ impl<'p> Vm<'p> {
     /// little-endian, and the payload is plain canonical bytecode run
     /// exactly as [`Vm::interp1`] would — one fuel per instruction,
     /// identical telemetry, trace, and error shapes. Shared by both
-    /// compressed walkers so the escape cannot diverge between them.
+    /// compressed paths so the escape cannot diverge between them.
     ///
     /// Returns where control goes next: the stream offset after the
     /// payload (fall-through), a taken branch's label target, or out of
@@ -928,219 +904,91 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// The fast compressed-bytecode interpreter: the same loop as
-    /// [`Vm::interp_nt`] — one fuel unit per derivation-walk iteration,
-    /// identical error offsets and telemetry — but over the precompiled
-    /// [`RuleProgram`] micro-ops (one `u64` load per symbol instead of a
-    /// rule-object pattern match). The first walk of a segment is
-    /// recorded and sealed into a [`SegProgram`]; later visits replay
-    /// that program through [`Vm::replay`].
-    fn interp_nt_fast(&mut self, frame: &FrameCtx, rp: &Arc<RuleProgram>) -> Result<Slot, Stop> {
+    /// The fast compressed-bytecode interpreter: runs each segment as a
+    /// compiled [`SegProgram`] through [`Vm::replay`]. A segment's first
+    /// visit decodes it fuel-free from `grammar` and, while the cache has
+    /// room, fuses and caches the program; later visits take it from the
+    /// cache. Segments visited once the cache is full are decoded into a
+    /// buffer this activation reuses and run step by step. Fuel, results,
+    /// errors, traces and `vm.*` telemetry match [`Vm::interp_nt`]
+    /// (DESIGN.md §5e).
+    fn interp_nt_fast(
+        &mut self,
+        frame: &FrameCtx,
+        grammar: &Grammar,
+        start: Nt,
+        byte_nt: Nt,
+    ) -> Result<Slot, Stop> {
         let program = self.program;
         let proc = &program.procs[frame.proc_idx];
         let code = &proc.code;
-        let corrupt = |offset: usize, detail: &'static str| {
-            Stop::Error(VmError::CorruptDerivation {
-                proc: proc.name.clone(),
-                offset,
-                detail,
-            })
-        };
-
         let mut pc = 0usize;
         let mut stack: Vec<Slot> = Vec::with_capacity(16);
-        let mut walk: Vec<WalkFrame> = Vec::with_capacity(64);
-        let cache_on = self.seg_cache_cap > 0;
-        let mut rec = SegRecorder::default();
-
+        let mut uncached = SegProgram::default();
         loop {
-            if walk.is_empty() {
-                if self.verbatim_ok && code.get(pc) == Some(&escape::VERBATIM_MARKER) {
-                    // A verbatim escape: burn the marker iteration's
-                    // fuel (matching the reference walker's loop-top
-                    // burn) and execute the raw payload. Escapes bypass
-                    // the segment cache — they are already decoded.
-                    self.burn_fuel(1)?;
-                    match self.run_verbatim(frame, pc, &mut stack)? {
-                        Replay::Goto(next) => {
-                            pc = next;
-                            continue;
-                        }
-                        Replay::Returned(v) => return Ok(v),
+            let next = if pc >= code.len() {
+                // The segment-start iteration finds no stream left.
+                self.burn_fuel(1)?;
+                return Err(Stop::Error(VmError::FellOffEnd {
+                    proc: proc.name.clone(),
+                }));
+            } else if self.verbatim_ok && code[pc] == escape::VERBATIM_MARKER {
+                // A verbatim escape: burn the marker iteration's fuel
+                // (the reference walker's segment-start burn) and execute
+                // the raw payload. Escapes bypass the segment cache —
+                // they are already decoded.
+                self.burn_fuel(1)?;
+                self.run_verbatim(frame, pc, &mut stack)?
+            } else {
+                let key = seg_key(frame.proc_idx, pc);
+                let cached = match self.seg_cache.get(&key) {
+                    Some(prog) => {
+                        let prog = Arc::clone(prog);
+                        self.seg_hits += 1;
+                        Some(prog)
                     }
-                }
-                // Segment boundary: replay its compiled program, or
-                // start recording this one.
-                if cache_on {
-                    let key = seg_key(frame.proc_idx, pc);
-                    let hit = match self.seg_cache.get(&key) {
-                        Some(Some(prog)) if self.fuel >= prog.total_fuel => Some(Arc::clone(prog)),
-                        // Known-uncacheable segment, or not enough fuel
-                        // left for an exact replay: walk it.
-                        Some(_) => None,
-                        None => {
-                            if self.seg_cache.len() < self.seg_cache_cap {
-                                rec.begin(key);
-                            }
+                    None => {
+                        self.seg_misses += 1;
+                        if self.seg_cache.len() < self.seg_cache_cap {
+                            let mut prog = SegProgram::default();
+                            prog.decode(grammar, start, byte_nt, code, pc);
+                            prog.compile(proc, &self.globals);
+                            Some(self.cache_segment(key, prog))
+                        } else {
+                            uncached.decode(grammar, start, byte_nt, code, pc);
                             None
                         }
-                    };
-                    if let Some(prog) = hit {
-                        self.seg_hits += 1;
-                        match self.replay(frame, proc, &prog, &mut stack)? {
-                            Replay::Goto(next) => {
-                                pc = next;
-                                continue;
-                            }
-                            Replay::Returned(v) => return Ok(v),
-                        }
                     }
-                    self.seg_misses += 1;
-                }
-                // The segment-start iteration: the next stream byte
-                // selects a <start> rule.
-                self.burn_fuel(1)?;
-                rec.tick();
-                if pc >= code.len() {
-                    return Err(Stop::Error(VmError::FellOffEnd {
-                        proc: proc.name.clone(),
-                    }));
-                }
-                let b = code[pc];
-                pc += 1;
-                let Some(slot) = rp.select(rp.start().0, b) else {
-                    return Err(corrupt(pc - 1, "no such start rule"));
                 };
-                let (ip, end) = rp.rule_range(slot);
-                walk.push(WalkFrame { ip, end });
-                rec.rule(walk.len());
-                if self.telemetry_on {
-                    self.rules_walked += 1;
-                    if walk.len() > self.walk_depth_peak {
-                        self.walk_depth_peak = walk.len();
-                    }
-                }
-                continue;
-            }
-
-            self.burn_fuel(1)?;
-            rec.tick();
-            let top = walk.last_mut().expect("walk is non-empty");
-            if top.ip == top.end {
-                walk.pop();
-                if walk.is_empty() && rec.active {
-                    // Fall-through completion: the trailing window
-                    // becomes the program's tail.
-                    self.seal_recording(&mut rec, pc, proc);
-                }
-                continue;
-            }
-            let w = rp.op(top.ip);
-            top.ip += 1;
-            match ruleprog::kind(w) {
-                ruleprog::KIND_CHILD => {
-                    if pc >= code.len() {
-                        return Err(corrupt(pc, "stream ends inside a derivation"));
-                    }
-                    let b = code[pc];
-                    pc += 1;
-                    let Some(slot) = rp.select(ruleprog::child_nt(w), b) else {
-                        return Err(corrupt(pc - 1, "no such rule for non-terminal"));
-                    };
-                    let (ip, end) = rp.rule_range(slot);
-                    walk.push(WalkFrame { ip, end });
-                    rec.rule(walk.len());
-                    if self.telemetry_on {
-                        self.rules_walked += 1;
-                        if walk.len() > self.walk_depth_peak {
-                            self.walk_depth_peak = walk.len();
-                        }
-                    }
-                }
-                ruleprog::KIND_EXEC => {
-                    let mut operands = ruleprog::template(w);
-                    let mut mask = ruleprog::stream_mask(w);
-                    while mask != 0 {
-                        let slot = mask.trailing_zeros() as usize;
-                        mask &= mask - 1;
-                        if pc >= code.len() {
-                            return Err(corrupt(pc, "stream ends inside operands"));
-                        }
-                        operands[slot] = code[pc];
-                        pc += 1;
-                    }
-                    let op = Opcode::ALL[usize::from(ruleprog::opcode_byte(w))];
-                    rec.step(op, operands);
-                    if self.telemetry_on {
-                        self.dispatch[usize::from(op as u8)] += 1;
-                    }
-                    if self.trace_limit > 0 {
-                        self.record(frame.proc_idx, op, u32::from_le_bytes(operands));
-                    }
-                    let flow = self.exec_op(op, operands, frame, &mut stack)?;
-                    if self.telemetry_on && stack.len() > self.operand_stack_peak {
-                        self.operand_stack_peak = stack.len();
-                    }
-                    match flow {
-                        Flow::Continue => {}
-                        Flow::Branch(label) => {
-                            let target = Self::branch_target(proc, label)?;
-                            if rec.active {
-                                // The walk is abandoned mid-segment;
-                                // finish the decode fuel-free so the
-                                // cached trace covers the whole segment.
-                                self.finish_recording_by_decode(&mut rec, rp, proc, pc, &walk);
-                            }
-                            pc = target;
-                            walk.clear();
-                        }
-                        Flow::Return(v) => {
-                            if rec.active {
-                                self.finish_recording_by_decode(&mut rec, rp, proc, pc, &walk);
-                            }
-                            return Ok(v);
-                        }
-                    }
-                }
-                _ => {
-                    // KIND_CORRUPT: consume the stream operands the
-                    // reference would before faulting, then fault with
-                    // its exact offset and detail.
-                    let mut mask = ruleprog::stream_mask(w);
-                    while mask != 0 {
-                        mask &= mask - 1;
-                        if pc >= code.len() {
-                            return Err(corrupt(pc, "stream ends inside operands"));
-                        }
-                        pc += 1;
-                    }
-                    return Err(corrupt(
-                        pc,
-                        ruleprog::CORRUPT_DETAILS[ruleprog::detail_index(w)],
-                    ));
-                }
+                let prog = cached.as_deref().unwrap_or(&uncached);
+                self.replay(frame, proc, prog, &mut stack)?
+            };
+            match next {
+                Replay::Goto(target) => pc = target,
+                Replay::Returned(v) => return Ok(v),
             }
         }
     }
 
-    /// Run a compiled segment program — the one replay routine. A
-    /// call-free program debits its whole fuel up front (the caller
-    /// guarantees `fuel >= total_fuel`, and no step can consume fuel of
-    /// its own) and refunds the unexecuted remainder through the fuel
-    /// prefix sums on any side exit: taken branch, return, or fault. A
-    /// program containing a call is unfused and debits each step's
-    /// window just before the step (`PER_STEP`), so a callee sees
-    /// exactly the fuel the walk would leave it. Either way the fuel,
-    /// step count, result and error match the walk's exactly.
+    /// Publish a decoded, compiled program as its segment's cache entry.
+    fn cache_segment(&mut self, key: u64, prog: SegProgram) -> Arc<SegProgram> {
+        self.seg_compiled += 1;
+        self.seg_fused_ops += prog.ops.len() as u64;
+        self.seg_cache_bytes += prog.bytes();
+        let prog = Arc::new(prog);
+        self.seg_cache.insert(key, Arc::clone(&prog));
+        prog
+    }
+
+    /// Run a segment program — the one executor of compressed code on
+    /// the default path. A fused program runs its superinstructions when
+    /// the remaining fuel covers all of it; otherwise, and for programs
+    /// that are not fused, the source steps run one at a time. Either
+    /// way the fuel, step count, result, error, trace and telemetry
+    /// match the reference walk's.
     ///
-    /// Telemetry and tracing never change which handlers run: the
-    /// counts and trace events of the steps that ran are added in bulk
-    /// from the program's windows when the replay leaves, except that a
-    /// call-carrying program accounts each step before running it, so a
-    /// callee's events follow its caller's.
-    ///
-    /// Always inlined into the walk: out of line, its call cost the
-    /// benchmark's compressed sieve about 3%.
+    /// Always inlined into `interp_nt_fast`: out of line, its call cost
+    /// the benchmark's compressed sieve about 3%.
     #[inline(always)]
     fn replay(
         &mut self,
@@ -1149,54 +997,81 @@ impl<'p> Vm<'p> {
         prog: &SegProgram,
         stack: &mut Vec<Slot>,
     ) -> Result<Replay, Stop> {
-        if prog.has_calls {
-            self.run_program::<true>(frame, proc, prog, stack)
+        if !prog.ops.is_empty() && self.fuel >= prog.total_fuel {
+            self.run_fused(frame, proc, prog, stack)
         } else {
-            self.run_program::<false>(frame, proc, prog, stack)
+            self.run_steps(frame, proc, prog, stack)
         }
     }
 
-    /// The body of [`Vm::replay`], compiled once per fuel mode, so the
-    /// call-free loop carries neither a per-step debit nor a test of
-    /// the mode per superinstruction.
-    #[inline(always)]
-    fn run_program<const PER_STEP: bool>(
+    /// Run `prog`'s source steps one at a time through `exec_op`,
+    /// debiting each step's window just before the step: a callee sees
+    /// exactly the fuel the walk would leave it, and running short stops
+    /// at the walk's step count. Each step's telemetry and trace event
+    /// are added before it runs, so a callee's events follow its
+    /// caller's.
+    fn run_steps(
         &mut self,
         frame: &FrameCtx,
         proc: &Procedure,
         prog: &SegProgram,
         stack: &mut Vec<Slot>,
     ) -> Result<Replay, Stop> {
-        // Fuel debited so far: all of it up front, or through the last
-        // step that ran.
+        let observed = self.telemetry_on || self.trace_limit > 0;
         let mut charged = 0u64;
-        if !PER_STEP {
-            self.burn_fuel(prog.total_fuel)?;
-            charged = prog.total_fuel;
+        for (i, step) in prog.steps.iter().enumerate() {
+            self.burn_fuel(step.fuel_through - charged)?;
+            charged = step.fuel_through;
+            if observed {
+                self.account(frame.proc_idx, prog, i, i + 1);
+            }
+            let flow = self.exec_op(step.op, step.operands, frame, stack)?;
+            if self.telemetry_on && stack.len() > self.operand_stack_peak {
+                self.operand_stack_peak = stack.len();
+            }
+            match flow {
+                Flow::Continue => {}
+                Flow::Branch(label) => return Ok(Replay::Goto(Self::branch_target(proc, label)?)),
+                Flow::Return(v) => return Ok(Replay::Returned(v)),
+            }
         }
+        self.burn_fuel(prog.total_fuel - charged)?;
+        self.end_segment(proc, prog)
+    }
+
+    /// Run `prog`'s superinstructions. The caller guarantees
+    /// `fuel >= total_fuel`, and no step consumes fuel of its own (a
+    /// fused program holds no call), so the whole fuel is debited up
+    /// front; any side exit — taken branch, return, or fault — refunds
+    /// the unexecuted remainder through the fuel prefix sums.
+    ///
+    /// Telemetry and tracing never change which handlers run: the
+    /// counts and trace events of the steps that ran are added in bulk
+    /// from the program's windows when the replay leaves.
+    #[inline(always)]
+    fn run_fused(
+        &mut self,
+        frame: &FrameCtx,
+        proc: &Procedure,
+        prog: &SegProgram,
+        stack: &mut Vec<Slot>,
+    ) -> Result<Replay, Stop> {
+        self.burn_fuel(prog.total_fuel)?;
         let observed = self.telemetry_on || self.trace_limit > 0;
         let entry_height = stack.len();
-        // Steps whose telemetry is already added (per-step programs).
-        let mut accounted = 0usize;
-        // In an observed run, add the telemetry of a replay that leaves
-        // with `$ran` source steps dispatched, the first `$done` of them
-        // completed (their stack effect applied).
-        macro_rules! observe_exit {
-            ($ran:expr, $done:expr) => {
-                if observed {
-                    self.account_exit(frame.proc_idx, prog, accounted, $ran, entry_height, $done);
-                }
-            };
-        }
-        // Leave the program after source step `$at` dispatched: refund
-        // the fuel debited for later windows.
+        // Leave the program after source step `$at` dispatched, the
+        // first `$done` steps completed (their stack effect applied):
+        // refund the fuel debited for later windows and, in an observed
+        // run, add the telemetry of the steps that ran.
         macro_rules! leave {
             ($at:expr, $done:expr, $out:expr) => {{
                 let at: usize = $at;
-                let refund = charged - prog.fuel_through(at);
+                let refund = prog.total_fuel - prog.fuel_through(at);
                 self.fuel += refund;
                 self.steps -= refund;
-                observe_exit!(at + 1, $done);
+                if observed {
+                    self.account_exit(frame.proc_idx, prog, at + 1, entry_height, $done);
+                }
                 return $out;
             }};
         }
@@ -1215,19 +1090,6 @@ impl<'p> Vm<'p> {
         }
         for sop in prog.ops.iter() {
             let last = sop.last as usize;
-            if PER_STEP {
-                // Unfused: this superinstruction is source step `last`.
-                let through = prog.fuel_through(last);
-                if let Err(stop) = self.burn_fuel(through - charged) {
-                    observe_exit!(last, last);
-                    return Err(stop);
-                }
-                charged = through;
-                if observed {
-                    self.account(frame.proc_idx, prog, accounted, last + 1);
-                    accounted = last + 1;
-                }
-            }
             match sop.fused {
                 Fused::Push { imm } => stack.push(Slot::from_u(imm)),
                 Fused::PushLocal { off } => stack.push(Slot::from_u(frame.locals_base + off)),
@@ -1325,36 +1187,44 @@ impl<'p> Vm<'p> {
                 },
             }
         }
-        let n = prog.steps.len();
-        if PER_STEP {
-            if let Err(stop) = self.burn_fuel(prog.total_fuel - charged) {
-                observe_exit!(n, n);
-                return Err(stop);
-            }
+        if observed {
+            let n = prog.steps.len();
+            self.account_exit(frame.proc_idx, prog, n, entry_height, n);
         }
-        observe_exit!(n, n);
+        self.end_segment(proc, prog)
+    }
+
+    /// Leave a replay that got past `prog`'s last step and paid its
+    /// tail: add the tail window's telemetry, then fall through to the
+    /// next segment or raise the fault tail.
+    fn end_segment(&mut self, proc: &Procedure, prog: &SegProgram) -> Result<Replay, Stop> {
         if self.telemetry_on {
             self.rules_walked += u64::from(prog.tail_rules);
             self.walk_depth_peak = self.walk_depth_peak.max(prog.tail_depth as usize);
         }
-        Ok(Replay::Goto(prog.end_pc as usize))
+        match prog.end {
+            SegEnd::FallThrough(next) => Ok(Replay::Goto(next as usize)),
+            SegEnd::Fault { offset, detail } => Err(Stop::Error(VmError::CorruptDerivation {
+                proc: proc.name.clone(),
+                offset: offset as usize,
+                detail,
+            })),
+        }
     }
 
-    /// Add the telemetry of a replay that leaves after `ran` source
-    /// steps of `prog` dispatched, `done` of them completed, from a
-    /// stack `entry_height` deep at entry; steps before `from` were
-    /// accounted already.
+    /// Add the telemetry of a fused replay that leaves after `ran`
+    /// source steps of `prog` dispatched, `done` of them completed, from
+    /// a stack `entry_height` deep at entry.
     #[cold]
     fn account_exit(
         &mut self,
         proc_idx: usize,
         prog: &SegProgram,
-        from: usize,
         ran: usize,
         entry_height: usize,
         done: usize,
     ) {
-        self.account(proc_idx, prog, from, ran);
+        self.account(proc_idx, prog, 0, ran);
         if self.telemetry_on && done > 0 {
             let peak = entry_height as i64 + i64::from(prog.steps[done - 1].stack_peak);
             self.operand_stack_peak = self.operand_stack_peak.max(peak as usize);
@@ -1382,12 +1252,6 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// The rule program the fast path walks: `None` for plain programs
-    /// and with [`VmConfig::reference_walker`] set.
-    pub fn rule_program(&self) -> Option<&Arc<RuleProgram>> {
-        self.ruleprog.as_ref()
-    }
-
     /// Bytes of the address space materialized so far: data and bss,
     /// plus the heap and frame stack the program has written.
     pub fn materialized_bytes(&self) -> usize {
@@ -1406,103 +1270,6 @@ impl<'p> Vm<'p> {
             deopts: 0,
         }
     }
-
-    /// A branch or return abandoned the walk mid-segment while
-    /// recording: continue the *decode* (no fuel, no execution) over a
-    /// shadow walk until the segment drains, so the cached trace is
-    /// complete no matter where a later replay's control flow goes. A
-    /// decode that faults or exhausts the stream marks the segment
-    /// uncacheable instead — execution either keeps branching out before
-    /// the bad spot or dies there, so there is never a trace to reuse.
-    fn finish_recording_by_decode(
-        &mut self,
-        rec: &mut SegRecorder,
-        rp: &RuleProgram,
-        proc: &Procedure,
-        mut pc: usize,
-        walk: &[WalkFrame],
-    ) {
-        let code = &proc.code;
-        let mut shadow: Vec<WalkFrame> = walk.to_vec();
-        loop {
-            if shadow.is_empty() {
-                self.seal_recording(rec, pc, proc);
-                return;
-            }
-            let top = shadow.last_mut().expect("shadow walk is non-empty");
-            if top.ip == top.end {
-                shadow.pop();
-                rec.tick();
-                continue;
-            }
-            let w = rp.op(top.ip);
-            top.ip += 1;
-            match ruleprog::kind(w) {
-                ruleprog::KIND_CHILD => {
-                    rec.tick();
-                    let Some(&b) = code.get(pc) else { break };
-                    pc += 1;
-                    let Some(slot) = rp.select(ruleprog::child_nt(w), b) else {
-                        break;
-                    };
-                    let (ip, end) = rp.rule_range(slot);
-                    shadow.push(WalkFrame { ip, end });
-                    rec.rule(shadow.len());
-                }
-                ruleprog::KIND_EXEC => {
-                    rec.tick();
-                    let mut operands = ruleprog::template(w);
-                    let mut mask = ruleprog::stream_mask(w);
-                    let mut ok = true;
-                    while mask != 0 {
-                        let slot = mask.trailing_zeros() as usize;
-                        mask &= mask - 1;
-                        let Some(&b) = code.get(pc) else {
-                            ok = false;
-                            break;
-                        };
-                        operands[slot] = b;
-                        pc += 1;
-                    }
-                    if !ok {
-                        break;
-                    }
-                    rec.step(Opcode::ALL[usize::from(ruleprog::opcode_byte(w))], operands);
-                }
-                _ => break,
-            }
-        }
-        rec.abandon();
-        // Publish a negative entry: this segment's decode faults, so
-        // never try to record it again.
-        if self.seg_cache.len() < self.seg_cache_cap && !self.seg_cache.contains_key(&rec.key) {
-            self.seg_cache_bytes += size_of::<u64>() + size_of::<Option<Arc<SegProgram>>>();
-            self.seg_cache.insert(rec.key, None);
-        }
-    }
-
-    /// Compile a finished recording and publish it as the segment's
-    /// cache entry (unless a nested activation of the same segment, or
-    /// the cap, got there first).
-    fn seal_recording(&mut self, rec: &mut SegRecorder, end_pc: usize, proc: &Procedure) {
-        if self.seg_cache.len() < self.seg_cache_cap && !self.seg_cache.contains_key(&rec.key) {
-            let prog = rec.seal(end_pc, proc, &self.globals);
-            self.seg_compiled += 1;
-            self.seg_fused_ops += prog.fused_ops() as u64;
-            self.seg_cache_bytes += prog.bytes();
-            self.seg_cache.insert(rec.key, Some(Arc::new(prog)));
-        } else {
-            rec.abandon();
-        }
-    }
-}
-
-/// One decoded-walk frame of the fast path: a cursor over a rule's
-/// micro-op range.
-#[derive(Clone, Copy)]
-struct WalkFrame {
-    ip: u32,
-    end: u32,
 }
 
 /// Where a segment replay handed control: the next segment's stream
@@ -1555,73 +1322,5 @@ fn alu_imm(op: Opcode, a: Slot, imm: u32) -> Slot {
         Opcode::RSHI => Slot::from_i(a.i().wrapping_shr(imm & 31)),
         Opcode::RSHU => Slot::from_u(a.u().wrapping_shr(imm & 31)),
         other => unreachable!("non-fusable ALU operator {other:?}"),
-    }
-}
-
-#[cfg(test)]
-mod segment_cache_tests {
-    use super::*;
-    use pgr_bytecode::asm::assemble;
-    use pgr_core::{train, TrainConfig};
-
-    /// Counting loop — every segment replays.
-    const LOOP: &str = "proc main frame=16 args=0\n\
-         \tLIT1 0\n\tADDRLP 0\n\tASGNU\n\
-         \tLIT1 0\n\tADDRLP 8\n\tASGNU\n\
-         \tlabel 0\n\
-         \tADDRLP 0\n\tINDIRU\n\tLIT1 12\n\tLTI\n\tBrTrue 1\n\
-         \tJUMPV 2\n\
-         \tlabel 1\n\
-         \tADDRLP 8\n\tINDIRU\n\tLIT1 5\n\tADDU\n\tADDRLP 8\n\tASGNU\n\
-         \tADDRLP 0\n\tINDIRU\n\tLIT1 1\n\tADDU\n\tADDRLP 0\n\tASGNU\n\
-         \tJUMPV 0\n\
-         \tlabel 2\n\
-         \tADDRLP 8\n\tINDIRU\n\tRETU\n\
-         endproc\nentry main\n";
-
-    /// Negative cache entries ("this segment's decode faults") must
-    /// never replay: a fully poisoned cache walks every segment fresh,
-    /// compiles nothing, and still produces the byte-identical result.
-    #[test]
-    fn negative_segments_never_replay() {
-        let program = assemble(LOOP).unwrap();
-        let trained = train(&[&program], &TrainConfig::default()).unwrap();
-        let (cp, _) = trained.compress(&program).unwrap();
-        let ig = trained.initial();
-        let mk = || {
-            Vm::new_compressed(
-                &cp.program,
-                trained.expanded(),
-                ig.nt_start,
-                ig.nt_byte,
-                VmConfig::default(),
-            )
-            .unwrap()
-        };
-
-        let mut vm = mk();
-        let clean = vm.run().unwrap();
-        let stats = vm.tier2_stats();
-        assert!(
-            stats.compiled > 0,
-            "the clean run should compile its segments"
-        );
-        assert!(stats.hits > 0, "the clean run should replay the loop");
-
-        let mut vm = mk();
-        for (proc_idx, p) in cp.program.procs.iter().enumerate() {
-            for pc in 0..=p.code.len() {
-                vm.seg_cache.insert(seg_key(proc_idx, pc), None);
-            }
-        }
-        let poisoned = vm.run().unwrap();
-        let stats = vm.tier2_stats();
-        assert_eq!(stats.compiled, 0, "negative segment compiled");
-        assert_eq!(stats.hits, 0, "negative segment replayed");
-        assert!(
-            vm.seg_misses > 2,
-            "poisoned segments should be re-walked on every visit"
-        );
-        assert_eq!(poisoned, clean);
     }
 }

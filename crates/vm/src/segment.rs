@@ -1,23 +1,32 @@
-//! Compiled segment programs: the one replay form of compressed
-//! execution.
+//! Compiled segment programs: the one executable form of compressed
+//! code.
 //!
-//! The first walk of a label-delimited segment (keyed by procedure and
-//! segment-start `pc`) records, per executed operator, the resolved
-//! opcode and operand bytes together with the derivation-walk window
-//! that led up to it: fuel burnt, rules selected and walk-depth peak
-//! since the previous operator. When the walk seals the recording, the
-//! trace is lowered once through [`pgr_native::fuse`] into a
-//! [`SegProgram`] of superinstructions, and that program is the whole
-//! segment-cache entry: later entries at the same `pc` (loop back-edges,
-//! the hot case) run it through `Vm::replay` in `machine.rs` instead of
-//! walking the derivation again.
+//! Decoding a label-delimited segment (keyed by procedure and
+//! segment-start `pc`) is a pure function of its stream bytes; only
+//! control flow through it is dynamic. So on a segment's first visit the
+//! VM decodes it once, fuel-free, into a [`SegProgram`]: per operator,
+//! the resolved opcode and operand bytes together with the
+//! derivation-walk window that leads up to it (fuel, rules selected and
+//! walk-depth peak since the previous operator), plus a tail window that
+//! ends the segment. `Vm::replay` in `machine.rs` runs that program on
+//! this visit and every later one.
 //!
-//! A program keeps, per source step, running totals of the recorded
-//! windows: fuel, rules walked, walk-depth peak, and the operand-stack
-//! height peak implied by the operators' static stack effects. Those
-//! totals let the replay
+//! [`SegProgram::decode`] reads the [`Grammar`] with the same checks and
+//! the same fuel as the reference walker `interp_nt`: one unit each for
+//! the segment start, a rule selection, a frame pop and an operator
+//! dispatch, whose operands are gathered in that iteration. It shares no
+//! code with the walker, which stays the independent specification. A
+//! derivation that completes ends in a fall-through to the next
+//! segment; one that meets corruption ends in a *fault tail* carrying
+//! the walker's `CorruptDerivation` offset and detail, raised only when
+//! execution gets past every step before it.
 //!
-//! * debit a call-free program's fuel in one subtraction and refund the
+//! A program keeps, per source step, running totals of the windows:
+//! fuel, rules walked, walk-depth peak, and the operand-stack height
+//! peak implied by the operators' static stack effects. Those totals
+//! let the replay
+//!
+//! * debit a fused program's fuel in one subtraction and refund the
 //!   unexecuted remainder on any side exit (taken branch, return,
 //!   fault), landing on the exact source step the walk would have
 //!   reached;
@@ -25,14 +34,17 @@
 //!   bulk, so an observed run executes the same superinstructions as a
 //!   quiet one.
 //!
-//! A program containing a call stays unfused (every superinstruction is
-//! one `Exec` step) and debits each step's window just before the step,
-//! because callee fuel is data-dependent: the callee must see exactly
-//! the fuel the reference walk would leave it. DESIGN.md §5e states the
-//! equivalence contract; `crates/vm/tests/differential.rs` pins it.
+//! [`SegProgram::compile`] lowers a cached, call-free program through
+//! [`pgr_native::fuse`] into superinstructions. A program containing a
+//! call is not fused: callee fuel is data-dependent, so the replay runs
+//! it step by step and debits each step's window just before the step,
+//! and the callee sees exactly the fuel the reference walk would leave
+//! it. DESIGN.md §5e states the equivalence contract;
+//! `crates/vm/tests/differential.rs` pins it.
 
 use pgr_bytecode::{Opcode, Procedure};
-use pgr_native::fuse::{self, Fused, SuperOp};
+use pgr_grammar::{Grammar, Nt, RuleId, Symbol, Terminal};
+use pgr_native::fuse::{self, SuperOp};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -67,7 +79,7 @@ pub(crate) struct SegStep {
     /// The operator.
     pub(crate) op: Opcode,
     /// Fully resolved operand bytes (stream operands are a pure function
-    /// of the segment's `pc`, so they resolve at record time).
+    /// of the segment's `pc`, so they resolve at decode time).
     pub(crate) operands: [u8; 4],
     /// Fuel the walk burns from the segment start through this step's
     /// own dispatch.
@@ -81,30 +93,186 @@ pub(crate) struct SegStep {
     pub(crate) stack_peak: i32,
 }
 
-/// A recorded segment lowered to superinstructions, with the per-step
-/// ledger that keeps fused execution byte-identical to the walk.
+/// How a segment program ends once execution gets past its last step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SegEnd {
+    /// The derivation completes and the next segment starts at this
+    /// stream offset.
+    FallThrough(u32),
+    /// The derivation is corrupt here: the reference walker's
+    /// `CorruptDerivation` offset and detail.
+    Fault { offset: u32, detail: &'static str },
+}
+
+/// A decoded segment, with the per-step ledger that keeps its replay
+/// byte-identical to the walk.
 #[derive(Debug)]
 pub(crate) struct SegProgram {
     /// The superinstructions, in execution order; each covers the source
-    /// steps after its predecessor's `last` through its own.
-    pub(crate) ops: Box<[SuperOp]>,
+    /// steps after its predecessor's `last` through its own. Empty when
+    /// the program runs step by step: it holds a call, was not cached,
+    /// or has no steps.
+    pub(crate) ops: Vec<SuperOp>,
     /// The source steps.
-    pub(crate) steps: Box<[SegStep]>,
-    /// Fuel of a fall-through replay (every window plus the trailing
-    /// frame pops); a replay is entered only when this much remains.
+    pub(crate) steps: Vec<SegStep>,
+    /// Fuel from the segment start through its end: the trailing frame
+    /// pops of a fall-through, or the faulting iteration of a fault
+    /// tail. A fused replay is entered only when this much remains.
     pub(crate) total_fuel: u64,
     /// Rules selected after the last step.
     pub(crate) tail_rules: u32,
     /// Walk-depth peak after the last step.
     pub(crate) tail_depth: u32,
-    /// Stream offset of the next segment on fall-through.
-    pub(crate) end_pc: u32,
-    /// Whether any step is a call: such programs stay unfused and debit
-    /// fuel per step.
-    pub(crate) has_calls: bool,
+    /// What follows the last step.
+    pub(crate) end: SegEnd,
+}
+
+impl Default for SegProgram {
+    fn default() -> SegProgram {
+        SegProgram {
+            ops: Vec::new(),
+            steps: Vec::new(),
+            total_fuel: 0,
+            tail_rules: 0,
+            tail_depth: 0,
+            end: SegEnd::FallThrough(0),
+        }
+    }
 }
 
 impl SegProgram {
+    /// Decode the segment of `code` that starts at `pc` (which the
+    /// caller has checked is in bounds and not a verbatim escape) into
+    /// `self`, reusing its buffers. `start` and `byte_nt` are the
+    /// grammar's start and `<byte>` non-terminals. Nothing executes and
+    /// no fuel is burnt: the fuel each step and the tail would burn is
+    /// recorded instead.
+    pub(crate) fn decode(
+        &mut self,
+        grammar: &Grammar,
+        start: Nt,
+        byte_nt: Nt,
+        code: &[u8],
+        mut pc: usize,
+    ) {
+        self.ops.clear();
+        self.steps.clear();
+        // Running totals, the open window, and the operand-stack height
+        // relative to segment entry.
+        let mut fuel = 1u64; // the segment-start iteration
+        let mut rules = 0u32;
+        let mut depth = 0u32;
+        let mut win_rules = 0u32;
+        let mut win_depth = 0u32;
+        let mut height = 0i32;
+        let mut stack_peak = i32::MIN;
+        // The rule walk: (rule, position in its right-hand side).
+        let mut walk: Vec<(RuleId, usize)> = Vec::with_capacity(32);
+        let fault = |offset: usize, detail: &'static str| SegEnd::Fault {
+            offset: offset as u32,
+            detail,
+        };
+        let end = 'walk: {
+            let b = code[pc];
+            pc += 1;
+            let Some(&rule) = grammar.rules_of(start).get(usize::from(b)) else {
+                break 'walk fault(pc - 1, "no such start rule");
+            };
+            walk.push((rule, 0));
+            rules += 1;
+            win_rules += 1;
+            win_depth = win_depth.max(1);
+            while let Some(top) = walk.last_mut() {
+                fuel += 1;
+                let rhs = &grammar.rule(top.0).rhs;
+                let Some(&sym) = rhs.get(top.1) else {
+                    walk.pop();
+                    continue;
+                };
+                match sym {
+                    Symbol::N(nt) => {
+                        top.1 += 1;
+                        let Some(&b) = code.get(pc) else {
+                            break 'walk fault(pc, "stream ends inside a derivation");
+                        };
+                        pc += 1;
+                        let Some(&child) = grammar.rules_of(nt).get(usize::from(b)) else {
+                            break 'walk fault(pc - 1, "no such rule for non-terminal");
+                        };
+                        walk.push((child, 0));
+                        rules += 1;
+                        win_rules += 1;
+                        win_depth = win_depth.max(walk.len() as u32);
+                    }
+                    Symbol::T(Terminal::Byte(_)) => {
+                        break 'walk fault(pc, "literal byte not owned by an opcode");
+                    }
+                    Symbol::T(Terminal::Op(op)) => {
+                        // Each operand byte is burnt into the rule or read
+                        // from the stream through a <byte> (§5's GET).
+                        let mut operands = [0u8; 4];
+                        let mut p = top.1 + 1;
+                        for slot in operands.iter_mut().take(op.operand_bytes()) {
+                            match rhs.get(p) {
+                                Some(Symbol::T(Terminal::Byte(b))) => *slot = *b,
+                                Some(Symbol::N(nt)) if *nt == byte_nt => {
+                                    let Some(&b) = code.get(pc) else {
+                                        break 'walk fault(pc, "stream ends inside operands");
+                                    };
+                                    *slot = b;
+                                    pc += 1;
+                                }
+                                _ => break 'walk fault(pc, "operand layout violated"),
+                            }
+                            p += 1;
+                        }
+                        top.1 = p;
+                        let kind = op.kind();
+                        height += i32::from(kind.pushes()) - kind.pops() as i32;
+                        stack_peak = stack_peak.max(height);
+                        depth = depth.max(win_depth);
+                        self.steps.push(SegStep {
+                            op,
+                            operands,
+                            fuel_through: fuel,
+                            rules_through: rules,
+                            depth_peak: depth,
+                            stack_peak,
+                        });
+                        win_rules = 0;
+                        win_depth = 0;
+                    }
+                }
+            }
+            SegEnd::FallThrough(pc as u32)
+        };
+        self.total_fuel = fuel;
+        self.tail_rules = win_rules;
+        self.tail_depth = win_depth;
+        self.end = end;
+    }
+
+    /// Prepare a decoded program for the segment cache: lower a
+    /// call-free program into superinstructions, resolving branch labels
+    /// through `proc`'s label table and global indices through the
+    /// load-time `globals` table, and trim its buffers to size.
+    pub(crate) fn compile(&mut self, proc: &Procedure, globals: &[u32]) {
+        let has_calls = self
+            .steps
+            .iter()
+            .any(|s| s.op.is_local_call() || s.op.is_indirect_call());
+        if !has_calls {
+            self.ops = fuse::fuse_steps(
+                &self.steps,
+                |s| (s.op, s.operands),
+                |label| proc.labels.get(usize::from(label)).copied(),
+                |idx| globals.get(usize::from(idx)).copied(),
+            );
+        }
+        self.ops.shrink_to_fit();
+        self.steps.shrink_to_fit();
+    }
+
     /// Fuel burnt through source step `i` inclusive.
     #[inline]
     pub(crate) fn fuel_through(&self, i: usize) -> u64 {
@@ -128,141 +296,18 @@ impl SegProgram {
             + self.ops.len() * size_of::<SuperOp>()
             + self.steps.len() * size_of::<SegStep>()
     }
-
-    /// Number of superinstructions.
-    pub(crate) fn fused_ops(&self) -> usize {
-        self.ops.len()
-    }
-}
-
-/// Accumulates a segment's steps and walk windows while the fast path
-/// walks it for real. Inactive recorders make every hook a single
-/// predictable branch.
-#[derive(Default)]
-pub(crate) struct SegRecorder {
-    pub(crate) active: bool,
-    pub(crate) key: u64,
-    steps: Vec<SegStep>,
-    /// Running totals over the walk so far.
-    fuel: u64,
-    rules: u32,
-    depth: u32,
-    /// Operand-stack height relative to segment entry, and its peak.
-    height: i32,
-    stack_peak: i32,
-    /// Rules and depth peak since the last recorded step.
-    win_rules: u32,
-    win_depth: u32,
-}
-
-impl SegRecorder {
-    pub(crate) fn begin(&mut self, key: u64) {
-        *self = SegRecorder {
-            active: true,
-            key,
-            steps: std::mem::take(&mut self.steps),
-            stack_peak: i32::MIN,
-            ..SegRecorder::default()
-        };
-        self.steps.clear();
-    }
-
-    /// Count one derivation-walk iteration (one unit of fuel).
-    #[inline]
-    pub(crate) fn tick(&mut self) {
-        if self.active {
-            self.fuel += 1;
-        }
-    }
-
-    /// Count one rule selection at the given walk depth.
-    #[inline]
-    pub(crate) fn rule(&mut self, depth: usize) {
-        if self.active {
-            self.rules += 1;
-            self.win_rules += 1;
-            self.win_depth = self.win_depth.max(depth as u32);
-        }
-    }
-
-    /// Close the current window into a recorded step.
-    #[inline]
-    pub(crate) fn step(&mut self, op: Opcode, operands: [u8; 4]) {
-        if self.active {
-            let kind = op.kind();
-            self.height += i32::from(kind.pushes()) - kind.pops() as i32;
-            self.stack_peak = self.stack_peak.max(self.height);
-            self.depth = self.depth.max(self.win_depth);
-            self.steps.push(SegStep {
-                op,
-                operands,
-                fuel_through: self.fuel,
-                rules_through: self.rules,
-                depth_peak: self.depth,
-                stack_peak: self.stack_peak,
-            });
-            self.win_rules = 0;
-            self.win_depth = 0;
-        }
-    }
-
-    /// Stop recording and drop what was recorded.
-    pub(crate) fn abandon(&mut self) {
-        self.active = false;
-        self.steps.clear();
-    }
-
-    /// Stop recording and compile the segment, which falls through to
-    /// `end_pc`. Branch labels resolve through `proc`'s label table and
-    /// global indices through the load-time `globals` table; a trace
-    /// containing a call compiles to one `Exec` per step.
-    pub(crate) fn seal(&mut self, end_pc: usize, proc: &Procedure, globals: &[u32]) -> SegProgram {
-        self.active = false;
-        let steps = std::mem::take(&mut self.steps).into_boxed_slice();
-        let has_calls = steps
-            .iter()
-            .any(|s| s.op.is_local_call() || s.op.is_indirect_call());
-        let ops = if has_calls {
-            steps
-                .iter()
-                .enumerate()
-                .map(|(i, s)| SuperOp {
-                    fused: Fused::Exec {
-                        op: s.op,
-                        operands: s.operands,
-                    },
-                    last: i as u32,
-                })
-                .collect()
-        } else {
-            fuse::fuse_steps(
-                &steps,
-                |s| (s.op, s.operands),
-                |label| proc.labels.get(usize::from(label)).copied(),
-                |idx| globals.get(usize::from(idx)).copied(),
-            )
-        };
-        SegProgram {
-            ops: ops.into_boxed_slice(),
-            steps,
-            total_fuel: self.fuel,
-            tail_rules: self.win_rules,
-            tail_depth: self.win_depth,
-            end_pc: end_pc as u32,
-            has_calls,
-        }
-    }
 }
 
 /// Activity of the compiled segment programs, for the serve stats
 /// window and the benchmark ([`crate::Vm::tier2_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Tier2Stats {
-    /// Segment programs compiled (one per recorded segment).
+    /// Segment programs cached (one per segment decoded under the
+    /// cache's capacity).
     pub compiled: u64,
-    /// Superinstructions across all compiled programs.
+    /// Superinstructions across all cached programs.
     pub fused_ops: u64,
-    /// Replays served by compiled programs.
+    /// Segment visits served from the cache.
     pub hits: u64,
     /// Always 0: telemetry and tracing run the same compiled programs,
     /// so no replay falls back to a slower loop.
@@ -272,60 +317,154 @@ pub struct Tier2Stats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pgr_grammar::RuleOrigin;
+    use std::iter::repeat_n;
     use Opcode::*;
 
-    /// Record `ops` with one walk iteration and one rule per step, plus
-    /// one trailing frame pop.
-    fn record(ops: &[(Opcode, u8)]) -> SegProgram {
-        let mut rec = SegRecorder::default();
-        rec.begin(7);
-        for (depth, &(op, operand)) in ops.iter().enumerate() {
-            rec.tick();
-            rec.rule(depth + 1);
-            rec.step(op, [operand, 0, 0, 0]);
+    /// The operators of the test grammar's statements: `<start>` rule
+    /// `i + 1` is `<start> ::= <start> OPS[i] <byte>^n`.
+    const OPS: [Opcode; 6] = [LIT1, POPU, ADDU, BrTrue, ARGU, LocalCALLU];
+    /// `<start>` rule of a literal byte no operator owns.
+    const BYTE_RULE: u8 = OPS.len() as u8 + 1;
+    /// `<start>` rule of an operand slot that holds an operator.
+    const LAYOUT_RULE: u8 = OPS.len() as u8 + 2;
+
+    /// A grammar of flat `<start> ::= <start> body` statements over a
+    /// 256-rule `<byte>`, with `<start>`'s rule 0 the ε rule.
+    fn grammar() -> (Grammar, Nt, Nt) {
+        let o = RuleOrigin::Original;
+        let mut g = Grammar::new();
+        let start = g.add_nt("start");
+        let byte = g.add_nt("byte");
+        for b in 0..=255u8 {
+            g.add_rule(byte, vec![Symbol::byte(b)], o);
         }
-        rec.tick();
-        let mut proc = Procedure::new("t");
-        proc.labels = vec![40];
-        rec.seal(9, &proc, &[])
+        g.add_rule(start, Vec::new(), o);
+        let mut bodies: Vec<Vec<Symbol>> = OPS
+            .iter()
+            .map(|&op| {
+                let mut rhs = vec![Symbol::op(op)];
+                rhs.extend(repeat_n(Symbol::N(byte), op.operand_bytes()));
+                rhs
+            })
+            .collect();
+        bodies.push(vec![Symbol::byte(7)]);
+        bodies.push(vec![Symbol::op(LIT1), Symbol::op(POPU)]);
+        for body in bodies {
+            let mut rhs = vec![Symbol::N(start)];
+            rhs.extend(body);
+            g.add_rule(start, rhs, o);
+        }
+        (g, start, byte)
+    }
+
+    /// The stream of a segment of `(operator, first operand byte)`
+    /// statements: `<start>` rules outermost first, ε, then each
+    /// statement's operand bytes in execution order.
+    fn stream(stmts: &[(Opcode, u8)]) -> Vec<u8> {
+        let rule = |op: &Opcode| OPS.iter().position(|o| o == op).unwrap() as u8 + 1;
+        let mut out: Vec<u8> = stmts.iter().rev().map(|(op, _)| rule(op)).collect();
+        out.push(0);
+        for &(op, v) in stmts {
+            let n = op.operand_bytes();
+            out.extend([v].into_iter().chain(repeat_n(0, n)).take(n));
+        }
+        out
+    }
+
+    fn decode(code: &[u8], pc: usize) -> SegProgram {
+        let (g, start, byte) = grammar();
+        let mut prog = SegProgram::default();
+        prog.decode(&g, start, byte, code, pc);
+        prog
     }
 
     #[test]
     fn running_totals_anchor_each_step() {
-        let prog = record(&[(LIT1, 1), (LIT1, 2), (ADDU, 0), (POPU, 0)]);
+        let code = stream(&[(LIT1, 1), (LIT1, 2), (ADDU, 0), (POPU, 0)]);
+        let mut prog = decode(&code, 0);
+        // Five rule selections and the ε pop come before the first
+        // dispatch; each later step adds a frame pop and its dispatch.
         let fuel: Vec<_> = prog.steps.iter().map(|s| s.fuel_through).collect();
-        assert_eq!(fuel, [1, 2, 3, 4]);
-        let rules: Vec<_> = prog.steps.iter().map(|s| s.rules_through).collect();
-        assert_eq!(rules, [1, 2, 3, 4]);
-        let depth: Vec<_> = prog.steps.iter().map(|s| s.depth_peak).collect();
-        assert_eq!(depth, [1, 2, 3, 4]);
+        assert_eq!(fuel, [7, 9, 11, 13]);
+        assert!(prog
+            .steps
+            .iter()
+            .all(|s| s.rules_through == 5 && s.depth_peak == 5));
         // Heights after each step: 1, 2, 1, 0.
         let stack: Vec<_> = prog.steps.iter().map(|s| s.stack_peak).collect();
         assert_eq!(stack, [1, 2, 2, 2]);
-        assert_eq!(prog.total_fuel, 5);
-        assert_eq!(prog.rules_before(2), 2);
-        assert_eq!(prog.end_pc, 9);
-        assert!(!prog.has_calls);
+        assert_eq!(prog.steps[1].operands, [2, 0, 0, 0]);
+        // The tail is the last frame pop.
+        assert_eq!(
+            (prog.total_fuel, prog.tail_rules, prog.tail_depth),
+            (14, 0, 0)
+        );
+        assert_eq!(prog.rules_before(2), 5);
+        assert_eq!(prog.end, SegEnd::FallThrough(code.len() as u32));
+        prog.compile(&Procedure::new("t"), &[]);
         // LIT1 2; ADDU fuses to one superinstruction.
-        assert_eq!(prog.fused_ops(), 3);
+        assert_eq!(prog.ops.len(), 3);
     }
 
     #[test]
     fn popping_segments_start_below_zero() {
         // A segment that consumes values pushed by its predecessor.
-        let prog = record(&[(POPU, 0), (BrTrue, 0)]);
+        let prog = decode(&stream(&[(POPU, 0), (BrTrue, 0)]), 0);
         let stack: Vec<_> = prog.steps.iter().map(|s| s.stack_peak).collect();
         assert_eq!(stack, [-1, -1]);
     }
 
     #[test]
     fn call_carrying_segments_stay_unfused() {
-        let prog = record(&[(LIT1, 1), (ARGU, 0), (LocalCALLU, 0), (LIT1, 2), (ADDU, 0)]);
-        assert!(prog.has_calls);
-        assert_eq!(prog.fused_ops(), 5);
-        for (i, sop) in prog.ops.iter().enumerate() {
-            assert_eq!(sop.last as usize, i);
-            assert!(matches!(sop.fused, Fused::Exec { .. }));
-        }
+        let code = stream(&[(LIT1, 1), (ARGU, 0), (LocalCALLU, 0), (LIT1, 2), (ADDU, 0)]);
+        let mut prog = decode(&code, 0);
+        prog.compile(&Procedure::new("t"), &[]);
+        assert_eq!(prog.steps.len(), 5);
+        assert!(prog.ops.is_empty(), "a call-carrying program was fused");
+    }
+
+    #[test]
+    fn a_segment_decodes_from_its_own_pc() {
+        let first = stream(&[(LIT1, 3), (POPU, 0)]);
+        let mut code = first.clone();
+        code.extend(stream(&[(LIT1, 9), (POPU, 0)]));
+        let prog = decode(&code, first.len());
+        assert_eq!(prog.steps[0].operands, [9, 0, 0, 0]);
+        assert_eq!(prog.end, SegEnd::FallThrough(code.len() as u32));
+    }
+
+    #[test]
+    fn corrupt_derivations_end_in_a_fault_tail() {
+        // (steps, fuel through the faulting iteration, rules selected
+        // after the last step, end)
+        let tail = |code: &[u8]| {
+            let p = decode(code, 0);
+            (p.steps.len(), p.total_fuel, p.tail_rules, p.end)
+        };
+        let fault = |offset, detail| SegEnd::Fault { offset, detail };
+        assert_eq!(tail(&[200]), (0, 1, 0, fault(0, "no such start rule")));
+        assert_eq!(
+            tail(&[2, 200]),
+            (0, 2, 1, fault(1, "no such rule for non-terminal"))
+        );
+        assert_eq!(
+            tail(&[2, 1]),
+            (0, 3, 2, fault(2, "stream ends inside a derivation"))
+        );
+        // POPU runs, then LIT1's operand is missing.
+        let code = stream(&[(POPU, 0), (LIT1, 5)]);
+        assert_eq!(
+            tail(&code[..code.len() - 1]),
+            (1, 7, 0, fault(3, "stream ends inside operands"))
+        );
+        assert_eq!(
+            tail(&[BYTE_RULE, 0]),
+            (0, 4, 2, fault(2, "literal byte not owned by an opcode"))
+        );
+        assert_eq!(
+            tail(&[LAYOUT_RULE, 0]),
+            (0, 4, 2, fault(2, "operand layout violated"))
+        );
     }
 }

@@ -1,16 +1,18 @@
 //! Differential testing of the compressed-interpreter fast path.
 //!
-//! The precompiled-rule-program walker (with its compiled segment
-//! programs, with a one-entry segment cache, and with the cache off)
-//! must be *byte-identical* to the reference grammar walker: same
-//! `RunResult` (return value, output, exit code, **step count**), same
-//! operator trace, and the same `vm.*` telemetry. Every configuration
-//! runs twice, instrumented (recorder plus `trace_limit`) and quiet, and
-//! both must compile and replay the same segment programs. These
-//! proptests drive the matrix over parameterized program shapes (loops —
-//! the segment-cache hot case —, recursion, straight line), over fuel
-//! exhaustion at arbitrary points, and over completely arbitrary
-//! derivation streams, asserting exact agreement every time.
+//! The compiled segment programs (cached and fused by default, with a
+//! one-entry segment cache, and with the cache off, where every visit
+//! decodes and runs step by step) must be *byte-identical* to the
+//! reference grammar walker: same `RunResult` (return value, output,
+//! exit code, **step count**), same operator trace, and the same `vm.*`
+//! telemetry. Every configuration runs twice, instrumented (recorder
+//! plus `trace_limit`) and quiet, and both must compile and replay the
+//! same segment programs. These proptests drive the matrix over
+//! parameterized program shapes (loops — the segment-cache hot case —,
+//! recursion, straight line), over fuel exhaustion at arbitrary points,
+//! over completely arbitrary derivation streams, and over hand-built
+//! streams whose segments end in fault tails, asserting exact agreement
+//! every time.
 //!
 //! One documented exception (DESIGN.md §5e): when a run dies of fuel
 //! exhaustion, `vm.rules_walked`/`vm.walk_depth_peak` may undercount on
@@ -22,7 +24,7 @@ use pgr_bytecode::{Opcode, Procedure, Program};
 use pgr_core::{train, TrainConfig, Trained};
 use pgr_grammar::{Grammar, InitialGrammar, Nt, RuleOrigin, Symbol, Terminal};
 use pgr_telemetry::{Metrics, Recorder};
-use pgr_vm::{RunResult, Vm, VmConfig, VmError};
+use pgr_vm::{RunResult, Tier2Stats, Vm, VmConfig, VmError};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::collections::BTreeMap;
@@ -123,14 +125,13 @@ fn trained() -> &'static Trained {
 }
 
 /// The `vm.*` telemetry view both paths must agree on: fast-path-only
-/// families (`vm.segment_cache.*`, `vm.ruleprog.*`, `vm.tier2.*`) are
-/// excluded, and the two walk gauges are excluded for fuel-exhausted
-/// runs (see the module docs).
+/// families (`vm.segment_cache.*`, `vm.tier2.*`) are excluded, and the
+/// two walk gauges are excluded for fuel-exhausted runs (see the module
+/// docs).
 fn vm_view(m: &Metrics, exact_walk: bool) -> (BTreeMap<String, u64>, BTreeMap<String, u64>) {
     let keep = |k: &str| {
         k.starts_with("vm.")
             && !k.starts_with("vm.segment_cache.")
-            && !k.starts_with("vm.ruleprog.")
             && !k.starts_with("vm.tier2.")
             && (exact_walk || (k != "vm.rules_walked" && k != "vm.walk_depth_peak"))
     };
@@ -150,9 +151,9 @@ fn vm_view(m: &Metrics, exact_walk: bool) -> (BTreeMap<String, u64>, BTreeMap<St
 
 /// The configurations both halves of the matrix drive, as
 /// `(reference_walker, segment_cache_entries)` rows: the default, a
-/// one-entry segment cache (later segments are walked every time), the
-/// cache off (walk only), and the reference walker, which comes last
-/// and is the spec.
+/// one-entry segment cache (later segments are decoded on every visit
+/// and run step by step), the cache off (every segment so), and the
+/// reference walker, which comes last and is the spec.
 const CONFIGS: [(bool, usize); 4] = [(false, 1024), (false, 1), (false, 0), (true, 0)];
 
 /// Run `program` (the compressed image) under every configuration,
@@ -254,6 +255,9 @@ enum Stmt {
     /// segment's last statement it is a tail window that selects rules
     /// after the last operator.
     Tail,
+    /// [`Stmt::Tail`] with its last selection out of range: the
+    /// segment's derivation is corrupt there.
+    BadTail,
 }
 
 /// Length of the ε chain of [`Stmt::Tail`]: deeper than any walk of a
@@ -333,7 +337,7 @@ fn encode_segment(g: &StreamGrammar, stmts: &[Stmt]) -> Vec<u8> {
             Stmt::Store(_) => 6,
             Stmt::Call => 7,
             Stmt::Ret => 8,
-            Stmt::Tail => 9,
+            Stmt::Tail | Stmt::BadTail => 9,
         }]
     };
     let mut out: Vec<u8> = stmts.iter().rev().map(rule).collect();
@@ -345,6 +349,8 @@ fn encode_segment(g: &StreamGrammar, stmts: &[Stmt]) -> Vec<u8> {
             Stmt::Load(o) | Stmt::Store(o) => out.extend(o.to_le_bytes()),
             Stmt::Call => out.extend([1, 0]),
             Stmt::Tail => out.extend([0; TAIL_DEPTH]),
+            // The chain's last non-terminal has one rule.
+            Stmt::BadTail => out.extend([0; TAIL_DEPTH - 1].into_iter().chain([1])),
             Stmt::Pop | Stmt::Ret => {}
         }
     }
@@ -389,7 +395,7 @@ fn stmt(kind: u8, arg: u8, segments: usize) -> Stmt {
         5 => 4_096 + u16::from(arg),
         n => u16::from(n % 4) * 4,
     };
-    match kind % 12 {
+    match kind % 13 {
         0 | 1 => Stmt::Push(arg % 3),
         2 => Stmt::Pop,
         3 => Stmt::CmpBr(label),
@@ -399,7 +405,8 @@ fn stmt(kind: u8, arg: u8, segments: usize) -> Stmt {
         7 => Stmt::Store(local),
         8 | 9 => Stmt::Call,
         10 => Stmt::Ret,
-        _ => Stmt::Tail,
+        11 => Stmt::Tail,
+        _ => Stmt::BadTail,
     }
 }
 
@@ -519,6 +526,74 @@ fn a_tail_window_first_reached_by_a_replay_is_counted() {
     );
 }
 
+/// Run a hand-built stream once with the default configuration and
+/// return its outcome and segment-program stats.
+fn run_stream(program: &Program) -> (Result<RunResult, VmError>, Tier2Stats) {
+    let g = stream_grammar();
+    let mut vm =
+        Vm::new_compressed(program, &g.grammar, g.start, g.byte_nt, VmConfig::default()).unwrap();
+    let result = vm.run();
+    (result, vm.tier2_stats())
+}
+
+#[test]
+fn a_fault_tail_that_execution_branches_away_from_still_replays() {
+    // Segment 1 pops a flag and branches back to itself while it is
+    // nonzero, then jumps to segment 2: its corrupt tail is never
+    // reached, so it compiles once and serves three more visits.
+    let program = stream_program(&[
+        vec![
+            Stmt::Push(0),
+            Stmt::Push(1),
+            Stmt::Push(1),
+            Stmt::Push(1),
+            Stmt::Jump(1),
+        ],
+        vec![Stmt::Br(1), Stmt::Jump(2), Stmt::BadTail],
+        vec![Stmt::Push(7), Stmt::Ret],
+    ]);
+    let outcome = agree_stream(&program, 20_000).unwrap();
+    assert_eq!(outcome.unwrap().ret.u(), 7);
+    let (result, stats) = run_stream(&program);
+    assert_eq!(result.unwrap().ret.u(), 7);
+    assert_eq!(stats.compiled, 3, "{stats:?}");
+    assert_eq!(stats.hits, 3, "the looping segment was not replayed");
+}
+
+#[test]
+fn a_fault_tail_dies_at_the_reference_step() {
+    // One segment pushes and pops, then its tail selects a rule that
+    // does not exist.
+    let program = stream_program(&[vec![Stmt::Push(1), Stmt::Pop, Stmt::BadTail]]);
+    let g = stream_grammar();
+    let recorder = Recorder::new();
+    let config = VmConfig {
+        reference_walker: true,
+        recorder: recorder.clone(),
+        ..VmConfig::default()
+    };
+    let mut vm = Vm::new_compressed(&program, &g.grammar, g.start, g.byte_nt, config).unwrap();
+    let fault = vm.run().unwrap_err();
+    assert_eq!(
+        fault,
+        VmError::CorruptDerivation {
+            proc: "main".into(),
+            offset: program.procs[0].code.len() - 1,
+            detail: "no such rule for non-terminal",
+        }
+    );
+    // With exactly the fuel the walk spends up to the fault, every path
+    // raises the same fault; with one unit less, every path runs out.
+    let steps = recorder.snapshot().counters()["vm.steps"];
+    assert_eq!(agree_stream(&program, steps).unwrap(), Err(fault));
+    assert_eq!(
+        agree_stream(&program, steps - 1).unwrap(),
+        Err(VmError::OutOfFuel)
+    );
+    let (_, stats) = run_stream(&program);
+    assert_eq!((stats.compiled, stats.hits), (1, 0));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -533,8 +608,9 @@ proptest! {
         // Hand-built streams whose segments push, pop, branch and call
         // without balancing the operand stack, so loops re-enter their
         // labels at changing heights: replays then underflow in fused
-        // compare-and-branches, fault in calls at a new stack peak, and
-        // fall through tail windows their recording never walked.
+        // compare-and-branches, fault in calls at a new stack peak, fall
+        // through tail windows their first visit never reached, and
+        // branch away from or die in fault tails.
         let segments: Vec<Vec<Stmt>> = raw
             .iter()
             .map(|seg| seg.iter().map(|&(k, a)| stmt(k, a, raw.len())).collect())

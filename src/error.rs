@@ -107,11 +107,19 @@ impl From<ServeError> for PgrError {
 
 impl PgrError {
     /// Render the error with its full cause chain, one `caused by:` line
-    /// per source, for terminal diagnostics:
+    /// per source whose text the report does not already end with, for
+    /// terminal diagnostics. Most layers quote their source, so a chain
+    /// usually renders as one line:
     ///
     /// ```text
-    /// compression failed: f: segment at 3: no parse at token 2
-    ///   caused by: no parse at token 2
+    /// decompression failed: main: step 3: N2 has no rule 10
+    /// ```
+    ///
+    /// while a layer that only names the failure keeps its cause:
+    ///
+    /// ```text
+    /// grammar file rejected
+    ///   caused by: not a PGRG grammar file
     /// ```
     pub fn report(&self) -> String {
         error_chain(self)
@@ -119,12 +127,18 @@ impl PgrError {
 }
 
 /// Render any error and its [`source`](Error::source) chain, one
-/// indented `caused by:` line per level.
+/// indented `caused by:` line per level, skipping a level whose text
+/// the rendering so far already ends with (a layer that quotes its
+/// source).
 pub fn error_chain(err: &dyn Error) -> String {
     let mut out = err.to_string();
     let mut cause = err.source();
     while let Some(e) = cause {
-        out.push_str(&format!("\n  caused by: {e}"));
+        let text = e.to_string();
+        if !out.ends_with(&text) {
+            out.push_str("\n  caused by: ");
+            out.push_str(&text);
+        }
         cause = e.source();
     }
     out
@@ -172,9 +186,10 @@ mod tests {
         .compress(&prog)
         .unwrap_err()
         .into();
-        let report = err.report();
-        assert!(report.starts_with("compression failed"), "{report}");
-        assert!(report.contains("caused by:"), "{report}");
+        assert_eq!(
+            err.report(),
+            "compression failed: f: segment at 0: input has no derivation (stuck near token 0)"
+        );
     }
 
     #[test]
@@ -188,10 +203,39 @@ mod tests {
 
     #[test]
     fn chain_renders_every_level() {
-        let prog = undecodable_program();
-        let err: PgrError = train(&[&prog], &TrainConfig::default()).unwrap_err().into();
-        let report = err.report();
-        // PgrError -> TrainError -> ValidateError -> DecodeError.
-        assert_eq!(report.matches("caused by:").count(), 3, "{report}");
+        // A layer that only names the failure keeps its cause's line.
+        let err: PgrError = pgr_grammar::GrammarFile::from_bytes(b"junk")
+            .unwrap_err()
+            .into();
+        assert_eq!(
+            err.report(),
+            "grammar file rejected\n  caused by: not a PGRG grammar file"
+        );
+        // A layer that quotes its cause prints the sentence once.
+        let config = TrainConfig {
+            expander: pgr_core::ExpanderConfig {
+                max_rules_per_nt: 300,
+                ..Default::default()
+            },
+            ..TrainConfig::default()
+        };
+        let err: PgrError = train(&[], &config).unwrap_err().into();
+        assert_eq!(
+            err.report(),
+            "training failed: rule cap 300 is above 256: rule indices must fit one byte"
+        );
+        // Every level of a derivation error quotes the next.
+        let sieve = pgr_corpus::compile_sample("sieve");
+        let crc32 = pgr_corpus::compile_sample("crc32");
+        let (image, _) = train(&[&sieve], &TrainConfig::default())
+            .unwrap()
+            .compress(&sieve)
+            .unwrap();
+        let foreign = train(&[&crc32], &TrainConfig::default()).unwrap();
+        let err: PgrError = foreign.decompress(&image).unwrap_err().into();
+        assert_eq!(
+            err.report(),
+            "decompression failed: main: step 3: N2 has no rule 10"
+        );
     }
 }

@@ -5,6 +5,7 @@
 use pgr::bytecode::validate_program;
 use pgr::core::{canonicalize_program, train, TrainConfig};
 use pgr::corpus::{compile_sample, corpus, CorpusName, SAMPLES};
+use pgr::telemetry::{names, Recorder};
 use pgr::vm::{Vm, VmConfig};
 
 /// Compression round-trips exactly on every sample program.
@@ -52,6 +53,39 @@ fn samples_run_identically_compressed() {
         assert_eq!(plain.output, direct.output, "{name}");
         assert_eq!(plain.ret, direct.ret, "{name}");
         assert_eq!(plain.exit_code, direct.exit_code, "{name}");
+    }
+}
+
+/// Each segment is decoded once and cached: on the recursive samples,
+/// where a segment is re-entered before its first visit has left it,
+/// the decodes still equal the cached programs.
+#[test]
+fn recursive_samples_decode_each_segment_once() {
+    let programs: Vec<_> = SAMPLES.iter().map(|(n, _)| compile_sample(n)).collect();
+    let refs: Vec<_> = programs.iter().collect();
+    let trained = train(&refs, &TrainConfig::default()).unwrap();
+    let ig = trained.initial();
+    for name in ["8q", "sort"] {
+        let (compressed, _) = trained.compress(&compile_sample(name)).unwrap();
+        let recorder = Recorder::new();
+        let config = VmConfig {
+            recorder: recorder.clone(),
+            ..VmConfig::default()
+        };
+        let mut vm = Vm::new_compressed(
+            &compressed.program,
+            trained.expanded(),
+            ig.nt_start,
+            ig.nt_byte,
+            config,
+        )
+        .unwrap();
+        vm.run().unwrap_or_else(|e| panic!("{name}: {e}"));
+        let m = recorder.snapshot();
+        let compiled = m.counter(names::VM_TIER2_COMPILED);
+        assert!(compiled > 0, "{name}");
+        assert_eq!(m.counter(names::VM_SEG_CACHE_MISSES), compiled, "{name}");
+        assert!(m.counter(names::VM_SEG_CACHE_HITS) > 0, "{name}");
     }
 }
 
