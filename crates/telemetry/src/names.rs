@@ -139,17 +139,20 @@ pub const VM_OPERAND_STACK_PEAK: &str = "vm.operand_stack_peak";
 /// VM: segment visits served by a compiled program from the segment
 /// cache.
 pub const VM_SEG_CACHE_HITS: &str = "vm.segment_cache.hits";
-/// VM: segments decoded (each segment once while the cache has room,
-/// every visit once it is full).
+/// VM: segment decodes, whole or as the visit runs (each segment once
+/// while the cache has room; past a full cache, every visit that finds
+/// no cold entry to evict).
 pub const VM_SEG_CACHE_MISSES: &str = "vm.segment_cache.misses";
 /// VM gauge: resident bytes of the cached segment programs.
 pub const VM_SEG_CACHE_BYTES: &str = "vm.segment_cache.bytes";
-/// VM gauge: resident segment-cache entries, one compiled program each.
+/// VM gauge: resident segment-cache entries, one compiled program each,
+/// at most `VmConfig::segment_cache_entries`.
 pub const VM_SEG_CACHE_ENTRIES: &str = "vm.segment_cache.entries";
 /// VM: verbatim-escape segments executed directly (raw bytecode embedded
 /// by the compressor's graceful-degradation fallback).
 pub const VM_VERBATIM_SEGMENTS: &str = "vm.verbatim.segments";
-/// VM: decoded segment programs cached (replays of them are
+/// VM: decoded segment programs cached, a segment evicted and cached
+/// again counting each time (replays of them are
 /// `vm.segment_cache.hits`, their bytes `vm.segment_cache.bytes`).
 pub const VM_TIER2_COMPILED: &str = "vm.tier2.compiled";
 /// VM: superinstructions across all cached segment programs (a program

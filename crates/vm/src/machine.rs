@@ -6,8 +6,9 @@
 //! `interp1`. Compressed code runs in the reference walker `interp_nt`
 //! (the executable spec) or, by default, in `interp_nt_fast`, which
 //! decodes each segment once into a [`SegProgram`] on its first visit
-//! and runs it through `Vm::replay` on that visit and every later one;
-//! `run_verbatim` executes the verbatim escapes both paths share.
+//! and runs it through `Vm::replay` on that visit and every later one
+//! (a visit the segment cache has no room for decodes its segment as it
+//! runs); `run_verbatim` executes the verbatim escapes both paths share.
 //! Procedure calls allocate frames on the frame-stack region of
 //! the VM's memory; arguments travel in a contiguous block, "an x86
 //! calling convention that passes all arguments in contiguous memory"
@@ -21,7 +22,7 @@ use crate::error::VmError;
 use crate::exec::Flow;
 use crate::memory::Memory;
 use crate::natives::{self, Native, NativeOutcome};
-use crate::segment::{SegEnd, SegKeyMap, SegProgram, Tier2Stats};
+use crate::segment::{SegDecoder, SegEnd, SegKeyMap, SegProgram, SegStep, SegTail, Tier2Stats};
 use crate::value::Slot;
 use pgr_bytecode::{escape, GlobalEntry, Opcode, Procedure, Program};
 use pgr_grammar::{Grammar, Nt, Symbol, Terminal};
@@ -81,9 +82,9 @@ pub struct VmConfig {
     /// decodes each label-delimited segment on its first visit into a
     /// program keyed by stream offset, fuses it into superinstructions
     /// unless it holds a call, and caches it, so loop back-edges replay
-    /// it without decoding again. Entries are never evicted; a segment visited once the
-    /// cache is full is decoded on every visit and run step by step, so
-    /// 0 keeps nothing.
+    /// it without decoding again. Once the cache is full, a missing
+    /// segment may evict an entry no visit has hit lately; a visit that
+    /// finds no room decodes its segment as it runs. 0 keeps nothing.
     pub segment_cache_entries: usize,
     /// Cooperative-cancellation handle for this run. Every path debits
     /// fuel through one helper, which polls the token whenever the step
@@ -205,18 +206,28 @@ pub struct Vm<'p> {
     call_depth_peak: usize,
     walk_depth_peak: usize,
     operand_stack_peak: usize,
-    /// Compiled-segment cache: `(proc, pc)` → the segment's program.
-    /// Programs are `Arc`s so a replay can run one while `exec_op`
-    /// borrows the VM mutably.
-    seg_cache: SegKeyMap<Arc<SegProgram>>,
+    /// Compiled-segment cache: `(proc, pc)` → the segment's program
+    /// and its slot in `seg_ring`. Programs are `Arc`s so a replay can
+    /// run one while `exec_op` borrows the VM mutably, even after it is
+    /// evicted.
+    seg_cache: SegKeyMap<(Arc<SegProgram>, usize)>,
     seg_cache_cap: usize,
     seg_cache_bytes: usize,
+    /// The eviction clock: per slot, the cached key and whether a visit
+    /// has hit it since the hand last passed; and the hand.
+    seg_ring: Vec<(u64, bool)>,
+    seg_hand: usize,
     /// Segment visits served from the cache, and segments decoded.
     seg_hits: u64,
     seg_misses: u64,
     /// Segment programs cached, and their superinstructions.
     seg_compiled: u64,
     seg_fused_ops: u64,
+    /// Iterations of fuel-free decoding so far: once the cache is full
+    /// it stays within a share of the steps executed
+    /// ([`Vm::EVICTING_DECODE_SHARE`]), and it counts toward the
+    /// cancellation stride.
+    decode_work: u64,
     /// Whether a stream byte equal to [`escape::VERBATIM_MARKER`] can
     /// only mean a verbatim escape: true when the grammar's start
     /// non-terminal has at most 255 rules (the compressor reserves the
@@ -340,10 +351,13 @@ impl<'p> Vm<'p> {
             seg_cache: SegKeyMap::default(),
             seg_cache_cap: config.segment_cache_entries,
             seg_cache_bytes: 0,
+            seg_ring: Vec::new(),
+            seg_hand: 0,
             seg_hits: 0,
             seg_misses: 0,
             seg_compiled: 0,
             seg_fused_ops: 0,
+            decode_work: 0,
             verbatim_ok,
             verbatim_segments: 0,
             cancel: config.cancel,
@@ -906,12 +920,13 @@ impl<'p> Vm<'p> {
 
     /// The fast compressed-bytecode interpreter: runs each segment as a
     /// compiled [`SegProgram`] through [`Vm::replay`]. A segment's first
-    /// visit decodes it fuel-free from `grammar` and, while the cache has
-    /// room, fuses and caches the program; later visits take it from the
-    /// cache. Segments visited once the cache is full are decoded into a
-    /// buffer this activation reuses and run step by step. Fuel, results,
-    /// errors, traces and `vm.*` telemetry match [`Vm::interp_nt`]
-    /// (DESIGN.md §5e).
+    /// visit decodes it fuel-free from `grammar`, compiles the program
+    /// and caches it; later visits take it from the cache. Once the cache
+    /// is full, a new program may evict a cold entry ([`Vm::claim_slot`]);
+    /// otherwise, and with the cache off, the visit decodes its segment
+    /// one step at a time as it runs, so the decode costs no more than
+    /// the fuel its steps burn. Fuel, results, errors, traces and `vm.*`
+    /// telemetry match [`Vm::interp_nt`] (DESIGN.md §5e).
     fn interp_nt_fast(
         &mut self,
         frame: &FrameCtx,
@@ -924,7 +939,7 @@ impl<'p> Vm<'p> {
         let code = &proc.code;
         let mut pc = 0usize;
         let mut stack: Vec<Slot> = Vec::with_capacity(16);
-        let mut uncached = SegProgram::default();
+        let mut dec = SegDecoder::default();
         loop {
             let next = if pc >= code.len() {
                 // The segment-start iteration finds no stream left.
@@ -941,27 +956,30 @@ impl<'p> Vm<'p> {
                 self.run_verbatim(frame, pc, &mut stack)?
             } else {
                 let key = seg_key(frame.proc_idx, pc);
-                let cached = match self.seg_cache.get(&key) {
-                    Some(prog) => {
-                        let prog = Arc::clone(prog);
-                        self.seg_hits += 1;
-                        Some(prog)
-                    }
-                    None => {
-                        self.seg_misses += 1;
-                        if self.seg_cache.len() < self.seg_cache_cap {
-                            let mut prog = SegProgram::default();
-                            prog.decode(grammar, start, byte_nt, code, pc);
-                            prog.compile(proc, &self.globals);
-                            Some(self.cache_segment(key, prog))
-                        } else {
-                            uncached.decode(grammar, start, byte_nt, code, pc);
-                            None
-                        }
-                    }
+                let cached = match self.seg_cache.is_empty() {
+                    true => None,
+                    false => self
+                        .seg_cache
+                        .get(&key)
+                        .map(|(p, slot)| (Arc::clone(p), *slot)),
                 };
-                let prog = cached.as_deref().unwrap_or(&uncached);
-                self.replay(frame, proc, prog, &mut stack)?
+                if let Some((prog, slot)) = cached {
+                    self.seg_hits += 1;
+                    self.seg_ring[slot].1 = true;
+                    self.replay(frame, proc, &prog, &mut stack)?
+                } else if let Some(slot) = self.claim_slot(key) {
+                    self.seg_misses += 1;
+                    let mut prog = SegProgram::decode(&mut dec, grammar, start, byte_nt, code, pc);
+                    prog.compile(proc, &self.globals);
+                    let work = prog.tail.total_fuel;
+                    let prog = self.cache_segment(key, slot, prog);
+                    self.count_decode(work)?;
+                    self.replay(frame, proc, &prog, &mut stack)?
+                } else {
+                    self.seg_misses += 1;
+                    dec.start(grammar, start, code, pc);
+                    self.run_decoding(frame, proc, &mut dec, grammar, byte_nt, &mut stack)?
+                }
             };
             match next {
                 Replay::Goto(target) => pc = target,
@@ -970,22 +988,71 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Publish a decoded, compiled program as its segment's cache entry.
-    fn cache_segment(&mut self, key: u64, prog: SegProgram) -> Arc<SegProgram> {
+    /// A slot of the eviction clock for `key`'s program: a new one while
+    /// the cache has room. Once it is full, the hand moves one slot per
+    /// miss: an entry hit since the hand last passed stays and loses its
+    /// mark, and an unmarked one is evicted for `key`, but only while all
+    /// fuel-free decoding so far is at most one iteration per
+    /// [`Vm::EVICTING_DECODE_SHARE`] steps executed. So a hot working set
+    /// larger than the cache keeps most of itself cached instead of
+    /// churning. `None`: the visit runs uncached.
+    fn claim_slot(&mut self, key: u64) -> Option<usize> {
+        if self.seg_ring.len() < self.seg_cache_cap {
+            self.seg_ring.push((key, false));
+            return Some(self.seg_ring.len() - 1);
+        }
+        if self.seg_ring.is_empty() || self.decode_work > self.steps / Self::EVICTING_DECODE_SHARE {
+            return None;
+        }
+        let slot = self.seg_hand;
+        self.seg_hand = (slot + 1) % self.seg_ring.len();
+        let (old, hit) = &mut self.seg_ring[slot];
+        if std::mem::take(hit) {
+            return None;
+        }
+        let (evicted, _) = self.seg_cache.remove(old).expect("ring keys are cached");
+        self.seg_cache_bytes -= evicted.bytes();
+        *old = key;
+        Some(slot)
+    }
+
+    /// Once the segment cache is full, fuel-free decoding may take at
+    /// most one iteration per this many steps executed; past that a miss
+    /// decodes as it runs. A working set that fits the cache is soon
+    /// cached again, while a run that keeps missing spends almost all its
+    /// time executing.
+    const EVICTING_DECODE_SHARE: u64 = 8;
+
+    /// Publish a decoded, compiled program as its segment's cache entry
+    /// in ring slot `slot`.
+    fn cache_segment(&mut self, key: u64, slot: usize, prog: SegProgram) -> Arc<SegProgram> {
         self.seg_compiled += 1;
         self.seg_fused_ops += prog.ops.len() as u64;
         self.seg_cache_bytes += prog.bytes();
         let prog = Arc::new(prog);
-        self.seg_cache.insert(key, Arc::clone(&prog));
+        self.seg_cache.insert(key, (Arc::clone(&prog), slot));
         prog
     }
 
-    /// Run a segment program — the one executor of compressed code on
-    /// the default path. A fused program runs its superinstructions when
-    /// the remaining fuel covers all of it; otherwise, and for programs
-    /// that are not fused, the source steps run one at a time. Either
-    /// way the fuel, step count, result, error, trace and telemetry
-    /// match the reference walk's.
+    /// Count `work` iterations of a fuel-free decode toward the
+    /// cancellation stride: a run that decodes many long segments polls
+    /// its [`CancelToken`] as often as one that executes that many steps.
+    fn count_decode(&mut self, work: u64) -> Result<(), Stop> {
+        let before = self.decode_work;
+        self.decode_work += work;
+        if self.decode_work > before | Self::CANCEL_STRIDE_MASK && self.cancel.is_cancelled() {
+            return Err(Stop::Error(VmError::Cancelled {
+                elapsed_ms: self.cancel.elapsed_ms(),
+            }));
+        }
+        Ok(())
+    }
+
+    /// Run a cached segment program. A fused program runs its
+    /// superinstructions when the remaining fuel covers all of it;
+    /// otherwise, and for programs that are not fused, the source steps
+    /// run one at a time. Either way the fuel, step count, result, error,
+    /// trace and telemetry match the reference walk's.
     ///
     /// Always inlined into `interp_nt_fast`: out of line, its call cost
     /// the benchmark's compressed sieve about 3%.
@@ -997,19 +1064,14 @@ impl<'p> Vm<'p> {
         prog: &SegProgram,
         stack: &mut Vec<Slot>,
     ) -> Result<Replay, Stop> {
-        if !prog.ops.is_empty() && self.fuel >= prog.total_fuel {
+        if !prog.ops.is_empty() && self.fuel >= prog.tail.total_fuel {
             self.run_fused(frame, proc, prog, stack)
         } else {
             self.run_steps(frame, proc, prog, stack)
         }
     }
 
-    /// Run `prog`'s source steps one at a time through `exec_op`,
-    /// debiting each step's window just before the step: a callee sees
-    /// exactly the fuel the walk would leave it, and running short stops
-    /// at the walk's step count. Each step's telemetry and trace event
-    /// are added before it runs, so a callee's events follow its
-    /// caller's.
+    /// Run `prog`'s source steps one at a time through [`Vm::run_step`].
     fn run_steps(
         &mut self,
         frame: &FrameCtx,
@@ -1017,26 +1079,77 @@ impl<'p> Vm<'p> {
         prog: &SegProgram,
         stack: &mut Vec<Slot>,
     ) -> Result<Replay, Stop> {
-        let observed = self.telemetry_on || self.trace_limit > 0;
         let mut charged = 0u64;
-        for (i, step) in prog.steps.iter().enumerate() {
-            self.burn_fuel(step.fuel_through - charged)?;
-            charged = step.fuel_through;
-            if observed {
-                self.account(frame.proc_idx, prog, i, i + 1);
-            }
-            let flow = self.exec_op(step.op, step.operands, frame, stack)?;
-            if self.telemetry_on && stack.len() > self.operand_stack_peak {
-                self.operand_stack_peak = stack.len();
-            }
-            match flow {
-                Flow::Continue => {}
-                Flow::Branch(label) => return Ok(Replay::Goto(Self::branch_target(proc, label)?)),
-                Flow::Return(v) => return Ok(Replay::Returned(v)),
+        let mut rules = 0u32;
+        for step in &prog.steps {
+            if let Some(out) = self.run_step(frame, proc, step, &mut charged, &mut rules, stack)? {
+                return Ok(out);
             }
         }
-        self.burn_fuel(prog.total_fuel - charged)?;
-        self.end_segment(proc, prog)
+        self.burn_fuel(prog.tail.total_fuel - charged)?;
+        self.end_segment(proc, &prog.tail)
+    }
+
+    /// Run the segment `dec` has started, each step as soon as it is
+    /// decoded, so a visit that leaves early decodes no further.
+    fn run_decoding(
+        &mut self,
+        frame: &FrameCtx,
+        proc: &Procedure,
+        dec: &mut SegDecoder,
+        grammar: &Grammar,
+        byte_nt: Nt,
+        stack: &mut Vec<Slot>,
+    ) -> Result<Replay, Stop> {
+        let mut charged = 0u64;
+        let mut rules = 0u32;
+        while let Some(step) = dec.next_step(grammar, byte_nt, &proc.code) {
+            if let Some(out) = self.run_step(frame, proc, &step, &mut charged, &mut rules, stack)? {
+                return Ok(out);
+            }
+        }
+        let tail = dec.tail();
+        self.burn_fuel(tail.total_fuel - charged)?;
+        self.end_segment(proc, &tail)
+    }
+
+    /// Run one source step through `exec_op`, debiting its window just
+    /// before it: a callee sees exactly the fuel the walk would leave it,
+    /// and running short stops at the walk's step count. `charged` and
+    /// `rules` are the segment's fuel debited and rules counted so far.
+    /// The step's telemetry and trace event are added before it runs, so
+    /// a callee's events follow its caller's. Returns where control goes
+    /// when the step leaves the segment.
+    #[inline(always)]
+    fn run_step(
+        &mut self,
+        frame: &FrameCtx,
+        proc: &Procedure,
+        step: &SegStep,
+        charged: &mut u64,
+        rules: &mut u32,
+        stack: &mut Vec<Slot>,
+    ) -> Result<Option<Replay>, Stop> {
+        self.burn_fuel(step.fuel_through - *charged)?;
+        *charged = step.fuel_through;
+        if self.telemetry_on {
+            self.rules_walked += u64::from(step.rules_through - *rules);
+            self.walk_depth_peak = self.walk_depth_peak.max(step.depth_peak as usize);
+            self.dispatch[usize::from(step.op as u8)] += 1;
+        }
+        *rules = step.rules_through;
+        if self.trace_limit > 0 {
+            self.record(frame.proc_idx, step.op, u32::from_le_bytes(step.operands));
+        }
+        let flow = self.exec_op(step.op, step.operands, frame, stack)?;
+        if self.telemetry_on && stack.len() > self.operand_stack_peak {
+            self.operand_stack_peak = stack.len();
+        }
+        match flow {
+            Flow::Continue => Ok(None),
+            Flow::Branch(label) => Ok(Some(Replay::Goto(Self::branch_target(proc, label)?))),
+            Flow::Return(v) => Ok(Some(Replay::Returned(v))),
+        }
     }
 
     /// Run `prog`'s superinstructions. The caller guarantees
@@ -1056,7 +1169,7 @@ impl<'p> Vm<'p> {
         prog: &SegProgram,
         stack: &mut Vec<Slot>,
     ) -> Result<Replay, Stop> {
-        self.burn_fuel(prog.total_fuel)?;
+        self.burn_fuel(prog.tail.total_fuel)?;
         let observed = self.telemetry_on || self.trace_limit > 0;
         let entry_height = stack.len();
         // Leave the program after source step `$at` dispatched, the
@@ -1066,7 +1179,7 @@ impl<'p> Vm<'p> {
         macro_rules! leave {
             ($at:expr, $done:expr, $out:expr) => {{
                 let at: usize = $at;
-                let refund = prog.total_fuel - prog.fuel_through(at);
+                let refund = prog.tail.total_fuel - prog.fuel_through(at);
                 self.fuel += refund;
                 self.steps -= refund;
                 if observed {
@@ -1191,18 +1304,18 @@ impl<'p> Vm<'p> {
             let n = prog.steps.len();
             self.account_exit(frame.proc_idx, prog, n, entry_height, n);
         }
-        self.end_segment(proc, prog)
+        self.end_segment(proc, &prog.tail)
     }
 
-    /// Leave a replay that got past `prog`'s last step and paid its
-    /// tail: add the tail window's telemetry, then fall through to the
-    /// next segment or raise the fault tail.
-    fn end_segment(&mut self, proc: &Procedure, prog: &SegProgram) -> Result<Replay, Stop> {
+    /// Leave a segment whose execution got past its last step and paid
+    /// its tail: add the tail window's telemetry, then fall through to
+    /// the next segment or raise the fault tail.
+    fn end_segment(&mut self, proc: &Procedure, tail: &SegTail) -> Result<Replay, Stop> {
         if self.telemetry_on {
-            self.rules_walked += u64::from(prog.tail_rules);
-            self.walk_depth_peak = self.walk_depth_peak.max(prog.tail_depth as usize);
+            self.rules_walked += u64::from(tail.rules);
+            self.walk_depth_peak = self.walk_depth_peak.max(tail.depth as usize);
         }
-        match prog.end {
+        match tail.end {
             SegEnd::FallThrough(next) => Ok(Replay::Goto(next as usize)),
             SegEnd::Fault { offset, detail } => Err(Stop::Error(VmError::CorruptDerivation {
                 proc: proc.name.clone(),

@@ -11,15 +11,17 @@
 //! ends the segment. `Vm::replay` in `machine.rs` runs that program on
 //! this visit and every later one.
 //!
-//! [`SegProgram::decode`] reads the [`Grammar`] with the same checks and
-//! the same fuel as the reference walker `interp_nt`: one unit each for
-//! the segment start, a rule selection, a frame pop and an operator
-//! dispatch, whose operands are gathered in that iteration. It shares no
-//! code with the walker, which stays the independent specification. A
-//! derivation that completes ends in a fall-through to the next
-//! segment; one that meets corruption ends in a *fault tail* carrying
-//! the walker's `CorruptDerivation` offset and detail, raised only when
-//! execution gets past every step before it.
+//! A [`SegDecoder`] reads the [`Grammar`] with the same checks and the
+//! same fuel as the reference walker `interp_nt`: one unit each for the
+//! segment start, a rule selection, a frame pop and an operator
+//! dispatch, whose operands are gathered in that iteration. It stops at
+//! each operator, so a visit the segment cache has no room for runs each
+//! step as soon as it is decoded; [`SegProgram::decode`] drains it into
+//! a whole program. It shares no code with the walker, which stays the
+//! independent specification. A derivation that completes ends in a
+//! fall-through to the next segment; one that meets corruption ends in
+//! a *fault tail* carrying the walker's `CorruptDerivation` offset and
+//! detail, raised only when execution gets past every step before it.
 //!
 //! A program keeps, per source step, running totals of the windows:
 //! fuel, rules walked, walk-depth peak, and the operand-stack height
@@ -89,11 +91,12 @@ pub(crate) struct SegStep {
     /// Walk-depth peak from the segment start through this step.
     pub(crate) depth_peak: u32,
     /// Peak operand-stack height, relative to the height at segment
-    /// entry, after each step from the first through this one.
+    /// entry, after each step from the first through this one. Set by
+    /// [`SegProgram::decode`]; 0 in a step run as soon as it is decoded.
     pub(crate) stack_peak: i32,
 }
 
-/// How a segment program ends once execution gets past its last step.
+/// Where control goes once execution gets past a segment's last step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SegEnd {
     /// The derivation completes and the next segment starts at this
@@ -104,152 +107,66 @@ pub(crate) enum SegEnd {
     Fault { offset: u32, detail: &'static str },
 }
 
+/// The walk window after a segment's last step, and what follows it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SegTail {
+    /// Fuel from the segment start through its end: the trailing frame
+    /// pops of a fall-through, or the faulting iteration of a fault
+    /// tail. A fused replay is entered only when this much remains.
+    pub(crate) total_fuel: u64,
+    /// Rules selected after the last step.
+    pub(crate) rules: u32,
+    /// Walk-depth peak after the last step.
+    pub(crate) depth: u32,
+    /// What follows the last step.
+    pub(crate) end: SegEnd,
+}
+
 /// A decoded segment, with the per-step ledger that keeps its replay
 /// byte-identical to the walk.
 #[derive(Debug)]
 pub(crate) struct SegProgram {
     /// The superinstructions, in execution order; each covers the source
     /// steps after its predecessor's `last` through its own. Empty when
-    /// the program runs step by step: it holds a call, was not cached,
-    /// or has no steps.
+    /// the program runs step by step: it holds a call or has no steps.
     pub(crate) ops: Vec<SuperOp>,
     /// The source steps.
     pub(crate) steps: Vec<SegStep>,
-    /// Fuel from the segment start through its end: the trailing frame
-    /// pops of a fall-through, or the faulting iteration of a fault
-    /// tail. A fused replay is entered only when this much remains.
-    pub(crate) total_fuel: u64,
-    /// Rules selected after the last step.
-    pub(crate) tail_rules: u32,
-    /// Walk-depth peak after the last step.
-    pub(crate) tail_depth: u32,
-    /// What follows the last step.
-    pub(crate) end: SegEnd,
-}
-
-impl Default for SegProgram {
-    fn default() -> SegProgram {
-        SegProgram {
-            ops: Vec::new(),
-            steps: Vec::new(),
-            total_fuel: 0,
-            tail_rules: 0,
-            tail_depth: 0,
-            end: SegEnd::FallThrough(0),
-        }
-    }
+    /// The window after the last step.
+    pub(crate) tail: SegTail,
 }
 
 impl SegProgram {
-    /// Decode the segment of `code` that starts at `pc` (which the
-    /// caller has checked is in bounds and not a verbatim escape) into
-    /// `self`, reusing its buffers. `start` and `byte_nt` are the
-    /// grammar's start and `<byte>` non-terminals. Nothing executes and
-    /// no fuel is burnt: the fuel each step and the tail would burn is
-    /// recorded instead.
+    /// Decode the whole segment of `code` that starts at `pc` (which the
+    /// caller has checked is in bounds and not a verbatim escape) with
+    /// `dec`. `start` and `byte_nt` are the grammar's start and `<byte>`
+    /// non-terminals. Nothing executes and no fuel is burnt: the fuel
+    /// each step and the tail would burn is recorded instead.
     pub(crate) fn decode(
-        &mut self,
+        dec: &mut SegDecoder,
         grammar: &Grammar,
         start: Nt,
         byte_nt: Nt,
         code: &[u8],
-        mut pc: usize,
-    ) {
-        self.ops.clear();
-        self.steps.clear();
-        // Running totals, the open window, and the operand-stack height
-        // relative to segment entry.
-        let mut fuel = 1u64; // the segment-start iteration
-        let mut rules = 0u32;
-        let mut depth = 0u32;
-        let mut win_rules = 0u32;
-        let mut win_depth = 0u32;
+        pc: usize,
+    ) -> SegProgram {
+        dec.start(grammar, start, code, pc);
+        let mut steps = Vec::new();
+        // Operand-stack height relative to segment entry, and its peak.
         let mut height = 0i32;
         let mut stack_peak = i32::MIN;
-        // The rule walk: (rule, position in its right-hand side).
-        let mut walk: Vec<(RuleId, usize)> = Vec::with_capacity(32);
-        let fault = |offset: usize, detail: &'static str| SegEnd::Fault {
-            offset: offset as u32,
-            detail,
-        };
-        let end = 'walk: {
-            let b = code[pc];
-            pc += 1;
-            let Some(&rule) = grammar.rules_of(start).get(usize::from(b)) else {
-                break 'walk fault(pc - 1, "no such start rule");
-            };
-            walk.push((rule, 0));
-            rules += 1;
-            win_rules += 1;
-            win_depth = win_depth.max(1);
-            while let Some(top) = walk.last_mut() {
-                fuel += 1;
-                let rhs = &grammar.rule(top.0).rhs;
-                let Some(&sym) = rhs.get(top.1) else {
-                    walk.pop();
-                    continue;
-                };
-                match sym {
-                    Symbol::N(nt) => {
-                        top.1 += 1;
-                        let Some(&b) = code.get(pc) else {
-                            break 'walk fault(pc, "stream ends inside a derivation");
-                        };
-                        pc += 1;
-                        let Some(&child) = grammar.rules_of(nt).get(usize::from(b)) else {
-                            break 'walk fault(pc - 1, "no such rule for non-terminal");
-                        };
-                        walk.push((child, 0));
-                        rules += 1;
-                        win_rules += 1;
-                        win_depth = win_depth.max(walk.len() as u32);
-                    }
-                    Symbol::T(Terminal::Byte(_)) => {
-                        break 'walk fault(pc, "literal byte not owned by an opcode");
-                    }
-                    Symbol::T(Terminal::Op(op)) => {
-                        // Each operand byte is burnt into the rule or read
-                        // from the stream through a <byte> (§5's GET).
-                        let mut operands = [0u8; 4];
-                        let mut p = top.1 + 1;
-                        for slot in operands.iter_mut().take(op.operand_bytes()) {
-                            match rhs.get(p) {
-                                Some(Symbol::T(Terminal::Byte(b))) => *slot = *b,
-                                Some(Symbol::N(nt)) if *nt == byte_nt => {
-                                    let Some(&b) = code.get(pc) else {
-                                        break 'walk fault(pc, "stream ends inside operands");
-                                    };
-                                    *slot = b;
-                                    pc += 1;
-                                }
-                                _ => break 'walk fault(pc, "operand layout violated"),
-                            }
-                            p += 1;
-                        }
-                        top.1 = p;
-                        let kind = op.kind();
-                        height += i32::from(kind.pushes()) - kind.pops() as i32;
-                        stack_peak = stack_peak.max(height);
-                        depth = depth.max(win_depth);
-                        self.steps.push(SegStep {
-                            op,
-                            operands,
-                            fuel_through: fuel,
-                            rules_through: rules,
-                            depth_peak: depth,
-                            stack_peak,
-                        });
-                        win_rules = 0;
-                        win_depth = 0;
-                    }
-                }
-            }
-            SegEnd::FallThrough(pc as u32)
-        };
-        self.total_fuel = fuel;
-        self.tail_rules = win_rules;
-        self.tail_depth = win_depth;
-        self.end = end;
+        while let Some(mut step) = dec.next_step(grammar, byte_nt, code) {
+            let kind = step.op.kind();
+            height += i32::from(kind.pushes()) - kind.pops() as i32;
+            stack_peak = stack_peak.max(height);
+            step.stack_peak = stack_peak;
+            steps.push(step);
+        }
+        SegProgram {
+            ops: Vec::new(),
+            steps,
+            tail: dec.tail(),
+        }
     }
 
     /// Prepare a decoded program for the segment cache: lower a
@@ -298,12 +215,165 @@ impl SegProgram {
     }
 }
 
+/// The derivation walk of one segment, decoded one operator at a time.
+/// [`SegProgram::decode`] drains it into a whole program; a segment the
+/// cache has no room for runs each step as soon as it is decoded, so
+/// decoding costs no more than the fuel the steps burn.
+///
+/// It reads the [`Grammar`] with the same checks and fuel as the
+/// reference walker `interp_nt`: one unit each for the segment start, a
+/// rule selection, a frame pop and an operator dispatch, whose operands
+/// are gathered in that iteration.
+#[derive(Debug, Default)]
+pub(crate) struct SegDecoder {
+    /// The rule walk: (rule, position in its right-hand side).
+    walk: Vec<(RuleId, usize)>,
+    /// The next stream byte.
+    pc: usize,
+    /// Running totals since the segment start: fuel, rules selected and
+    /// walk-depth peak through the last step.
+    fuel: u64,
+    rules: u32,
+    depth: u32,
+    /// The open window: rules selected and walk-depth peak since the
+    /// last step.
+    win_rules: u32,
+    win_depth: u32,
+    /// Set once the walk completes or meets corruption.
+    end: Option<SegEnd>,
+}
+
+impl SegDecoder {
+    /// Begin the segment of `code` that starts at `pc`, which the caller
+    /// has checked is in bounds and not a verbatim escape: the
+    /// segment-start iteration selects its `<start>` rule.
+    pub(crate) fn start(&mut self, grammar: &Grammar, start: Nt, code: &[u8], pc: usize) {
+        self.walk.clear();
+        self.pc = pc + 1;
+        self.fuel = 1;
+        self.rules = 0;
+        self.depth = 0;
+        self.win_rules = 0;
+        self.win_depth = 0;
+        self.end = None;
+        match grammar.rules_of(start).get(usize::from(code[pc])) {
+            Some(&rule) => {
+                self.walk.push((rule, 0));
+                self.rules = 1;
+                self.win_rules = 1;
+                self.win_depth = 1;
+            }
+            None => self.fault(pc, "no such start rule"),
+        }
+    }
+
+    /// Walk on to the next operator and return it with its running
+    /// totals; `None` once the segment has ended, and [`SegDecoder::tail`]
+    /// then says how.
+    #[inline]
+    pub(crate) fn next_step(
+        &mut self,
+        grammar: &Grammar,
+        byte_nt: Nt,
+        code: &[u8],
+    ) -> Option<SegStep> {
+        while let Some(top) = self.walk.last_mut() {
+            self.fuel += 1;
+            let rhs = &grammar.rule(top.0).rhs;
+            let Some(&sym) = rhs.get(top.1) else {
+                self.walk.pop();
+                continue;
+            };
+            match sym {
+                Symbol::N(nt) => {
+                    top.1 += 1;
+                    let Some(&b) = code.get(self.pc) else {
+                        self.fault(self.pc, "stream ends inside a derivation");
+                        return None;
+                    };
+                    self.pc += 1;
+                    let Some(&child) = grammar.rules_of(nt).get(usize::from(b)) else {
+                        self.fault(self.pc - 1, "no such rule for non-terminal");
+                        return None;
+                    };
+                    self.walk.push((child, 0));
+                    self.rules += 1;
+                    self.win_rules += 1;
+                    self.win_depth = self.win_depth.max(self.walk.len() as u32);
+                }
+                Symbol::T(Terminal::Byte(_)) => {
+                    self.fault(self.pc, "literal byte not owned by an opcode");
+                    return None;
+                }
+                Symbol::T(Terminal::Op(op)) => {
+                    // Each operand byte is burnt into the rule or read
+                    // from the stream through a <byte> (§5's GET).
+                    let mut operands = [0u8; 4];
+                    let mut p = top.1 + 1;
+                    for slot in operands.iter_mut().take(op.operand_bytes()) {
+                        match rhs.get(p) {
+                            Some(Symbol::T(Terminal::Byte(b))) => *slot = *b,
+                            Some(Symbol::N(nt)) if *nt == byte_nt => {
+                                let Some(&b) = code.get(self.pc) else {
+                                    self.fault(self.pc, "stream ends inside operands");
+                                    return None;
+                                };
+                                *slot = b;
+                                self.pc += 1;
+                            }
+                            _ => {
+                                self.fault(self.pc, "operand layout violated");
+                                return None;
+                            }
+                        }
+                        p += 1;
+                    }
+                    top.1 = p;
+                    self.depth = self.depth.max(self.win_depth);
+                    self.win_rules = 0;
+                    self.win_depth = 0;
+                    return Some(SegStep {
+                        op,
+                        operands,
+                        fuel_through: self.fuel,
+                        rules_through: self.rules,
+                        depth_peak: self.depth,
+                        stack_peak: 0,
+                    });
+                }
+            }
+        }
+        self.end.get_or_insert(SegEnd::FallThrough(self.pc as u32));
+        None
+    }
+
+    /// The window after the last step, once [`SegDecoder::next_step`]
+    /// has returned `None`.
+    pub(crate) fn tail(&self) -> SegTail {
+        SegTail {
+            total_fuel: self.fuel,
+            rules: self.win_rules,
+            depth: self.win_depth,
+            end: self.end.expect("the segment has ended"),
+        }
+    }
+
+    /// End the segment in a fault tail: the walk stops here.
+    fn fault(&mut self, offset: usize, detail: &'static str) {
+        self.walk.clear();
+        self.end = Some(SegEnd::Fault {
+            offset: offset as u32,
+            detail,
+        });
+    }
+}
+
 /// Activity of the compiled segment programs, for the serve stats
 /// window and the benchmark ([`crate::Vm::tier2_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Tier2Stats {
-    /// Segment programs cached (one per segment decoded under the
-    /// cache's capacity).
+    /// Segment programs cached (a segment evicted and cached again
+    /// counts each time).
     pub compiled: u64,
     /// Superinstructions across all cached programs.
     pub fused_ops: u64,
@@ -374,9 +444,7 @@ mod tests {
 
     fn decode(code: &[u8], pc: usize) -> SegProgram {
         let (g, start, byte) = grammar();
-        let mut prog = SegProgram::default();
-        prog.decode(&g, start, byte, code, pc);
-        prog
+        SegProgram::decode(&mut SegDecoder::default(), &g, start, byte, code, pc)
     }
 
     #[test]
@@ -397,11 +465,15 @@ mod tests {
         assert_eq!(prog.steps[1].operands, [2, 0, 0, 0]);
         // The tail is the last frame pop.
         assert_eq!(
-            (prog.total_fuel, prog.tail_rules, prog.tail_depth),
-            (14, 0, 0)
+            prog.tail,
+            SegTail {
+                total_fuel: 14,
+                rules: 0,
+                depth: 0,
+                end: SegEnd::FallThrough(code.len() as u32),
+            }
         );
         assert_eq!(prog.rules_before(2), 5);
-        assert_eq!(prog.end, SegEnd::FallThrough(code.len() as u32));
         prog.compile(&Procedure::new("t"), &[]);
         // LIT1 2; ADDU fuses to one superinstruction.
         assert_eq!(prog.ops.len(), 3);
@@ -431,7 +503,32 @@ mod tests {
         code.extend(stream(&[(LIT1, 9), (POPU, 0)]));
         let prog = decode(&code, first.len());
         assert_eq!(prog.steps[0].operands, [9, 0, 0, 0]);
-        assert_eq!(prog.end, SegEnd::FallThrough(code.len() as u32));
+        assert_eq!(prog.tail.end, SegEnd::FallThrough(code.len() as u32));
+    }
+
+    #[test]
+    fn the_decoder_reads_no_further_than_the_next_operator() {
+        let code = stream(&[(LIT1, 4), (POPU, 0), (LIT1, 5), (POPU, 0)]);
+        let (g, start, byte) = grammar();
+        let mut dec = SegDecoder::default();
+        dec.start(&g, start, &code, 0);
+        let first = dec.next_step(&g, byte, &code).unwrap();
+        // Four rule bytes, ε, then LIT1's operand: nothing past it.
+        assert_eq!((first.op, first.operands[0], dec.pc), (LIT1, 4, 6));
+        let mut steps = vec![first];
+        steps.extend(std::iter::from_fn(|| dec.next_step(&g, byte, &code)));
+        let whole = decode(&code, 0);
+        let key = |s: &SegStep| {
+            (
+                s.op,
+                s.operands,
+                s.fuel_through,
+                s.rules_through,
+                s.depth_peak,
+            )
+        };
+        assert!(steps.iter().map(key).eq(whole.steps.iter().map(key)));
+        assert_eq!(dec.tail(), whole.tail);
     }
 
     #[test]
@@ -440,7 +537,7 @@ mod tests {
         // after the last step, end)
         let tail = |code: &[u8]| {
             let p = decode(code, 0);
-            (p.steps.len(), p.total_fuel, p.tail_rules, p.end)
+            (p.steps.len(), p.tail.total_fuel, p.tail.rules, p.tail.end)
         };
         let fault = |offset, detail| SegEnd::Fault { offset, detail };
         assert_eq!(tail(&[200]), (0, 1, 0, fault(0, "no such start rule")));

@@ -3,12 +3,13 @@
 //! *semantics* are pinned by `differential.rs`.
 
 use pgr_bytecode::asm::assemble;
-use pgr_bytecode::Program;
+use pgr_bytecode::{Opcode, Procedure, Program};
 use pgr_core::{train, TrainConfig, Trained};
+use pgr_grammar::{Grammar, Nt, RuleOrigin, Symbol};
 use pgr_telemetry::{CancelToken, Recorder};
 use pgr_vm::{RunResult, Tier2Stats, Vm, VmConfig, VmError};
 use std::sync::OnceLock;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Counting loop: `for (i = 0; i < 24; i++) sum += 7; return sum`. Two
 /// distinct hot segments (the loop head and the loop body) replay every
@@ -73,7 +74,7 @@ fn recorded_segments_compile_and_replay() {
     assert_eq!(
         zeros,
         Tier2Stats::default(),
-        "walk-only runs compile nothing"
+        "uncached runs compile nothing"
     );
 
     let (fused, stats) = run(&program, VmConfig::default());
@@ -139,7 +140,31 @@ fn observation_runs_the_same_programs() {
     assert_eq!(m.counters().get("vm.tier2.deopts"), None);
 }
 
-/// Every compressed path: the default, walk only, and the reference
+#[test]
+fn a_hot_segment_past_a_full_cache_takes_a_cold_entry() {
+    // A one-entry cache fills with the prologue, which is never visited
+    // again. Once execution has paid for the decode, the loop head
+    // evicts it and serves every later iteration; the loop body, which
+    // misses while the head is hot, runs uncached.
+    let program = compressed(LOOP);
+    let config = VmConfig {
+        segment_cache_entries: 1,
+        ..VmConfig::default()
+    };
+    let (result, stats) = run(&program, config);
+    let (reference, _) = run(
+        &program,
+        VmConfig {
+            reference_walker: true,
+            ..VmConfig::default()
+        },
+    );
+    assert_eq!(result.unwrap(), reference.unwrap());
+    assert_eq!(stats.compiled, 2, "{stats:?}");
+    assert!(stats.hits >= 20, "the loop head was not cached: {stats:?}");
+}
+
+/// Every compressed path: the default, the cache off, and the reference
 /// walker.
 const PATHS: [(bool, usize); 3] = [(false, 1024), (false, 0), (true, 0)];
 
@@ -183,5 +208,95 @@ fn distant_deadline_changes_nothing() {
             },
         );
         assert_eq!(armed.unwrap(), free.unwrap());
+    }
+}
+
+/// A grammar whose `<start>` rule is `JUMPV <byte> <byte> <rest>`, with
+/// `<rest> ::= LIT1 <byte> POPU <rest> | ε`, and a program over it: two
+/// segments that jump to each other before a tail of `tail` more
+/// statements each. A visit burns 2 fuel, while a segment's whole
+/// derivation is about `3 * tail` iterations long.
+fn jumps_over_tails(tail: usize) -> (Grammar, Nt, Nt, Program) {
+    let o = RuleOrigin::Original;
+    let mut g = Grammar::new();
+    let start = g.add_nt("start");
+    let byte = g.add_nt("byte");
+    let rest = g.add_nt("rest");
+    for b in 0..=255u8 {
+        g.add_rule(byte, vec![Symbol::byte(b)], o);
+    }
+    let jump = vec![
+        Symbol::op(Opcode::JUMPV),
+        Symbol::N(byte),
+        Symbol::N(byte),
+        Symbol::N(rest),
+    ];
+    g.add_rule(start, jump, o);
+    let stmt = vec![
+        Symbol::op(Opcode::LIT1),
+        Symbol::N(byte),
+        Symbol::op(Opcode::POPU),
+        Symbol::N(rest),
+    ];
+    g.add_rule(rest, stmt, o);
+    g.add_rule(rest, Vec::new(), o);
+    let mut main = Procedure::new("main");
+    for target in [1, 0] {
+        main.labels.push(main.code.len() as u32);
+        main.code.extend([0, target, 0]);
+        for i in 0..tail {
+            main.code.extend([0, i as u8]);
+        }
+        main.code.push(1);
+    }
+    let mut program = Program::new();
+    program.procs.push(main);
+    (g, start, byte, program)
+}
+
+#[test]
+fn uncached_decoding_stays_within_what_execution_pays() {
+    // With a one-entry cache each visit misses, and with the cache off
+    // every one does. Decoding a whole segment on each visit would take
+    // about 30,000 iterations per 2 fuel: hours for this fuel, and
+    // minutes between two cancellation polls.
+    let (g, start, byte, program) = jumps_over_tails(10_000);
+    for segment_cache_entries in [1, 0] {
+        let run = |fuel: u64, cancel: CancelToken| {
+            let config = VmConfig {
+                fuel,
+                segment_cache_entries,
+                cancel,
+                ..VmConfig::default()
+            };
+            let mut vm = Vm::new_compressed(&program, &g, start, byte, config).unwrap();
+            let t0 = Instant::now();
+            let result = vm.run();
+            (result, t0.elapsed(), vm.tier2_stats())
+        };
+        let (result, took, stats) = run(400_000, CancelToken::never());
+        assert_eq!(
+            result,
+            Err(VmError::OutOfFuel),
+            "cache {segment_cache_entries}"
+        );
+        assert!(
+            took < Duration::from_secs(5),
+            "cache {segment_cache_entries}: 400,000 fuel took {took:?}"
+        );
+        // Whole decodes, about 30,000 iterations each, never outrun the
+        // fuel burnt.
+        assert!(stats.compiled <= 400_000 / 30_000 + 1, "{stats:?}");
+
+        let deadline = CancelToken::with_deadline(Duration::from_millis(50));
+        let (result, took, _) = run(u64::MAX, deadline);
+        assert!(
+            matches!(result, Err(VmError::Cancelled { .. })),
+            "cache {segment_cache_entries}: {result:?}"
+        );
+        assert!(
+            took < Duration::from_secs(5),
+            "cache {segment_cache_entries}: a 50 ms deadline stopped the run after {took:?}"
+        );
     }
 }
