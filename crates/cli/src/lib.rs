@@ -91,9 +91,9 @@ fn usage() -> String {
      \x20 stats <in.pgrb>\n\
      \x20 cgen -g <grammar> [-p <image>] -o <dir>\n\
      \x20 registry <add <g.pgrg> [--label TEXT] | list | rm <id> | gc [<keep-id>...]>\n\
-     \x20 serve --socket <path> [--threads N] [--workers N] [--batch-window-us N]\n\
-     \x20     [--max-connections N] [--max-queue N] [--max-engines N]\n\
-     \x20     [--request-timeout-ms N] [--idle-timeout-ms N] [--max-line-bytes N]\n\
+     \x20 serve --socket <path> [--workers N] [--max-connections N] [--max-queue N]\n\
+     \x20     [--max-engines N] [--request-timeout-ms N] [--idle-timeout-ms N]\n\
+     \x20     [--max-line-bytes N]\n\
      \x20     [--slow-ms N [--slow-trace <out.ndjson>] [--slow-trace-max-bytes N]]\n\
      \x20 call --socket <path> [<request-json>] [--timeout-ms N] [--retries N]\n\
      \x20     [--backoff-ms N] [--seed N] [--breaker-threshold N] [--verbose]\n\
@@ -154,8 +154,8 @@ fn flags_of(command: &str) -> (&'static str, &'static str) {
         "registry add" => ("--registry --label", ""),
         "registry" => ("--registry", ""),
         "serve" => (
-            "--socket --registry --threads --workers --batch-window-us --max-connections \
-             --max-queue --max-engines --request-timeout-ms --idle-timeout-ms \
+            "--socket --registry --workers --max-connections --max-queue --max-engines \
+             --request-timeout-ms --idle-timeout-ms \
              --max-line-bytes --slow-ms --slow-trace --slow-trace-max-bytes \
              --metrics --metrics-out",
             "",
@@ -679,9 +679,10 @@ fn cmd_run(args: &[String]) -> Result<i32, String> {
 
 /// `pgr verify <image>`: check an image end-to-end without executing
 /// it — magic, version, section framing, and payload checksum (all
-/// enforced by `read_program`), a byte-exact re-serialization, static
-/// validation for uncompressed images, and (with `-g`) a decompression
-/// round-trip for compressed ones. Exit 0 means the image is intact.
+/// enforced by `read_program`), a byte-exact re-serialization, a VM
+/// address-space layout that fits 32 bits, static validation for
+/// uncompressed images, and (with `-g`) a decompression round-trip for
+/// compressed ones. Exit 0 means the image is intact.
 fn verify(args: &[String]) -> Result<i32, String> {
     let pos = positionals(args, "verify")?;
     let [input] = pos.as_slice() else {
@@ -700,6 +701,9 @@ fn verify(args: &[String]) -> Result<i32, String> {
             "{input}: image is not the canonical serialization of its contents"
         ));
     }
+    // Neither kind of image may lay out past the 32-bit address space
+    // under the heap and stack `pgr run` gives it.
+    pgr_vm::Layout::of(&program, &VmConfig::default()).map_err(|e| format!("{input}: {e}"))?;
     let header_id = raw_id.map(GrammarId::from_raw);
     match kind {
         ImageKind::Uncompressed => {
@@ -946,12 +950,6 @@ fn cmd_serve(args: &[String]) -> Result<i32, String> {
     let socket = required(args, "--socket")?;
     let root = registry_root(args)
         .ok_or("no registry configured (pass --registry <dir> or set $PGR_REGISTRY)")?;
-    let threads = match opt_value(args, "--threads") {
-        Some(v) => v
-            .parse::<usize>()
-            .map_err(|_| format!("bad --threads {v:?}"))?,
-        None => 0, // one worker per CPU
-    };
     let slow_ms = match opt_value(args, "--slow-ms") {
         Some(v) => Some(
             v.parse::<u64>()
@@ -967,7 +965,6 @@ fn cmd_serve(args: &[String]) -> Result<i32, String> {
     };
     let defaults = ServeConfig::default();
     let workers = uint("--workers", defaults.workers as u64)? as usize;
-    let batch_window_us = uint("--batch-window-us", defaults.batch_window_us)?;
     let max_connections = uint("--max-connections", defaults.max_connections as u64)? as usize;
     let max_queue = uint("--max-queue", defaults.max_queue as u64)? as usize;
     let max_engines = uint("--max-engines", defaults.max_engines as u64)? as usize;
@@ -1002,12 +999,10 @@ fn cmd_serve(args: &[String]) -> Result<i32, String> {
         socket,
         ServeConfig {
             registry_root: root.into(),
-            threads,
             recorder,
             slow_ms,
             slow_trace,
             workers,
-            batch_window_us,
             max_connections,
             max_queue,
             max_engines,
@@ -1207,9 +1202,8 @@ pub fn render_top(response: &str) -> Result<String, String> {
         num(window, "errors"),
         100.0 * fnum(window, "error_rate"),
     );
-    // Backpressure and batching at a glance: the live queue depth and
-    // resident-engine count, the window's rejected count/rate, and the
-    // window's batch-size / batch-wait quantiles.
+    // Backpressure at a glance: the live queue depth and resident-engine
+    // count, and the window's rejected count/rate.
     let rejected = num(window, "rejected");
     let win_requests = num(window, "requests");
     let rejected_pct = if win_requests == 0 {
@@ -1217,20 +1211,12 @@ pub fn render_top(response: &str) -> Result<String, String> {
     } else {
         100.0 * rejected as f64 / win_requests as f64
     };
-    let batch_size = window.get("batch_size");
-    let batch_wait = window.get("batch_wait");
-    let quant = |h: Option<&Value>, key: &str| h.map_or(0, |h| num(h, key));
     let _ = writeln!(
         out,
         "queue depth {}   engines {}   rejected {rejected} ({rejected_pct:.2}%)   \
-         batch size p50/p99 {}/{}   batch wait µs p50/p99 {}/{}   \
          segments compiled {}",
         num(&doc, "queue_depth"),
         num(&doc, "engines"),
-        quant(batch_size, "p50"),
-        quant(batch_size, "p99"),
-        quant(batch_wait, "p50"),
-        quant(batch_wait, "p99"),
         num(window, "tier2_compiled"),
     );
     // Robustness counters: deadline expiries (and the subset the

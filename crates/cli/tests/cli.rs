@@ -202,6 +202,34 @@ fn errors_are_reported_not_panicked() {
 }
 
 #[test]
+fn verify_refuses_an_image_laid_out_past_the_address_space() {
+    // A bss near 4 GiB would wrap the VM's 32-bit layout: `pgr verify`
+    // names the overflow for either kind of image, grammar or not.
+    let s = Scratch::new("layout");
+    let mut program =
+        pgr_bytecode::asm::assemble("proc main frame=0 args=0\n\tRETV\nendproc\nentry main\n")
+            .unwrap();
+    program.bss_size = u32::MAX - 8;
+    for (name, kind) in [
+        ("wide.pgrb", pgr_bytecode::ImageKind::Uncompressed),
+        ("wide.pgrc", pgr_bytecode::ImageKind::Compressed),
+    ] {
+        let path = s.path(name);
+        std::fs::write(&path, pgr_bytecode::write_program(&program, kind)).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_pgr"))
+            .args(["verify", &path])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{name}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.contains("past the 32-bit address space"),
+            "{name}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn error_chains_print_each_sentence_once() {
     let s = Scratch::new("chains");
     let image = |name: &str| {
@@ -247,12 +275,18 @@ fn error_chains_print_each_sentence_once() {
     );
 }
 
+/// A program that never halts: a `run` of it ends at its deadline (or
+/// when its fuel runs out).
+const SPIN: &str =
+    "proc main frame=0 args=0\n\tlabel 0\n\tLIT1 1\n\tBrTrue 0\n\tRETV\nendproc\nentry main\n";
+
 #[test]
 fn serve_flags_bound_the_queue_and_every_response_is_traced() {
-    // One worker, a 300 ms batch window and a two-request queue, set on
-    // the command line: a pipelined burst of eight compresses is split
-    // into the two the queue admits and six in-band `overloaded`
-    // answers, on one connection, each with a 16-hex-digit trace id.
+    // One worker and a two-request queue, set on the command line. A
+    // spinning `run` holds the worker; a pipelined burst of eight
+    // compresses then splits into the two the queue admits and six
+    // in-band `overloaded` answers, each with a 16-hex-digit trace id,
+    // while `stats` and `shutdown` are admitted past the bound.
     let s = Scratch::new("overload");
     let c = s.write("hello.c", HELLO);
     let image = s.path("hello.pgrb");
@@ -275,16 +309,19 @@ fn serve_flags_bound_the_queue_and_every_response_is_traced() {
         &reg,
         "--workers",
         "1",
-        "--batch-window-us",
-        "300000",
         "--max-queue",
         "2",
     ]);
     let server = std::thread::spawn(move || run(&serve));
     let deadline = Instant::now() + Duration::from_secs(30);
-    let stream = loop {
+    let connect = || loop {
         match UnixStream::connect(&socket) {
-            Ok(stream) => break stream,
+            Ok(stream) => {
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(30)))
+                    .unwrap();
+                break stream;
+            }
             Err(e) if Instant::now() < deadline => {
                 assert!(!server.is_finished(), "serve exited: {e}");
                 std::thread::sleep(Duration::from_millis(20));
@@ -292,14 +329,7 @@ fn serve_flags_bound_the_queue_and_every_response_is_traced() {
             Err(e) => panic!("serve never listened on {socket}: {e}"),
         }
     };
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let encoded = pgr_registry::base64_encode(&std::fs::read(&image).unwrap());
-    let request = format!("{{\"op\":\"compress\",\"grammar\":\"{id}\",\"image\":\"{encoded}\"}}\n");
-    (&stream).write_all(request.repeat(8).as_bytes()).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut response = |what: &str| {
+    let read = |reader: &mut BufReader<UnixStream>, what: &str| {
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
         let value = pgr_telemetry::json::parse(&line)
@@ -311,9 +341,34 @@ fn serve_flags_bound_the_queue_and_every_response_is_traced() {
         );
         value
     };
+
+    let spin = pgr_bytecode::write_program(
+        &pgr_bytecode::asm::assemble(SPIN).unwrap(),
+        pgr_bytecode::ImageKind::Uncompressed,
+    );
+    let holder = connect();
+    (&holder)
+        .write_all(
+            format!(
+                "{{\"op\":\"run\",\"timeout_ms\":1000,\"image\":\"{}\"}}\n",
+                pgr_registry::base64_encode(&spin)
+            )
+            .as_bytes(),
+        )
+        .unwrap();
+    // A head start for the worker, so the spin is running, not queued,
+    // when the burst lands.
+    std::thread::sleep(Duration::from_millis(100));
+
+    let stream = connect();
+    let encoded = pgr_registry::base64_encode(&std::fs::read(&image).unwrap());
+    let request = format!("{{\"op\":\"compress\",\"grammar\":\"{id}\",\"image\":\"{encoded}\"}}\n");
+    let burst = request.repeat(8) + "{\"op\":\"stats\"}\n{\"op\":\"shutdown\"}\n";
+    (&stream).write_all(burst.as_bytes()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
     let (mut ok, mut overloaded) = (0, 0);
     for i in 0..8 {
-        let value = response(&format!("response {i}"));
+        let value = read(&mut reader, &format!("response {i}"));
         if value.get("ok").and_then(|v| v.as_bool()) == Some(true) {
             ok += 1;
         } else {
@@ -325,9 +380,19 @@ fn serve_flags_bound_the_queue_and_every_response_is_traced() {
         }
     }
     assert_eq!((ok, overloaded), (2, 6));
-    (&stream).write_all(b"{\"op\":\"shutdown\"}\n").unwrap();
-    let down = response("shutdown");
+    let stats = read(&mut reader, "stats");
+    assert_eq!(
+        stats
+            .get("window")
+            .and_then(|w| w.get("rejected"))
+            .and_then(|r| r.as_u64()),
+        Some(6),
+        "{stats:?}"
+    );
+    let down = read(&mut reader, "shutdown");
     assert_eq!(down.get("ok").and_then(|v| v.as_bool()), Some(true));
+    let held = read(&mut BufReader::new(holder), "spinning run");
+    assert_eq!(held.get("ok").and_then(|v| v.as_bool()), Some(false));
     assert_eq!(server.join().unwrap(), Ok(0));
 }
 
@@ -407,6 +472,21 @@ fn unknown_flags_are_refused_by_name() {
     .unwrap_err();
     assert!(err.contains("unknown flag --max-budget"), "{err}");
     assert!(!std::path::Path::new(&socket).exists());
+    // Nor does it take the flags of the compress batcher it no longer has.
+    for (flag, value) in [("--threads", "2"), ("--batch-window-us", "200")] {
+        let out = Command::new(env!("CARGO_BIN_EXE_pgr"))
+            .args(["serve", "--socket", &socket, "--registry", &s.path("reg")])
+            .args([flag, value])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.contains(&format!("serve: unknown flag {flag}")),
+            "{stderr}"
+        );
+        assert!(!std::path::Path::new(&socket).exists());
+    }
     // A valued flag with nothing after it is named too.
     let err = run(&args(&["run", &image, "--stdin"])).unwrap_err();
     assert!(err.contains("--stdin needs a value"), "{err}");

@@ -210,22 +210,8 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-/// One request of a batch dispatch ([`Compressor::compress_batch`]): a
-/// program and the cancellation token its owner can fire.
-pub struct BatchEntry<'p> {
-    /// The program to compress.
-    pub program: &'p Program,
-    /// This entry's cancellation handle; [`CancelToken::never`] when the
-    /// caller has no deadline.
-    pub cancel: CancelToken,
-}
-
-/// One unit of parallel work: a straight-line segment of one procedure
-/// of one batch entry. `entry` indexes the program the segment belongs
-/// to, so a single fan-out can serve many programs at once
-/// ([`Compressor::compress_batch`]).
+/// One unit of parallel work: a straight-line segment of one procedure.
 struct Job {
-    entry: usize,
     proc: usize,
     range: Range<usize>,
 }
@@ -240,21 +226,11 @@ enum Event {
     Label(usize),
 }
 
-/// One batch entry's plan: its canonical program, the per-procedure
-/// assembly scripts (whose [`Event::Segment`] indices address the
-/// *global* job list), and the contiguous global job range the entry
-/// owns.
-struct EntryPlan {
-    canon: Program,
-    scripts: Vec<Vec<Event>>,
-    canonicalize_time: Duration,
-    job_range: Range<usize>,
-}
-
-/// Plan one canonical program: push one job per non-empty straight-line
-/// segment onto the shared job list (tagged with `entry`) and return the
-/// per-procedure assembly scripts.
-fn plan_jobs(canon: &Program, entry: usize, jobs: &mut Vec<Job>) -> Vec<Vec<Event>> {
+/// Plan one canonical program: one job per non-empty straight-line
+/// segment, and per procedure the assembly script whose
+/// [`Event::Segment`] indices address those jobs.
+fn plan_jobs(canon: &Program) -> (Vec<Job>, Vec<Vec<Event>>) {
+    let mut jobs = Vec::new();
     let mut scripts: Vec<Vec<Event>> = Vec::with_capacity(canon.procs.len());
     for (pi, proc) in canon.procs.iter().enumerate() {
         let mut script = Vec::new();
@@ -265,7 +241,6 @@ fn plan_jobs(canon: &Program, entry: usize, jobs: &mut Vec<Job>) -> Vec<Vec<Even
                 if insn.offset > seg_start {
                     script.push(Event::Segment(jobs.len()));
                     jobs.push(Job {
-                        entry,
                         proc: pi,
                         range: seg_start..insn.offset,
                     });
@@ -277,14 +252,13 @@ fn plan_jobs(canon: &Program, entry: usize, jobs: &mut Vec<Job>) -> Vec<Vec<Even
         if proc.code.len() > seg_start {
             script.push(Event::Segment(jobs.len()));
             jobs.push(Job {
-                entry,
                 proc: pi,
                 range: seg_start..proc.code.len(),
             });
         }
         scripts.push(script);
     }
-    scripts
+    (jobs, scripts)
 }
 
 /// The product of one encoded segment.
@@ -422,7 +396,9 @@ impl<'g> Compressor<'g> {
         CacheStats::default()
     }
 
-    /// Compress a program under the engine's grammar.
+    /// Compress a program under the engine's grammar: the same as
+    /// [`Compressor::compress_cancellable`] with a token that never
+    /// fires.
     ///
     /// The program is canonicalized first (see [`crate::canonical`]); the
     /// returned stats measure against the canonical form. Output is
@@ -435,135 +411,68 @@ impl<'g> Compressor<'g> {
         &self,
         program: &Program,
     ) -> Result<(CompressedProgram, CompressionStats), CompressError> {
-        self.compress_batch(&[BatchEntry {
-            program,
-            cancel: CancelToken::never(),
-        }])
-        .pop()
-        .expect("one entry in, one result out")
+        self.compress_cancellable(program, &CancelToken::never())
     }
 
-    /// Compress several programs in one engine dispatch, each under its
-    /// own [`CancelToken`]: the serving path's entry point.
+    /// Compress a program under `cancel`, the owner's cancellation
+    /// handle: the serving path's entry point. Output is byte-identical
+    /// to [`Compressor::compress`]'s.
     ///
-    /// All entries' segments are planned up front and fanned out across
-    /// the worker pool as a *single* job list, so a batch of concurrent
-    /// requests shares one parallel stride instead of paying per-call
-    /// dispatch overhead. Entries are independent: each gets its own
-    /// `Result`, in input order, and a failing or cancelled entry never
-    /// affects its neighbours (they share the dispatch, not the token).
-    /// Output is byte-identical to calling [`Compressor::compress`] once
-    /// per entry: a segment's encoding depends on the grammar and the
-    /// segment alone.
+    /// The token is polled before canonicalizing, at segment boundaries
+    /// and (inside the tiler) every few thousand tokens while a
+    /// segment's tree is built and every few dozen tree nodes while it
+    /// is tiled; a fired token yields [`CompressError::Cancelled`].
+    /// Cancellation never degrades to verbatim fallback: the owner asked
+    /// for the work to stop.
     ///
-    /// Tokens are polled at segment boundaries and (inside the tiler)
-    /// every few thousand tokens while the segment's tree is built and
-    /// every few dozen tree nodes while it is tiled; a fired token yields
-    /// [`CompressError::Cancelled`] for that entry. Cancellation never
-    /// degrades to verbatim fallback: the owner asked for the work to
-    /// stop.
-    pub fn compress_batch(
+    /// # Errors
+    ///
+    /// See [`CompressError`].
+    pub fn compress_cancellable(
         &self,
-        entries: &[BatchEntry<'_>],
-    ) -> Vec<Result<(CompressedProgram, CompressionStats), CompressError>> {
+        program: &Program,
+        cancel: &CancelToken,
+    ) -> Result<(CompressedProgram, CompressionStats), CompressError> {
+        // A token that fired before the call (a deadline that passed
+        // while the request was queued) stops it before canonicalizing:
+        // the cheapest cancellation point.
+        if cancel.is_cancelled() {
+            return Err(CompressError::Cancelled {
+                elapsed_ms: cancel.elapsed_ms(),
+            });
+        }
         let timed = self.timings_on();
+        let trace_canon = self.recorder.trace_span(names::SPAN_COMPRESS_CANONICALIZE);
+        let sw = Stopwatch::start_if(timed);
+        let canon = canonicalize_program(program)?;
+        let canonicalize_time = sw.elapsed();
+        drop(trace_canon);
 
-        // Plan: per entry, one job per non-empty straight-line segment,
-        // plus the assembly script (segments and labels in code order)
-        // per procedure. Jobs land in one flat list — each entry's jobs
-        // are contiguous at `job_range` — so a single fan-out covers the
-        // whole batch.
-        let mut jobs: Vec<Job> = Vec::new();
-        let mut plans: Vec<Result<EntryPlan, CompressError>> = Vec::with_capacity(entries.len());
-        for (entry, request) in entries.iter().enumerate() {
-            // A request whose deadline already passed while queued never
-            // reaches canonicalization — the cheapest cancellation point.
-            if request.cancel.is_cancelled() {
-                plans.push(Err(CompressError::Cancelled {
-                    elapsed_ms: request.cancel.elapsed_ms(),
-                }));
-                continue;
-            }
-            let trace_canon = self.recorder.trace_span(names::SPAN_COMPRESS_CANONICALIZE);
-            let sw = Stopwatch::start_if(timed);
-            let canon = match canonicalize_program(request.program) {
-                Ok(canon) => canon,
-                Err(error) => {
-                    plans.push(Err(error.into()));
-                    continue;
-                }
-            };
-            let canonicalize_time = sw.elapsed();
-            drop(trace_canon);
-
-            let job_start = jobs.len();
-            let scripts = plan_jobs(&canon, entry, &mut jobs);
-            plans.push(Ok(EntryPlan {
-                canon,
-                scripts,
-                canonicalize_time,
-                job_range: job_start..jobs.len(),
-            }));
-        }
-        let cancels: Vec<&CancelToken> = entries.iter().map(|e| &e.cancel).collect();
-
-        // Encode: fan every entry's segments out across the worker pool
-        // in one stride.
+        // Plan, then encode: fan the segments out across the worker
+        // pool. Every job runs; the first failure in job (= code) order
+        // is the one reported.
+        let (jobs, scripts) = plan_jobs(&canon);
         let trace_encode = self.recorder.trace_span("compress.encode");
-        let results = self.run_jobs(&plans, &jobs, &cancels);
-        let mut results: Vec<Option<Result<EncodedSegment, CompressError>>> =
-            results.into_iter().map(Some).collect();
+        let encoded = self.run_jobs(&canon, &jobs, cancel);
         drop(trace_encode);
+        let encoded = encoded.into_iter().collect::<Result<Vec<_>, _>>()?;
 
-        // Emit: per entry, reassemble procedures in order, rewriting
-        // label tables to compressed-stream offsets (§3).
-        let mut out: Vec<Result<(CompressedProgram, CompressionStats), CompressError>> =
-            Vec::with_capacity(entries.len());
-        for plan in plans {
-            let plan = match plan {
-                Ok(plan) => plan,
-                Err(error) => {
-                    out.push(Err(error));
-                    continue;
-                }
-            };
-            let base = plan.job_range.start;
-            let mut encoded: Vec<EncodedSegment> = Vec::with_capacity(plan.job_range.len());
-            let mut failed = None;
-            for i in plan.job_range.clone() {
-                // First failure in job (= code) order wins, matching the
-                // single-call path.
-                match results[i].take().expect("every job ran once") {
-                    Ok(segment) => encoded.push(segment),
-                    Err(error) => {
-                        failed = Some(error);
-                        break;
-                    }
-                }
-            }
-            if let Some(error) = failed {
-                out.push(Err(error));
-                continue;
-            }
-            out.push(Ok(self.emit_entry(plan, base, &encoded, timed)));
-        }
-
-        out
+        Ok(self.emit(canon, &scripts, &encoded, canonicalize_time, timed))
     }
 
-    /// Reassemble one planned entry from its encoded segments and record
-    /// its per-entry telemetry. `base` is the entry's first global job
-    /// index (scripts address jobs globally).
-    fn emit_entry(
+    /// Reassemble procedures in order from their encoded segments,
+    /// rewriting label tables to compressed-stream offsets (§3), and
+    /// record the call's telemetry.
+    fn emit(
         &self,
-        plan: EntryPlan,
-        base: usize,
+        canon: Program,
+        scripts: &[Vec<Event>],
         encoded: &[EncodedSegment],
+        canonicalize_time: Duration,
         timed: bool,
     ) -> (CompressedProgram, CompressionStats) {
         let trace_emit = self.recorder.trace_span(names::SPAN_COMPRESS_EMIT);
         let sw = Stopwatch::start_if(timed);
-        let canon = plan.canon;
         let mut stats = CompressionStats::default();
         let mut out = canon.clone();
         for (pi, proc) in canon.procs.iter().enumerate() {
@@ -573,10 +482,10 @@ impl<'g> Compressor<'g> {
                 original_code: proc.code.len(),
                 ..CompressionStats::default()
             };
-            for event in &plan.scripts[pi] {
+            for event in &scripts[pi] {
                 match *event {
                     Event::Segment(job) => {
-                        let seg = &encoded[job - base];
+                        let seg = &encoded[job];
                         code.extend_from_slice(&seg.bytes);
                         proc_stats = proc_stats.merge(CompressionStats {
                             segments: 1,
@@ -614,7 +523,7 @@ impl<'g> Compressor<'g> {
                 needs_trampoline: proc.needs_trampoline,
             };
         }
-        stats.timings.canonicalize = plan.canonicalize_time;
+        stats.timings.canonicalize = canonicalize_time;
         stats.timings.emit = sw.elapsed();
         drop(trace_emit);
 
@@ -671,30 +580,17 @@ impl<'g> Compressor<'g> {
     /// [`TileScratch`] for everything it encodes.
     fn run_jobs(
         &self,
-        plans: &[Result<EntryPlan, CompressError>],
+        canon: &Program,
         jobs: &[Job],
-        cancels: &[&CancelToken],
+        cancel: &CancelToken,
     ) -> Vec<Result<EncodedSegment, CompressError>> {
-        let proc_of = |job: &Job| -> &Procedure {
-            let plan = plans[job.entry]
-                .as_ref()
-                .expect("jobs exist only for planned entries");
-            &plan.canon.procs[job.proc]
+        let encode = |scratch: &mut TileScratch, job: &Job| {
+            self.encode_segment_isolated(scratch, &canon.procs[job.proc], job.range.clone(), cancel)
         };
         let threads = self.threads.min(jobs.len()).max(1);
         if threads == 1 {
             let mut scratch = TileScratch::new();
-            return jobs
-                .iter()
-                .map(|job| {
-                    self.encode_segment_isolated(
-                        &mut scratch,
-                        proc_of(job),
-                        job.range.clone(),
-                        cancels[job.entry],
-                    )
-                })
-                .collect();
+            return jobs.iter().map(|job| encode(&mut scratch, job)).collect();
         }
         let batches = plan_batches(jobs, self.batch_bytes);
         // Thread-locals don't cross `thread::scope`: capture the calling
@@ -707,7 +603,7 @@ impl<'g> Compressor<'g> {
             (0..jobs.len()).map(|_| None).collect();
         std::thread::scope(|scope| {
             let batches = &batches;
-            let proc_of = &proc_of;
+            let encode = &encode;
             let workers: Vec<_> = (0..threads)
                 .map(|w| {
                     scope.spawn(move || {
@@ -718,16 +614,7 @@ impl<'g> Compressor<'g> {
                         let mut b = w;
                         while b < batches.len() {
                             for i in batches[b].clone() {
-                                let job = &jobs[i];
-                                done.push((
-                                    i,
-                                    self.encode_segment_isolated(
-                                        &mut scratch,
-                                        proc_of(job),
-                                        job.range.clone(),
-                                        cancels[job.entry],
-                                    ),
-                                ));
+                                done.push((i, encode(&mut scratch, &jobs[i])));
                             }
                             b += threads;
                         }
@@ -790,8 +677,7 @@ impl<'g> Compressor<'g> {
         cancel: &CancelToken,
     ) -> Result<EncodedSegment, CompressError> {
         // The segment boundary is the coarse cancellation point: a fired
-        // deadline stops this entry before the next tokenize/parse,
-        // while other entries in the same dispatch keep encoding.
+        // deadline stops the compress before the next tokenize/parse.
         if cancel.is_cancelled() {
             return Err(CompressError::Cancelled {
                 elapsed_ms: cancel.elapsed_ms(),
@@ -952,11 +838,7 @@ entry f
     fn batches_cover_all_jobs_exactly_once() {
         let jobs: Vec<Job> = [0..5, 5..9, 9..10, 10..40, 40..41]
             .into_iter()
-            .map(|range| Job {
-                entry: 0,
-                proc: 0,
-                range,
-            })
+            .map(|range| Job { proc: 0, range })
             .collect();
         for batch_bytes in [0, 1, 4, 9, 17, 1 << 20] {
             let batches = plan_batches(&jobs, batch_bytes);
@@ -1151,75 +1033,31 @@ entry f
     }
 
     #[test]
-    fn compress_batch_is_bytewise_identical_to_serial_dispatch() {
+    fn a_fired_token_stops_the_compress_before_it_canonicalizes() {
         let ig = InitialGrammar::build();
-        // Program variants differing only in one literal, plus repeats.
-        let programs: Vec<Program> = [1, 7, 1, 13, 7]
-            .into_iter()
-            .map(|lit| assemble(&SAMPLE.replace("LIT1 1", &format!("LIT1 {lit}"))).unwrap())
-            .collect();
-        let fresh = |threads: usize| {
-            Compressor::with_config(
-                &ig.grammar,
-                ig.nt_start,
-                CompressorConfig::default().threads(threads),
-            )
-        };
-        for threads in [1, 3] {
-            let entries: Vec<BatchEntry<'_>> = programs
-                .iter()
-                .map(|program| BatchEntry {
-                    program,
-                    cancel: CancelToken::never(),
-                })
-                .collect();
-            let batched = fresh(threads).compress_batch(&entries);
-            assert_eq!(batched.len(), entries.len());
-            let serial_engine = fresh(threads);
-            for (i, (got, program)) in batched.iter().zip(&programs).enumerate() {
-                let want = serial_engine.compress(program).unwrap();
-                let got = got.as_ref().unwrap();
-                assert_eq!(got.0, want.0, "entry {i}, threads {threads}");
-                assert_eq!(
-                    (
-                        got.1.compressed_code,
-                        got.1.segments,
-                        got.1.fallback_segments
-                    ),
-                    (
-                        want.1.compressed_code,
-                        want.1.segments,
-                        want.1.fallback_segments
-                    ),
-                    "entry {i}, threads {threads}"
-                );
-            }
-        }
-
-        // A cancelled entry fails alone; its neighbours' bytes are
-        // unchanged.
+        let engine = Compressor::with_config(
+            &ig.grammar,
+            ig.nt_start,
+            CompressorConfig::default().threads(3),
+        );
+        // Code canonicalization rejects: a fired token must answer first.
+        let mut undecodable = assemble("proc f frame=0 args=0\n\tRETV\nendproc\n").unwrap();
+        undecodable.procs[0].code = vec![0xFF];
+        assert!(matches!(
+            engine.compress(&undecodable),
+            Err(CompressError::Canon(_))
+        ));
         let fired = CancelToken::new();
         fired.cancel();
-        let entries: Vec<BatchEntry<'_>> = programs
-            .iter()
-            .enumerate()
-            .map(|(i, program)| BatchEntry {
-                program,
-                cancel: if i == 1 {
-                    fired.clone()
-                } else {
-                    CancelToken::never()
-                },
-            })
-            .collect();
-        let results = fresh(3).compress_batch(&entries);
-        for (i, (got, program)) in results.iter().zip(&programs).enumerate() {
-            if i == 1 {
-                assert!(matches!(got, Err(CompressError::Cancelled { .. })));
-            } else {
-                let want = fresh(1).compress(program).unwrap();
-                assert_eq!(got.as_ref().unwrap().0, want.0, "entry {i}");
-            }
-        }
+        assert!(matches!(
+            engine.compress_cancellable(&undecodable, &fired),
+            Err(CompressError::Cancelled { .. })
+        ));
+        // A token that never fires gives `compress`'s bytes.
+        let prog = assemble(SAMPLE).unwrap();
+        let (got, _) = engine
+            .compress_cancellable(&prog, &CancelToken::never())
+            .unwrap();
+        assert_eq!(got, engine.compress(&prog).unwrap().0);
     }
 }

@@ -42,7 +42,7 @@ pub mod tile;
 
 pub use canonical::canonicalize_program;
 pub use compress::{CompressError, CompressedProgram, CompressionStats, DecompressError};
-pub use engine::{BatchEntry, Compressor, CompressorConfig, CompressorConfigBuilder, PhaseTimings};
+pub use engine::{Compressor, CompressorConfig, CompressorConfigBuilder, PhaseTimings};
 pub use expander::{expand, expand_with, ExpanderConfig, ExpansionStats};
 pub use pipeline::{train, TrainConfig, TrainError, Trained};
 pub use tile::NoParse;

@@ -18,8 +18,8 @@
 //! the build environment vendors no external crates.
 //!
 //! The reactor parses each request line exactly once, into a typed
-//! `Request`; routing, admission, deadlines, batching, and the
-//! handlers all read that one value.
+//! `Request`; admission, deadlines, and the handlers all read that one
+//! value.
 
 use pgr_telemetry::json::{self, Value};
 use std::borrow::Cow;
@@ -104,7 +104,7 @@ pub(crate) fn json_string(s: &str) -> String {
 }
 
 /// What a request asks the server to do.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Op {
     Compress,
     Decompress,
@@ -132,7 +132,7 @@ impl Op {
 
 /// One request line, parsed once at intake. Only the fields the server
 /// reads are kept; a field of the wrong JSON type reads as absent.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Request {
     pub op: Op,
     /// Registry grammar id or unique prefix.

@@ -1,42 +1,37 @@
 //! The epoll-driven serve core: one event thread, a fixed worker pool,
-//! per-connection NDJSON framing, same-grammar batching, and in-band
-//! backpressure.
+//! per-connection NDJSON framing, and in-band backpressure.
 //!
 //! The event thread owns every socket. It accepts on the (nonblocking)
 //! listener, reads whatever bytes are ready, frames complete request
-//! lines, parses each exactly once into a typed [`Request`], and
-//! *routes* it — every `compress` goes to the [`Batcher`], everything
-//! else is queued to the worker pool directly. Routing, the deadline
-//! watchdog, the admission bounds, the batcher, and the workers all
-//! read that one parse. Workers never touch a socket: they hand finished
-//! [`Done`] responses back through a completion list and wake the
-//! event thread over an eventfd ([`WakeFd`]), which writes each
-//! response on its connection in request (`seq`) order — a protocol
-//! invariant pipelined clients rely on, upheld for rejections too.
+//! lines, parses each exactly once into a typed [`Request`], and queues
+//! it to the worker pool, whatever its op. The deadline watchdog, the
+//! admission bound and the workers all read that one parse. The worker
+//! that takes a request handles it start to finish on its own thread,
+//! so the pool is the server's one level of parallelism. Workers never
+//! touch a socket: they hand finished [`Done`] responses back through a
+//! completion list and wake the event thread over an eventfd
+//! ([`WakeFd`]), which writes each response on its connection in
+//! request (`seq`) order — a protocol invariant pipelined clients rely
+//! on, upheld for rejections too.
 //!
-//! Batching is adaptive. A pending batch flushes immediately while a
-//! worker sits idle with an empty queue — a lone request never pays the
-//! window — and otherwise waits out
-//! [`ReactorConfig::batch_window`] for company, the deadline doubling
-//! as the epoll timeout. Backpressure is layered and always in-band:
-//! beyond [`ReactorConfig::max_connections`] a new connection gets one
+//! Backpressure is layered and always in-band: beyond
+//! [`ReactorConfig::max_connections`] a new connection gets one
 //! `overloaded` line and is closed; beyond [`ReactorConfig::max_queue`]
-//! pending same-grammar requests (or four times that across the whole
-//! queue for singles, `stats` and `shutdown` exempt), a request is
-//! answered `{"ok":false,"error":"overloaded","retry_after_ms":N}`
-//! without touching an engine. A client that keeps pipelining past its own
+//! requests waiting for a worker (`stats` and `shutdown` exempt), a
+//! request is answered
+//! `{"ok":false,"error":"overloaded","retry_after_ms":N}` without
+//! touching an engine. A client that keeps pipelining past its own
 //! unanswered requests has its reads paused until responses drain, so
 //! per-connection buffers stay bounded as well.
 //!
 //! Shutdown is a drain, not a cliff: once a worker handles a `shutdown`
-//! request the event thread stops accepting, pauses every read, force-
-//! flushes held batches, and keeps polling until every dispatched
-//! request has produced a response and every response byte is written —
-//! then joins the pool and returns.
+//! request the event thread stops accepting, pauses every read, and
+//! keeps polling until every queued request has produced a response and
+//! every response byte is written — then joins the pool and returns.
 
-use crate::batch::{Batcher, Done, PendingRequest};
+use crate::batch::{Done, PendingRequest};
 use crate::proto::{line_text, Op, Request, ResponseLine};
-use crate::serve::{handle_batch, handle_single, State};
+use crate::serve::{handle_single, State};
 use crate::sys::{
     EpollEvent, Interest, Poller, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
@@ -45,7 +40,7 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::io::{self, Read, Write};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -54,12 +49,11 @@ use std::time::{Duration, Instant};
 pub(crate) struct ReactorConfig {
     /// Worker threads handling requests (0 = one per CPU).
     pub workers: usize,
-    /// How long a pending batch may wait for company.
-    pub batch_window: Duration,
     /// Connection-table bound.
     pub max_connections: usize,
-    /// Per-grammar pending-batch bound; ×4, the global bound on queued
-    /// single requests.
+    /// Bound on requests waiting for a worker (`stats` and `shutdown`
+    /// exempt), and on one connection's unanswered pipeline (at least
+    /// [`MIN_PIPELINE_BOUND`]).
     pub max_queue: usize,
     /// Evict connections silent this long with nothing in flight.
     pub idle_timeout: Option<Duration>,
@@ -83,16 +77,19 @@ const WAKE: u64 = 1;
 /// First connection token.
 const FIRST_CONN: u64 = 2;
 
-/// `retry_after_ms` hint when the connection table is full — new
-/// connections, unlike queued requests, have no batch window to key off.
+/// `retry_after_ms` hint when the connection table is full.
 const CONN_RETRY_AFTER_MS: u64 = 100;
+
+/// `retry_after_ms` hint for a request refused at the queue bound.
+const QUEUE_RETRY_AFTER_MS: u64 = 1;
+
+/// The floor of the per-connection pipeline bound.
+const MIN_PIPELINE_BOUND: u64 = 16;
 
 /// One unit of work for the pool.
 enum Work {
-    /// A request handled on its own (`decompress`, `run`, `stats`, …).
-    Single(PendingRequest),
-    /// A flushed same-grammar compress batch: one engine dispatch.
-    Batch(crate::batch::Batch),
+    /// A request, handled start to finish by the worker that takes it.
+    Request(PendingRequest),
     /// Poison pill: the reactor is done, exit the worker loop.
     Shutdown,
 }
@@ -101,9 +98,6 @@ enum Work {
 struct Pool {
     queue: Mutex<VecDeque<Work>>,
     available: Condvar,
-    /// Workers currently handling a work item (for the adaptive flush
-    /// heuristic: flush early only when someone is free to start now).
-    busy: AtomicUsize,
     /// Requests handed to the pool whose responses have not yet been
     /// collected by the event thread — the shutdown-drain counter.
     outstanding: AtomicU64,
@@ -115,21 +109,11 @@ struct Pool {
 
 impl Pool {
     fn push(&self, work: Work) {
-        let requests = match &work {
-            Work::Single(_) => 1,
-            Work::Batch(batch) => batch.requests.len() as u64,
-            Work::Shutdown => 0,
-        };
-        self.outstanding.fetch_add(requests, Ordering::Relaxed);
+        if matches!(work, Work::Request(_)) {
+            self.outstanding.fetch_add(1, Ordering::Relaxed);
+        }
         self.queue.lock().expect("work queue lock").push_back(work);
         self.available.notify_one();
-    }
-
-    /// Whether dispatching right now would start immediately: the queue
-    /// is empty and at least one worker is free.
-    fn can_start_now(&self, workers: usize) -> bool {
-        self.busy.load(Ordering::Relaxed) < workers
-            && self.queue.lock().expect("work queue lock").is_empty()
     }
 }
 
@@ -146,28 +130,15 @@ fn worker(pool: &Pool) {
                 queue = pool.available.wait(queue).expect("work queue lock");
             }
         };
-        pool.busy.fetch_add(1, Ordering::Relaxed);
-        let done = match work {
-            Work::Single(req) => {
-                pool.state.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                vec![handle_single(&pool.state, req)]
-            }
-            Work::Batch(batch) => {
-                pool.state
-                    .queue_depth
-                    .fetch_sub(batch.requests.len() as u64, Ordering::Relaxed);
-                handle_batch(&pool.state, batch)
-            }
-            Work::Shutdown => {
-                pool.busy.fetch_sub(1, Ordering::Relaxed);
-                return;
-            }
+        let Work::Request(req) = work else {
+            return;
         };
+        pool.state.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        let done = handle_single(&pool.state, req);
         pool.completions
             .lock()
             .expect("completion list lock")
-            .extend(done);
-        pool.busy.fetch_sub(1, Ordering::Relaxed);
+            .push(done);
         pool.wake.wake();
     }
 }
@@ -311,7 +282,6 @@ pub(crate) fn run(state: Arc<State>, listener: UnixListener, cfg: ReactorConfig)
     let pool = Arc::new(Pool {
         queue: Mutex::new(VecDeque::new()),
         available: Condvar::new(),
-        busy: AtomicUsize::new(0),
         outstanding: AtomicU64::new(0),
         completions: Mutex::new(Vec::new()),
         wake: Arc::clone(&wake),
@@ -323,13 +293,12 @@ pub(crate) fn run(state: Arc<State>, listener: UnixListener, cfg: ReactorConfig)
         pool_handles.push(std::thread::spawn(move || worker(&pool)));
     }
 
-    let mut batcher = Batcher::new(cfg.batch_window, cfg.max_queue.max(1));
+    // The bound on requests waiting for a worker, across all
+    // connections.
+    let queue_bound = cfg.max_queue.max(1) as u64;
     // The bound on one connection's unanswered pipeline; past it the
     // reactor stops reading that socket until responses drain.
-    let pipeline_bound = (cfg.max_queue.saturating_mul(4)).max(16) as u64;
-    // The bound on queued single requests, across all connections.
-    let singles_bound = (cfg.max_queue.saturating_mul(4)).max(1) as u64;
-    let queue_retry_ms = (cfg.batch_window.as_millis() as u64).max(1);
+    let pipeline_bound = queue_bound.max(MIN_PIPELINE_BOUND);
 
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut watchdog = Watchdog::default();
@@ -343,12 +312,9 @@ pub(crate) fn run(state: Arc<State>, listener: UnixListener, cfg: ReactorConfig)
             // Completions wake us; this is only a safety tick.
             Some(Duration::from_millis(20))
         } else {
-            // Sleep until whichever fires first: a batch window, a
-            // watchdog force-expiry, or an idle eviction.
-            let mut next = batcher.next_deadline();
-            if let Some(at) = watchdog.next_deadline() {
-                next = Some(next.map_or(at, |n| n.min(at)));
-            }
+            // Sleep until whichever fires first: a watchdog force-expiry
+            // or an idle eviction.
+            let mut next = watchdog.next_deadline();
             if let Some(idle) = cfg.idle_timeout {
                 if let Some(oldest) = conns.values().map(|c| c.last_activity).min() {
                     let at = oldest + idle;
@@ -421,8 +387,8 @@ pub(crate) fn run(state: Arc<State>, listener: UnixListener, cfg: ReactorConfig)
             promote_ready(conn);
         }
 
-        // A worker saw `shutdown`: stop accepting, stop reading, flush
-        // every held batch, and drain.
+        // A worker saw `shutdown`: stop accepting, stop reading, and
+        // drain.
         if !draining && !state.running.load(Ordering::SeqCst) {
             draining = true;
             if listening {
@@ -431,34 +397,25 @@ pub(crate) fn run(state: Arc<State>, listener: UnixListener, cfg: ReactorConfig)
             }
         }
 
-        // Frame and route whatever the reads produced — and whatever a
+        // Frame and queue whatever the reads produced — and whatever a
         // paused pipeline still holds buffered, now that completions
         // have been applied. After this pass a connection only keeps a
-        // framed-but-undispatched line while at its pipeline bound, and
+        // framed-but-unqueued line while at its pipeline bound, and
         // the completions that lift the bound always wake the poller.
         for conn in conns.values_mut() {
             ingest(
                 &state,
                 &pool,
-                &mut batcher,
                 &mut watchdog,
                 conn,
                 draining,
                 pipeline_bound,
-                singles_bound,
-                queue_retry_ms,
+                queue_bound,
                 cfg.max_line_bytes,
             );
         }
 
-        // Flush batches: due ones always; everything while a worker
-        // could start it immediately (or the server is draining) —
-        // holding a batch nobody is ahead of only adds latency.
         let now = Instant::now();
-        let force = draining || pool.can_start_now(workers);
-        for batch in batcher.take_due(now, force) {
-            pool.push(Work::Batch(batch));
-        }
 
         // Watchdog sweep: any request whose worker has blown through
         // the deadline *and* the grace window is answered from here —
@@ -530,7 +487,6 @@ pub(crate) fn run(state: Arc<State>, listener: UnixListener, cfg: ReactorConfig)
 
         if draining
             && pool.outstanding.load(Ordering::Relaxed) == 0
-            && batcher.held() == 0
             && conns.values().all(Conn::flushed)
         {
             break;
@@ -657,21 +613,18 @@ fn read_ready(conn: &mut Conn) {
 /// request gets a [`CancelToken`] armed with its effective deadline (the
 /// request's own `timeout_ms`, clamped to the server ceiling) and, when
 /// a deadline exists, a watchdog entry for reactor-side force expiry.
-/// A `compress` joins its grammar's pending batch, under the batcher's
-/// per-grammar bound; anything else is queued to the pool under the
-/// global singles bound, from which `stats` and `shutdown` are exempt:
+/// A request is queued to the pool while fewer than `queue_bound` wait
+/// for a worker; `stats` and `shutdown` are exempt from the bound:
 /// operators must be able to observe and stop an overloaded server.
 #[allow(clippy::too_many_arguments)]
 fn ingest(
     state: &Arc<State>,
     pool: &Pool,
-    batcher: &mut Batcher,
     watchdog: &mut Watchdog,
     conn: &mut Conn,
     draining: bool,
     pipeline_bound: u64,
-    singles_bound: u64,
-    queue_retry_ms: u64,
+    queue_bound: u64,
     max_line_bytes: usize,
 ) {
     if draining {
@@ -712,45 +665,32 @@ fn ingest(
         if let Some(d) = deadline {
             cancel.set_deadline(d);
         }
-        let (batch_grammar, exempt) = match &request {
-            Ok(r) if r.op == Op::Compress => (Some(r.grammar.clone()), false),
-            Ok(r) => (None, matches!(r.op, Op::Stats | Op::Shutdown)),
-            Err(_) => (None, false),
-        };
+        let exempt = request
+            .as_ref()
+            .is_ok_and(|r| matches!(r.op, Op::Stats | Op::Shutdown));
+        let admitted = exempt || state.queue_depth.load(Ordering::Relaxed) < queue_bound;
         let seq = conn.next_seq;
         conn.next_seq += 1;
-        let req = PendingRequest {
-            conn: conn.token,
-            seq,
-            request,
-            received,
-            trace,
-            cancel: cancel.clone(),
-        };
-        let admitted = match batch_grammar {
-            Some(grammar) => {
-                let held = batcher.push(grammar, req);
-                if held {
-                    bump_queue_depth(state);
-                }
-                held
+        if admitted {
+            if let Some(d) = deadline {
+                watchdog.register(conn.token, seq, received, d, cancel.clone(), trace.to_hex());
             }
-            None if exempt || state.queue_depth.load(Ordering::Relaxed) < singles_bound => {
-                // Counted in before a worker can count it out.
-                bump_queue_depth(state);
-                pool.push(Work::Single(req));
-                true
-            }
-            None => false,
-        };
-        if !admitted {
+            // Counted in before a worker can count it out.
+            bump_queue_depth(state);
+            pool.push(Work::Request(PendingRequest {
+                conn: conn.token,
+                seq,
+                request,
+                received,
+                trace,
+                cancel,
+            }));
+        } else {
             record_rejection(state);
             conn.ready.insert(
                 seq,
-                ResponseLine::overloaded(queue_retry_ms, &trace.to_hex()),
+                ResponseLine::overloaded(QUEUE_RETRY_AFTER_MS, &trace.to_hex()),
             );
-        } else if let Some(d) = deadline {
-            watchdog.register(conn.token, seq, received, d, cancel, trace.to_hex());
         }
         promote_ready(conn);
     }

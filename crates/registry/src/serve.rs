@@ -9,19 +9,18 @@
 //! owns every socket in nonblocking mode, frames NDJSON incrementally,
 //! parses each line once into a typed request, and hands it to a fixed
 //! worker pool; responses are written back in per-connection request
-//! order however the pool completes them. Every `compress` is batched
-//! (the `batch` module): same-grammar requests arriving within
-//! [`ServeConfig::batch_window_us`] coalesce into one engine dispatch,
-//! and a lone one is a batch of one. `decompress`/`run`/`stats`/
-//! `shutdown` are handled one at a time. Both paths answer through the
-//! same response-and-accounting tail.
+//! order however the pool completes them. Every request, `compress`
+//! included, is handled start to finish by the worker that takes it
+//! (`handle_single`), and every engine compresses on that worker's
+//! thread: the pool is the one level of parallelism. Each op's handler
+//! answers through the same response-and-accounting tail.
 //!
 //! Admission control bounds the server, not the encoder's work: a
 //! request's size is bounded by [`ServeConfig::max_line_bytes`] and its
 //! time by its deadline (the tiler is linear in segment length, so
 //! nothing else grows with a request);
 //! [`ServeConfig::max_connections`] bounds the connection table and
-//! [`ServeConfig::max_queue`] bounds each grammar's pending batch —
+//! [`ServeConfig::max_queue`] bounds the requests waiting for a worker —
 //! overflow is answered in-band with
 //! `{"ok":false,"error":"overloaded","retry_after_ms":N}` rather than
 //! queued unboundedly, counted under `serve.rejected.overload`. A worker
@@ -33,7 +32,7 @@
 //! memory stays bounded.
 //!
 //! Every request is minted a [`TraceId`] and handled under its trace
-//! scope, so spans recorded anywhere below — engine workers, the tiler,
+//! scope, so spans recorded anywhere below — the compressor, the tiler,
 //! the VM's interpreter thread — attribute back to the request.
 //! Responses (success and error alike) carry the id in a `"trace"`
 //! field; error responses also carry elapsed `"micros"`. With
@@ -47,16 +46,16 @@
 //! per-grammar quantiles for the trailing minute. A `stats` request
 //! snapshots all of it, including itself.
 
-use crate::batch::{Batch, Done, PendingRequest};
+use crate::batch::{Done, PendingRequest};
 use crate::id::GrammarId;
 use crate::proto::{base64_decode, base64_encode, json_string, Op, Request, ResponseLine};
 use crate::store::{Registry, RegistryError};
 use crate::window::{SlidingWindow, DEFAULT_WINDOW_SECS};
 use pgr_bytecode::{read_program_tagged, write_program_tagged, ImageKind, Program};
-use pgr_core::{BatchEntry, Compressor, CompressorConfig};
+use pgr_core::{Compressor, CompressorConfig};
 use pgr_grammar::Nt;
 use pgr_telemetry::{
-    names, trace, CancelToken, Metrics, Recorder, Stopwatch, TraceId, DEFAULT_TRACE_CAPACITY,
+    names, trace, CancelToken, Metrics, Recorder, TraceId, DEFAULT_TRACE_CAPACITY,
 };
 use pgr_vm::{Vm, VmConfig, VmError};
 use std::collections::HashMap;
@@ -79,8 +78,6 @@ pub const SERVE_OPS: [&str; 4] = ["compress", "decompress", "run", "stats"];
 pub struct ServeConfig {
     /// Registry root directory (created if missing).
     pub registry_root: PathBuf,
-    /// Compressor worker threads per engine (0 = one per CPU).
-    pub threads: usize,
     /// Telemetry destination. Pass an enabled recorder — `stats`
     /// responses snapshot it.
     pub recorder: Recorder,
@@ -92,18 +89,16 @@ pub struct ServeConfig {
     /// with a `.slow.ndjson` extension. Ignored unless `slow_ms` is set.
     pub slow_trace: Option<PathBuf>,
     /// Request-handling worker threads in the reactor's pool (0 = one
-    /// per CPU). Distinct from `threads`, which sizes each engine's
-    /// *segment-encoding* fan-out within one dispatch.
+    /// per CPU). Each request, a compress's segment encoding included,
+    /// runs on the one worker that takes it.
     pub workers: usize,
-    /// How long a pending same-grammar compress batch may wait for
-    /// company, in microseconds. The reactor flushes early whenever
-    /// workers sit idle, so a lone request never pays the window.
-    pub batch_window_us: u64,
     /// Connection-table bound; connections beyond it are answered with
     /// an in-band `overloaded` line and closed.
     pub max_connections: usize,
-    /// Per-grammar pending-batch bound (and, ×4, the bound on queued
-    /// non-compress requests). Overflow is answered `overloaded`.
+    /// Bound on the requests waiting for a worker, whatever their op
+    /// (`stats` and `shutdown` are exempt), and on one connection's
+    /// unanswered pipeline (at least 16). Overflow is answered
+    /// `overloaded`.
     pub max_queue: usize,
     /// Resident-engine bound: loading a grammar beyond it evicts the
     /// least-recently-used engine (which reloads on next use).
@@ -139,14 +134,12 @@ impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             registry_root: PathBuf::from("registry"),
-            threads: 0,
             recorder: Recorder::new(),
             slow_ms: None,
             slow_trace: None,
             workers: 0,
-            batch_window_us: 200,
             max_connections: 1024,
-            max_queue: 64,
+            max_queue: 256,
             max_engines: 64,
             request_timeout_ms: None,
             idle_timeout_ms: None,
@@ -372,15 +365,14 @@ impl EngineShards {
 pub(crate) struct State {
     pub(crate) registry: Registry,
     pub(crate) engines: EngineShards,
-    threads: usize,
     pub(crate) recorder: Recorder,
     pub(crate) running: AtomicBool,
     pub(crate) socket: PathBuf,
     /// Server start, the zero point for uptime and the sliding window.
     pub(crate) start: Instant,
     pub(crate) window: Mutex<SlidingWindow>,
-    /// Requests accepted but not yet picked up by a worker (batch-held
-    /// included); the live value behind `serve.queue.depth`.
+    /// Requests accepted but not yet picked up by a worker; the live
+    /// value behind `serve.queue.depth`.
     pub(crate) queue_depth: AtomicU64,
     /// Slow-request threshold in micros, when slow tracing is on.
     slow_micros: Option<u64>,
@@ -460,13 +452,15 @@ fn error_chain(e: &dyn std::error::Error) -> String {
 impl State {
     /// Get (loading and caching if needed) the engine for a grammar id.
     /// The registry read happens outside any shard lock; a racing load
-    /// of the same id is resolved by [`EngineShards::insert`].
+    /// of the same id is resolved by [`EngineShards::insert`]. Engines
+    /// compress on the calling worker's thread: the worker pool is the
+    /// server's parallelism.
     fn engine_for(&self, id: GrammarId) -> Result<Arc<Engine>, RegistryError> {
         if let Some(engine) = self.engines.get(&id) {
             return Ok(engine);
         }
         let file = self.registry.load(&id)?;
-        let config = CompressorConfig::builder().threads(self.threads).build();
+        let config = CompressorConfig::builder().threads(1).build();
         let engine = Engine::new(id, file, config, self.recorder.clone());
         let engine = self.engines.insert(engine, &self.recorder);
         self.recorder
@@ -568,6 +562,36 @@ fn image_of(request: &Request) -> Result<(Program, ImageKind, Option<GrammarId>)
     Ok((program, kind, raw_id.map(GrammarId::from_raw)))
 }
 
+fn handle_compress(
+    state: &State,
+    request: &Request,
+    cancel: &CancelToken,
+) -> Result<Handled, String> {
+    let (program, kind, _) = image_of(request)?;
+    if kind == ImageKind::Compressed {
+        return Err("image is already compressed".into());
+    }
+    let engine = state.engine_of_request(request.grammar.as_deref(), None)?;
+    let (cp, stats) = engine
+        .compressor
+        .compress_cancellable(&program, cancel)
+        .map_err(|e| compress_error_message(&e))?;
+    let image = write_program_tagged(
+        &cp.program,
+        ImageKind::Compressed,
+        Some(engine.id.as_bytes()),
+    );
+    Ok((
+        ResponseLine::ok()
+            .str_field("grammar", &engine.id.to_hex())
+            .str_field("image", &base64_encode(&image))
+            .num_field("original_bytes", stats.original_code as u64)
+            .num_field("compressed_bytes", stats.compressed_code as u64)
+            .num_field("fallback_segments", stats.fallback_segments as u64),
+        Some(engine.id),
+    ))
+}
+
 fn handle_decompress(state: &State, request: &Request) -> Result<Handled, String> {
     let (program, kind, header_id) = image_of(request)?;
     if kind == ImageKind::Uncompressed {
@@ -663,13 +687,13 @@ fn handle_stats(state: &State, received: Instant) -> Result<Handled, String> {
 /// The in-band error for a handler that panicked.
 const INTERNAL_PANIC: &str = "internal panic while handling request";
 
-/// Handle one queued request that is not a `compress` (the reactor
-/// batches every one of those; see [`handle_batch`]). Latency runs from
-/// `req.received`, so queue wait is part of what the histograms see.
+/// Handle one queued request, whatever its op, on the calling worker's
+/// thread. Latency runs from `req.received`, so queue wait is part of
+/// what the histograms see.
 pub(crate) fn handle_single(state: &State, req: PendingRequest) -> Done {
     // The trace id is installed as this thread's trace scope: every span
-    // below — the VM thread included, via explicit propagation —
-    // attributes to this request.
+    // below — the compressor's and, via explicit propagation, the VM
+    // thread's — attributes to this request.
     let _attribution = trace::scope(req.trace);
     state.recorder.add(names::SERVE_REQUESTS, 1);
     let request = match &req.request {
@@ -684,10 +708,13 @@ pub(crate) fn handle_single(state: &State, req: PendingRequest) -> Done {
         // cheaply here, before any engine or VM work starts. stats and
         // shutdown stay exempt: operators must be able to observe and
         // stop a wedged server.
-        if req.cancel.is_cancelled() && matches!(request.op, Op::Decompress | Op::Run) {
+        if req.cancel.is_cancelled()
+            && matches!(request.op, Op::Compress | Op::Decompress | Op::Run)
+        {
             return Err(DEADLINE_EXCEEDED.to_string());
         }
         match &request.op {
+            Op::Compress => handle_compress(state, request, &req.cancel),
             Op::Decompress => handle_decompress(state, request),
             Op::Run => handle_run(state, request, &req.cancel),
             Op::Stats => handle_stats(state, req.received),
@@ -695,7 +722,6 @@ pub(crate) fn handle_single(state: &State, req: PendingRequest) -> Done {
                 state.running.store(false, Ordering::SeqCst);
                 Ok((ResponseLine::ok().bool_field("shutdown", true), None))
             }
-            Op::Compress => unreachable!("the reactor batches every compress request"),
             Op::Unknown(other) => Err(format!(
                 "unknown op {other:?} (expected compress/decompress/run/stats/shutdown)"
             )),
@@ -710,8 +736,8 @@ pub(crate) fn handle_single(state: &State, req: PendingRequest) -> Done {
     }
 }
 
-/// The tail every request shares, batched or not: latency and error
-/// counters, the sliding window (attributing the request to `grammar`),
+/// The tail every request shares: latency and error counters, the
+/// sliding window (attributing the request to `grammar`),
 /// the slow-trace log, and the response line addressed to the request's
 /// connection slot.
 fn respond(
@@ -766,193 +792,10 @@ fn respond(
     }
 }
 
-/// Take one distinct batched request as far as the engine: its
-/// uncompressed program. Every member that sent it shares the verdict.
-fn prepare(request: &Result<Request, String>) -> Result<Program, String> {
-    let request = request.as_ref().map_err(String::clone)?;
-    let (program, kind, _) = image_of(request)?;
-    if kind == ImageKind::Compressed {
-        return Err("image is already compressed".into());
-    }
-    Ok(program)
-}
-
-/// Handle one flushed compress batch: one engine dispatch for every
-/// *distinct* request, fanned back out to each member.
-///
-/// Duplicate requests — the common case under closed-loop load, where
-/// many clients compress the same artifact — are prepared and
-/// compressed once; compression is deterministic, so their responses
-/// differ only in trace id. Distinct requests become entries of one
-/// [`Compressor::compress_batch`] call, sharing a single parallel
-/// stride. Byte-for-byte, every response is identical
-/// to what serial per-request dispatch would have produced.
-pub(crate) fn handle_batch(state: &State, batch: Batch) -> Vec<Done> {
-    // Engine work runs under a batch-level trace id (segment spans can't
-    // be attributed to one member of a shared dispatch); each member's
-    // response still carries its own per-request id.
-    let batch_trace = TraceId::mint();
-    let _attribution = trace::scope(batch_trace);
-    let batch_sw = Stopwatch::start_if(true);
-
-    // Dispatch-level telemetry: how many requests coalesced, and how
-    // long the oldest member waited between arrival and dispatch.
-    let size = batch.requests.len() as u64;
-    state.recorder.add(names::SERVE_REQUESTS, size);
-    let wait_micros = batch
-        .requests
-        .first()
-        .map_or(0, |r| r.received.elapsed().as_micros() as u64);
-    state.recorder.observe(names::SERVE_BATCH_SIZE, size);
-    state
-        .recorder
-        .observe(names::SERVE_BATCH_WAIT_MICROS, wait_micros);
-    state.window.lock().expect("window lock").record_batch(
-        state.start.elapsed().as_secs(),
-        size,
-        wait_micros,
-    );
-
-    // Group identical requests.
-    let mut distinct: Vec<&Result<Request, String>> = Vec::new();
-    let mut group_of: Vec<usize> = Vec::with_capacity(batch.requests.len());
-    {
-        let mut index: HashMap<&Result<Request, String>, usize> = HashMap::new();
-        for req in &batch.requests {
-            let next = distinct.len();
-            let g = *index.entry(&req.request).or_insert(next);
-            if g == next {
-                distinct.push(&req.request);
-            }
-            group_of.push(g);
-        }
-    }
-
-    // Resolve the shared grammar once for the whole batch, then take each
-    // distinct request as far as the engine: without one, every request
-    // that got that far fails with the resolution error.
-    let engine = state.engine_of_request(batch.grammar.as_deref(), None);
-    let preps: Vec<Result<Program, String>> = distinct
-        .iter()
-        .map(|request| {
-            let prepared = prepare(request)?;
-            engine.as_ref().map_err(String::clone)?;
-            Ok(prepared)
-        })
-        .collect();
-
-    // Each distinct request is compressed once for every member that
-    // sent it, so one member's short deadline must not kill work a more
-    // patient member still wants: the group runs under the most
-    // generous member's token (an undeadlined member wins outright).
-    let group_cancel = |group: usize| -> CancelToken {
-        let mut best: Option<&CancelToken> = None;
-        for (req, &g) in batch.requests.iter().zip(&group_of) {
-            if g != group {
-                continue;
-            }
-            match req.cancel.remaining() {
-                None => return req.cancel.clone(),
-                Some(left) => {
-                    if best.is_none_or(|b| b.remaining().is_some_and(|br| br < left)) {
-                        best = Some(&req.cancel);
-                    }
-                }
-            }
-        }
-        best.cloned().unwrap_or_else(CancelToken::never)
-    };
-
-    // One engine dispatch for everything prepared. Its span must end
-    // before the batch trace is retired below, or the end event would
-    // outlive the drain: an unpaired begin in the slow-log dump and an
-    // orphan event left in the shared trace buffer.
-    let op_span = state.recorder.trace_span("serve.compress");
-    let mut answers = match &engine {
-        Ok(engine) => dispatch(engine, &preps, group_cancel),
-        Err(_) => Vec::new(),
-    }
-    .into_iter();
-    let outcomes: Vec<Result<ResponseLine, String>> = preps
-        .iter()
-        .map(|prep| {
-            prep.as_ref().map_err(String::clone)?;
-            answers
-                .next()
-                .unwrap_or_else(|| Err(INTERNAL_PANIC.to_string()))
-        })
-        .collect();
-    drop(op_span);
-
-    // Fan back out: one response per member, through the shared tail.
-    let grammar = engine.as_ref().ok().map(|e| e.id);
-    let out = batch
-        .requests
-        .iter()
-        .zip(&group_of)
-        .map(|(req, &group)| respond(state, req, "compress", outcomes[group].clone(), grammar))
-        .collect();
-    // Retire the batch-level trace (engine spans accumulated here); it
-    // reports to the slow log under the whole dispatch's elapsed time.
-    state.retire_trace(
-        batch_trace,
-        "compress.batch",
-        batch_sw.elapsed().as_micros() as u64,
-    );
-    out
-}
-
-/// Compress every prepared group of a batch in one engine dispatch,
-/// answering each in group order; `cancel_of` gives a group's token.
-fn dispatch(
-    engine: &Engine,
-    preps: &[Result<Program, String>],
-    cancel_of: impl Fn(usize) -> CancelToken,
-) -> Vec<Result<ResponseLine, String>> {
-    let ready: Vec<(usize, &Program)> = preps
-        .iter()
-        .enumerate()
-        .filter_map(|(group, prep)| Some((group, prep.as_ref().ok()?)))
-        .collect();
-    if ready.is_empty() {
-        return Vec::new();
-    }
-    let entries: Vec<BatchEntry<'_>> = ready
-        .iter()
-        .map(|&(group, program)| BatchEntry {
-            program,
-            cancel: cancel_of(group),
-        })
-        .collect();
-    let Ok(results) = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        engine.compressor.compress_batch(&entries)
-    })) else {
-        return vec![Err(INTERNAL_PANIC.to_string()); ready.len()];
-    };
-    results
-        .into_iter()
-        .map(|result| {
-            let (cp, stats) = result.map_err(|e| compress_error_message(&e))?;
-            let image = write_program_tagged(
-                &cp.program,
-                ImageKind::Compressed,
-                Some(engine.id.as_bytes()),
-            );
-            Ok(ResponseLine::ok()
-                .str_field("grammar", &engine.id.to_hex())
-                .str_field("image", &base64_encode(&image))
-                .num_field("original_bytes", stats.original_code as u64)
-                .num_field("compressed_bytes", stats.compressed_code as u64)
-                .num_field("fallback_segments", stats.fallback_segments as u64))
-        })
-        .collect()
-}
-
 /// A bound, not-yet-running request server.
 pub struct Server {
     listener: UnixListener,
     workers: usize,
-    batch_window_us: u64,
     max_connections: usize,
     max_queue: usize,
     idle_timeout_ms: Option<u64>,
@@ -998,8 +841,6 @@ impl Server {
             pre.add(counter, 0);
         }
         pre.gauge_max(names::SERVE_QUEUE_DEPTH, 0);
-        pre.ensure_hist(names::SERVE_BATCH_SIZE);
-        pre.ensure_hist(names::SERVE_BATCH_WAIT_MICROS);
         for op in SERVE_OPS {
             pre.ensure_hist(names::serve_request_micros(op));
             pre.add(names::serve_request_errors(op), 0);
@@ -1031,7 +872,6 @@ impl Server {
         Ok(Server {
             listener,
             workers: config.workers,
-            batch_window_us: config.batch_window_us,
             max_connections: config.max_connections,
             max_queue: config.max_queue,
             idle_timeout_ms: config.idle_timeout_ms,
@@ -1039,7 +879,6 @@ impl Server {
             state: Arc::new(State {
                 registry,
                 engines: EngineShards::new(config.max_engines),
-                threads: config.threads,
                 recorder: config.recorder,
                 running: AtomicBool::new(true),
                 socket,
@@ -1069,7 +908,6 @@ impl Server {
     pub fn run(self) -> Result<(), ServeError> {
         let cfg = crate::reactor::ReactorConfig {
             workers: self.workers,
-            batch_window: Duration::from_micros(self.batch_window_us.max(1)),
             max_connections: self.max_connections,
             max_queue: self.max_queue,
             idle_timeout: self.idle_timeout_ms.map(Duration::from_millis),
@@ -1137,34 +975,50 @@ mod tests {
         );
     }
 
-    #[test]
-    fn batch_trace_events_are_drained_when_the_batch_retires() {
-        // Slow tracing at threshold 0: every batch dumps its trace. Each
-        // dump must pair every begin with an end, and nothing may stay
-        // behind in the shared buffer once the batches have retired.
-        let dir = std::env::temp_dir().join(format!("pgr-batch-trace-{}", std::process::id()));
+    /// A server bound in a fresh scratch directory whose registry holds
+    /// the sample grammar; `tweak` adjusts the default config first.
+    fn bound_server(
+        tag: &str,
+        tweak: impl FnOnce(&mut ServeConfig),
+    ) -> (PathBuf, Server, GrammarId) {
+        let dir = std::env::temp_dir().join(format!("pgr-serve-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let registry = Registry::open(dir.join("reg")).unwrap();
-        let id_hex = registry
-            .store(&sample_file(), "batch trace")
+        let id = Registry::open(dir.join("reg"))
             .unwrap()
-            .id
-            .to_hex();
+            .store(&sample_file(), tag)
+            .unwrap()
+            .id;
+        let mut config = ServeConfig {
+            registry_root: dir.join("reg"),
+            ..ServeConfig::default()
+        };
+        tweak(&mut config);
+        let server = Server::bind(dir.join("pgr.sock"), config).unwrap();
+        (dir, server, id)
+    }
+
+    #[test]
+    fn a_default_server_compresses_on_the_worker_thread() {
+        let (dir, server, id) = bound_server("threads", |_| {});
+        let engine = server.state.engine_for(id).unwrap();
+        assert_eq!(engine.compressor.threads(), 1);
+        drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn compress_trace_events_are_drained_when_the_request_retires() {
+        // Slow tracing at threshold 0: every compress dumps the spans of
+        // its engine work under its own trace id. Each dump must pair
+        // every begin with an end, and nothing may stay behind in the
+        // shared buffer once the requests have retired.
         let recorder = Recorder::new();
-        let slow_log = dir.join("slow.ndjson");
-        let server = Server::bind(
-            dir.join("pgr.sock"),
-            ServeConfig {
-                registry_root: dir.join("reg"),
-                recorder: recorder.clone(),
-                threads: 1,
-                slow_ms: Some(0),
-                slow_trace: Some(slow_log.clone()),
-                ..ServeConfig::default()
-            },
-        )
-        .unwrap();
+        let (dir, server, id) = bound_server("trace", |c| {
+            c.recorder = recorder.clone();
+            c.slow_ms = Some(0);
+        });
+        let slow_log = dir.join("pgr.slow.ndjson");
         let program =
             pgr_bytecode::asm::assemble("proc main frame=0 args=0\n\tRETV\nendproc\nentry main\n")
                 .unwrap();
@@ -1172,32 +1026,46 @@ mod tests {
             &program,
             ImageKind::Uncompressed,
         ));
-        let line = format!(r#"{{"op":"compress","grammar":"{id_hex}","image":"{image}"}}"#);
+        let line = format!(
+            r#"{{"op":"compress","grammar":"{}","image":"{image}"}}"#,
+            id.to_hex()
+        );
+        let mut traces = Vec::new();
         for seq in 0..4 {
-            let batch = Batch {
-                grammar: Some(id_hex.clone()),
-                requests: vec![PendingRequest {
+            let trace = TraceId::mint();
+            let done = handle_single(
+                &server.state,
+                PendingRequest {
                     conn: 0,
                     seq,
                     request: Request::parse(&line),
                     received: Instant::now(),
-                    trace: TraceId::mint(),
+                    trace,
                     cancel: CancelToken::never(),
-                }],
-            };
-            let done = handle_batch(&server.state, batch);
-            assert!(
-                done[0].response.contains(r#""ok":true"#),
-                "{}",
-                done[0].response
+                },
             );
+            assert!(done.response.contains(r#""ok":true"#), "{}", done.response);
+            assert!(done.response.contains(&trace.to_hex()), "{}", done.response);
+            traces.push(trace.to_hex());
         }
 
         let left = recorder.take_trace().events;
-        assert!(left.is_empty(), "events outlived their batch: {left:?}");
+        assert!(left.is_empty(), "events outlived their request: {left:?}");
         let log = std::fs::read_to_string(&slow_log).unwrap();
         let count = |needle: &str| log.matches(needle).count();
-        assert_eq!(count(r#""op":"compress.batch""#), 4, "one dump per batch");
+        assert_eq!(count(r#""op":"compress""#), 4, "one dump per request");
+        assert_eq!(count("compress.batch"), 0, "no batch-level dump:\n{log}");
+        for trace in &traces {
+            for span in [
+                "compress.canonicalize",
+                "compress.encode",
+                "compress.parse",
+                "compress.emit",
+            ] {
+                let event = format!(r#""trace":"{trace}","name":"{span}""#);
+                assert!(log.contains(&event), "{span} not under {trace}:\n{log}");
+            }
+        }
         assert_eq!(
             count(r#""ph":"B""#),
             count(r#""ph":"E""#),

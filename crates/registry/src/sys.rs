@@ -10,9 +10,9 @@
 //! notification and the cross-thread wake primitive live here.
 //!
 //! `epoll_pwait2` (nanosecond timeouts, kernel ≥ 5.11) is preferred so
-//! sub-millisecond batch windows don't round up to whole-millisecond
-//! sleeps; on `ENOSYS` the poller downgrades once to `epoll_pwait` with
-//! ceiling-rounded milliseconds and remembers.
+//! a timer due in under a millisecond doesn't round up to a
+//! whole-millisecond sleep; on `ENOSYS` the poller downgrades once to
+//! `epoll_pwait` with ceiling-rounded milliseconds and remembers.
 
 use std::io;
 use std::os::unix::io::RawFd;

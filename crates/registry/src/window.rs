@@ -29,10 +29,6 @@ struct Slot {
     rejected: u64,
     per_op: BTreeMap<String, Hist>,
     per_grammar: BTreeMap<String, Hist>,
-    /// Requests coalesced per engine dispatch (1 = unbatched).
-    batch_size: Hist,
-    /// Oldest-request wait per dispatched batch, micros.
-    batch_wait: Hist,
     /// Segment programs compiled by run requests.
     tier2_compiled: u64,
     /// Requests answered in-band with `deadline_exceeded`.
@@ -54,8 +50,6 @@ impl Slot {
         self.rejected = 0;
         self.per_op.clear();
         self.per_grammar.clear();
-        self.batch_size = Hist::default();
-        self.batch_wait = Hist::default();
         self.tier2_compiled = 0;
         self.deadline_exceeded = 0;
         self.force_expired = 0;
@@ -63,12 +57,11 @@ impl Slot {
         self.line_overflow = 0;
     }
 
-    /// Whether the slot recorded anything at all (a batch dispatch or a
-    /// rejection can land in a second with no completed requests).
+    /// Whether the slot recorded anything at all (a rejection can land
+    /// in a second with no completed requests).
     fn live(&self) -> bool {
         self.requests > 0
             || self.rejected > 0
-            || self.batch_size.count > 0
             || self.tier2_compiled > 0
             || self.deadline_exceeded > 0
             || self.force_expired > 0
@@ -100,10 +93,6 @@ pub struct WindowStats {
     pub per_op: BTreeMap<String, Hist>,
     /// Latency summary per grammar (hex id), micros.
     pub per_grammar: BTreeMap<String, Hist>,
-    /// Requests coalesced per engine dispatch (1 = unbatched).
-    pub batch_size: Hist,
-    /// Oldest-request wait per dispatched batch, micros.
-    pub batch_wait: Hist,
     /// Segment programs compiled by run requests inside the window.
     pub tier2_compiled: u64,
     /// Requests answered `deadline_exceeded` inside the window.
@@ -158,7 +147,6 @@ impl WindowStats {
         format!(
             "{{\"window_secs\":{},\"requests\":{},\"errors\":{},\"rejected\":{},\
              \"rps\":{:.3},\"error_rate\":{:.4},\"ops\":{},\"grammars\":{},\
-             \"batch_size\":{},\"batch_wait\":{},\
              \"tier2_compiled\":{},\
              \"deadline_exceeded\":{},\"force_expired\":{},\
              \"idle_closed\":{},\"line_overflow\":{}}}",
@@ -170,8 +158,6 @@ impl WindowStats {
             self.error_rate(),
             map_json(&self.per_op),
             map_json(&self.per_grammar),
-            hist_json(&self.batch_size),
-            hist_json(&self.batch_wait),
             self.tier2_compiled,
             self.deadline_exceeded,
             self.force_expired,
@@ -219,14 +205,6 @@ impl SlidingWindow {
         slot.requests += 1;
         slot.errors += 1;
         slot.rejected += 1;
-    }
-
-    /// Record one engine dispatch of `size` coalesced requests whose
-    /// oldest member waited `wait_micros` between arrival and dispatch.
-    pub fn record_batch(&mut self, now_sec: u64, size: u64, wait_micros: u64) {
-        let slot = self.slot_at(now_sec);
-        slot.batch_size.observe(size);
-        slot.batch_wait.observe(wait_micros);
     }
 
     /// Record the segment programs one run request compiled.
@@ -292,8 +270,6 @@ impl SlidingWindow {
             stats.force_expired += slot.force_expired;
             stats.idle_closed += slot.idle_closed;
             stats.line_overflow += slot.line_overflow;
-            stats.batch_size = stats.batch_size.merge(slot.batch_size);
-            stats.batch_wait = stats.batch_wait.merge(slot.batch_wait);
             for (k, h) in &slot.per_op {
                 let slot = stats.per_op.entry(k.clone()).or_default();
                 *slot = slot.merge(*h);

@@ -176,6 +176,13 @@ fn connect(socket: &Path) -> UnixStream {
     panic!("server socket never came up at {}", socket.display());
 }
 
+/// A program that halts at once.
+const HALT: &str = "proc main frame=0 args=0\n\tRETV\nendproc\nentry main\n";
+
+/// A program that never halts: a `run` of it ends at its deadline.
+const SPIN: &str =
+    "proc main frame=0 args=0\n\tlabel 0\n\tLIT1 1\n\tBrTrue 0\n\tRETV\nendproc\nentry main\n";
+
 /// A program whose two segments are not postfix code: the value pushed
 /// before the label is still live after it, so neither segment parses
 /// alone and the compressor stores both verbatim. It returns 42.
@@ -202,7 +209,6 @@ fn concurrent_serve_with_a_degrading_neighbour() {
         &socket,
         ServeConfig {
             registry_root: scratch.path("reg"),
-            threads: 2,
             recorder: Recorder::new(),
             ..ServeConfig::default()
         },
@@ -423,6 +429,20 @@ fn serve_rejects_unknown_grammars_and_bad_payloads() {
         assert!(resp.get("error").and_then(Value::as_str).is_some());
     }
 
+    // An image whose bss would wrap the VM's 32-bit layout fails its
+    // `run` in-band at load.
+    let mut wide = assemble(HALT).unwrap();
+    wide.bss_size = u32::MAX - 8;
+    let resp = exchange(
+        &mut stream,
+        &format!(
+            r#"{{"op":"run","image":"{}"}}"#,
+            base64_encode(&write_program(&wide, ImageKind::Uncompressed))
+        ),
+    );
+    let error = resp.get("error").and_then(Value::as_str).unwrap();
+    assert!(error.contains("past the 32-bit address space"), "{error}");
+
     // A compressed image whose header names an absent grammar reports a
     // registry miss, with the id in the message.
     let program = assemble(SAMPLE).unwrap();
@@ -511,14 +531,15 @@ fn serve_traces_requests_and_dumps_slow_span_trees() {
 
     // Successful requests carry a per-request trace id. (A halting
     // program — SAMPLE spins forever, which `run` would not survive.)
-    let program = assemble("proc main frame=0 args=0\n\tRETV\nendproc\nentry main\n").unwrap();
+    let program = assemble(HALT).unwrap();
     let image_b64 = base64_encode(&write_program(&program, ImageKind::Uncompressed));
     let resp = exchange(
         &mut stream,
         &format!(r#"{{"op":"compress","grammar":"{id_hex}","image":"{image_b64}"}}"#),
     );
     assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(true));
-    seen.push(trace_of(&resp));
+    let compress_trace = trace_of(&resp);
+    seen.push(compress_trace.clone());
     let compressed = resp
         .get("image")
         .and_then(Value::as_str)
@@ -592,20 +613,41 @@ fn serve_traces_requests_and_dumps_slow_span_trees() {
     let text = std::fs::read_to_string(&slow_log).expect("slow trace NDJSON exists");
     let mut headers = Vec::new();
     let mut pending_events = 0u64;
+    // The compress request's own dump holds its engine spans.
+    let mut compress_spans = Vec::new();
     for line in text.lines() {
         let value = json::parse(line).expect("slow-log line parses as JSON");
         if pending_events == 0 {
             let trace = value.get("trace").and_then(Value::as_str).unwrap();
-            assert!(value.get("op").and_then(Value::as_str).is_some());
+            let op = value.get("op").and_then(Value::as_str).unwrap();
+            assert_ne!(op, "compress.batch", "no batch-level dump");
             assert!(value.get("micros").and_then(Value::as_u64).is_some());
             pending_events = value.get("events").and_then(Value::as_u64).unwrap();
             headers.push(trace.to_string());
         } else {
             // Span events of the request the preceding header announced.
-            assert!(value.get("name").and_then(Value::as_str).is_some());
+            let name = value.get("name").and_then(Value::as_str).unwrap();
             assert!(value.get("ph").and_then(Value::as_str).is_some());
+            if headers.last() == Some(&compress_trace) {
+                assert_eq!(
+                    value.get("trace").and_then(Value::as_str),
+                    Some(compress_trace.as_str())
+                );
+                compress_spans.push(name.to_string());
+            }
             pending_events -= 1;
         }
+    }
+    for span in [
+        "compress.canonicalize",
+        "compress.encode",
+        "compress.parse",
+        "compress.emit",
+    ] {
+        assert!(
+            compress_spans.iter().any(|n| n == span),
+            "{span} missing under trace {compress_trace}: {compress_spans:?}"
+        );
     }
     assert_eq!(pending_events, 0, "slow log ends mid-request");
     assert!(headers.len() >= seen.len(), "every request dumps a tree");
@@ -617,7 +659,7 @@ fn serve_traces_requests_and_dumps_slow_span_trees() {
     }
 }
 
-// ---- reactor: batching, backpressure, eviction, drain ------------------
+// ---- reactor: backpressure, eviction, drain ----------------------------
 
 /// Pipeline several request lines in one write (so they arrive in one
 /// readiness sweep) and read back exactly as many responses, in order.
@@ -641,159 +683,107 @@ fn pipeline(stream: &mut UnixStream, requests: &[String]) -> Vec<Value> {
 }
 
 #[test]
-fn batched_compresses_are_byte_identical_to_serial_dispatch() {
-    let scratch = Scratch::new("serve-batch");
+fn served_compresses_match_serial_compression_on_two_grammars() {
+    let scratch = Scratch::new("serve-serial");
     let registry = Registry::open(scratch.path("reg")).unwrap();
-    let manifest = registry.store(&sample_grammar(), "").unwrap();
-    let id_hex = manifest.id.to_hex();
+    let files = [sample_grammar(), variant_grammar(1)];
+    let ids: Vec<GrammarId> = files
+        .iter()
+        .map(|file| registry.store(file, "").unwrap().id)
+        .collect();
     let socket = scratch.path("pgr.sock");
     let server = Server::bind(
         &socket,
         ServeConfig {
             registry_root: scratch.path("reg"),
-            threads: 1,
-            workers: 1,
-            batch_window_us: 200_000,
+            workers: 2,
             ..ServeConfig::default()
         },
     )
     .unwrap();
     let server_thread = std::thread::spawn(move || server.run().unwrap());
 
-    let a = assemble(SAMPLE).unwrap();
-    let b = assemble(&SAMPLE.replace("LIT1 1", "LIT1 7")).unwrap();
-    let a64 = base64_encode(&write_program(&a, ImageKind::Uncompressed));
-    let b64 = base64_encode(&write_program(&b, ImageKind::Uncompressed));
-    let req_a = format!(r#"{{"op":"compress","grammar":"{id_hex}","image":"{a64}"}}"#);
-    let req_b = format!(r#"{{"op":"compress","grammar":"{id_hex}","image":"{b64}"}}"#);
-
-    // Serial reference: one request at a time, each its own dispatch.
-    let mut serial = connect(&socket);
-    let serial_a = exchange(&mut serial, &req_a);
-    let serial_b = exchange(&mut serial, &req_b);
-    let image_of = |resp: &Value| {
-        assert_eq!(
-            resp.get("ok").and_then(Value::as_bool),
-            Some(true),
-            "{resp:?}"
+    // Two programs under two grammars, interleaved in one pipelined
+    // burst on each of two connections: every response names the
+    // grammar its request asked for and carries the bytes and sizes a
+    // serial `Compressor::compress` of that program produces.
+    let programs = [
+        assemble(SAMPLE).unwrap(),
+        assemble(&SAMPLE.replace("LIT1 1", "LIT1 7")).unwrap(),
+    ];
+    let mut requests = Vec::new();
+    let mut expected = Vec::new();
+    for (file, id) in files.iter().zip(&ids) {
+        let engine = pgr_core::Compressor::with_config(
+            &file.grammar,
+            file.start,
+            pgr_core::CompressorConfig::default().threads(1),
         );
-        resp.get("image")
-            .and_then(Value::as_str)
-            .unwrap()
-            .to_string()
-    };
-    let serial_a_image = image_of(&serial_a);
-    let serial_b_image = image_of(&serial_b);
-
-    // Occupy the single worker so the pipelined burst is *held* and
-    // coalesced rather than adaptively flushed one by one.
-    writeln!(serial, "{req_a}").unwrap();
-    serial.flush().unwrap();
-    std::thread::sleep(std::time::Duration::from_millis(5));
-
-    // Three same-grammar compresses (two identical lines) in one burst:
-    // one engine dispatch, three responses, in request order.
-    let mut burst = connect(&socket);
-    let responses = pipeline(&mut burst, &[req_a.clone(), req_b.clone(), req_a.clone()]);
-    // The occupied worker's own response still arrives.
-    let mut reader = BufReader::new(serial.try_clone().unwrap());
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    assert_eq!(image_of(&json::parse(&line).unwrap()), serial_a_image);
-
-    let expected = [&serial_a_image, &serial_b_image, &serial_a_image];
-    let mut traces = std::collections::HashSet::new();
-    for (resp, want) in responses.iter().zip(expected) {
-        assert_eq!(
-            &image_of(resp),
-            want,
-            "batched compress must be byte-identical to serial dispatch"
-        );
-        let trace = resp.get("trace").and_then(Value::as_str).unwrap();
-        assert!(traces.insert(trace.to_string()), "trace ids stay distinct");
+        for program in &programs {
+            let (cp, stats) = engine.compress(program).unwrap();
+            let image =
+                write_program_tagged(&cp.program, ImageKind::Compressed, Some(id.as_bytes()));
+            let plain = base64_encode(&write_program(program, ImageKind::Uncompressed));
+            requests.push(format!(
+                r#"{{"op":"compress","grammar":"{}","image":"{plain}"}}"#,
+                id.to_hex()
+            ));
+            expected.push((id.to_hex(), base64_encode(&image), stats));
+        }
+    }
+    let order = [0, 2, 1, 3];
+    let burst: Vec<String> = order.iter().map(|&i| requests[i].clone()).collect();
+    let clients: Vec<_> = (0..2)
+        .map(|_| {
+            let socket = socket.clone();
+            let burst = burst.clone();
+            std::thread::spawn(move || pipeline(&mut connect(&socket), &burst))
+        })
+        .collect();
+    for client in clients {
+        let responses = client.join().unwrap();
+        for (resp, &i) in responses.iter().zip(&order) {
+            let (grammar, image, stats) = &expected[i];
+            assert_eq!(
+                resp.get("ok").and_then(Value::as_bool),
+                Some(true),
+                "{resp:?}"
+            );
+            assert_eq!(
+                resp.get("grammar").and_then(Value::as_str),
+                Some(grammar.as_str())
+            );
+            assert_eq!(
+                resp.get("image").and_then(Value::as_str),
+                Some(image.as_str()),
+                "served bytes differ from serial compression (request {i})"
+            );
+            assert_eq!(
+                resp.get("original_bytes").and_then(Value::as_u64),
+                Some(stats.original_code as u64)
+            );
+            assert_eq!(
+                resp.get("compressed_bytes").and_then(Value::as_u64),
+                Some(stats.compressed_code as u64)
+            );
+            assert_eq!(
+                resp.get("fallback_segments").and_then(Value::as_u64),
+                Some(0)
+            );
+        }
     }
 
-    // The stats response proves a real multi-request dispatch happened.
-    let resp = exchange(&mut serial, r#"{"op":"stats"}"#);
-    let batch_size = resp
-        .get("metrics")
-        .and_then(|m| m.get("histograms"))
-        .and_then(|h| h.get(names::SERVE_BATCH_SIZE))
-        .expect("serve.batch.size histogram");
-    assert!(
-        batch_size.get("max").and_then(Value::as_u64).unwrap() >= 3,
-        "burst of three must coalesce: {batch_size:?}"
-    );
-    let window = resp.get("window").expect("window");
-    assert!(window.get("batch_size").is_some());
-    assert!(window.get("batch_wait").is_some());
+    let mut stream = connect(&socket);
+    let resp = exchange(&mut stream, r#"{"op":"stats"}"#);
     assert!(
         resp.get("queue_depth").and_then(Value::as_u64).is_some(),
         "stats must expose live queue depth"
     );
-    assert_eq!(resp.get("engines").and_then(Value::as_u64), Some(1));
-
-    let resp = exchange(&mut serial, r#"{"op":"shutdown"}"#);
-    assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(true));
-    server_thread.join().unwrap();
-    assert!(!socket.exists());
-}
-
-#[test]
-fn mixed_grammar_requests_never_share_a_batch() {
-    let scratch = Scratch::new("serve-mixed");
-    let registry = Registry::open(scratch.path("reg")).unwrap();
-    let first = registry.store(&sample_grammar(), "a").unwrap();
-    let second = registry.store(&variant_grammar(1), "b").unwrap();
-    let socket = scratch.path("pgr.sock");
-    let server = Server::bind(
-        &socket,
-        ServeConfig {
-            registry_root: scratch.path("reg"),
-            threads: 1,
-            workers: 1,
-            batch_window_us: 200_000,
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
-    let server_thread = std::thread::spawn(move || server.run().unwrap());
-
-    let image = base64_encode(&write_program(
-        &assemble(SAMPLE).unwrap(),
-        ImageKind::Uncompressed,
-    ));
-    let req = |hex: &str| format!(r#"{{"op":"compress","grammar":"{hex}","image":"{image}"}}"#);
-    let a_hex = first.id.to_hex();
-    let b_hex = second.id.to_hex();
-
-    // Interleave the two grammars in one burst: each response must name
-    // the grammar its request asked for, whatever got batched with what.
-    let mut stream = connect(&socket);
-    let requests = [req(&a_hex), req(&b_hex), req(&a_hex), req(&b_hex)];
-    let responses = pipeline(&mut stream, &requests);
-    for (i, resp) in responses.iter().enumerate() {
-        let want = if i % 2 == 0 { &a_hex } else { &b_hex };
-        // Grammar B has one rule more than A, so its images differ —
-        // but never cross into A's batch: a response that names a
-        // grammar must name the right one.
-        if resp.get("ok").and_then(Value::as_bool) == Some(true) {
-            assert_eq!(
-                resp.get("grammar").and_then(Value::as_str),
-                Some(want.as_str()),
-                "response {i} answered with the wrong grammar"
-            );
-        }
-    }
-    assert_eq!(
-        responses[0].get("image").and_then(Value::as_str),
-        responses[2].get("image").and_then(Value::as_str),
-        "same request, same batch key, same bytes"
-    );
-
+    assert_eq!(resp.get("engines").and_then(Value::as_u64), Some(2));
     let resp = exchange(&mut stream, r#"{"op":"shutdown"}"#);
     assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(true));
     server_thread.join().unwrap();
+    assert!(!socket.exists());
 }
 
 #[test]
@@ -807,11 +797,10 @@ fn queue_saturation_answers_overloaded_in_band_without_dropping_connections() {
         &socket,
         ServeConfig {
             registry_root: scratch.path("reg"),
-            threads: 1,
+            // One worker and a tiny queue: once a spinning run holds
+            // the worker, pipelining 4x the queue bound must trip
+            // admission control, not grow a backlog.
             workers: 1,
-            // A long window and a tiny queue: pipelining 4x the queue
-            // bound must trip admission control, not grow a backlog.
-            batch_window_us: 300_000,
             max_queue: 2,
             ..ServeConfig::default()
         },
@@ -819,17 +808,41 @@ fn queue_saturation_answers_overloaded_in_band_without_dropping_connections() {
     .unwrap();
     let server_thread = std::thread::spawn(move || server.run().unwrap());
 
+    let mut holder = connect(&socket);
+    let spin = base64_encode(&write_program(
+        &assemble(SPIN).unwrap(),
+        ImageKind::Uncompressed,
+    ));
+    writeln!(
+        holder,
+        r#"{{"op":"run","timeout_ms":1000,"image":"{spin}"}}"#
+    )
+    .unwrap();
+    holder.flush().unwrap();
+    // A head start for the worker, so the spin is running, not queued,
+    // when the burst lands.
+    std::thread::sleep(std::time::Duration::from_millis(100));
+
     let image = base64_encode(&write_program(
         &assemble(SAMPLE).unwrap(),
         ImageKind::Uncompressed,
     ));
     let req = format!(r#"{{"op":"compress","grammar":"{id_hex}","image":"{image}"}}"#);
     let mut stream = connect(&socket);
-    let burst: Vec<String> = std::iter::repeat_with(|| req.clone()).take(8).collect();
+    let mut burst: Vec<String> = std::iter::repeat_with(|| req.clone()).take(8).collect();
+    // `stats` and `shutdown` are admitted past the bound: an operator
+    // can always look, and always stop.
+    burst.push(r#"{"op":"stats"}"#.to_string());
+    burst.push(r#"{"op":"shutdown"}"#.to_string());
     let responses = pipeline(&mut stream, &burst);
 
     let (mut ok, mut overloaded) = (0, 0);
-    for resp in &responses {
+    for resp in &responses[..8] {
+        let trace = resp.get("trace").and_then(Value::as_str).unwrap();
+        assert!(
+            trace.len() == 16 && trace.bytes().all(|b| b.is_ascii_hexdigit()),
+            "{resp:?}"
+        );
         if resp.get("ok").and_then(Value::as_bool) == Some(true) {
             ok += 1;
         } else {
@@ -842,7 +855,6 @@ fn queue_saturation_answers_overloaded_in_band_without_dropping_connections() {
                 resp.get("retry_after_ms").and_then(Value::as_u64).unwrap() >= 1,
                 "overloaded responses carry a backoff hint"
             );
-            assert!(resp.get("trace").and_then(Value::as_str).is_some());
             overloaded += 1;
         }
     }
@@ -850,23 +862,107 @@ fn queue_saturation_answers_overloaded_in_band_without_dropping_connections() {
     assert_eq!(overloaded, 6, "the rest is refused in-band");
 
     // The connection survived saturation; stats sees the rejections.
-    let resp = exchange(&mut stream, r#"{"op":"stats"}"#);
+    let stats = &responses[8];
     assert_eq!(
-        resp.get("metrics")
+        stats
+            .get("metrics")
             .and_then(|m| m.get("counters"))
             .and_then(|c| c.get(names::SERVE_REJECTED_OVERLOAD))
             .and_then(Value::as_u64),
         Some(6)
     );
     assert_eq!(
-        resp.get("window")
+        stats
+            .get("window")
             .and_then(|w| w.get("rejected"))
             .and_then(Value::as_u64),
         Some(6)
     );
+    assert_eq!(responses[9].get("ok").and_then(Value::as_bool), Some(true));
+    // The spinning run is answered too, before the server exits.
+    let mut line = String::new();
+    BufReader::new(holder).read_line(&mut line).unwrap();
+    let held = json::parse(&line).expect("the spinning run is answered");
+    assert_eq!(
+        held.get("ok").and_then(Value::as_bool),
+        Some(false),
+        "{held:?}"
+    );
+    server_thread.join().unwrap();
+}
 
-    let resp = exchange(&mut stream, r#"{"op":"shutdown"}"#);
-    assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(true));
+#[test]
+fn sixteen_pipelining_connections_are_served_without_error() {
+    let scratch = Scratch::new("serve-load");
+    let registry = Registry::open(scratch.path("reg")).unwrap();
+    let id_hex = registry.store(&sample_grammar(), "").unwrap().id.to_hex();
+    let socket = scratch.path("pgr.sock");
+    let server = Server::bind(
+        &socket,
+        ServeConfig {
+            registry_root: scratch.path("reg"),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let server_thread = std::thread::spawn(move || server.run().unwrap());
+
+    // A closed loop of 16 connections, each keeping 4 identical
+    // compresses in flight for a few rounds: every answer is ok, in
+    // order, and byte-identical to every other.
+    let image = base64_encode(&write_program(
+        &assemble(SAMPLE).unwrap(),
+        ImageKind::Uncompressed,
+    ));
+    let req = format!(r#"{{"op":"compress","grammar":"{id_hex}","image":"{image}"}}"#);
+    let clients: Vec<_> = (0..16)
+        .map(|_| {
+            let socket = socket.clone();
+            let burst = vec![req.clone(); 4];
+            std::thread::spawn(move || {
+                let mut stream = connect(&socket);
+                stream
+                    .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+                    .unwrap();
+                let mut images = Vec::new();
+                for _ in 0..3 {
+                    for resp in pipeline(&mut stream, &burst) {
+                        assert_eq!(
+                            resp.get("ok").and_then(Value::as_bool),
+                            Some(true),
+                            "{resp:?}"
+                        );
+                        images.push(
+                            resp.get("image")
+                                .and_then(Value::as_str)
+                                .unwrap()
+                                .to_string(),
+                        );
+                    }
+                }
+                images
+            })
+        })
+        .collect();
+    let mut images = Vec::new();
+    for client in clients {
+        images.extend(client.join().unwrap());
+    }
+    assert_eq!(images.len(), 16 * 4 * 3);
+    assert!(
+        images.iter().all(|i| i == &images[0]),
+        "identical requests, identical bytes"
+    );
+
+    let mut stream = connect(&socket);
+    let resp = exchange(&mut stream, r#"{"op":"stats"}"#);
+    let errors = resp
+        .get("metrics")
+        .and_then(|m| m.get("counters"))
+        .and_then(|c| c.get(names::SERVE_ERRORS))
+        .and_then(Value::as_u64);
+    assert_eq!(errors, Some(0), "no request failed");
+    exchange(&mut stream, r#"{"op":"shutdown"}"#);
     server_thread.join().unwrap();
 }
 
@@ -881,15 +977,14 @@ fn burst_past_pipeline_bound_completes_without_hanging() {
         &socket,
         ServeConfig {
             registry_root: scratch.path("reg"),
-            threads: 1,
             workers: 1,
             // max_queue=4 puts the per-connection pipeline bound at its
             // floor of 16: a 20-line burst overruns it, so the last
-            // lines sit framed-but-undispatched until responses drain.
+            // lines sit framed-but-unqueued until responses drain.
             // Regression: when the bound-lifting completions all landed
-            // in one wake (one flushed batch), those lines were stranded
-            // forever — the reactor ingested before applying completions
-            // and then had nothing left to wake it.
+            // in one wake, those lines were stranded forever — the
+            // reactor ingested before applying completions and then had
+            // nothing left to wake it.
             max_queue: 4,
             ..ServeConfig::default()
         },
@@ -925,7 +1020,7 @@ fn burst_past_pipeline_bound_completes_without_hanging() {
     }
     assert!(
         ok >= 4,
-        "at least one full batch beyond the stranded tail must succeed, got {ok}"
+        "at least a full queue beyond the stranded tail must succeed, got {ok}"
     );
 
     let resp = exchange(&mut stream, r#"{"op":"shutdown"}"#);
@@ -944,7 +1039,6 @@ fn aborted_connections_are_reaped_and_do_not_erode_capacity() {
         &socket,
         ServeConfig {
             registry_root: scratch.path("reg"),
-            threads: 1,
             workers: 1,
             // One connection slot: a leaked entry for the aborted client
             // would lock every later client out as overloaded.
@@ -994,7 +1088,7 @@ fn aborted_connections_are_reaped_and_do_not_erode_capacity() {
 }
 
 #[test]
-fn shutdown_drains_in_flight_and_batched_requests() {
+fn shutdown_drains_in_flight_and_queued_requests() {
     let scratch = Scratch::new("serve-drain");
     let registry = Registry::open(scratch.path("reg")).unwrap();
     let manifest = registry.store(&sample_grammar(), "").unwrap();
@@ -1004,75 +1098,70 @@ fn shutdown_drains_in_flight_and_batched_requests() {
         &socket,
         ServeConfig {
             registry_root: scratch.path("reg"),
-            threads: 1,
-            // Two workers: one can carry a slow compress while the other
-            // takes the shutdown.
-            workers: 2,
-            // A long window: the second compress is still *held* (not
-            // even dispatched) when shutdown lands, and must drain too.
-            batch_window_us: 500_000,
+            workers: 1,
             ..ServeConfig::default()
         },
     )
     .unwrap();
     let server_thread = std::thread::spawn(move || server.run().unwrap());
 
-    // A slow request: many distinct segments, compressed fresh.
-    let mut big = String::from("proc f frame=8 args=0\n");
-    for i in 0..120 {
-        big.push_str(&format!(
-            "\tADDRLP {}\n\tINDIRU\n\tLIT1 {}\n\tADDU\n\tADDRLP 0\n\tASGNU\n",
-            i % 8,
-            (i * 7) % 250 + 1,
-        ));
-    }
-    big.push_str("\tRETV\nendproc\nentry f\n");
-    let slow64 = base64_encode(&write_program(
-        &assemble(&big).unwrap(),
+    // A spinning run holds the one worker until its deadline.
+    let spin = base64_encode(&write_program(
+        &assemble(SPIN).unwrap(),
         ImageKind::Uncompressed,
     ));
-
-    let mut slow_conn = connect(&socket);
+    let mut busy_conn = connect(&socket);
     writeln!(
-        slow_conn,
-        r#"{{"op":"compress","grammar":"{id_hex}","image":"{slow64}"}}"#
+        busy_conn,
+        r#"{{"op":"run","timeout_ms":500,"image":"{spin}"}}"#
     )
     .unwrap();
-    slow_conn.flush().unwrap();
-    // Give the reactor a beat to dispatch it, then park one more in the
-    // batcher behind the long window.
-    std::thread::sleep(std::time::Duration::from_millis(10));
+    busy_conn.flush().unwrap();
+    std::thread::sleep(std::time::Duration::from_millis(100));
+
+    // Shutdown queues behind it, and a compress queues behind the
+    // shutdown: it is still waiting for the worker when shutdown lands.
+    let mut shutdown_conn = connect(&socket);
+    writeln!(shutdown_conn, r#"{{"op":"shutdown"}}"#).unwrap();
+    shutdown_conn.flush().unwrap();
+    std::thread::sleep(std::time::Duration::from_millis(20));
     let small64 = base64_encode(&write_program(
         &assemble(SAMPLE).unwrap(),
         ImageKind::Uncompressed,
     ));
-    let mut held_conn = connect(&socket);
+    let mut queued_conn = connect(&socket);
     writeln!(
-        held_conn,
+        queued_conn,
         r#"{{"op":"compress","grammar":"{id_hex}","image":"{small64}"}}"#
     )
     .unwrap();
-    held_conn.flush().unwrap();
+    queued_conn.flush().unwrap();
 
-    // Shutdown while the slow request is in flight and the small one is
-    // still held in its batch window.
-    let mut shutdown_conn = connect(&socket);
-    let resp = exchange(&mut shutdown_conn, r#"{"op":"shutdown"}"#);
-    assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(true));
-
-    // Both outstanding requests still get their responses.
-    for conn in [&mut slow_conn, &mut held_conn] {
-        let mut reader = BufReader::new(conn.try_clone().unwrap());
+    // Every outstanding request still gets its response: the run its
+    // deadline, the shutdown its acknowledgement, the queued compress
+    // its image.
+    let answer = |conn: &UnixStream| {
         let mut line = String::new();
-        reader.read_line(&mut line).expect("drained response");
+        BufReader::new(conn.try_clone().unwrap())
+            .read_line(&mut line)
+            .expect("drained response");
         assert!(!line.is_empty(), "response must arrive before shutdown");
-        let resp = json::parse(&line).expect("response is JSON");
-        assert_eq!(
-            resp.get("ok").and_then(Value::as_bool),
-            Some(true),
-            "in-flight request must complete during drain: {resp:?}"
-        );
-    }
+        json::parse(&line).expect("response is JSON")
+    };
+    let resp = answer(&busy_conn);
+    assert_eq!(
+        resp.get("error").and_then(Value::as_str),
+        Some("deadline_exceeded"),
+        "the in-flight run is answered during drain: {resp:?}"
+    );
+    let resp = answer(&shutdown_conn);
+    assert_eq!(resp.get("shutdown").and_then(Value::as_bool), Some(true));
+    let resp = answer(&queued_conn);
+    assert_eq!(
+        resp.get("ok").and_then(Value::as_bool),
+        Some(true),
+        "a queued request must complete during drain: {resp:?}"
+    );
     server_thread.join().unwrap();
     assert!(!socket.exists());
 }
@@ -1092,7 +1181,6 @@ fn engine_eviction_bounds_resident_engines() {
         &socket,
         ServeConfig {
             registry_root: scratch.path("reg"),
-            threads: 1,
             max_engines: 1,
             ..ServeConfig::default()
         },

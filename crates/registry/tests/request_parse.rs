@@ -1,13 +1,13 @@
 //! Each request line is parsed once, at intake, and every decision the
-//! server makes about it — where it is routed, whether the singles bound
-//! applies, what its deadline is — reads that one parse. These cases
-//! pin the inputs on which a lexical scan of the raw line would disagree
-//! with the JSON parser: nested and duplicate keys, escaped strings, and
-//! numbers in exponent form.
+//! server makes about it — which handler takes it, whether the queue
+//! bound applies, what its deadline is — reads that one parse. These
+//! cases pin the inputs on which a lexical scan of the raw line would
+//! disagree with the JSON parser: nested and duplicate keys, escaped
+//! strings, and numbers in exponent form.
 //!
-//! The bound cases share one setup: one worker, `max_queue: 1` (so the
-//! singles bound is 4), a spinning `run` holding the worker, then one
-//! pipelined burst of four queued `run`s followed by the probe line.
+//! The bound cases share one setup: one worker, `max_queue: 4`, a
+//! spinning `run` holding the worker, then one pipelined burst of four
+//! queued `run`s followed by the probe line.
 
 use pgr_bytecode::asm::assemble;
 use pgr_bytecode::{write_program, ImageKind};
@@ -73,7 +73,7 @@ fn read_response(reader: &mut BufReader<UnixStream>) -> Value {
     json::parse(&line).expect("response is JSON")
 }
 
-/// One worker and `max_queue: 1`: the singles bound is 4 queued requests.
+/// One worker and `max_queue: 4`: at most 4 requests wait for it.
 fn spawn_server(scratch: &Scratch) -> (PathBuf, std::thread::JoinHandle<()>) {
     let registry = Registry::open(scratch.path("reg")).unwrap();
     let ig = InitialGrammar::build();
@@ -85,9 +85,8 @@ fn spawn_server(scratch: &Scratch) -> (PathBuf, std::thread::JoinHandle<()>) {
         &socket,
         ServeConfig {
             registry_root: scratch.path("reg"),
-            threads: 1,
             workers: 1,
-            max_queue: 1,
+            max_queue: 4,
             ..ServeConfig::default()
         },
     )
@@ -103,8 +102,8 @@ fn shutdown(socket: &Path, server: std::thread::JoinHandle<()>) {
     server.join().unwrap();
 }
 
-/// Hold the only worker with a spinning `run`, fill the singles queue
-/// with four more `run`s, and send `probe` last in the same burst.
+/// Hold the only worker with a spinning `run`, fill the queue with four
+/// more `run`s, and send `probe` last in the same burst.
 /// Returns the probe's response.
 fn probe_behind_a_full_queue(tag: &str, probe: &str) -> Value {
     let scratch = Scratch::new(tag);

@@ -88,7 +88,6 @@ fn spawn_server(
     let socket = scratch.path("pgr.sock");
     let mut config = ServeConfig {
         registry_root: scratch.path("reg"),
-        threads: 1,
         ..ServeConfig::default()
     };
     tweak(&mut config);
@@ -420,49 +419,51 @@ fn oversized_lines_are_answered_in_band_and_the_slot_is_reclaimed() {
 }
 
 #[test]
-fn peer_closing_mid_batch_with_flush_deadline_pending_does_not_wedge_the_flush() {
-    let scratch = Scratch::new("midbatch");
-    let (socket, server_thread, id_hex) = spawn_server(&scratch, |c| {
-        c.workers = 1;
-        // A long window so the second request is still *held* in the
-        // batcher (flush deadline pending) when its peer hangs up.
-        c.batch_window_us = 300_000;
-    });
+fn peer_closing_with_a_request_queued_does_not_wedge_the_server() {
+    let scratch = Scratch::new("queued-close");
+    let (socket, server_thread, id_hex) = spawn_server(&scratch, |c| c.workers = 1);
 
-    let halt64 = image_b64(HALT);
-    let req = format!(r#"{{"op":"compress","grammar":"{id_hex}","image":"{halt64}"}}"#);
-
-    // Occupy the single worker so batches queue rather than flush
-    // adaptively.
+    // Occupy the single worker with a spin, so the next request waits
+    // in the queue.
+    let spin64 = image_b64(SPIN);
     let mut busy = connect(&socket);
     busy.set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    writeln!(busy, "{req}").unwrap();
+    writeln!(
+        busy,
+        r#"{{"op":"run","timeout_ms":300,"image":"{spin64}"}}"#
+    )
+    .unwrap();
     busy.flush().unwrap();
-    std::thread::sleep(Duration::from_millis(20));
+    std::thread::sleep(Duration::from_millis(50));
 
-    // A second peer parks a request in the batch window, then vanishes
-    // before the flush deadline fires.
+    // A second peer queues a request behind the busy worker, then
+    // vanishes before a worker takes it.
+    let halt64 = image_b64(HALT);
     {
         let mut doomed = connect(&socket);
-        writeln!(doomed, "{req}").unwrap();
+        writeln!(
+            doomed,
+            r#"{{"op":"compress","grammar":"{id_hex}","image":"{halt64}"}}"#
+        )
+        .unwrap();
         doomed.flush().unwrap();
-    } // dropped: peer closes with its request still held
+    } // dropped: peer closes with its request still queued
 
     // The busy connection's own response arrives, and the server keeps
-    // answering afterwards — the orphaned batch member's completion hit
-    // a closed connection and was discarded, not wedged on.
+    // answering afterwards — the orphaned request's completion hit a
+    // closed connection and was discarded, not wedged on.
     let mut reader = BufReader::new(busy.try_clone().unwrap());
     let mut line = String::new();
     reader.read_line(&mut line).expect("busy response");
     assert_eq!(
         json::parse(&line)
             .unwrap()
-            .get("ok")
-            .and_then(Value::as_bool),
-        Some(true)
+            .get("error")
+            .and_then(Value::as_str),
+        Some("deadline_exceeded")
     );
-    std::thread::sleep(Duration::from_millis(400)); // past the flush deadline
+    std::thread::sleep(Duration::from_millis(100)); // past the orphan's turn
     let resp = exchange(&mut busy, r#"{"op":"stats"}"#);
     assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(true));
 

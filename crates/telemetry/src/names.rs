@@ -200,11 +200,13 @@ pub const SERVE_REJECTED_OVERLOAD: &str = "serve.rejected.overload";
 /// Serve gauge: pending-request queue depth high-water mark (requests
 /// accepted but not yet dispatched to a worker).
 pub const SERVE_QUEUE_DEPTH: &str = "serve.queue.depth";
-/// Serve histogram: requests coalesced per engine dispatch — every
-/// same-grammar compress batch observes its size here (1 = unbatched).
+/// No longer emitted: the server has no compress batcher, so nothing
+/// records requests coalesced per engine dispatch. Kept only until the
+/// next benchmark-only change, because `perfbench` still reads it.
 pub const SERVE_BATCH_SIZE: &str = "serve.batch.size";
-/// Serve histogram: how long a batch's oldest request waited between
-/// arrival and engine dispatch, in microseconds.
+/// No longer emitted: the server has no compress batcher, so nothing
+/// records a batch's wait for dispatch. Kept only until the next
+/// benchmark-only change, because `perfbench` still reads it.
 pub const SERVE_BATCH_WAIT_MICROS: &str = "serve.batch.wait_micros";
 /// Serve: engines evicted from the sharded engine map by the
 /// `--max-engines` LRU bound (the grammar reloads on next use).

@@ -90,6 +90,13 @@ pub enum VmError {
     },
     /// The frame stack region is out of space.
     StackOverflow,
+    /// The image's data and bss, with the configured heap and stack (or
+    /// one global's address), end past the 32-bit address space
+    /// (load-time error).
+    LayoutOverflow {
+        /// Where the layout would end, as a 64-bit address.
+        end: u64,
+    },
     /// Fewer outgoing-argument bytes than the callee expects.
     ArgUnderflow {
         /// Callee name.
@@ -141,6 +148,10 @@ impl fmt::Display for VmError {
                 write!(f, "heap exhausted allocating {requested} bytes")
             }
             VmError::StackOverflow => write!(f, "frame stack overflow"),
+            VmError::LayoutOverflow { end } => write!(
+                f,
+                "image layout ends at {end:#x}, past the 32-bit address space"
+            ),
             VmError::ArgUnderflow { proc, need, have } => {
                 write!(
                     f,

@@ -64,6 +64,6 @@ pub mod segment;
 pub mod value;
 
 pub use error::VmError;
-pub use machine::{RunResult, TraceEvent, Vm, VmConfig};
+pub use machine::{Layout, RunResult, TraceEvent, Vm, VmConfig};
 pub use segment::Tier2Stats;
 pub use value::Slot;

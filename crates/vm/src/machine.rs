@@ -42,6 +42,56 @@ fn align8(v: u32) -> u32 {
     (v + 7) & !7
 }
 
+/// Where a loaded program's regions sit in the address space: data from
+/// [`DATA_BASE`], then bss, heap and frame stack, each 8-aligned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Layout {
+    /// First bss address; the data ends below it.
+    pub(crate) bss_base: u32,
+    /// One past the last bss address.
+    pub(crate) bss_end: u32,
+    /// First heap address.
+    pub(crate) heap_base: u32,
+    /// One past the last heap address.
+    pub(crate) heap_end: u32,
+    /// First frame-stack address.
+    pub(crate) stack_base: u32,
+    /// One past the last frame-stack address: the mapped size.
+    pub(crate) stack_end: u32,
+}
+
+impl Layout {
+    /// Lay `program` out with `config`'s heap and stack sizes.
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::LayoutOverflow`] when the regions end past the 32-bit
+    /// address space.
+    pub fn of(program: &Program, config: &VmConfig) -> Result<Layout, VmError> {
+        // Summed in 64 bits, so no image can wrap the address space.
+        let align8 = |v: u64| (v + 7) & !7;
+        let data_end = u64::from(DATA_BASE) + program.data.len() as u64;
+        let bss_base = align8(data_end);
+        let bss_end = bss_base + u64::from(program.bss_size);
+        let heap_base = align8(bss_end);
+        let heap_end = heap_base + u64::from(config.heap_size);
+        let stack_base = align8(heap_end);
+        let stack_end = stack_base + u64::from(config.stack_size);
+        if stack_end > u64::from(u32::MAX) {
+            return Err(VmError::LayoutOverflow { end: stack_end });
+        }
+        // Every bound lies at or below `stack_end`, so none truncates.
+        Ok(Layout {
+            bss_base: bss_base as u32,
+            bss_end: bss_end as u32,
+            heap_base: heap_base as u32,
+            heap_end: heap_end as u32,
+            stack_base: stack_base as u32,
+            stack_end: stack_end as u32,
+        })
+    }
+}
+
 /// VM configuration.
 #[derive(Debug, Clone)]
 pub struct VmConfig {
@@ -245,7 +295,9 @@ impl<'p> Vm<'p> {
     /// # Errors
     ///
     /// Fails with [`VmError::UnknownNative`] if the global table names a
-    /// routine the VM does not provide.
+    /// routine the VM does not provide, and with
+    /// [`VmError::LayoutOverflow`] if the program's [`Layout`] or a
+    /// global's address does not fit the 32-bit address space.
     pub fn new(program: &'p Program, config: VmConfig) -> Result<Vm<'p>, VmError> {
         Vm::build(program, Repr::Plain, config)
     }
@@ -283,27 +335,25 @@ impl<'p> Vm<'p> {
             }
             Repr::Plain => false,
         };
-        let data_end = DATA_BASE + program.data.len() as u32;
-        let bss_base = align8(data_end);
-        let bss_end = bss_base + program.bss_size;
-        let heap_base = align8(bss_end);
-        let heap_end = heap_base + config.heap_size;
-        let stack_base = align8(heap_end);
-        let stack_end = stack_base + config.stack_size;
+        let layout = Layout::of(program, &config)?;
 
         // Data and bss are materialized up front; the heap and the frame
         // stack as the program touches them.
-        let mut mem = Memory::new(stack_base, stack_end, bss_end);
+        let mut mem = Memory::new(layout.stack_base, layout.stack_end, layout.bss_end);
         if !program.data.is_empty() {
             mem.store_bytes(DATA_BASE, &program.data)?;
         }
 
+        let offset_from = |base: u32, offset: u32| {
+            let end = u64::from(base) + u64::from(offset);
+            u32::try_from(end).map_err(|_| VmError::LayoutOverflow { end })
+        };
         let mut globals = Vec::with_capacity(program.globals.len());
         for entry in &program.globals {
             let addr = match entry {
-                GlobalEntry::Data { offset, .. } => DATA_BASE + offset,
-                GlobalEntry::Bss { offset, .. } => bss_base + offset,
-                GlobalEntry::Proc { proc_index } => TRAMP_BASE + proc_index,
+                GlobalEntry::Data { offset, .. } => offset_from(DATA_BASE, *offset)?,
+                GlobalEntry::Bss { offset, .. } => offset_from(layout.bss_base, *offset)?,
+                GlobalEntry::Proc { proc_index } => offset_from(TRAMP_BASE, *proc_index)?,
                 GlobalEntry::Native { name } => {
                     let native = Native::resolve(name)
                         .ok_or_else(|| VmError::UnknownNative { name: name.clone() })?;
@@ -326,10 +376,10 @@ impl<'p> Vm<'p> {
             input: config.input.iter().copied().collect(),
             rng_state: 1,
             arg_buf: Vec::new(),
-            heap_next: heap_base,
-            heap_end,
-            stack_next: stack_base,
-            stack_end,
+            heap_next: layout.heap_base,
+            heap_end: layout.heap_end,
+            stack_next: layout.stack_base,
+            stack_end: layout.stack_end,
             fuel: config.fuel,
             steps: 0,
             depth: 0,

@@ -212,6 +212,30 @@ fn heap_exhaustion_is_an_error() {
 }
 
 #[test]
+fn a_layout_past_the_address_space_fails_at_load() {
+    // Data, bss, heap and stack must fit 32 bits: a bss near 4 GiB once
+    // wrapped the layout (and overflowed a debug build).
+    let mut program = assemble("proc main frame=0 args=0\n\tRETV\nendproc\nentry main\n").unwrap();
+    program.bss_size = u32::MAX - 8;
+    let err = pgr_vm::Layout::of(&program, &VmConfig::default()).unwrap_err();
+    assert!(
+        matches!(err, VmError::LayoutOverflow { end } if end > u64::from(u32::MAX)),
+        "{err:?}"
+    );
+    assert_eq!(Vm::new(&program, VmConfig::default()).err(), Some(err));
+    // So does a global whose address ends past it.
+    program.bss_size = 0;
+    program.globals.push(pgr_bytecode::GlobalEntry::Data {
+        name: "far".into(),
+        offset: u32::MAX,
+    });
+    assert!(matches!(
+        Vm::new(&program, VmConfig::default()).err(),
+        Some(VmError::LayoutOverflow { .. })
+    ));
+}
+
+#[test]
 fn malloc_returns_distinct_aligned_blocks() {
     let src = "proc main frame=8 args=0\n\
                \tLIT1 3\n\tARGU\n\tADDRGP 0\n\tCALLU\n\tADDRLP 0\n\tASGNU\n\

@@ -22,8 +22,8 @@ if (a) any constant is absent from the schema's x-metric-names list,
 (b) the list carries a stale entry with no constant behind it, (c) the
 dynamic-prefix constants (values ending in '.') diverge from
 x-dynamic-prefixes, or (d) the serve pinned-histogram list does not
-exactly match the `serve.request.<op>.micros` plus `serve.batch.*`
-constants — that list is *generated* from names.rs, never hand-edited.
+exactly match the `serve.request.<op>.micros` constants — that list is
+*generated* from names.rs, never hand-edited.
 """
 
 import json
@@ -85,13 +85,9 @@ def check_drift(schema_path, names_path):
         )
 
     # The serve pinned-histogram list is generated from names.rs: the
-    # `serve.request.<op>.micros` constants plus the batching histograms
-    # (`serve.batch.*`), exactly.
+    # `serve.request.<op>.micros` constants, exactly.
     generated = sorted(
-        n
-        for n in names
-        if (n.startswith("serve.request.") and n.endswith(".micros"))
-        or n.startswith("serve.batch.")
+        n for n in names if n.startswith("serve.request.") and n.endswith(".micros")
     )
     pinned = sorted(schema["x-required-keys"]["serve"].get("histograms", []))
     if generated != pinned:
