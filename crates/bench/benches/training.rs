@@ -2,10 +2,13 @@
 //!
 //! `train_synth_8x40` trains on eight generated programs of 40 functions
 //! each, alternating flavours: the size and shape of the benchmark's
-//! training set, whose forest is far larger than the two corpora's.
+//! training set, whose forest is far larger than the two corpora's and
+//! shares the most (under 8% of its tree nodes are distinct subtrees).
 //! `expand_synth_8x40` times the greedy loop alone on that set: each
-//! sample expands a clone of one prebuilt forest, so ingest (validation,
-//! canonicalization, tokenizing, parsing) is out of the measurement.
+//! sample expands a clone of one prebuilt shared forest, so ingest
+//! (validation, canonicalization, tokenizing, parsing into classes) is
+//! out of the measurement. `train_8q` and `train_gzip_corpus` are the
+//! legs with the least sharing.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pgr_bytecode::Program;
@@ -13,7 +16,7 @@ use pgr_core::{canonicalize_program, expand, train, ExpanderConfig, TrainConfig}
 use pgr_corpus::synth::{self, Flavor, SynthConfig};
 use pgr_corpus::{corpus, CorpusName};
 use pgr_grammar::initial::tokenize_segment;
-use pgr_grammar::{Forest, InitialGrammar};
+use pgr_grammar::{InitialGrammar, SharedForest};
 
 /// Eight 40-function synthetic programs, both flavours.
 fn synth_8x40() -> Vec<Program> {
@@ -33,9 +36,9 @@ fn synth_8x40() -> Vec<Program> {
 }
 
 /// The forest `train` expands: every segment of every canonicalized
-/// procedure, parsed under the initial grammar.
-fn training_forest(ig: &InitialGrammar, programs: &[Program]) -> Forest {
-    let mut forest = Forest::new();
+/// procedure, parsed under the initial grammar into shared classes.
+fn training_forest(ig: &InitialGrammar, programs: &[Program]) -> SharedForest {
+    let mut forest = SharedForest::new();
     for program in programs {
         let canon = canonicalize_program(program).expect("synth programs canonicalize");
         for proc in &canon.procs {

@@ -312,7 +312,7 @@ pub fn a5() -> ((usize, usize), (usize, usize)) {
     use pgr_earley::{ChartArena, ShortestParser};
     use pgr_grammar::initial::tokenize_segment;
     use pgr_grammar::typed::TypedGrammar;
-    use pgr_grammar::Forest;
+    use pgr_grammar::{Forest, SharedForest};
 
     let c = corpus(CorpusName::Lcc);
 
@@ -324,6 +324,8 @@ pub fn a5() -> ((usize, usize), (usize, usize)) {
     // Typed: same expander, same encoder, typed initial grammar.
     let tg = TypedGrammar::build();
     let mut grammar = tg.grammar.clone();
+    // The typed parser relabels a literal once its consumer is seen, so
+    // it builds a tree, which the expander works on in its shared form.
     let mut forest = Forest::new();
     for p in &c.programs {
         let p = canon(p).expect("valid corpus");
@@ -334,7 +336,8 @@ pub fn a5() -> ((usize, usize), (usize, usize)) {
             }
         }
     }
-    expand(&mut grammar, &mut forest, &ExpanderConfig::default());
+    let mut shared = SharedForest::from_forest(&forest);
+    expand(&mut grammar, &mut shared, &ExpanderConfig::default());
     let parser = ShortestParser::new(&grammar);
     let mut arena = ChartArena::new();
     let mut typed_bytes = 0usize;

@@ -489,10 +489,13 @@ fn cmd_train(args: &[String]) -> Result<i32, String> {
     let ig = trained.initial();
     let file = GrammarFile::new(trained.expanded().clone(), ig.nt_start, ig.nt_byte);
     write_file(out, &file.to_bytes())?;
+    let stats = &trained.stats;
     eprintln!(
-        "trained on {} image(s): +{} rules, grammar {} bytes -> {out}",
+        "trained on {} image(s): {} forest nodes in {} distinct subtrees, +{} rules, grammar {} bytes -> {out}",
         inputs.len(),
-        trained.stats.rules_added,
+        stats.derivation_before,
+        stats.subtrees,
+        stats.rules_added,
         trained.grammar_size()
     );
     emit_metrics(&metrics)?;

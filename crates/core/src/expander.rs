@@ -11,19 +11,28 @@
 //!
 //! An *edge* here is `(parent rule, slot, child rule)` where `slot` is the
 //! index of the contracted child among the parent's children — the
-//! specific non-terminal occurrence `B` in `A → α B β`. Counts are
-//! maintained incrementally (Re-Pair style), because every contraction
-//! relabels the parent and therefore changes the keys of all edges
-//! incident to it. Every child node realizes exactly one edge, its
-//! incoming one, and keeps only that edge's id. An edge gains
-//! occurrences only in the round that creates it, so each round's
-//! occurrences are counting-sorted by edge, when the round ends, into
-//! one append-only store of per-edge blocks, as recompression (Jeż)
-//! groups each round's pairs by sorting; and the max-heap holds one
-//! entry per edge (see [`expand`] for why that suffices).
+//! specific non-terminal occurrence `B` in `A → α B β`. The expander works
+//! on the hash-consed training forest ([`SharedForest`]), where each
+//! distinct subtree is one *class* with an instance count. An
+//! *occurrence* is a class and a slot: it stands for that slot in every
+//! instance of the class, and contracting it contracts them all, so
+//! every count change is weighted by the class's instances (recompression,
+//! Jeż: each round's replacements are applied to the compressed
+//! representation, not to the expanded forest). Counts are maintained
+//! incrementally (Re-Pair style), because every contraction relabels the
+//! parent and therefore changes the keys of all edges incident to it:
+//! its child references and the references to it, found through a
+//! parent list per class. Every child reference realizes exactly one
+//! edge and keeps only that edge's id. An edge gains occurrences only
+//! in the round that creates it, so each round's occurrences are
+//! counting-sorted by edge, when the round ends, into one append-only
+//! store of per-edge blocks, as recompression groups each round's pairs
+//! by sorting; and the max-heap holds one entry per edge (see [`expand`]
+//! for why that suffices, and why contracting classes is exact).
 
 use pgr_grammar::grammar::MAX_RHS_LEN;
-use pgr_grammar::{Forest, Grammar, NodeId, Nt, RuleId, RuleOrigin};
+use pgr_grammar::shared::NO_EDGE;
+use pgr_grammar::{ClassId, Grammar, Nt, RuleId, RuleOrigin, SharedForest};
 use pgr_telemetry::{names, Metrics, Recorder};
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -72,10 +81,14 @@ pub struct ExpansionStats {
     /// Inlined rules later removed as subsumed.
     pub rules_removed: usize,
     /// Total edge contractions (= derivation steps saved on the training
-    /// forest).
+    /// forest), counted in tree occurrences.
     pub contractions: usize,
-    /// Forest derivation length before expansion.
+    /// Forest derivation length before expansion: the training forest's
+    /// tree nodes.
     pub derivation_before: usize,
+    /// Distinct subtrees (classes) of the training forest: what the
+    /// expander works on.
+    pub subtrees: usize,
     /// Forest derivation length after expansion.
     pub derivation_after: usize,
     /// Greedy-loop iterations: heap pops, one per queue entry examined.
@@ -146,80 +159,113 @@ impl Hasher for EdgeKeyHasher {
     }
 }
 
-/// `NodeId` / edge-id sentinel in the flat arrays.
+/// Link sentinel of the parent lists, and the store's filler.
 const NONE: u32 = u32::MAX;
+
+/// Class-id bits of an [`Occ`]; the slot takes the low 8 bits (a
+/// right-hand side holds at most 255 symbols).
+const CLASS_BITS: u32 = 24;
+
+/// An edge occurrence: slot `slot` of class `class`, standing for that
+/// slot in every instance of the class. Packed `class << 8 | slot`, so
+/// ascending order is ascending parent class.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Occ(u32);
+
+impl Occ {
+    fn new(class: ClassId, slot: usize) -> Occ {
+        debug_assert!(slot < 1 << 8);
+        Occ(class.0 << 8 | slot as u32)
+    }
+
+    fn class(self) -> ClassId {
+        ClassId(self.0 >> 8)
+    }
+
+    fn slot(self) -> usize {
+        (self.0 & 0xFF) as usize
+    }
+
+    /// Whether this occurrence still realizes edge `e`.
+    fn realizes(self, forest: &SharedForest, e: u32) -> bool {
+        forest
+            .children(self.class())
+            .get(self.slot())
+            .is_some_and(|k| k.edge == e)
+    }
+}
 
 /// Incremental edge bookkeeping in flat arrays. Edges get dense ids in
 /// creation order, so the edges one contraction round creates are
-/// exactly the ids it appends. A node keeps only the id of the edge it
-/// realizes. An edge gains occurrences only in the round that creates
-/// it, so its occurrences are written once, when that round is sealed,
-/// as one block of an append-only store; afterwards the block only goes
+/// exactly the ids it appends. A forest entry keeps the id of the edge
+/// it realizes; an edge's count is the sum of its occurrences' instance
+/// counts. An edge gains occurrences only in the round that creates it,
+/// so its occurrences are written once, when that round is sealed, as
+/// one block of an append-only store; afterwards the block only goes
 /// stale, as the edge loses occurrences.
 struct EdgeIndex {
     /// Packed key → edge id, for the open round's edges only: a sealed
     /// edge's key never recurs.
     ids: HashMap<u64, u32, BuildHasherDefault<EdgeKeyHasher>>,
-    /// Per edge: its key and its live occurrence count.
+    /// Per edge: its key and its live count, in tree occurrences.
     key: Vec<EdgeKey>,
     count: Vec<u32>,
     /// Per sealed edge `e`, its block is `store[start[e]..start[e + 1]]`;
     /// one entry more than there are sealed edges.
     start: Vec<u32>,
-    /// Node ids, the blocks of all sealed edges in edge order. Only an
-    /// edge sealed at `MIN_COUNT` or more occurrences has a non-empty
-    /// block.
-    store: Vec<u32>,
-    /// `(edge, node)` per increment of the open round.
-    log: Vec<(u32, u32)>,
-    /// Per node, indexed by `NodeId`: the edge it realizes, `NONE` for
-    /// roots and contracted nodes.
-    edge_of: Vec<u32>,
+    /// Occurrences, the blocks of all sealed edges in edge order. Only
+    /// an edge sealed at `MIN_COUNT` or more has a non-empty block.
+    store: Vec<Occ>,
+    /// `(edge, occurrence)` per increment of the open round.
+    log: Vec<(u32, Occ)>,
 }
 
 impl EdgeIndex {
+    /// Bookkeeping for a forest of `nodes` tree nodes. Every array is
+    /// allocated once with room for `nodes` entries, which no expansion
+    /// outgrows in practice. Only the pages used become resident, and an
+    /// allocation that large is mapped apart from the heap, so it goes
+    /// back to the system when expansion ends; grown by doubling, the
+    /// arrays would come from the heap the grammar shares and stay
+    /// resident once freed (DESIGN §5).
     fn new(nodes: usize) -> EdgeIndex {
+        let mut start = Vec::with_capacity(nodes);
+        start.push(0);
         EdgeIndex {
             ids: HashMap::default(),
-            key: Vec::new(),
-            count: Vec::new(),
-            start: vec![0],
-            store: Vec::new(),
-            log: Vec::new(),
-            edge_of: vec![NONE; nodes],
+            key: Vec::with_capacity(nodes),
+            count: Vec::with_capacity(nodes),
+            start,
+            store: Vec::with_capacity(nodes),
+            log: Vec::with_capacity(nodes),
         }
     }
 
-    /// The edge `node` realizes, `NONE` if none.
-    fn edge_of(&self, node: NodeId) -> u32 {
-        self.edge_of[node.index()]
-    }
-
-    /// Record `node` as an occurrence of the edge `key`.
-    fn inc(&mut self, node: NodeId, key: EdgeKey) {
+    /// Record `occ`, which stands for `weight` tree occurrences, as an
+    /// occurrence of the edge `key`; returns the edge's id.
+    fn inc(&mut self, key: EdgeKey, occ: Occ, weight: u32) -> u32 {
         let fresh = self.key.len() as u32;
         let e = *self.ids.entry(key.0).or_insert(fresh);
         if e == fresh {
             self.key.push(key);
             self.count.push(0);
         }
-        debug_assert_eq!(self.edge_of(node), NONE, "node already realizes an edge");
-        self.count[e as usize] += 1;
-        self.edge_of[node.index()] = e;
-        self.log.push((e, node.0));
+        self.count[e as usize] += weight;
+        self.log.push((e, occ));
+        e
     }
 
-    /// Remove `node` from the occurrences of the edge it realizes. Its
-    /// entry in the log or the store goes stale; readers skip it.
-    fn dec(&mut self, node: NodeId) {
-        let e = std::mem::replace(&mut self.edge_of[node.index()], NONE);
-        self.count[e as usize] -= 1;
+    /// Remove `weight` tree occurrences from edge `e`. The entries that
+    /// stop realizing it are rekeyed or cleared by the caller; their
+    /// entries in the log or the store go stale, and readers skip them.
+    fn dec(&mut self, e: u32, weight: u32) {
+        self.count[e as usize] -= weight;
     }
 
     /// End the open round, whose keys all name `fresh` (`None` for the
     /// initial scan): counting-sort the log's live entries by edge into
     /// blocks, and queue every edge the round created at its count.
-    fn seal(&mut self, fresh: Option<RuleId>, heap: &mut Queue) {
+    fn seal(&mut self, forest: &SharedForest, fresh: Option<RuleId>, heap: &mut Queue) {
         let (first, end) = (self.start.len() - 1, self.key.len());
         debug_assert!(
             fresh.is_none_or(|r| self.key[first..]
@@ -227,60 +273,101 @@ impl EdgeIndex {
                 .all(|k| k.parent() == r || k.child() == r)),
             "a key of this round does not name its fresh rule"
         );
-        let live = |count: u32| if count >= MIN_COUNT { count } else { 0 };
-        // `start[e]` first holds the end of `e`'s block. Placing the
-        // log's entries last to first counts it down to the block's
-        // start and leaves each block in log order.
+        // Keep the log's live entries, then size each block by them (an
+        // entry stands for its class's instances, so the count is no
+        // guide). `start[e]` then holds the end of `e`'s block; placing
+        // the entries last to first counts it down to the block's start
+        // and leaves each block in log order.
+        let count = &self.count;
+        self.log
+            .retain(|&(e, occ)| count[e as usize] >= MIN_COUNT && occ.realizes(forest, e));
         let mut at = self.start.pop().expect("start holds a sentinel");
-        for &count in &self.count[first..] {
+        self.start.resize(end, 0);
+        for &(e, _) in &self.log {
+            self.start[e as usize] += 1;
+        }
+        for size in &mut self.start[first..] {
             at = at
-                .checked_add(live(count))
+                .checked_add(*size)
                 .expect("occurrence store outgrew u32 offsets");
-            self.start.push(at);
+            *size = at;
         }
         self.start.push(at);
-        self.store.resize(at as usize, NONE);
-        for &(e, n) in self.log.iter().rev() {
-            if self.edge_of[n as usize] == e && self.count[e as usize] >= MIN_COUNT {
-                let slot = &mut self.start[e as usize];
-                *slot -= 1;
-                self.store[*slot as usize] = n;
-            }
+        self.store.resize(at as usize, Occ(NONE));
+        for &(e, occ) in self.log.iter().rev() {
+            let slot = &mut self.start[e as usize];
+            *slot -= 1;
+            self.store[*slot as usize] = occ;
         }
         debug_assert!(
-            (first..end).all(|e| self.start[e + 1] - self.start[e] == live(self.count[e])),
+            (first..end).all(|e| {
+                let block = &self.store[self.start[e] as usize..self.start[e + 1] as usize];
+                let weight: u32 = block.iter().map(|o| forest.instances(o.class())).sum();
+                let want = if count[e] >= MIN_COUNT { count[e] } else { 0 };
+                weight == want && block.iter().all(|o| o.realizes(forest, e as u32))
+            }),
             "a block holds other than its edge's live occurrences"
         );
         for e in first..end {
             queue(heap, self.count[e], self.key[e], e as u32);
         }
-        if fresh.is_some() {
-            self.log.clear();
-        } else {
-            // The initial scan logged every node; a round logs far fewer.
-            self.log = Vec::new();
-        }
+        self.log.clear();
         self.ids.clear();
     }
 
-    /// The live occurrences of sealed edge `e`, ascending by node id,
-    /// into `out`.
-    fn occurrences(&self, e: u32, out: &mut Vec<NodeId>) {
+    /// The live occurrences of sealed edge `e`, ascending by parent
+    /// class, into `out`.
+    fn occurrences(&self, forest: &SharedForest, e: u32, out: &mut Vec<Occ>) {
         let e = e as usize;
         let block = &self.store[self.start[e] as usize..self.start[e + 1] as usize];
         out.clear();
-        out.extend(
-            block
-                .iter()
-                .filter(|&&n| self.edge_of[n as usize] == e as u32)
-                .map(|&n| NodeId(n)),
-        );
+        out.extend(block.iter().filter(|o| o.realizes(forest, e as u32)));
         debug_assert_eq!(
-            out.len(),
-            self.count[e] as usize,
+            out.iter().map(|o| forest.instances(o.class())).sum::<u32>(),
+            self.count[e],
             "a sealed edge gained an occurrence"
         );
         out.sort_unstable();
+    }
+}
+
+/// Per class, the classes that list it as a child: singly linked lists
+/// through one flat array. An entry goes stale when its parent dies or
+/// absorbs the class; stale and repeated entries are unlinked when the
+/// list is next walked. A leaf keeps no list: with no child to absorb, it
+/// is never relabeled, so its parents are never walked.
+struct Parents {
+    head: Vec<u32>,
+    /// `(parent, next link)`.
+    link: Vec<(ClassId, u32)>,
+    /// Per class, the last walk that met it as a parent.
+    seen: Vec<u32>,
+    walk: u32,
+}
+
+impl Parents {
+    /// Empty lists for `classes` classes, with room for `nodes` links
+    /// (see [`EdgeIndex::new`]).
+    fn new(classes: usize, nodes: usize) -> Parents {
+        Parents {
+            head: vec![NONE; classes],
+            link: Vec::with_capacity(nodes),
+            seen: vec![0; classes],
+            walk: 0,
+        }
+    }
+
+    /// Note `parent` as a parent of `child`, unless `child` is a leaf.
+    fn add(&mut self, forest: &SharedForest, child: ClassId, parent: ClassId) {
+        if forest.children(child).is_empty() {
+            return;
+        }
+        let head = &mut self.head[child.index()];
+        if *head != NONE && self.link[*head as usize].0 == parent {
+            return;
+        }
+        self.link.push((parent, *head));
+        *head = (self.link.len() - 1) as u32;
     }
 }
 
@@ -301,58 +388,73 @@ fn queue(heap: &mut Queue, count: u32, key: EdgeKey, e: u32) {
 ///
 /// Each round takes the most frequent edge (ties broken by the larger
 /// `(parent, slot, child)`), inlines it as a fresh rule, and contracts
-/// its occurrences in ascending node order. Because every inlined rule
-/// is fresh, an edge gains occurrences only in the round that creates
-/// the newer of its two rules (or in the initial scan); afterwards its
-/// count only falls. So its occurrences are final when that round ends,
-/// and are stored then as one block, which later rounds only filter.
-/// And the heap needs one entry per edge, queued when
-/// that round ends: an entry above the edge's current count is re-queued
-/// at the count (lazy decrease-key). A skip for saturation re-queues the
-/// edge one below its count, since a later subsumed-rule removal can free
-/// the non-terminal's budget. That entry then walks down one step per pop
-/// until the count falls to meet it, which is when the reference loop
-/// (one entry per count increment, `tests/expander_reference.rs`) would
-/// next find the edge a candidate. An edge whose inlined right-hand side
-/// is too long is dropped.
+/// its occurrences in ascending parent-class order. An occurrence is a
+/// class and a slot; contracting it contracts that slot in every
+/// instance of the class, and every count change is weighted by the
+/// instances. That is exact: a round contracts bottom-up (a class's
+/// children are numbered below it, and a splice hands it only lower
+/// numbered ones), two occurrences of one edge interact only along a
+/// chain of one rule into itself, and what happens inside a subtree
+/// depends only on that subtree, so every instance of a class evolves
+/// as the class does. The counts, ties and choices are the tree's.
+///
+/// Because every inlined rule is fresh, an edge gains occurrences only
+/// in the round that creates the newer of its two rules (or in the
+/// initial scan); afterwards its count only falls. So its occurrences
+/// are final when that round ends, and are stored then as one block,
+/// which later rounds only filter. And the heap needs one entry per
+/// edge, queued when that round ends: an entry above the edge's current
+/// count is re-queued at the count (lazy decrease-key). A skip for
+/// saturation re-queues the edge one below its count, since a later
+/// subsumed-rule removal can free the non-terminal's budget. That entry
+/// then walks down one step per pop until the count falls to meet it,
+/// which is when the reference loop (one entry per count increment,
+/// `tests/expander_reference.rs`) would next find the edge a candidate.
+/// An edge whose inlined right-hand side is too long is dropped.
 ///
 /// # Panics
 ///
-/// Panics if `config.max_rules_per_nt > 256` (one-byte rule indices) or
-/// if the forest references rules outside `grammar`.
+/// Panics if `config.max_rules_per_nt > 256` (one-byte rule indices), if
+/// the forest references rules outside `grammar`, or if it holds more
+/// than 2²⁴ classes.
 pub fn expand(
     grammar: &mut Grammar,
-    forest: &mut Forest,
+    forest: &mut SharedForest,
     config: &ExpanderConfig,
 ) -> ExpansionStats {
     assert!(
         config.max_rules_per_nt <= 256,
         "rule indices must fit one byte"
     );
+    let classes = forest.class_count();
     let mut stats = ExpansionStats {
-        derivation_before: forest.live_count(),
+        derivation_before: forest.node_count(),
+        subtrees: classes,
         ..ExpansionStats::default()
     };
 
-    // Initial scan: edge occurrences and per-rule use counts.
+    // Initial scan: edge occurrences, parents and per-rule use counts.
     assert!(grammar.rule_slots() <= 1 << RULE_BITS, "too many rules");
-    let mut edges = EdgeIndex::new(forest.node_slots());
+    assert!(classes <= 1 << CLASS_BITS, "too many forest classes");
+    let nodes = forest.node_count();
+    let mut edges = EdgeIndex::new(nodes);
+    let mut parents = Parents::new(classes, nodes);
     let mut rule_use: Vec<u64> = vec![0; grammar.rule_slots()];
-    let mut stack = Vec::new();
-    for &root in forest.roots() {
-        // Iterative preorder walk.
-        stack.push(root);
-        while let Some(id) = stack.pop() {
-            let rule = forest.node(id).rule;
-            rule_use[rule.index()] += 1;
-            for (slot, child) in forest.children(id).enumerate() {
-                edges.inc(child, EdgeKey::new(rule, slot, forest.node(child).rule));
-                stack.push(child);
-            }
+    for c in (0..classes as u32).map(ClassId) {
+        let (rule, weight) = (forest.rule(c), forest.instances(c));
+        if weight == 0 {
+            continue; // absorbed by every parent in an earlier expansion
+        }
+        rule_use[rule.index()] += u64::from(weight);
+        for slot in 0..forest.children(c).len() {
+            let child = forest.children(c)[slot].class;
+            parents.add(forest, child, c);
+            let key = EdgeKey::new(rule, slot, forest.rule(child));
+            forest.children_mut(c)[slot].edge = edges.inc(key, Occ::new(c, slot), weight);
         }
     }
-    let mut heap = BinaryHeap::new();
-    edges.seal(None, &mut heap);
+    let mut heap = BinaryHeap::with_capacity(nodes);
+    edges.seal(forest, None, &mut heap);
 
     let mut occurrences = Vec::new();
     while let Some((queued, key, e)) = heap.pop() {
@@ -395,18 +497,24 @@ pub fn expand(
         stats.rules_added += 1;
         rule_use.push(0);
 
-        // Contract every occurrence, in ascending node order. A
+        // Contract every occurrence, in ascending parent-class order. A
         // contraction can retire later occurrences (when the parent and
         // child rules coincide) but never adds one: new occurrences all
         // involve `new_rule`.
-        edges.occurrences(e, &mut occurrences);
-        for &child_node in &occurrences {
-            if edges.edge_of(child_node) == e {
-                contract_one(forest, &mut edges, &mut rule_use, child_node, new_rule);
-                stats.contractions += 1;
+        edges.occurrences(forest, e, &mut occurrences);
+        for &occ in &occurrences {
+            if occ.realizes(forest, e) {
+                stats.contractions += contract_class(
+                    forest,
+                    &mut edges,
+                    &mut parents,
+                    &mut rule_use,
+                    occ,
+                    new_rule,
+                ) as usize;
             }
         }
-        edges.seal(Some(new_rule), &mut heap);
+        edges.seal(forest, Some(new_rule), &mut heap);
 
         if config.remove_subsumed {
             for r in [parent, child] {
@@ -421,7 +529,7 @@ pub fn expand(
         }
     }
 
-    stats.derivation_after = forest.live_count();
+    stats.derivation_after = forest.node_count();
     stats.rules_per_nt_peak = (0..grammar.nt_count())
         .map(|i| grammar.rules_of(pgr_grammar::Nt(i as u16)).len())
         .max()
@@ -429,17 +537,20 @@ pub fn expand(
     stats
 }
 
-/// [`expand`], additionally reporting `train.*` counters (inline
-/// iterations, contractions, rule churn, saturation) into `recorder`.
+/// [`expand`], additionally reporting `train.*` counters (forest size,
+/// inline iterations, contractions, rule churn, saturation) into
+/// `recorder`.
 pub fn expand_with(
     grammar: &mut Grammar,
-    forest: &mut Forest,
+    forest: &mut SharedForest,
     config: &ExpanderConfig,
     recorder: &Recorder,
 ) -> ExpansionStats {
     let stats = expand(grammar, forest, config);
     if recorder.is_enabled() {
         let mut batch = Metrics::new();
+        batch.add(names::TRAIN_FOREST_NODES, stats.derivation_before as u64);
+        batch.add(names::TRAIN_FOREST_SUBTREES, stats.subtrees as u64);
         batch.add(names::TRAIN_INLINE_ITERATIONS, stats.inline_iterations);
         batch.add(names::TRAIN_CONTRACTIONS, stats.contractions as u64);
         batch.add(names::TRAIN_RULES_ADDED, stats.rules_added as u64);
@@ -454,60 +565,80 @@ pub fn expand_with(
     stats
 }
 
-/// Contract one edge occurrence: the parent of `child_node` absorbs it and
-/// is relabeled `new_rule`, with all incident edges updated.
-fn contract_one(
-    forest: &mut Forest,
+/// Contract occurrence `occ` in every instance of its class, which
+/// absorbs its child there and is relabeled `new_rule`, with all incident
+/// edges updated; returns the instances contracted.
+fn contract_class(
+    forest: &mut SharedForest,
     edges: &mut EdgeIndex,
+    parents: &mut Parents,
     rule_use: &mut [u64],
-    child_node: NodeId,
+    occ: Occ,
     new_rule: RuleId,
-) {
-    let parent = forest
-        .node(child_node)
-        .parent()
-        .expect("occurrence has a parent");
-    let parent_rule = forest.node(parent).rule;
-    let child_rule = forest.node(child_node).rule;
-    // The parent's incoming edge names the grandparent's rule and the
-    // parent's slot under it; neither changes here.
-    let up = edges.edge_of(parent);
-    debug_assert_eq!(
-        up == NONE,
-        forest.node(parent).parent().is_none(),
-        "only roots realize no edge"
-    );
+) -> u32 {
+    let (p, slot) = (occ.class(), occ.slot());
+    let weight = forest.instances(p);
+    let d = forest.children(p)[slot].class;
+    let (parent_rule, child_rule) = (forest.rule(p), forest.rule(d));
 
-    // Retire the edges incident to the parent (its label is about to
-    // change): to its children, `child_node` included, and from the
-    // grandparent; and the edges from `child_node` to its children.
-    for ch in forest.children(parent) {
-        edges.dec(ch);
+    // Retire the edges from the parent (its label is about to
+    // change), the contracted one included, and from the child's
+    // absorbed instances.
+    for k in forest.children(p).iter().chain(forest.children(d)) {
+        edges.dec(k.edge, weight);
     }
-    if up != NONE {
-        edges.dec(parent);
+    forest.contract(p, slot);
+    forest.relabel(p, new_rule);
+    if forest.instances(d) == 0 {
+        for k in forest.children_mut(d) {
+            k.edge = NO_EDGE;
+        }
     }
-    for gc in forest.children(child_node) {
-        edges.dec(gc);
+    rule_use[parent_rule.index()] -= u64::from(weight);
+    rule_use[child_rule.index()] -= u64::from(weight);
+    rule_use[new_rule.index()] += u64::from(weight);
+
+    // Key the parent's children under its new label; the spliced
+    // ones gain it as a parent.
+    let spliced = slot..slot + forest.children(d).len();
+    for t in 0..forest.children(p).len() {
+        let k = forest.children(p)[t].class;
+        let key = EdgeKey::new(new_rule, t, forest.rule(k));
+        forest.children_mut(p)[t].edge = edges.inc(key, Occ::new(p, t), weight);
+        if spliced.contains(&t) {
+            parents.add(forest, k, p);
+        }
     }
 
-    forest.contract(child_node);
-    forest.relabel(parent, new_rule);
-    rule_use[parent_rule.index()] -= 1;
-    rule_use[child_rule.index()] -= 1;
-    rule_use[new_rule.index()] += 1;
-
-    // Re-add edges with the parent's new label.
-    for (slot, ch) in forest.children(parent).enumerate() {
-        edges.inc(ch, EdgeKey::new(new_rule, slot, forest.node(ch).rule));
+    // Rekey every reference to the parent from its live parents,
+    // unlinking stale and repeated entries on the way.
+    parents.walk += 1;
+    let (mut prev, mut at) = (NONE, parents.head[p.index()]);
+    while at != NONE {
+        let (q, next) = parents.link[at as usize];
+        let mut live = false;
+        if parents.seen[q.index()] != parents.walk && forest.instances(q) > 0 {
+            parents.seen[q.index()] = parents.walk;
+            let (q_rule, q_weight) = (forest.rule(q), forest.instances(q));
+            for (t, k) in forest.children_mut(q).iter_mut().enumerate() {
+                if k.class == p {
+                    live = true;
+                    edges.dec(k.edge, q_weight);
+                    let key = EdgeKey::new(q_rule, t, new_rule);
+                    k.edge = edges.inc(key, Occ::new(q, t), q_weight);
+                }
+            }
+        }
+        if live {
+            prev = at;
+        } else if prev == NONE {
+            parents.head[p.index()] = next;
+        } else {
+            parents.link[prev as usize].1 = next;
+        }
+        at = next;
     }
-    if up != NONE {
-        let up = edges.key[up as usize];
-        edges.inc(
-            parent,
-            EdgeKey::new(up.parent(), up.slot() as usize, new_rule),
-        );
-    }
+    weight
 }
 
 #[cfg(test)]
@@ -515,10 +646,10 @@ mod tests {
     use super::*;
     use pgr_bytecode::Opcode;
     use pgr_grammar::initial::tokenize_segment;
-    use pgr_grammar::{Derivation, InitialGrammar};
+    use pgr_grammar::InitialGrammar;
 
-    fn forest_of(ig: &InitialGrammar, segments: &[&[u8]]) -> Forest {
-        let mut forest = Forest::new();
+    fn forest_of(ig: &InitialGrammar, segments: &[&[u8]]) -> SharedForest {
+        let mut forest = SharedForest::new();
         for seg in segments {
             let tokens = tokenize_segment(seg).unwrap();
             forest.add_segment(ig, &tokens).unwrap();
@@ -542,10 +673,12 @@ mod tests {
         let mut g = ig.grammar.clone();
         let seg = hot_segment(50);
         let mut forest = forest_of(&ig, &[&seg]);
-        let before = forest.live_count();
+        let before = forest.node_count();
         let stats = expand(&mut g, &mut forest, &ExpanderConfig::default());
         assert_eq!(stats.derivation_before, before);
-        assert_eq!(stats.derivation_after, forest.live_count());
+        assert_eq!(stats.derivation_after, forest.node_count());
+        // One class per statement-spine prefix, and one per statement part.
+        assert!(stats.subtrees < before / 4, "the hot statement is shared");
         assert!(stats.derivation_after < before / 3, "expected large shrink");
         assert!(stats.rules_added > 0);
         assert_eq!(
@@ -561,14 +694,14 @@ mod tests {
         let mut g = ig.grammar.clone();
         let seg = hot_segment(20);
         let tokens = tokenize_segment(&seg).unwrap();
-        let mut forest = forest_of(&ig, &[&seg]);
+        let mut forest = forest_of(&ig, &[&seg, &seg[..30]]);
         expand(&mut g, &mut forest, &ExpanderConfig::default());
-        let root = forest.roots()[0];
-        assert_eq!(forest.yield_string(&g, root), tokens);
-        // And the derivation read off the contracted tree expands back.
-        let d = Derivation::from_tree(&forest, root);
+        // Each segment's contracted derivation expands back to it.
+        let d = forest.derivation(0);
         assert_eq!(d.expand(&g, ig.nt_start).unwrap(), tokens);
-        assert_eq!(d.len(), forest.live_count());
+        let d2 = forest.derivation(1);
+        assert_eq!(d2.expand(&g, ig.nt_start).unwrap(), tokens[..30]);
+        assert_eq!(d.len() + d2.len(), forest.node_count());
     }
 
     #[test]
@@ -710,7 +843,7 @@ mod tests {
         let tokens = tokenize_segment(&seg3).unwrap();
         let mut forest = forest_of(&ig, &[&seg3]);
         expand(&mut g, &mut forest, &ExpanderConfig::default());
-        let root = forest.roots()[0];
-        assert_eq!(forest.yield_string(&g, root), tokens);
+        let d = forest.derivation(0);
+        assert_eq!(d.expand(&g, ig.nt_start).unwrap(), tokens);
     }
 }

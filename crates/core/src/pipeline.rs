@@ -10,7 +10,7 @@ use pgr_bytecode::{validate_program_with, Program, ValidateError};
 use pgr_grammar::encode::grammar_size;
 use pgr_grammar::forest::ForestParseError;
 use pgr_grammar::initial::{tokenize_segment, TokenizeError};
-use pgr_grammar::{Forest, Grammar, InitialGrammar, Nt};
+use pgr_grammar::{Grammar, InitialGrammar, Nt, SharedForest};
 use pgr_telemetry::{names, Metrics, Recorder};
 use std::fmt;
 
@@ -168,7 +168,15 @@ pub fn train(programs: &[&Program], config: &TrainConfig) -> Result<Trained, Tra
     let _train_span = recorder.span("train");
     let initial = InitialGrammar::build();
     let mut expanded = initial.grammar.clone();
-    let mut forest = Forest::new();
+    // A token adds at most three tree nodes (an operator's group rule,
+    // the rule that places it, and a statement's spine node), so the
+    // forest never outgrows this; what it does not use stays untouched.
+    let code_bytes: usize = programs
+        .iter()
+        .flat_map(|p| &p.procs)
+        .map(|p| p.code.len())
+        .sum();
+    let mut forest = SharedForest::with_capacity(3 * code_bytes);
 
     let mut segments = 0u64;
     let mut tokens_total = 0u64;

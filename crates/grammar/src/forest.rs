@@ -10,9 +10,14 @@
 //! every opcode belongs to exactly one of the v0/v1/v2/x0/x1/x2 groups —
 //! so the builder is the linear-time stack parser of [`postfix`], not a
 //! general CFG parser.
-//! The expander contracts edges of this forest (Fig. 2); the
-//! [`Forest::contract`] and [`Forest::relabel`] mutators support exactly
-//! that operation.
+//!
+//! This tree forest is the reference representation. The trainer parses
+//! into the hash-consed [`SharedForest`](crate::SharedForest) instead,
+//! which keeps each distinct subtree once, and its expander contracts
+//! classes there; the reference expander (`tests/expander_reference.rs`)
+//! contracts edges of this forest node by node (Fig. 2), with the
+//! [`Forest::contract`] and [`Forest::relabel`] mutators, and the typed
+//! grammar's parser builds one too.
 //!
 //! The forest is one flat array of fixed-size nodes. A node's children
 //! form a singly linked list threaded through the nodes themselves (first

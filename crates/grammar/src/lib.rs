@@ -20,6 +20,8 @@
 //!   [`postfix::admit`] decides which grammars the compressor accepts,
 //! * [`forest`] — parse forests built by that parser from training code
 //!   (restarting at every `LABELV`, §4.1),
+//! * [`shared`] — the hash-consed training forest the expander works on:
+//!   one class per distinct subtree, with its instance count,
 //! * [`derivation`] — leftmost derivations: extraction from parse trees,
 //!   expansion back to terminal strings, and byte encoding/decoding,
 //! * [`encode`] — the compact binary grammar serialization whose byte size
@@ -36,6 +38,7 @@ pub mod forest;
 pub mod grammar;
 pub mod initial;
 pub mod postfix;
+pub mod shared;
 pub mod symbol;
 pub mod tables;
 pub mod typed;
@@ -45,5 +48,6 @@ pub use file::{GrammarFile, GrammarFileError};
 pub use forest::{Forest, NodeId};
 pub use grammar::{Grammar, Rule, RuleId, RuleOrigin};
 pub use initial::InitialGrammar;
+pub use shared::{ClassId, SharedForest};
 pub use symbol::{Nt, Symbol, Terminal};
 pub use tables::{PackedSym, RuleTable};

@@ -6,8 +6,9 @@
 //! same pass serves two kinds of input:
 //!
 //! * a segment's **tokens** give the segment's tree of Appendix 2 rules
-//!   ([`Forest::add_segment`](crate::Forest::add_segment) for training,
-//!   the compressor's tiler for encoding);
+//!   ([`SharedForest::add_segment`](crate::SharedForest::add_segment)
+//!   for training, [`Forest::add_segment`](crate::Forest::add_segment)
+//!   for the reference, the compressor's tiler for encoding);
 //! * a rule's **right-hand side**, with each non-terminal read as a
 //!   *hole*, gives the fragment of Appendix 2 tree the rule stands for —
 //!   its *pattern*. Every rule the expander creates is such a fragment

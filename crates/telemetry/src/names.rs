@@ -16,6 +16,12 @@ pub const TRAIN_PROGRAMS: &str = "train.programs";
 pub const TRAIN_SEGMENTS: &str = "train.segments";
 /// Trainer: tokens across all training segments.
 pub const TRAIN_TOKENS: &str = "train.tokens";
+/// Trainer: tree nodes of the training forest (its derivation length
+/// before expansion).
+pub const TRAIN_FOREST_NODES: &str = "train.forest_nodes";
+/// Trainer: distinct subtrees of the training forest, the classes the
+/// expander contracts.
+pub const TRAIN_FOREST_SUBTREES: &str = "train.forest_subtrees";
 /// Expander: greedy-loop iterations (heap pops, one entry per edge).
 pub const TRAIN_INLINE_ITERATIONS: &str = "train.inline_iterations";
 /// Expander: edge contractions performed.

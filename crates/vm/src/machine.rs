@@ -38,7 +38,9 @@ pub const TRAMP_BASE: u32 = 0xE000_0000;
 /// Synthetic address of native routine 0.
 pub const NATIVE_BASE: u32 = 0xF000_0000;
 
-fn align8(v: u32) -> u32 {
+/// Round up to a multiple of 8, in 64 bits so that no 32-bit address or
+/// size can wrap.
+fn align8(v: u64) -> u64 {
     (v + 7) & !7
 }
 
@@ -69,7 +71,6 @@ impl Layout {
     /// address space.
     pub fn of(program: &Program, config: &VmConfig) -> Result<Layout, VmError> {
         // Summed in 64 bits, so no image can wrap the address space.
-        let align8 = |v: u64| (v + 7) & !7;
         let data_end = u64::from(DATA_BASE) + program.data.len() as u64;
         let bss_base = align8(data_end);
         let bss_end = bss_base + u64::from(program.bss_size);
@@ -524,13 +525,12 @@ impl<'p> Vm<'p> {
     /// a distinct non-null address).
     pub(crate) fn heap_alloc(&mut self, size: u32) -> Result<u32, VmError> {
         let addr = self.heap_next;
-        let end = addr
-            .checked_add(align8(size.max(1)))
-            .ok_or(VmError::HeapExhausted { requested: size })?;
-        if end > self.heap_end {
+        let end = u64::from(addr) + align8(u64::from(size.max(1)));
+        if end > u64::from(self.heap_end) {
             return Err(VmError::HeapExhausted { requested: size });
         }
-        self.heap_next = end;
+        // At or below `heap_end`, so it fits.
+        self.heap_next = end as u32;
         Ok(addr)
     }
 
@@ -584,12 +584,16 @@ impl<'p> Vm<'p> {
         }
         let args_from = self.arg_buf.len() - need;
 
-        let args_base = align8(self.stack_next);
-        let locals_base = args_base + align8(need as u32);
-        let frame_end = locals_base + align8(proc.frame_size);
-        if frame_end > self.stack_end {
+        // Laid out in 64 bits, so no frame size can wrap the address
+        // space; every bound then lies at or below `stack_end`.
+        let args_base = align8(u64::from(self.stack_next));
+        let locals_base = args_base + align8(need as u64);
+        let frame_end = locals_base + align8(u64::from(proc.frame_size));
+        if frame_end > u64::from(self.stack_end) {
             return Err(Stop::Error(VmError::StackOverflow));
         }
+        let (args_base, locals_base, frame_end) =
+            (args_base as u32, locals_base as u32, frame_end as u32);
         // Deterministic frames: zero the whole region, then copy args.
         self.mem
             .fill(args_base, frame_end - args_base, 0)

@@ -190,3 +190,36 @@ fn untrained_grammar_expands_programs() {
     let (_, stats) = trained.compress(&program).unwrap();
     assert!(stats.compressed_code > stats.original_code);
 }
+
+/// A request near 4 GiB cannot round past the address space: `malloc`
+/// of one such size fails as heap exhaustion, and a frame of one as a
+/// stack overflow, in every build profile (each once wrapped to a tiny
+/// block or frame in release and overflowed in debug).
+#[test]
+fn oversized_requests_fail_cleanly() {
+    let program = pgr::minic::compile(
+        "int main(void) { char *p; p = malloc(-1); \
+         if (p) { p[0] = 1; return 7; } return 3; }",
+    )
+    .unwrap();
+    let err = Vm::new(&program, VmConfig::default())
+        .unwrap()
+        .run()
+        .unwrap_err();
+    assert_eq!(
+        err,
+        pgr::vm::VmError::HeapExhausted {
+            requested: u32::MAX
+        }
+    );
+
+    let program = pgr::bytecode::asm::assemble(
+        "proc main frame=4294967292 args=0\n\tRETV\nendproc\nentry main\n",
+    )
+    .unwrap();
+    let err = Vm::new(&program, VmConfig::default())
+        .unwrap()
+        .run()
+        .unwrap_err();
+    assert_eq!(err, pgr::vm::VmError::StackOverflow);
+}

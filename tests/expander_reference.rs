@@ -1,21 +1,29 @@
 //! The §4.1 expander against its reference spec.
 //!
 //! `reference` below is the original greedy loop, kept as the executable
-//! spec: a `HashMap` from edge to a `BTreeSet` of the child nodes
-//! realizing it, and a lazy max-heap that takes one entry per count
-//! increment. The production expander (`pgr::core::expand`) keeps each
-//! node's edge id, each round's occurrences sorted into per-edge blocks
-//! of one append-only store, and one heap entry per edge instead. It must
-//! build the same rules in the same order and leave the same contracted
-//! forest: every rule slot, every non-terminal's rule order, every
-//! forest node, and every [`ExpansionStats`] field except the two that
-//! count heap traffic (`inline_iterations`, `saturated_skips`).
+//! spec: it works on the tree [`Forest`], with a `HashMap` from edge to
+//! a `BTreeSet` of the child nodes realizing it, and a lazy max-heap that
+//! takes one entry per count increment. The production expander
+//! (`pgr::core::expand`) works on the hash-consed [`SharedForest`]
+//! instead: it contracts each distinct subtree once, weighted by its
+//! instance count, keeps each round's occurrences sorted into per-edge
+//! blocks of one append-only store, and one heap entry per edge. It must
+//! build the same rules in the same order and leave every segment with
+//! the same contracted derivation: every rule slot, every non-terminal's
+//! rule order, every segment's derivation, and every [`ExpansionStats`]
+//! field except the two that count heap traffic (`inline_iterations`,
+//! `saturated_skips`) and the class count the reference has no use for
+//! (`subtrees`).
 //!
-//! Besides the corpora, samples and synthetic programs, a property test
-//! builds forests from random segments of a few statement templates
-//! that stress the bookkeeping: deep `INDIRU` chains (an edge into
-//! itself), `LIT1 k POPU` over a few `k`, nested `ADDU`, and stores to
-//! the same few locals.
+//! Besides the corpora, samples and synthetic programs, hand-built cases
+//! pin down where sharing matters (a class absorbed under one parent and
+//! kept under another, an `INDIRU` chain that is a statement's operand
+//! in one place and an addend in another, one class at two slots of a
+//! parent, repeated segments), and a property test builds forests from
+//! random segments of a few statement templates that stress the
+//! bookkeeping: deep `INDIRU` chains (an edge into itself), `LIT1 k
+//! POPU` over a few `k`, nested `ADDU`, and stores to the same few
+//! locals.
 //!
 //! The largest inputs (the lcc and gcc corpora and an 8 × 40-function
 //! synthetic set) are `#[ignore]`d: the reference alone takes over a
@@ -27,7 +35,9 @@ use pgr::core::{canonicalize_program, expand, ExpanderConfig, ExpansionStats};
 use pgr::corpus::synth::{self, Flavor, SynthConfig};
 use pgr::corpus::{compile_sample, corpus, CorpusName, SAMPLES};
 use pgr::grammar::initial::tokenize_segment;
-use pgr::grammar::{Forest, Grammar, InitialGrammar, NodeId, Nt, RuleId};
+use pgr::grammar::{
+    ClassId, Derivation, Forest, Grammar, InitialGrammar, Nt, RuleId, SharedForest,
+};
 use proptest::prelude::*;
 
 /// The original expander loop, minus the rule-deduplication branch
@@ -289,27 +299,51 @@ mod reference {
 }
 
 /// The training forest `pgr::core::train` builds: every segment of every
-/// canonicalized procedure, parsed under the initial grammar.
+/// canonicalized procedure, parsed under the initial grammar, as a tree.
+/// The shared forest `train` parses the same segments into is checked to
+/// be the tree's shared form.
 fn training_forest(programs: &[Program]) -> (InitialGrammar, Forest) {
     let ig = InitialGrammar::build();
-    let mut forest = Forest::new();
-    for program in programs {
-        let canon = canonicalize_program(program).expect("corpus programs canonicalize");
-        for proc in &canon.procs {
-            for range in proc.segments().expect("canonical code decodes") {
-                let tokens = tokenize_segment(&proc.code[range]).expect("segment tokenizes");
-                forest.add_segment(&ig, &tokens).expect("segment parses");
-            }
-        }
-    }
+    let segments: Vec<Vec<u8>> = programs
+        .iter()
+        .flat_map(|program| {
+            let canon = canonicalize_program(program).expect("corpus programs canonicalize");
+            canon.procs.into_iter().flat_map(|proc| {
+                let ranges = proc.segments().expect("canonical code decodes");
+                ranges
+                    .into_iter()
+                    .map(move |range| proc.code[range].to_vec())
+            })
+        })
+        .collect();
+    let forest = segment_forest(&ig, &segments);
     (ig, forest)
 }
 
-/// The statistics both loops must agree on: all but the heap traffic.
+/// The tree forest of `segments`, each parsed under the initial grammar,
+/// after checking that parsing them straight into a shared forest gives
+/// the tree's shared form.
+fn segment_forest(ig: &InitialGrammar, segments: &[Vec<u8>]) -> Forest {
+    let (mut forest, mut shared) = (Forest::new(), SharedForest::new());
+    for code in segments {
+        let tokens = tokenize_segment(code).expect("segment tokenizes");
+        forest.add_segment(ig, &tokens).expect("segment parses");
+        shared.add_segment(ig, &tokens).expect("segment parses");
+    }
+    assert!(
+        shared == SharedForest::from_forest(&forest),
+        "parsing into classes differs from replaying the tree"
+    );
+    forest
+}
+
+/// The statistics both loops must agree on: all but the heap traffic
+/// and the class count.
 fn comparable(stats: ExpansionStats) -> ExpansionStats {
     ExpansionStats {
         inline_iterations: 0,
         saturated_skips: 0,
+        subtrees: 0,
         ..stats
     }
 }
@@ -334,22 +368,18 @@ fn assert_same_grammar(label: &str, got: &Grammar, want: &Grammar) {
     }
 }
 
-fn assert_same_forest(label: &str, got: &Forest, want: &Forest) {
-    assert_eq!(got.roots(), want.roots(), "{label}: roots");
-    assert_eq!(got.live_count(), want.live_count(), "{label}: live nodes");
-    assert_eq!(got.node_slots(), want.node_slots(), "{label}: node slots");
-    for i in 0..want.node_slots() {
-        let id = NodeId(i as u32);
-        let (g, w) = (got.node(id), want.node(id));
-        assert_eq!(g.rule, w.rule, "{label}: label of node {i}");
+/// Every segment's derivation read off the shared forest is the one read
+/// off the reference's contracted tree.
+fn assert_same_derivations(label: &str, got: &SharedForest, want: &Forest) {
+    assert_eq!(got.roots().len(), want.roots().len(), "{label}: segments");
+    for (i, &root) in want.roots().iter().enumerate() {
         assert_eq!(
-            got.children(id).collect::<Vec<_>>(),
-            want.children(id).collect::<Vec<_>>(),
-            "{label}: children of node {i}"
+            got.derivation(i),
+            Derivation::from_tree(want, root),
+            "{label}: derivation of segment {i}"
         );
-        assert_eq!(g.parent(), w.parent(), "{label}: parent of node {i}");
-        assert_eq!(g.alive(), w.alive(), "{label}: liveness of node {i}");
     }
+    assert_eq!(got.node_count(), want.live_count(), "{label}: live nodes");
 }
 
 /// Run both loops on copies of `programs`' training forest: see
@@ -359,17 +389,18 @@ fn check(label: &str, programs: &[Program], runs: &[(usize, bool)]) -> Vec<Expan
     check_forest(label, &ig, &forest, runs)
 }
 
-/// Run both loops on copies of `forest`, configured as the trainer
-/// configures them (start non-terminal escape-reserved), once per
-/// `(cap, remove_subsumed)` in `runs`, and compare everything. Returns
-/// the reference's statistics so callers can check what the inputs
-/// exercised.
+/// Run the reference on copies of `forest` and the expander on copies of
+/// its shared form, configured as the trainer configures them (start
+/// non-terminal escape-reserved), once per `(cap, remove_subsumed)` in
+/// `runs`, and compare everything. Returns the reference's statistics so
+/// callers can check what the inputs exercised.
 fn check_forest(
     label: &str,
     ig: &InitialGrammar,
     forest: &Forest,
     runs: &[(usize, bool)],
 ) -> Vec<ExpansionStats> {
+    let shared = SharedForest::from_forest(forest);
     let mut seen = Vec::new();
     for &(cap, remove_subsumed) in runs {
         let config = ExpanderConfig {
@@ -381,12 +412,13 @@ fn check_forest(
 
         let (mut want_g, mut want_f) = (ig.grammar.clone(), forest.clone());
         let want = reference::expand(&mut want_g, &mut want_f, &config);
-        let (mut got_g, mut got_f) = (ig.grammar.clone(), forest.clone());
+        let (mut got_g, mut got_f) = (ig.grammar.clone(), shared.clone());
         let got = expand(&mut got_g, &mut got_f, &config);
 
         assert_same_grammar(&label, &got_g, &want_g);
-        assert_same_forest(&label, &got_f, &want_f);
+        assert_same_derivations(&label, &got_f, &want_f);
         assert_eq!(comparable(got), comparable(want), "{label}: stats");
+        assert_eq!(got.subtrees, shared.class_count(), "{label}: classes");
         seen.push(want);
     }
     seen
@@ -455,15 +487,118 @@ fn seeded_synthetic_sets_match_the_reference() {
     assert_exercised("synthetic sets", &seen);
 }
 
+const ADDRLP: u8 = Opcode::ADDRLP as u8;
+const INDIRU: u8 = Opcode::INDIRU as u8;
+const LIT1: u8 = Opcode::LIT1 as u8;
+const ADDU: u8 = Opcode::ADDU as u8;
+const ASGNU: u8 = Opcode::ASGNU as u8;
+const POPU: u8 = Opcode::POPU as u8;
+
+/// `ADDRLP 0` under `depth` `INDIRU`s: a chain of `<v> ::= <v> <v1>`.
+fn chain(depth: usize) -> Vec<u8> {
+    let mut code = vec![ADDRLP, 0, 0];
+    code.extend(std::iter::repeat_n(INDIRU, depth));
+    code
+}
+
+/// Check `segments` against the reference at caps 4–256, with removal
+/// on and off, and return the shared forest before and after one
+/// expansion at `cap` (removal on).
+fn check_shared(label: &str, segments: &[Vec<u8>], cap: usize) -> (SharedForest, SharedForest) {
+    let ig = InitialGrammar::build();
+    let forest = segment_forest(&ig, segments);
+    check_forest(label, &ig, &forest, &matrix(&[4, 8, 16, 256]));
+    let before = SharedForest::from_forest(&forest);
+    assert!(
+        before.class_count() < before.node_count(),
+        "{label}: no sharing"
+    );
+    let (mut grammar, mut after) = (ig.grammar.clone(), before.clone());
+    let config = ExpanderConfig {
+        max_rules_per_nt: cap,
+        escape_reserve: Some(ig.nt_start),
+        ..ExpanderConfig::default()
+    };
+    expand(&mut grammar, &mut after, &config);
+    (before, after)
+}
+
+/// The classes some but not all of whose instances were absorbed.
+fn partly_absorbed(before: &SharedForest, after: &SharedForest) -> usize {
+    (0..before.class_count() as u32)
+        .map(ClassId)
+        .filter(|&c| (1..before.instances(c)).contains(&after.instances(c)))
+        .count()
+}
+
+#[test]
+fn a_class_absorbed_under_one_parent_rule_survives_under_another() {
+    // `*x` is popped alone six times (a hot `<x> ::= <v> POPU` over it)
+    // and added to a literal once, where it stays a child of `ADDU`.
+    let deref = chain(1);
+    let mut pop = deref.clone();
+    pop.push(POPU);
+    let mut add = deref.clone();
+    add.extend([LIT1, 7, ADDU, POPU]);
+    let mut segments = vec![pop; 6];
+    segments.push(add);
+    let (before, after) = check_shared("absorbed and kept", &segments, 256);
+    assert!(partly_absorbed(&before, &after) > 0);
+}
+
+#[test]
+fn an_indirection_chain_shared_by_a_statement_and_an_operand() {
+    // The same five-deep chain (an edge into itself) is a whole
+    // statement's operand in one segment and an addend in another.
+    let mut alone = chain(5);
+    alone.push(POPU);
+    let mut operand = chain(5);
+    operand.extend([LIT1, 1, ADDU, POPU]);
+    let mut deeper = chain(9);
+    deeper.push(POPU);
+    let segments = vec![alone.clone(), operand.clone(), alone, operand, deeper];
+    for cap in [4, 16, 256] {
+        check_shared("indirection chain", &segments, cap);
+    }
+}
+
+#[test]
+fn one_class_at_two_slots_of_a_parent() {
+    // `x + x`: the two operands of `ADDU` are one class.
+    let mut twice = chain(1);
+    twice.extend(chain(1));
+    twice.extend([ADDU, POPU]);
+    let mut store = twice.clone();
+    store.truncate(store.len() - 1);
+    store.extend([ADDRLP, 4, 0, ASGNU]);
+    let segments = vec![twice.clone(), twice, store.clone(), store];
+    let ig = InitialGrammar::build();
+    let shared = SharedForest::from_forest(&segment_forest(&ig, &segments));
+    let doubled = (0..shared.class_count() as u32).map(ClassId).any(|c| {
+        let kids = shared.children(c);
+        kids.len() >= 2 && kids[0].class == kids[1].class
+    });
+    assert!(doubled, "no class holds one child class twice");
+    check_shared("x + x", &segments, 256);
+}
+
+#[test]
+fn repeated_segments_add_instances_not_classes() {
+    let mut stmt = chain(2);
+    stmt.extend([LIT1, 3, ADDU, ADDRLP, 8, 0, ASGNU]);
+    let body = stmt.repeat(3);
+    let segments = vec![body.clone(), body.clone(), stmt.clone(), body, stmt];
+    let ig = InitialGrammar::build();
+    let shared = SharedForest::from_forest(&segment_forest(&ig, &segments));
+    assert_eq!(shared.roots()[0], shared.roots()[1]);
+    assert_eq!(shared.instances(shared.roots()[0]), 3);
+    let (_, after) = check_shared("repeated segments", &segments, 256);
+    assert_eq!(after.roots(), shared.roots());
+}
+
 /// One statement of a random segment, as bytecode: it leaves the value
 /// stack empty, so any sequence of them is a segment.
 fn statement() -> impl Strategy<Value = Vec<u8>> {
-    const ADDRLP: u8 = Opcode::ADDRLP as u8;
-    const INDIRU: u8 = Opcode::INDIRU as u8;
-    const LIT1: u8 = Opcode::LIT1 as u8;
-    const ADDU: u8 = Opcode::ADDU as u8;
-    const ASGNU: u8 = Opcode::ASGNU as u8;
-    const POPU: u8 = Opcode::POPU as u8;
     prop_oneof![
         // A deep `INDIRU` chain off one of three locals.
         (0u8..3, 1usize..16).prop_map(|(local, depth)| {
@@ -515,19 +650,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Random forests of template statements, at one cap in 4–32 with
-    /// subsumed-rule removal on and off.
+    /// subsumed-rule removal on and off. Two segments or more, so every
+    /// forest shares at least its `<start> ::= ε` leaf.
     #[test]
     fn random_template_forests_match_the_reference(
-        segments in prop::collection::vec(prop::collection::vec(statement(), 1..10), 1..24),
+        segments in prop::collection::vec(prop::collection::vec(statement(), 1..10), 2..24),
         cap in 4usize..33,
     ) {
         let ig = InitialGrammar::build();
-        let mut forest = Forest::new();
-        for statements in &segments {
-            let code = statements.concat();
-            let tokens = tokenize_segment(&code).expect("template statements tokenize");
-            forest.add_segment(&ig, &tokens).expect("template statements parse");
-        }
+        let segments: Vec<Vec<u8>> = segments.iter().map(|s| s.concat()).collect();
+        let forest = segment_forest(&ig, &segments);
+        let shared = SharedForest::from_forest(&forest);
+        prop_assert!(shared.class_count() < shared.node_count());
         check_forest("template forest", &ig, &forest, &matrix(&[cap]));
     }
 }
